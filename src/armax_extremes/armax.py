@@ -256,12 +256,42 @@ class StationarityResult:
     probe: tuple[float, ...]
 
 
-def _joint_innovation_logcdf(config: ProcessConfig, x: np.ndarray) -> float:
-    log_u = np.empty(config.d)
-    for j in range(config.d):
-        g = margin_cdf(config.margins[j], x[j])
-        log_u[j] = -math.inf if g == 0.0 else math.log(g)
-    return copula_logcdf(config.copula, log_u)
+def _joint_innovation_logcdf(config: ProcessConfig, x: np.ndarray) -> np.ndarray:
+    """Row-wise ``log G(x)`` for points ``x`` of shape ``(m, d)``."""
+    g = np.column_stack([margin_cdf(m, x[:, j]) for j, m in enumerate(config.margins)])
+    with np.errstate(divide="ignore"):
+        return copula_logcdf(config.copula, np.log(g))
+
+
+def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, threshold: float):
+    """Truncated sum ``sum_{i = first, first + 1, ...} log G(x / c**i)``.
+
+    Summation stops at the first term with ``i >= 1`` and
+    ``-log G < threshold`` (converged), once the sum reaches ``-inf``,
+    or after term ``last``.  Terms are evaluated in chunks that double
+    in size and summed in order by `np.cumsum`, so the total equals that
+    of a term-by-term loop.  Returns ``(total, n_terms, converged)``.
+    """
+    c = np.asarray(config.c)
+    total = 0.0
+    start, size = first, 16
+    while start <= last:
+        idx = np.arange(start, min(start + size, last + 1))
+        # c**i may underflow to 0 for small components while larger ones
+        # still need factors; x / 0 -> inf is then the right argument
+        # (that margin's factor is exactly 1); 0 / 0 needs x_j = 0, whose
+        # first factor already ends the product at -inf
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scaled = x / c ** idx[:, None]
+        terms = _joint_innovation_logcdf(config, scaled)
+        partial = np.cumsum(np.concatenate(([total], terms)))[1:]
+        stop = (partial == -np.inf) | ((idx >= 1) & (-terms < threshold))
+        if stop.any():
+            k = int(np.argmax(stop))
+            return float(partial[k]), int(idx[k]) - first + 1, bool(partial[k] != -np.inf)
+        total = float(partial[-1])
+        start, size = start + size, 2 * size
+    return total, last - first + 1, False
 
 
 def check_stationarity(
@@ -289,19 +319,8 @@ def check_stationarity(
             raise ValueError(f"probe must have shape ({config.d},)")
         if np.any(~(probe > 0.0)):
             raise ValueError("probe entries must be strictly positive")
-    c = np.asarray(config.c)
-    total = 0.0
-    converged = False
-    n_terms = 0
-    for i in range(1, max_terms + 1):
-        term = -_joint_innovation_logcdf(config, probe / c**i)
-        total += term
-        n_terms = i
-        if math.isinf(total):
-            break
-        if term < tol:
-            converged = True
-            break
+    log_total, n_terms, converged = _log_product(config, probe, 1, max_terms, tol)
+    total = 0.0 - log_total  # +0.0, not -0.0, for a zero series
     stationary = converged and 0.0 < total < math.inf
     return StationarityResult(
         stationary=stationary,
@@ -327,23 +346,12 @@ def stationary_marginal_logcdf(
     margin: MarginSpec, c: float, x: float, trunc_tol: float = 1e-12
 ) -> float:
     """Log stationary marginal CDF of one component for any margin,
-    via the truncated product ``prod_{i >= 0} G(x / c**i)``."""
+    via the truncated product ``prod_{i >= 0} G(x / c**i)`` of the
+    one-component process."""
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
-    threshold = -math.log1p(-trunc_tol)
-    total = 0.0
-    for i in range(10_001):
-        g = margin_cdf(margin, x / c**i)
-        if g == 0.0:
-            return -math.inf
-        log_g = math.log(g)
-        total += log_g
-        if i >= 1 and -log_g < threshold:
-            return total
-    raise ConfigurationError(
-        "stationary marginal product did not converge; the margin/c "
-        "combination is non-stationary at the requested point"
-    )
+    one = ProcessConfig(1, (c,), (margin,), CopulaSpec.independence())
+    return _stationary_logcdf(one, np.array([x], dtype=float), trunc_tol, 10_000)
 
 
 def stationary_marginal_quantile(
@@ -397,25 +405,22 @@ def stationary_joint_logcdf(
     ``trunc_tol / (1 - max c)`` to ``-log F``.  Raises
     `ConfigurationError` when the product fails to converge, which is
     the non-stationary case.
+
+    An entry ``x_j = inf`` marginalizes component ``j`` out: its margin
+    contributes ``G_j = 1`` to every factor, and the exchangeable
+    copulas ignore an argument ``log u_j = 0``, so the result equals the
+    log CDF of the process restricted to the remaining components.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (config.d,):
         raise ValueError(f"x must have shape ({config.d},)")
-    c = np.asarray(config.c)
-    threshold = -math.log1p(-trunc_tol)
-    total = 0.0
-    for i in range(max_terms + 1):
-        # c**i may underflow to 0 for small components while larger ones
-        # still need factors; x / 0 -> inf is then the right argument
-        # (that margin's factor is exactly 1)
-        with np.errstate(divide="ignore", over="ignore"):
-            scaled = x / c**i
-        log_g = _joint_innovation_logcdf(config, scaled)
-        total += log_g
-        if total == -math.inf:
-            return total
-        if i >= 1 and -log_g < threshold:
-            return total
+    return _stationary_logcdf(config, x, trunc_tol, max_terms)
+
+
+def _stationary_logcdf(config: ProcessConfig, x: np.ndarray, trunc_tol: float, max_terms: int) -> float:
+    total, _, converged = _log_product(config, x, 0, max_terms, -math.log1p(-trunc_tol))
+    if converged or total == -math.inf:
+        return total
     raise ConfigurationError(
         f"stationary product did not converge within {max_terms} factors; "
         "the configuration is non-stationary at the requested point or "

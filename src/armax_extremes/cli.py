@@ -28,7 +28,6 @@ from .copulas import (
     CopulaSpec,
     DerivedCopula,
     copula_logcdf,
-    derived_copula_logcdf,
     derived_copula_validity,
 )
 from .errors import ConfigurationError, NumericLimitError, UndefinedResultError
@@ -90,10 +89,6 @@ class RunConfig:
     tau_grid: tuple[tuple[float, ...], ...] | None = None
     copula: CopulaSpec | DerivedCopula | None = None
     workers: int = 1
-
-
-def process_to_dict(process: ProcessConfig) -> dict:
-    return process.to_dict()
 
 
 def process_from_dict(data: dict) -> ProcessConfig:
@@ -203,7 +198,7 @@ def run_config_to_dict(config: RunConfig) -> dict:
     """JSON-ready form of a `RunConfig`; omits unset fields."""
     out: dict = {"command": config.command}
     if config.process is not None:
-        out["process"] = process_to_dict(config.process)
+        out["process"] = config.process.to_dict()
     if config.copula is not None:
         out["copula"] = copula_to_dict(config.copula)
     for name in (
@@ -346,7 +341,7 @@ def _run_simulate(config: RunConfig) -> int:
         "seed": config.seed,
         "config_digest": path.config_digest,
         "init_used": path.init_used,
-        "process": process_to_dict(config.process),
+        "process": config.process.to_dict(),
     }
     _write_json(config.output_path + ".meta.json", meta)
     print(f"simulate: wrote {config.n} rows to {config.output_path}")
@@ -490,38 +485,27 @@ def _run_tail_dep(config: RunConfig) -> int:
     return 0
 
 
-def _diagonal_value(spec: CopulaSpec | DerivedCopula, dim: int, p: float) -> float:
-    log_u = np.full(dim, math.log(p))
-    if isinstance(spec, DerivedCopula):
-        return math.exp(derived_copula_logcdf(spec, log_u))
-    return math.exp(copula_logcdf(spec, log_u))
-
-
-def _extremal_coefficient_value(spec: CopulaSpec | DerivedCopula, dim: int) -> float:
-    log_u = np.full(dim, math.log(0.5))
-    if isinstance(spec, DerivedCopula):
-        return derived_copula_logcdf(spec, log_u) / math.log(0.5)
-    return copula_logcdf(spec, log_u) / math.log(0.5)
-
-
 def _run_copula(config: RunConfig) -> int:
     spec = config.copula
     derived = spec if isinstance(spec, DerivedCopula) else None
     base = derived.base if derived is not None else spec
     dim = derived.dim if derived is not None else 2
     header = ["table", "copula", "m", "p", "value", "flag"]
-    rows = []
-    for m in range(2, dim + 1):
-        rows.append(["extremal_coefficient", "base", m, None, _extremal_coefficient_value(base, m), "ok"])
+    log_half = math.log(0.5)
+    rows = [
+        ["extremal_coefficient", "base", m, None, copula_logcdf(base, np.full(m, log_half)) / log_half, "ok"]
+        for m in range(2, dim + 1)
+    ]
     if derived is not None:
-        rows.append(
-            ["extremal_coefficient", "derived", dim, None, _extremal_coefficient_value(derived, dim), "ok"]
-        )
-    for p in np.linspace(0.1, 0.9, 9):
-        rows.append(["diagonal", "base", None, p, _diagonal_value(base, dim, p), "ok"])
+        value = copula_logcdf(derived, np.full(dim, log_half)) / log_half
+        rows.append(["extremal_coefficient", "derived", dim, None, value, "ok"])
+    ps = np.linspace(0.1, 0.9, 9)
+    log_diagonal = np.repeat(np.log(ps)[:, None], dim, axis=1)
+    for name, c in (("base", base), ("derived", derived)):
+        if c is not None:
+            values = np.exp(copula_logcdf(c, log_diagonal))
+            rows.extend(["diagonal", name, None, p, v, "ok"] for p, v in zip(ps, values))
     if derived is not None:
-        for p in np.linspace(0.1, 0.9, 9):
-            rows.append(["diagonal", "derived", None, p, _diagonal_value(derived, dim, p), "ok"])
         report = derived_copula_validity(derived)
         flag = "ok" if report.valid else "invalid_derived_copula"
         if not report.valid:

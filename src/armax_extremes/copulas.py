@@ -95,34 +95,50 @@ class DerivedCopula:
         return len(self.theta)
 
 
-def _gamma_norm(s: np.ndarray, gamma: float) -> float:
-    """``(sum s_j**gamma)**(1/gamma)`` for nonnegative s, overflow-safe."""
-    m = float(np.max(s))
-    if m == 0.0:
-        return 0.0
-    if math.isinf(m):
-        return math.inf
-    return m * float(np.sum((s / m) ** gamma)) ** (1.0 / gamma)
+def _gamma_norm(s: np.ndarray, gamma: float) -> np.ndarray:
+    """Row-wise ``(sum_j s_j**gamma)**(1/gamma)`` for nonnegative ``s`` of
+    shape ``(m, d)``, overflow-safe."""
+    m = np.max(s, axis=1)
+    # rows with max 0 or inf give 0/0 or inf/inf here; both are replaced
+    with np.errstate(invalid="ignore"):
+        norm = m * np.sum((s / m[:, None]) ** gamma, axis=1) ** (1.0 / gamma)
+    return np.where(m == 0.0, 0.0, np.where(np.isinf(m), np.inf, norm))
 
 
-def copula_logcdf(spec: CopulaSpec, log_u) -> float:
+def _check_log_u(log_u: np.ndarray, d: int | None = None) -> None:
+    if log_u.ndim not in (1, 2) or log_u.shape[-1] == 0:
+        raise ValueError("log_u must be a non-empty (d,) or (m, d) array")
+    if d is not None and log_u.shape[-1] != d:
+        raise ValueError(f"log_u must have {d} columns")
+    if np.any(log_u > 0) or np.any(np.isnan(log_u)):
+        raise ValueError("log_u entries must lie in [-inf, 0]")
+
+
+def _base_logcdf(spec: CopulaSpec, log_u: np.ndarray) -> np.ndarray:
+    """Row-wise ``log C(u)`` for validated ``log_u`` of shape ``(m, d)``."""
+    if spec.kind == "comonotone":
+        return np.min(log_u, axis=1)
+    if spec.kind == "independence" or spec.gamma == 1.0:
+        # gamma == 1 is exactly the independence copula
+        return np.sum(log_u, axis=1)
+    return -_gamma_norm(-log_u, spec.gamma)
+
+
+def copula_logcdf(spec: CopulaSpec | DerivedCopula, log_u):
     """``log C(u)`` evaluated from ``log u`` componentwise.
 
     Entries of ``log_u`` must be in ``[-inf, 0]``; ``-inf`` encodes
     ``u_j = 0``.  Working from logs keeps ratios of the form
-    ``log C(u) / log C(v)`` exact for small arguments.
+    ``log C(u) / log C(v)`` exact for small arguments.  A ``(d,)``
+    point gives a float, an ``(m, d)`` batch of points an ``(m,)``
+    array.  A `DerivedCopula` is evaluated by `derived_copula_logcdf`.
     """
+    if isinstance(spec, DerivedCopula):
+        return derived_copula_logcdf(spec, log_u)
     log_u = np.asarray(log_u, dtype=float)
-    if log_u.ndim != 1 or log_u.size == 0:
-        raise ValueError("log_u must be a non-empty 1-d array")
-    if np.any(log_u > 0) or np.any(np.isnan(log_u)):
-        raise ValueError("log_u entries must lie in [-inf, 0]")
-    if spec.kind == "comonotone":
-        return float(np.min(log_u))
-    if spec.kind == "independence" or spec.gamma == 1.0:
-        # gamma == 1 is exactly the independence copula
-        return float(np.sum(log_u))
-    return -_gamma_norm(-log_u, spec.gamma)
+    _check_log_u(log_u)
+    out = _base_logcdf(spec, np.atleast_2d(log_u))
+    return float(out[0]) if log_u.ndim == 1 else out
 
 
 def copula_eval(spec: CopulaSpec, u) -> float:
@@ -173,26 +189,30 @@ def copula_sample(spec: CopulaSpec, d: int, rng: np.random.Generator, size: int 
     return out[0] if squeeze else out
 
 
-def _derived_exponents(dc: DerivedCopula) -> tuple[np.ndarray, np.ndarray]:
+def _derived_logcdf(dc: DerivedCopula, log_u: np.ndarray) -> np.ndarray:
+    """Row-wise ``log C*(u)`` for validated ``log_u`` of shape ``(m, d)``."""
     theta = np.asarray(dc.theta, dtype=float)
-    return 1.0 / theta, 1.0 / theta - 1.0
+    a_num, a_den = 1.0 / theta, 1.0 / theta - 1.0
+    # a row with some u_j == 0 has a vanishing numerator; the inf - inf
+    # and 0 * inf it produces below are replaced by -inf
+    with np.errstate(invalid="ignore"):
+        log_num = _base_logcdf(dc.base, a_num * log_u)
+        # a_den entries equal to zero pin the corresponding argument at
+        # one, regardless of u_j
+        log_den = _base_logcdf(dc.base, np.where(a_den == 0.0, 0.0, a_den * log_u))
+        return np.where(np.isinf(log_u).any(axis=1), -np.inf, log_num - log_den)
 
 
-def derived_copula_logcdf(dc: DerivedCopula, log_u) -> float:
-    """``log C*(u)`` of the ratio construction, from ``log u``."""
+def derived_copula_logcdf(dc: DerivedCopula, log_u):
+    """``log C*(u)`` of the ratio construction, from ``log u``.
+
+    A ``(dim,)`` point gives a float, an ``(m, dim)`` batch of points an
+    ``(m,)`` array.
+    """
     log_u = np.asarray(log_u, dtype=float)
-    if log_u.shape != (dc.dim,):
-        raise ValueError(f"log_u must have shape ({dc.dim},)")
-    if np.any(log_u > 0) or np.any(np.isnan(log_u)):
-        raise ValueError("log_u entries must lie in [-inf, 0]")
-    if np.any(np.isinf(log_u)):
-        return -math.inf  # some u_j == 0, so the numerator vanishes
-    a_num, a_den = _derived_exponents(dc)
-    log_num = copula_logcdf(dc.base, a_num * log_u)
-    # a_den entries equal to zero pin the corresponding argument at one,
-    # regardless of u_j
-    log_den = copula_logcdf(dc.base, np.where(a_den == 0.0, 0.0, a_den * log_u))
-    return log_num - log_den
+    _check_log_u(log_u, dc.dim)
+    out = _derived_logcdf(dc, np.atleast_2d(log_u))
+    return float(out[0]) if log_u.ndim == 1 else out
 
 
 def derived_copula_eval(dc: DerivedCopula, u) -> float:
@@ -230,7 +250,8 @@ def extremal_coefficient_derived(gamma: float, theta) -> float:
         raise ValueError("theta must be a non-empty 1-d array")
     if np.any(theta <= 0) or np.any(theta > 1):
         raise ValueError("theta entries must lie in (0, 1]")
-    return _gamma_norm(1.0 / theta, gamma) - _gamma_norm(1.0 / theta - 1.0, gamma)
+    norms = _gamma_norm(np.stack([1.0 / theta, 1.0 / theta - 1.0]), gamma)
+    return float(norms[0] - norms[1])
 
 
 @dataclass(frozen=True)
@@ -275,35 +296,33 @@ def derived_copula_validity(
     pts[: n_points // 4] = pts[: n_points // 4] ** 4
     pts[n_points // 4 : n_points // 2] = 1.0 - pts[n_points // 4 : n_points // 2] ** 4
 
-    max_lower = 0.0
-    max_upper = 0.0
-    for u in pts:
-        c = derived_copula_eval(dc, u)
-        lower = max(float(np.sum(u)) - (d - 1), 0.0)
-        upper = float(np.min(u))
-        max_lower = max(max_lower, lower - c)
-        max_upper = max(max_upper, c - upper)
+    def cdf(u: np.ndarray) -> np.ndarray:
+        # u_j == 0 maps to log u_j = -inf and so to C* = 0
+        with np.errstate(divide="ignore"):
+            return np.exp(_derived_logcdf(dc, np.log(u)))
 
-    max_margin = 0.0
-    for p in np.linspace(0.05, 0.95, 19):
-        for j in range(d):
-            u = np.ones(d)
-            u[j] = p
-            max_margin = max(max_margin, abs(derived_copula_eval(dc, u) - p))
+    c = cdf(pts)
+    lower = np.maximum(np.sum(pts, axis=1) - (d - 1), 0.0)
+    max_lower = float(np.max(lower - c, initial=0.0))
+    max_upper = float(np.max(c - np.min(pts, axis=1), initial=0.0))
 
-    min_mass = math.inf
-    corners_signs = [
-        (corner, (-1) ** (d - sum(corner)))
-        for corner in itertools.product((0, 1), repeat=d)
-    ]
-    for _ in range(n_rectangles):
-        a = rng.random(d)
-        b = a + rng.random(d) * (1.0 - a)
-        mass = 0.0
-        for corner, sign in corners_signs:
-            point = np.where(np.asarray(corner, dtype=bool), b, a)
-            mass += sign * derived_copula_eval(dc, point)
-        min_mass = min(min_mass, mass)
+    # row (p, j) is the point with u_j = p and every other entry one
+    p = np.repeat(np.linspace(0.05, 0.95, 19), d)
+    margin_pts = np.ones((p.size, d))
+    margin_pts[np.arange(p.size), np.tile(np.arange(d), 19)] = p
+    max_margin = float(np.max(np.abs(cdf(margin_pts) - p), initial=0.0))
+
+    # one (a, r) pair of d-vectors per rectangle, b = a + r (1 - a); the
+    # corner masses are summed in `itertools.product` order
+    draws = rng.random((n_rectangles, 2, d))
+    a = draws[:, 0]
+    b = a + draws[:, 1] * (1.0 - a)
+    corners = np.array(list(itertools.product((False, True), repeat=d)))
+    signs = (-1.0) ** (d - corners.sum(axis=1))
+    corner_pts = np.where(corners, b[:, None, :], a[:, None, :])
+    vals = cdf(corner_pts.reshape(-1, d)).reshape(n_rectangles, len(corners))
+    masses = np.cumsum(signs * vals, axis=1)[:, -1]
+    min_mass = float(np.min(masses, initial=math.inf))
 
     valid = (
         max_lower <= tol

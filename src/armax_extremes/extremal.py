@@ -23,7 +23,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .armax import ProcessConfig, stationary_joint_logcdf, stationary_marginal_quantile
-from .copulas import CopulaSpec, DerivedCopula, copula_logcdf, derived_copula_logcdf
+from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import UndefinedResultError
 from .margins import DomainTag, attraction_domain
 
@@ -61,12 +61,6 @@ def marginal_extremal_index(c: float, domain: DomainTag) -> float:
     return 1.0
 
 
-def _logcdf_any(copula: CopulaSpec | DerivedCopula, log_u: np.ndarray) -> float:
-    if isinstance(copula, DerivedCopula):
-        return derived_copula_logcdf(copula, log_u)
-    return copula_logcdf(copula, log_u)
-
-
 def theoretical_mv_extremal_index(
     copula: CopulaSpec | DerivedCopula,
     domains,
@@ -98,11 +92,11 @@ def theoretical_mv_extremal_index(
     if not index_set:
         theta = 1.0
     else:
-        log_den = _logcdf_any(copula, -tau)
+        log_den = copula_logcdf(copula, -tau)
         log_u_num = np.zeros(d)
         for j in index_set:
             log_u_num[j] = -tau[j] * c[j] ** domains[j].alpha
-        log_num = _logcdf_any(copula, log_u_num)
+        log_num = copula_logcdf(copula, log_u_num)
         theta = 1.0 - log_num / log_den
     return ExtremalIndexResult(
         theta=float(theta),
@@ -135,22 +129,12 @@ def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult
     )
 
     def sub_logcdf(levels: dict[int, float]) -> float:
-        cols = sorted(levels)
-        sub = ProcessConfig(
-            d=len(cols),
-            c=tuple(config.c[j] for j in cols),
-            margins=tuple(config.margins[j] for j in cols),
-            copula=config.copula,
-        )
-        x = np.array(
-            [
-                stationary_marginal_quantile(
-                    config.margins[j], config.c[j], math.exp(-levels[j])
-                )
-                for j in cols
-            ]
-        )
-        return stationary_joint_logcdf(sub, x)
+        # components without a level sit at x_j = inf, which
+        # marginalizes them out of the stationary law
+        x = np.full(d, math.inf)
+        for j, level in levels.items():
+            x[j] = stationary_marginal_quantile(config.margins[j], config.c[j], math.exp(-level))
+        return stationary_joint_logcdf(config, x)
 
     theta = 1.0
     if index_set:

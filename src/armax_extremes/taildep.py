@@ -34,7 +34,6 @@ from .errors import NumericLimitError, UndefinedResultError
 from .margins import MarginSpec, attraction_domain, right_endpoint
 
 __all__ = [
-    "TailDepResult",
     "LagTdcDiagnostics",
     "REGIME_BAND",
     "DEFAULT_T_GRID",
@@ -52,22 +51,6 @@ DEFAULT_T_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
 # numeric tolerance band around the eta = 1/2 and eta = 1 boundaries used
 # when mapping estimates to a regime label
 REGIME_BAND = 0.05
-
-
-@dataclass(frozen=True)
-class TailDepResult:
-    """Tail dependence summary for a component pair at one lag.
-
-    ``lam`` is the tail dependence coefficient (``None`` when not
-    computed), ``eta`` the tail independence coefficient, ``regime``
-    the label from `classify_tail_regime`.
-    """
-
-    pair: tuple[int, int]
-    r: int
-    lam: float | None
-    eta: float | None
-    regime: str | None
 
 
 @dataclass(frozen=True)
@@ -90,17 +73,6 @@ class LagTdcDiagnostics:
     bounds: tuple[float, float]
 
 
-def _pair_logcdf(config: ProcessConfig, j: int, jp: int, x_j: float, x_jp: float) -> float:
-    """log stationary CDF of the same-time pair (X_j, X_j')."""
-    sub = ProcessConfig(
-        d=2,
-        c=(config.c[j], config.c[jp]),
-        margins=(config.margins[j], config.margins[jp]),
-        copula=config.copula,
-    )
-    return stationary_joint_logcdf(sub, np.array([x_j, x_jp]))
-
-
 def lag_tdc_diagnostics(
     config: ProcessConfig,
     j: int,
@@ -114,7 +86,8 @@ def lag_tdc_diagnostics(
     ``F(c**(-r) w_t) ~ 1 - t * c**(r * alpha)``; all other margins use
     the truncated stationary product directly.  The same-time pair
     copula is the comonotone diagonal when ``j == j'`` and the
-    stationary pair law otherwise.  Raises `NumericLimitError` when the
+    stationary pair law otherwise (the other components marginalized
+    out at ``inf``).  Raises `NumericLimitError` when the
     grid increments grow instead of shrinking.
     """
     d = config.d
@@ -140,7 +113,9 @@ def lag_tdc_diagnostics(
             log_fval = math.log1p(-t * c_jp ** (r * margin_jp.alpha))
         else:
             z = stationary_marginal_quantile(margin_jp, c_jp, 1.0 - t) / c_jp**r
-            log_fval = stationary_marginal_logcdf(margin_jp, c_jp, z)
+            # F(z) = 1 - t holds exactly at r = 0; evaluating it at the
+            # root-found z would only add the root finder's error
+            log_fval = log_1mt if r == 0 else stationary_marginal_logcdf(margin_jp, c_jp, z)
         if j == jp:
             # the pair (X_j, X_j) is comonotone and F(z) >= 1 - t, so the
             # copula value is exactly 1 - t
@@ -149,7 +124,9 @@ def lag_tdc_diagnostics(
             x_j = stationary_marginal_quantile(config.margins[j], config.c[j], 1.0 - t)
             if frechet_sub:
                 z = stationary_marginal_quantile(margin_jp, c_jp, 1.0 - t) / c_jp**r
-            log_c = _pair_logcdf(config, j, jp, x_j, z)
+            x = np.full(d, math.inf)
+            x[j], x[jp] = x_j, z
+            log_c = stationary_joint_logcdf(config, x)
         middle = -math.expm1(log_c + log_1mt - log_fval) / t
         lower = -math.expm1(2.0 * log_1mt - log_fval) / t
         upper = 1.0 + math.exp(log_1mt - log_fval)

@@ -246,14 +246,25 @@ def test_stationary_joint_independence_product():
     )
 
 
-def test_stationary_joint_fixed_point():
+@pytest.mark.parametrize(
+    "make_margin",
+    [
+        MarginSpec.frechet,
+        MarginSpec.exponential,
+        lambda a: MarginSpec.gpd(0.4 * (a - 1.5), 1.0),
+        MarginSpec.weibull_min,
+    ],
+    ids=["frechet", "exponential", "gpd", "weibull_min"],
+)
+def test_stationary_joint_fixed_point(make_margin):
     # F(x) = F(x/c) * G(x) to truncation accuracy, across dimensions,
-    # margins, and copulas
+    # margins, and copulas; light-tailed margins end the product within
+    # a few factors
     rng = np.random.default_rng(9)
     for _ in range(100):
         d = int(rng.integers(1, 4))
         c = tuple(rng.random(d) * 0.9 + 0.05)
-        margins = tuple(MarginSpec.frechet(a) for a in rng.random(d) * 2.0 + 0.5)
+        margins = tuple(make_margin(a) for a in rng.random(d) * 2.0 + 0.5)
         copula = CopulaSpec.gumbel(1.0 + rng.random() * 3) if d > 1 else INDEP
         cfg = ProcessConfig(d, c, margins, copula)
         x = rng.random(d) * 4.0 + 0.5
@@ -265,6 +276,33 @@ def test_stationary_joint_fixed_point():
         )
         rhs = stationary_joint_cdf(cfg, x / np.asarray(c)) * g
         assert abs(lhs - rhs) <= 1e-11
+
+
+def test_stationary_joint_inf_marginalizes_exactly():
+    # x_j = inf gives G a factor of one in component j and log u_j = 0 in
+    # the exchangeable copulas, which is the law of the other components
+    margins = (
+        FRECHET1,
+        MarginSpec.exponential(1.0),
+        MarginSpec.gpd(0.2, 1.0),
+        MarginSpec.weibull_min(2.0),
+    )
+    c = (0.5, 0.7, 0.3, 0.9)
+    x = np.array([1.5, 0.8, 2.0, 1.1])
+    for copula in (CopulaSpec.gumbel(2.0), INDEP, CopulaSpec.comonotone()):
+        cfg = ProcessConfig(4, c, margins, copula)
+        for cols in ((0, 1), (3, 1), (2, 3), (0, 2, 3), (1,)):
+            sub = ProcessConfig(
+                len(cols),
+                tuple(c[j] for j in cols),
+                tuple(margins[j] for j in cols),
+                copula,
+            )
+            full = np.full(4, math.inf)
+            full[list(cols)] = x[list(cols)]
+            assert stationary_joint_logcdf(cfg, full) == stationary_joint_logcdf(
+                sub, x[list(cols)]
+            )
 
 
 def test_stationary_joint_validation():

@@ -287,6 +287,22 @@ def test_tail_dep_defaults(tmp_path):
     assert all(r[7] == "ok" for r in rows)
 
 
+def test_tail_dep_defaults_exponential_margin(tmp_path):
+    out = tmp_path / "tdc.csv"
+    process = dict(D1_INDEP, c=[0.7], margins=[{"kind": "exponential", "rate": 1.0}])
+    cfg = write_config(
+        tmp_path,
+        "tdc.json",
+        {"command": "tail_dep", "process": process, "n": 4000, "seed": 7,
+         "output_path": str(out)},
+    )
+    proc = run_cli("tail-dep", "--config", cfg)
+    assert proc.returncode == 0, proc.stderr
+    _, rows = read_rows(out)
+    assert [r[2] for r in rows] == ["0", "1", "2"]
+    assert float(rows[0][3]) == 1.0
+
+
 def test_tail_dep_numeric_failure_exit_code(tmp_path):
     out = tmp_path / "tdc.csv"
     cfg = write_config(

@@ -117,6 +117,22 @@ def test_logcdf_matches_eval():
         )
 
 
+def test_logcdf_batch_matches_rows():
+    rng = np.random.default_rng(16)
+    log_u = np.log(rng.random((50, 3)))
+    log_u[0] = 0.0
+    log_u[1, 2] = -math.inf
+    specs = [GUMBEL2, INDEP, COMONO, DerivedCopula(GUMBEL2, (0.5, 0.7, 0.9))]
+    for spec in specs:
+        batch = copula_logcdf(spec, log_u)
+        assert batch.shape == (50,)
+        assert batch.tolist() == [copula_logcdf(spec, row) for row in log_u]
+    dc = specs[-1]
+    assert derived_copula_logcdf(dc, log_u).tolist() == [
+        derived_copula_logcdf(dc, row) for row in log_u
+    ]
+
+
 def test_logcdf_comonotone_is_min():
     log_u = np.log([0.2, 0.9, 0.4])
     assert copula_logcdf(COMONO, log_u) == float(np.min(log_u))
@@ -320,6 +336,18 @@ def test_validity_accepts_independence_base_for_any_theta():
         theta = tuple(rng.random(2) * 0.95 + 0.05)
         report = derived_copula_validity(DerivedCopula(CopulaSpec.gumbel(1.0), theta))
         assert report.valid
+
+
+def test_validity_report_d3_pinned():
+    # pins the generator stream order: points first, then one (a, r)
+    # pair of draws per rectangle
+    report = derived_copula_validity(DerivedCopula(GUMBEL2, (0.5, 0.7, 0.9)))
+    assert not report.valid
+    assert report.max_lower_violation == 0.0
+    assert report.max_upper_violation == pytest.approx(0.021624372979162865, rel=1e-12)
+    assert report.min_rectangle_mass == pytest.approx(-0.01292646537781239, rel=1e-12)
+    # margins are uniform up to rounding
+    assert report.max_margin_violation <= 1e-15
 
 
 def test_validity_report_is_reproducible():

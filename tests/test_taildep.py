@@ -36,6 +36,15 @@ def test_within_series_tdc_frechet():
     assert theoretical_lag_tdc(D1, 0, 0, 0) == 1.0
 
 
+@pytest.mark.parametrize(
+    "margin", [MarginSpec.exponential(1.0), MarginSpec.gpd(0.2, 1.0)], ids=["exponential", "gpd"]
+)
+def test_within_series_tdc_r0_is_one(margin):
+    # F(w_t) = 1 - t holds exactly at lag 0, whatever the margin
+    cfg = ProcessConfig(1, (0.7,), (margin,), INDEP)
+    assert theoretical_lag_tdc(cfg, 0, 0, 0) == 1.0
+
+
 def test_tdc_vanishes_for_finite_endpoint_margin():
     cfg = ProcessConfig(1, (0.5,), (MarginSpec.uniform01(),), INDEP)
     assert theoretical_lag_tdc(cfg, 0, 0, 1) == pytest.approx(0.0, abs=1e-9)
