@@ -14,6 +14,7 @@ form also yields the fixed-point identity ``F(x) = F(x/c) * G(x)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,10 +22,16 @@ import numpy as np
 
 from scipy.optimize import brentq
 
-from .copulas import CopulaSpec, copula_logcdf, copula_sample
+from .copulas import CopulaSpec, DerivedCopula, copula_logcdf, copula_sample
 from .errors import ConfigurationError, NumericLimitError
 from .margins import MarginSpec, margin_cdf, margin_quantile, right_endpoint
-from .schema import config_digest, copula_to_dict, margin_to_dict
+from .schema import (
+    config_digest,
+    copula_from_dict,
+    copula_to_dict,
+    margin_from_dict,
+    margin_to_dict,
+)
 
 __all__ = [
     "InitPolicy",
@@ -43,6 +50,9 @@ __all__ = [
 ]
 
 DEFAULT_BURN_IN = 1000
+
+# distinct (margin, c, p, trunc_tol) solves kept by `_stationary_quantile`
+_QUANTILE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -122,6 +132,50 @@ class ProcessConfig:
             "copula": copula_to_dict(self.copula),
             "init": init_dict,
         }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ProcessConfig":
+        """Inverse of `to_dict`: a validated config from a JSON object.
+
+        Raises `ConfigurationError` for a missing or unknown field, a
+        derived innovation copula, or values `ProcessConfig` rejects.
+        """
+        if not isinstance(data, dict):
+            raise ConfigurationError("process must be a JSON object")
+        unknown = set(data) - {"d", "c", "margins", "copula", "init"}
+        if unknown:
+            raise ConfigurationError(f"unknown process fields: {sorted(unknown)}")
+        for field in ("d", "c", "margins", "copula"):
+            if field not in data:
+                raise ConfigurationError(f"process requires the field {field!r}")
+        copula = copula_from_dict(data["copula"])
+        if isinstance(copula, DerivedCopula):
+            raise ConfigurationError("the innovation copula must be a base family")
+        init = None
+        if "init" in data and data["init"] is not None:
+            init_data = dict(data["init"])
+            kind = init_data.pop("kind", None)
+            try:
+                if kind == "burn_in":
+                    init = InitPolicy.burn_in(int(init_data.pop("length")))
+                elif kind == "exact_marginal":
+                    init = InitPolicy.exact_marginal()
+                else:
+                    raise ConfigurationError(f"unknown init kind {kind!r}")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(f"bad init {data['init']!r}: {exc}") from exc
+            if init_data:
+                raise ConfigurationError(f"unknown init fields: {sorted(init_data)}")
+        try:
+            return cls(
+                d=int(data["d"]),
+                c=tuple(float(v) for v in data["c"]),
+                margins=tuple(margin_from_dict(m) for m in data["margins"]),
+                copula=copula,
+                init=init,
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad process config: {exc}") from exc
 
     def digest(self) -> str:
         return config_digest(self.to_dict())
@@ -264,34 +318,45 @@ def _joint_innovation_logcdf(config: ProcessConfig, x: np.ndarray) -> np.ndarray
 
 
 def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, threshold: float):
-    """Truncated sum ``sum_{i = first, first + 1, ...} log G(x / c**i)``.
+    """Truncated sums ``sum_{i = first, first + 1, ...} log G(x_k / c**i)``,
+    one per row ``x_k`` of the ``(m, d)`` array ``x``.
 
-    Summation stops at the first term with ``i >= 1`` and
-    ``-log G < threshold`` (converged), once the sum reaches ``-inf``,
+    Each row stops at its first term with ``i >= 1`` and
+    ``-log G < threshold`` (converged), once its sum reaches ``-inf``,
     or after term ``last``.  Terms are evaluated in chunks that double
-    in size and summed in order by `np.cumsum`, so the total equals that
-    of a term-by-term loop.  Returns ``(total, n_terms, converged)``.
+    in size, for all unfinished rows at once, and summed in order along
+    each row by `np.cumsum`, so every row's total equals that of a
+    term-by-term loop over that row alone.  Returns ``(total, n_terms,
+    converged)``, arrays of shape ``(m,)``.
     """
     c = np.asarray(config.c)
-    total = 0.0
+    m, d = x.shape
+    total = np.zeros(m)
+    n_terms = np.full(m, last - first + 1)
+    converged = np.zeros(m, dtype=bool)
+    rows = np.arange(m)  # rows still summing
     start, size = first, 16
-    while start <= last:
+    while start <= last and rows.size:
         idx = np.arange(start, min(start + size, last + 1))
         # c**i may underflow to 0 for small components while larger ones
         # still need factors; x / 0 -> inf is then the right argument
         # (that margin's factor is exactly 1); 0 / 0 needs x_j = 0, whose
         # first factor already ends the product at -inf
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            scaled = x / c ** idx[:, None]
-        terms = _joint_innovation_logcdf(config, scaled)
-        partial = np.cumsum(np.concatenate(([total], terms)))[1:]
+            scaled = x[rows, None, :] / c ** idx[:, None]
+        terms = _joint_innovation_logcdf(config, scaled.reshape(-1, d)).reshape(rows.size, idx.size)
+        partial = np.cumsum(np.concatenate((total[rows, None], terms), axis=1), axis=1)[:, 1:]
         stop = (partial == -np.inf) | ((idx >= 1) & (-terms < threshold))
-        if stop.any():
-            k = int(np.argmax(stop))
-            return float(partial[k]), int(idx[k]) - first + 1, bool(partial[k] != -np.inf)
-        total = float(partial[-1])
+        hit = stop.any(axis=1)
+        k = np.argmax(stop[hit], axis=1)
+        done = rows[hit]
+        total[done] = partial[hit, k]
+        n_terms[done] = idx[k] - first + 1
+        converged[done] = total[done] != -np.inf
+        rows = rows[~hit]
+        total[rows] = partial[~hit, -1]
         start, size = start + size, 2 * size
-    return total, last - first + 1, False
+    return total, n_terms, converged
 
 
 def check_stationarity(
@@ -319,13 +384,14 @@ def check_stationarity(
             raise ValueError(f"probe must have shape ({config.d},)")
         if np.any(~(probe > 0.0)):
             raise ValueError("probe entries must be strictly positive")
-    log_total, n_terms, converged = _log_product(config, probe, 1, max_terms, tol)
-    total = 0.0 - log_total  # +0.0, not -0.0, for a zero series
+    log_total, n_terms, converged = _log_product(config, probe[None, :], 1, max_terms, tol)
+    total = 0.0 - float(log_total[0])  # +0.0, not -0.0, for a zero series
+    converged = bool(converged[0])
     stationary = converged and 0.0 < total < math.inf
     return StationarityResult(
         stationary=stationary,
         series_value=total,
-        n_terms=n_terms,
+        n_terms=int(n_terms[0]),
         converged=converged,
         probe=tuple(float(v) for v in probe),
     )
@@ -351,7 +417,7 @@ def stationary_marginal_logcdf(
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
     one = ProcessConfig(1, (c,), (margin,), CopulaSpec.independence())
-    return _stationary_logcdf(one, np.array([x], dtype=float), trunc_tol, 10_000)
+    return float(_stationary_logcdf(one, np.array([[x]], dtype=float), trunc_tol, 10_000)[0])
 
 
 def stationary_marginal_quantile(
@@ -360,8 +426,10 @@ def stationary_marginal_quantile(
     """Quantile of the stationary marginal law of one component.
 
     Closed form for Frechet margins (the stationary marginal is again
-    Frechet up to the scale ``(1 - c**alpha)**(-1/alpha)``), bracketed
-    bisection on the log product otherwise.
+    Frechet up to the scale ``(1 - c**alpha)**(-1/alpha)``), a bracketed
+    root-find on the log product otherwise.  The root-find is memoised
+    on ``(margin, c, p, trunc_tol)``, so a repeated request returns the
+    identical float without solving again.
     """
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
@@ -370,6 +438,11 @@ def stationary_marginal_quantile(
     if margin.kind == "frechet":
         scale = (1.0 - c**margin.alpha) ** (-1.0 / margin.alpha)
         return scale * (-math.log(p)) ** (-1.0 / margin.alpha)
+    return _stationary_quantile(margin, float(c), float(p), float(trunc_tol))
+
+
+@functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
+def _stationary_quantile(margin: MarginSpec, c: float, p: float, trunc_tol: float) -> float:
     log_p = math.log(p)
     # F <= G factorwise, so the innovation quantile brackets from below
     lo = float(margin_quantile(margin, p))
@@ -397,14 +470,16 @@ def stationary_marginal_quantile(
 
 def stationary_joint_logcdf(
     config: ProcessConfig, x, trunc_tol: float = 1e-12, max_terms: int = 10_000
-) -> float:
+) -> float | np.ndarray:
     """``log F(x)`` via the truncated product ``prod_{i>=0} G(x / c**i)``.
 
-    Factors are accumulated until the next one would exceed
-    ``1 - trunc_tol``; the neglected tail then contributes at most about
-    ``trunc_tol / (1 - max c)`` to ``-log F``.  Raises
-    `ConfigurationError` when the product fails to converge, which is
-    the non-stationary case.
+    ``x`` is one point of shape ``(d,)``, giving a float, or a batch of
+    shape ``(m, d)``, giving an ``(m,)`` array whose entries equal the
+    one-point values of its rows exactly.  Factors are accumulated until
+    the next one would exceed ``1 - trunc_tol``; the neglected tail then
+    contributes at most about ``trunc_tol / (1 - max c)`` to ``-log F``.
+    Raises `ConfigurationError` when the product fails to converge at
+    any point, which is the non-stationary case.
 
     An entry ``x_j = inf`` marginalizes component ``j`` out: its margin
     contributes ``G_j = 1`` to every factor, and the exchangeable
@@ -412,14 +487,16 @@ def stationary_joint_logcdf(
     log CDF of the process restricted to the remaining components.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (config.d,):
-        raise ValueError(f"x must have shape ({config.d},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != config.d:
+        raise ValueError(f"x must have shape ({config.d},) or (m, {config.d})")
+    if x.ndim == 1:
+        return float(_stationary_logcdf(config, x[None, :], trunc_tol, max_terms)[0])
     return _stationary_logcdf(config, x, trunc_tol, max_terms)
 
 
-def _stationary_logcdf(config: ProcessConfig, x: np.ndarray, trunc_tol: float, max_terms: int) -> float:
+def _stationary_logcdf(config: ProcessConfig, x: np.ndarray, trunc_tol: float, max_terms: int) -> np.ndarray:
     total, _, converged = _log_product(config, x, 0, max_terms, -math.log1p(-trunc_tol))
-    if converged or total == -math.inf:
+    if np.all(converged | (total == -math.inf)):
         return total
     raise ConfigurationError(
         f"stationary product did not converge within {max_terms} factors; "
@@ -430,9 +507,11 @@ def _stationary_logcdf(config: ProcessConfig, x: np.ndarray, trunc_tol: float, m
 
 def stationary_joint_cdf(
     config: ProcessConfig, x, trunc_tol: float = 1e-12, max_terms: int = 10_000
-) -> float:
-    """Stationary joint CDF ``F(x) = prod_{i >= 0} G(x / c**i)``."""
-    return math.exp(stationary_joint_logcdf(config, x, trunc_tol, max_terms))
+) -> float | np.ndarray:
+    """Stationary joint CDF ``F(x) = prod_{i >= 0} G(x / c**i)``, at one
+    point (float) or an ``(m, d)`` batch, as `stationary_joint_logcdf`."""
+    log_f = stationary_joint_logcdf(config, x, trunc_tol, max_terms)
+    return math.exp(log_f) if isinstance(log_f, float) else np.exp(log_f)
 
 
 def normalized_level(c: float, n: int, tau: float) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import normaltest
 
-from .armax import InitPolicy, ProcessConfig, simulate_path
+from .armax import ProcessConfig, simulate_path
 from .copulas import (
     CopulaSpec,
     DerivedCopula,
@@ -48,8 +48,6 @@ from .schema import (
     canonical_json,
     copula_from_dict,
     copula_to_dict,
-    margin_from_dict,
-    margin_to_dict,
 )
 from .taildep import (
     DEFAULT_T_GRID,
@@ -91,45 +89,6 @@ class RunConfig:
     workers: int = 1
 
 
-def process_from_dict(data: dict) -> ProcessConfig:
-    if not isinstance(data, dict):
-        raise ConfigurationError("process must be a JSON object")
-    unknown = set(data) - {"d", "c", "margins", "copula", "init"}
-    if unknown:
-        raise ConfigurationError(f"unknown process fields: {sorted(unknown)}")
-    for field in ("d", "c", "margins", "copula"):
-        if field not in data:
-            raise ConfigurationError(f"process requires the field {field!r}")
-    copula = copula_from_dict(data["copula"])
-    if isinstance(copula, DerivedCopula):
-        raise ConfigurationError("the innovation copula must be a base family")
-    init = None
-    if "init" in data and data["init"] is not None:
-        init_data = dict(data["init"])
-        kind = init_data.pop("kind", None)
-        try:
-            if kind == "burn_in":
-                init = InitPolicy.burn_in(int(init_data.pop("length")))
-            elif kind == "exact_marginal":
-                init = InitPolicy.exact_marginal()
-            else:
-                raise ConfigurationError(f"unknown init kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad init {data['init']!r}: {exc}") from exc
-        if init_data:
-            raise ConfigurationError(f"unknown init fields: {sorted(init_data)}")
-    try:
-        return ProcessConfig(
-            d=int(data["d"]),
-            c=tuple(float(v) for v in data["c"]),
-            margins=tuple(margin_from_dict(m) for m in data["margins"]),
-            copula=copula,
-            init=init,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad process config: {exc}") from exc
-
-
 _RUN_FIELDS = (
     "command",
     "process",
@@ -163,7 +122,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         raise ConfigurationError("config requires a 'command' field")
     kwargs["command"] = data["command"]
     if data.get("process") is not None:
-        kwargs["process"] = process_from_dict(data["process"])
+        kwargs["process"] = ProcessConfig.from_dict(data["process"])
     if data.get("copula") is not None:
         kwargs["copula"] = copula_from_dict(data["copula"])
     for name in ("n", "seed", "replicates", "k", "workers"):

@@ -128,24 +128,23 @@ def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult
         marginal_extremal_index(config.c[j], domains[j]) for j in range(d)
     )
 
-    def sub_logcdf(levels: dict[int, float]) -> float:
-        # components without a level sit at x_j = inf, which
-        # marginalizes them out of the stationary law
-        x = np.full(d, math.inf)
-        for j, level in levels.items():
-            x[j] = stationary_marginal_quantile(config.margins[j], config.c[j], math.exp(-level))
-        return stationary_joint_logcdf(config, x)
-
     theta = 1.0
     if index_set:
-        den_levels = {j: float(tau[j]) for j in range(d) if tau[j] > 0}
-        num_levels = {
-            j: float(tau[j]) * config.c[j] ** domains[j].alpha
-            for j in index_set
-            if tau[j] > 0
-        }
-        log_den = sub_logcdf(den_levels)
-        log_num = sub_logcdf(num_levels) if num_levels else 0.0
+        # row 0 holds the denominator levels tau_j, row 1 the numerator
+        # levels tau_j c_j**alpha_j on the Frechet-domain components;
+        # components without a positive level sit at x_j = inf, which
+        # marginalizes them out of the stationary law (an all-inf row
+        # gives log F = 0)
+        levels = np.zeros((2, d))
+        levels[0] = tau
+        for j in index_set:
+            levels[1, j] = tau[j] * config.c[j] ** domains[j].alpha
+        x = np.full((2, d), math.inf)
+        for i, j in zip(*np.nonzero(levels > 0)):
+            x[i, j] = stationary_marginal_quantile(
+                config.margins[j], config.c[j], math.exp(-levels[i, j])
+            )
+        log_den, log_num = stationary_joint_logcdf(config, x).tolist()
         theta = 1.0 - log_num / log_den
     return ExtremalIndexResult(
         theta=float(theta),

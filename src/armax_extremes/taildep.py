@@ -87,8 +87,9 @@ def lag_tdc_diagnostics(
     the truncated stationary product directly.  The same-time pair
     copula is the comonotone diagonal when ``j == j'`` and the
     stationary pair law otherwise (the other components marginalized
-    out at ``inf``).  Raises `NumericLimitError` when the
-    grid increments grow instead of shrinking.
+    out at ``inf``), evaluated at the whole grid in one batch.  Raises
+    `NumericLimitError` when the grid increments grow instead of
+    shrinking.
     """
     d = config.d
     if not (0 <= j < d and 0 <= jp < d):
@@ -106,33 +107,37 @@ def lag_tdc_diagnostics(
     domain_jp = attraction_domain(margin_jp)
     frechet_sub = domain_jp.is_frechet and margin_jp.kind == "frechet"
 
+    log_1mt = [math.log1p(-t) for t in t_grid]
+    if not frechet_sub or j != jp:
+        # the levels z_t, needed by F(z_t) and by the pair law
+        z = [stationary_marginal_quantile(margin_jp, c_jp, 1.0 - t) / c_jp**r for t in t_grid]
+    if frechet_sub:
+        log_fval = [math.log1p(-t * c_jp ** (r * margin_jp.alpha)) for t in t_grid]
+    elif r == 0:
+        # F(z) = 1 - t holds exactly at r = 0; evaluating it at the
+        # root-found z would only add the root finder's error
+        log_fval = log_1mt
+    else:
+        log_fval = [stationary_marginal_logcdf(margin_jp, c_jp, v) for v in z]
+    if j == jp:
+        # the pair (X_j, X_j) is comonotone and F(z) >= 1 - t, so the
+        # copula value is exactly 1 - t
+        log_c = log_1mt
+    else:
+        # the whole grid in one evaluation of the stationary pair law
+        x = np.full((len(t_grid), d), math.inf)
+        x[:, j] = [
+            stationary_marginal_quantile(config.margins[j], config.c[j], 1.0 - t) for t in t_grid
+        ]
+        x[:, jp] = z
+        log_c = stationary_joint_logcdf(config, x).tolist()
+
     middles, lowers, uppers, lams = [], [], [], []
-    for t in t_grid:
-        log_1mt = math.log1p(-t)
-        if frechet_sub:
-            log_fval = math.log1p(-t * c_jp ** (r * margin_jp.alpha))
-        else:
-            z = stationary_marginal_quantile(margin_jp, c_jp, 1.0 - t) / c_jp**r
-            # F(z) = 1 - t holds exactly at r = 0; evaluating it at the
-            # root-found z would only add the root finder's error
-            log_fval = log_1mt if r == 0 else stationary_marginal_logcdf(margin_jp, c_jp, z)
-        if j == jp:
-            # the pair (X_j, X_j) is comonotone and F(z) >= 1 - t, so the
-            # copula value is exactly 1 - t
-            log_c = log_1mt
-        else:
-            x_j = stationary_marginal_quantile(config.margins[j], config.c[j], 1.0 - t)
-            if frechet_sub:
-                z = stationary_marginal_quantile(margin_jp, c_jp, 1.0 - t) / c_jp**r
-            x = np.full(d, math.inf)
-            x[j], x[jp] = x_j, z
-            log_c = stationary_joint_logcdf(config, x)
-        middle = -math.expm1(log_c + log_1mt - log_fval) / t
-        lower = -math.expm1(2.0 * log_1mt - log_fval) / t
-        upper = 1.0 + math.exp(log_1mt - log_fval)
+    for t, l_1mt, l_f, l_c in zip(t_grid, log_1mt, log_fval, log_c):
+        middle = -math.expm1(l_c + l_1mt - l_f) / t
         middles.append(middle)
-        lowers.append(lower)
-        uppers.append(upper)
+        lowers.append(-math.expm1(2.0 * l_1mt - l_f) / t)
+        uppers.append(1.0 + math.exp(l_1mt - l_f))
         lams.append(2.0 - middle)
 
     diffs = np.diff(lams)

@@ -1,11 +1,13 @@
 """Tests for ARMAX simulation, stationarity, and stationary distributions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp
 
+from armax_extremes import armax
 from armax_extremes.armax import (
     InitPolicy,
     ProcessConfig,
@@ -69,6 +71,34 @@ def test_config_digest_tracks_content():
     assert a.digest() == b.digest()
     assert d1_config(0.6).digest() != a.digest()
     assert set(a.to_dict()) == {"d", "c", "margins", "copula", "init"}
+
+
+def test_config_from_dict_round_trip_and_errors():
+    cfg = ProcessConfig(
+        2,
+        (0.5, 0.7),
+        (FRECHET1, MarginSpec.gpd(0.2, 1.0)),
+        CopulaSpec.gumbel(2.0),
+        InitPolicy.exact_marginal(),
+    )
+    assert ProcessConfig.from_dict(cfg.to_dict()) == cfg
+    assert ProcessConfig.from_dict(d1_config().to_dict()).init == InitPolicy.burn_in()
+    base = cfg.to_dict()
+    derived = {"kind": "derived", "base": base["copula"], "theta": [0.5, 0.7]}
+    bad = [
+        ("not a dict", "process must be a JSON object"),
+        ({**base, "extra": 1}, "unknown process fields"),
+        ({k: v for k, v in base.items() if k != "c"}, "requires the field 'c'"),
+        ({**base, "init": {"kind": "warm"}}, "unknown init kind"),
+        ({**base, "init": {"kind": "burn_in"}}, "bad init"),
+        ({**base, "init": {"kind": "exact_marginal", "x": 1}}, "unknown init fields"),
+        ({**base, "c": [0.5, "x"]}, "bad process config"),
+        ({**base, "c": [0.5, 1.5]}, "must lie in (0, 1)"),
+        ({**base, "copula": derived}, "innovation copula must be a base family"),
+    ]
+    for data, message in bad:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            ProcessConfig.from_dict(data)
 
 
 # ----------------------------------------------------------------- recursion
@@ -305,10 +335,48 @@ def test_stationary_joint_inf_marginalizes_exactly():
             )
 
 
+def test_stationary_joint_batch_matches_rows():
+    # each row of an (m, d) batch stops at its own factor, so the batch
+    # equals the one-point calls exactly: rows needing about 40 to 140
+    # factors, rows ending at -inf (x_j = 0, and an underflowing G), and
+    # rows with components marginalized out at inf
+    cfg = ProcessConfig(
+        3,
+        (0.5, 0.9, 0.3),
+        (FRECHET1, MarginSpec.frechet(2.0), MarginSpec.exponential(1.0)),
+        CopulaSpec.gumbel(2.0),
+    )
+    x = np.array(
+        [
+            [1.0, 2.0, 0.5],
+            [50.0, 30.0, 3.0],
+            [0.3, 0.5, 0.2],
+            [1.0, 0.0, 2.0],
+            [0.01, 0.02, 0.1],
+            [math.inf, 1.5, math.inf],
+            [2.0, math.inf, 0.7],
+            [math.inf, math.inf, math.inf],
+        ]
+    )
+    batch = stationary_joint_logcdf(cfg, x)
+    rows = [stationary_joint_logcdf(cfg, row) for row in x]
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(x),)
+    assert all(isinstance(v, float) for v in rows)
+    assert batch.tolist() == rows
+    assert rows[3] == rows[4] == -math.inf and rows[7] == 0.0
+    assert stationary_joint_logcdf(cfg, x[:0]).shape == (0,)
+    # numpy's exp may differ from libm's by an ulp
+    assert stationary_joint_cdf(cfg, x).tolist() == pytest.approx(
+        [math.exp(v) for v in rows], rel=1e-15, abs=0.0
+    )
+
+
 def test_stationary_joint_validation():
     cfg = d1_config()
     with pytest.raises(ValueError):
         stationary_joint_logcdf(cfg, [1.0, 2.0])  # wrong shape
+    with pytest.raises(ValueError):
+        stationary_joint_logcdf(cfg, [[[1.0]]])
     with pytest.raises(ConfigurationError):
         # force non-convergence by starving the factor budget
         stationary_joint_cdf(d1_config(c=0.99), [1.0], max_terms=100)
@@ -328,6 +396,23 @@ def test_stationary_marginal_quantile_round_trip():
             assert math.exp(stationary_marginal_logcdf(margin, c, q)) == pytest.approx(
                 p, abs=1e-9
             )
+
+
+def test_stationary_marginal_quantile_memoised():
+    # the root-find runs once per (margin, c, p, trunc_tol); a repeated
+    # request is a cache hit returning the identical float
+    margin = MarginSpec.gpd(0.3, 2.0)
+    first = stationary_marginal_quantile(margin, 0.6, 0.95)
+    hits = armax._stationary_quantile.cache_info().hits
+    again = stationary_marginal_quantile(margin, 0.6, 0.95)
+    assert armax._stationary_quantile.cache_info().hits == hits + 1
+    assert isinstance(again, float) and again == first
+    # the validation runs on every call, before the cache
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            stationary_marginal_quantile(margin, 1.6, 0.95)
+        with pytest.raises(ValueError):
+            stationary_marginal_quantile(margin, 0.6, 1.0)
 
 
 def test_stationary_marginal_quantile_validation():

@@ -157,6 +157,21 @@ def test_process_index_matches_theoretical_for_independence():
     assert a.marginal_thetas == b.marginal_thetas
 
 
+def test_process_index_mixed_margins_pinned():
+    # denominator and numerator in one joint evaluation, pinned to the
+    # value of two separate evaluations; with tau = 0 on the only
+    # Frechet-domain component the numerator row is all inf and theta = 1
+    cfg = ProcessConfig(
+        3,
+        (0.5, 0.7, 0.9),
+        (FRECHET1, MarginSpec.exponential(1.0), MarginSpec.weibull_min(2.0)),
+        CopulaSpec.gumbel(2.0),
+    )
+    theta = process_mv_extremal_index(cfg, (0.5, 2.0, 1.0)).theta
+    assert theta == pytest.approx(0.8916625347434064, rel=1e-15, abs=0.0)
+    assert process_mv_extremal_index(cfg, (0.0, 2.0, 1.0)).theta == 1.0
+
+
 def test_process_index_validation():
     cfg = ProcessConfig(2, (0.5, 0.7), (FRECHET1, FRECHET1), INDEP)
     with pytest.raises(ValueError):

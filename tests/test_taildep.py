@@ -94,6 +94,26 @@ def test_tdc_diagnostics_envelope_and_clamp():
         assert max(lo - diag.lam_extrapolated, diag.lam_extrapolated - hi, 0.0) < 1e-3
 
 
+def test_tdc_lam_grid_pinned_non_frechet_cell():
+    # an off-diagonal cell with a GPD target margin: root-found levels and
+    # the whole grid through one joint evaluation, pinned to the values
+    # of the one-point-at-a-time evaluation
+    cfg = ProcessConfig(
+        2,
+        (0.7, 0.3),
+        (MarginSpec.exponential(1.0), MarginSpec.gpd(0.2, 1.0)),
+        CopulaSpec.gumbel(2.0),
+    )
+    pinned = (
+        0.021963319149653104,
+        0.0073288756993785675,
+        0.004455615013479575,
+        0.0034931680269432164,
+    )
+    lam_grid = lag_tdc_diagnostics(cfg, 0, 1, 1).lam_grid
+    assert lam_grid == pytest.approx(pinned, rel=1e-15, abs=0.0)
+
+
 def test_tdc_grid_oscillation_raises():
     with pytest.raises(NumericLimitError):
         theoretical_lag_tdc(D1, 0, 0, 2, t_grid=(0.01, 0.0099, 1e-06))
