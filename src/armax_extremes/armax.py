@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.optimize import brentq
-
 from .copulas import CopulaSpec, DerivedCopula, copula_logcdf, copula_sample
 from .errors import ConfigurationError, NumericLimitError
 from .margins import MarginSpec, margin_cdf, margin_quantile, right_endpoint
@@ -409,15 +407,23 @@ def stationary_marginal_cdf(c: float, x):
 
 
 def stationary_marginal_logcdf(
-    margin: MarginSpec, c: float, x: float, trunc_tol: float = 1e-12
-) -> float:
+    margin: MarginSpec, c: float, x, trunc_tol: float = 1e-12
+) -> float | np.ndarray:
     """Log stationary marginal CDF of one component for any margin,
     via the truncated product ``prod_{i >= 0} G(x / c**i)`` of the
-    one-component process."""
+    one-component process.
+
+    ``x`` is one value, giving a float, or an ``(m,)`` array, giving an
+    ``(m,)`` array whose entries equal the one-value results exactly.
+    """
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        raise ValueError("x must be a scalar or a 1-d array")
     one = ProcessConfig(1, (c,), (margin,), CopulaSpec.independence())
-    return float(_stationary_logcdf(one, np.array([[x]], dtype=float), trunc_tol, 10_000)[0])
+    values = _stationary_logcdf(one, x.reshape(-1, 1), trunc_tol, 10_000)
+    return float(values[0]) if x.ndim == 0 else values
 
 
 def stationary_marginal_quantile(
@@ -444,28 +450,91 @@ def stationary_marginal_quantile(
 @functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
 def _stationary_quantile(margin: MarginSpec, c: float, p: float, trunc_tol: float) -> float:
     log_p = math.log(p)
+
+    def excess(v: float) -> float:
+        return stationary_marginal_logcdf(margin, c, v, trunc_tol) - log_p
+
     # F <= G factorwise, so the innovation quantile brackets from below
     lo = float(margin_quantile(margin, p))
-    if stationary_marginal_logcdf(margin, c, lo, trunc_tol) >= log_p:
+    if excess(lo) >= 0.0:
         return lo
     hi = lo if lo > 0 else 1.0
     for _ in range(400):
         hi = hi / c
-        if stationary_marginal_logcdf(margin, c, hi, trunc_tol) >= log_p:
+        if excess(hi) >= 0.0:
             break
     else:
-        raise NumericLimitError("failed to bracket a stationary quantile")
+        # 400 steps of 1/c widen the bracket only by c**-400 (1.49 at
+        # c = 0.999); keep doubling until F(hi) >= p or hi overflows
+        while True:
+            hi = 2.0 * hi
+            if hi == math.inf:
+                raise NumericLimitError("failed to bracket a stationary quantile")
+            if excess(hi) >= 0.0:
+                break
     hi = min(hi, right_endpoint(margin))
-    return float(
-        brentq(
-            lambda v: stationary_marginal_logcdf(margin, c, v, trunc_tol) - log_p,
-            lo,
-            hi,
-            xtol=1e-30,
-            rtol=1e-15,
-            maxiter=200,
-        )
-    )
+    return _brentq(excess, lo, hi, xtol=1e-30, rtol=1e-15, maxiter=200)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[xa, xb]`` by Brent's
+    method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4).
+
+    A line-for-line port of ``brentq.c`` in SciPy's ``optimize/Zeros``,
+    so it takes the same iterates and returns the same float as
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
+    maxiter=maxiter)``.  Raises ``ValueError`` when ``f(xa)`` and
+    ``f(xb)`` share a sign or ``f`` returns nan, and `NumericLimitError`
+    when ``maxiter`` iterations do not converge.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("the function value is nan; the solver cannot continue")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError("the function value is nan; the solver cannot continue")
+    raise NumericLimitError(f"root finder did not converge in {maxiter} iterations")
 
 
 def stationary_joint_logcdf(

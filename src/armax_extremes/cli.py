@@ -21,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import normaltest
 
 from .armax import ProcessConfig, simulate_path
 from .copulas import (
@@ -33,6 +32,8 @@ from .copulas import (
 from .errors import ConfigurationError, NumericLimitError, UndefinedResultError
 from .estimation import (
     VARIANCE_CONVENTIONS,
+    _convention_factor,
+    _normality_pvalue,
     asymptotic_variance,
     build_estimate_report,
     estimate_c_davis_resnick,
@@ -52,9 +53,9 @@ from .schema import (
 from .taildep import (
     DEFAULT_T_GRID,
     REGIME_BAND,
+    _column_orders,
+    _empirical_cell,
     classify_tail_regime,
-    empirical_eta,
-    empirical_tdc,
     theoretical_lag_tdc,
 )
 
@@ -64,6 +65,10 @@ COMMANDS = ("simulate", "estimate", "extremal_index", "tail_dep", "copula", "mon
 
 # commands that draw a sample path and therefore must be seeded
 _SIMULATING = ("simulate", "extremal_index", "tail_dep", "montecarlo")
+
+# rows of the simulated path formatted per write; a bounded chunk keeps
+# peak memory flat where one tolist() of the whole path would not
+_PATH_CHUNK_ROWS = 65536
 
 
 @dataclass(frozen=True)
@@ -271,6 +276,17 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_path_csv(path: str, data: np.ndarray) -> None:
+    # one "%.17g" row format per chunk of rows renders every float (nan,
+    # inf and -0.0 included) as _fmt does, far faster than value by value
+    row = "%d" + ",%.17g" * data.shape[1] + "\n"
+    with open(path, "w", newline="") as f:
+        f.write(",".join(["t"] + [f"x{j + 1}" for j in range(data.shape[1])]) + "\n")
+        for start in range(0, len(data), _PATH_CHUNK_ROWS):
+            chunk = data[start : start + _PATH_CHUNK_ROWS].tolist()
+            f.write("".join(row % (start + i, *values) for i, values in enumerate(chunk)))
+
+
 def _write_json(path: str, payload) -> None:
     with open(path, "w", newline="") as f:
         f.write(canonical_json(payload) + "\n")
@@ -290,10 +306,7 @@ def _warn(message: str) -> None:
 
 def _run_simulate(config: RunConfig) -> int:
     path = simulate_path(config.process, config.n, config.seed)
-    d = config.process.d
-    header = ["t"] + [f"x{j + 1}" for j in range(d)]
-    rows = ([i, *path.data[i]] for i in range(config.n))
-    _write_csv(config.output_path, header, rows)
+    _write_path_csv(config.output_path, path.data)
     meta = {
         "command": "simulate",
         "n": config.n,
@@ -423,13 +436,17 @@ def _run_tail_dep(config: RunConfig) -> int:
         "flag",
     ]
     rows = []
+    # each column is sorted once; every (pair, lag) cell ranks its
+    # windows from these orders
+    orders = _column_orders(path.data, range(process.d))
     for j, jp in config.pairs:
         for r in config.r_list:
             lam_theo = theoretical_lag_tdc(process, j, jp, r, config.t_grid)
             flag = "ok"
             try:
-                lam_emp = empirical_tdc(path, j, jp, r, config.t)
-                eta_emp = empirical_eta(path, j, jp, r, config.k)
+                lam_emp, eta_emp = _empirical_cell(
+                    path.data, orders, j, jp, r, config.t, config.k
+                )
                 regime = classify_tail_regime(lam_emp, eta_emp)
             except UndefinedResultError as exc:
                 lam_emp = eta_emp = regime = None
@@ -523,14 +540,11 @@ def _run_montecarlo(config: RunConfig) -> int:
     z_c = sqrt_n * (c_moment - c_true)
     z_u = sqrt_n * (u_bar - 1.0 / (2.0 - c_true))
     sigma2 = asymptotic_variance(c_true)
-    predicted = {
-        "delta_pow4": sigma2 * (2.0 - c_true) ** 4,
-        "paper_3m2c": sigma2 * (3.0 - 2.0 * c_true),
-    }
+    predicted = {name: sigma2 * _convention_factor(c_true, name) for name in VARIANCE_CONVENTIONS}
     empirical_var_c = float(np.var(z_c, ddof=1))
     matching = min(predicted, key=lambda name: abs(empirical_var_c - predicted[name]))
     if reps >= 20:
-        normality_pvalue = _finite_or_none(normaltest(z_c).pvalue)
+        normality_pvalue = _normality_pvalue(z_c)
     else:
         normality_pvalue = None
     summary = {

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import UndefinedResultError
 
@@ -172,6 +172,68 @@ def asymptotic_variance(c: float, trunc_tol: float = 1e-14, max_terms: int = 10_
     return total
 
 
+def _convention_factor(c: float, convention: str) -> float:
+    """Factor turning ``sigma2`` into the variance of ``sqrt(n) (c_hat - c)``
+    under ``convention``: ``(2-c)**4`` (``delta_pow4``) or ``3 - 2c``
+    (``paper_3m2c``)."""
+    if convention == "delta_pow4":
+        return (2.0 - c) ** 4
+    return 3.0 - 2.0 * c
+
+
+def _normality_pvalue(x) -> float | None:
+    """D'Agostino-Pearson omnibus test of normality (D'Agostino and
+    Pearson 1973, Biometrika 60:613-622).
+
+    Combines the z-scores of the skewness and kurtosis tests into
+    ``K2 = z_skew**2 + z_kurt**2`` and returns its chi-squared(2)
+    survival probability ``exp(-K2 / 2)``.  Each step follows the
+    arithmetic of ``scipy.stats.normaltest``, so the value agrees with
+    ``normaltest(x).pvalue`` to rounding.  Needs at least 8 values;
+    returns ``None`` when ``K2`` is not finite (zero variance, or a nan
+    or inf in ``x``).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 8:
+        raise ValueError("x must be a 1-d array of at least 8 values")
+    n = np.float64(x.size)
+    with np.errstate(all="ignore"):
+        dev = x - np.mean(x)
+        m2 = np.mean(dev**2)
+        m3 = np.mean(dev**2 * dev)
+        m4 = np.mean((dev**2) ** 2)
+        if not (np.isfinite(m2) and m2 > (np.finfo(float).eps * np.mean(x)) ** 2):
+            return None
+        # skewness test
+        y = m3 / m2**1.5 * np.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
+        beta2 = (
+            3.0 * (n**2 + 27 * n - 70) * (n + 1) * (n + 3)
+            / ((n - 2.0) * (n + 5) * (n + 7) * (n + 9))
+        )
+        w2 = -1 + np.sqrt(2 * (beta2 - 1))
+        delta = 1 / np.sqrt(0.5 * np.log(w2))
+        alpha = np.sqrt(2.0 / (w2 - 1))
+        y = 1.0 if y == 0 else y
+        z_skew = delta * np.log(y / alpha + np.sqrt((y / alpha) ** 2 + 1))
+        # kurtosis test
+        b2 = m4 / m2**2.0
+        mean_b2 = 3.0 * (n - 1) / (n + 1)
+        var_b2 = 24.0 * n * (n - 2) * (n - 3) / ((n + 1) * (n + 1.0) * (n + 3) * (n + 5))
+        z = (b2 - mean_b2) / var_b2**0.5
+        sqrt_beta1 = (
+            6.0 * (n * n - 5 * n + 2) / ((n + 7) * (n + 9))
+            * ((6.0 * (n + 3) * (n + 5)) / (n * (n - 2) * (n - 3))) ** 0.5
+        )
+        a = 6.0 + 8.0 / sqrt_beta1 * (2.0 / sqrt_beta1 + (1 + 4.0 / sqrt_beta1**2) ** 0.5)
+        denom = 1 + z * (2 / (a - 4.0)) ** 0.5
+        if denom == 0.0:
+            return None
+        term2 = np.sign(denom) * ((1 - 2.0 / a) / np.abs(denom)) ** (1 / 3)
+        z_kurt = (1 - 2 / (9.0 * a) - term2) / (2 / (9.0 * a)) ** 0.5
+        k2 = float(z_skew * z_skew + z_kurt * z_kurt)
+    return math.exp(-k2 / 2.0) if math.isfinite(k2) else None
+
+
 def confidence_interval(
     c_hat: float,
     n: int,
@@ -194,11 +256,7 @@ def confidence_interval(
         raise ValueError("level must lie in [0, 1)")
     if convention not in VARIANCE_CONVENTIONS:
         raise ValueError(f"convention must be one of {VARIANCE_CONVENTIONS}")
-    sigma2 = asymptotic_variance(c_hat)
-    if convention == "delta_pow4":
-        variance = sigma2 * (2.0 - c_hat) ** 4
-    else:
-        variance = sigma2 * (3.0 - 2.0 * c_hat)
+    variance = asymptotic_variance(c_hat) * _convention_factor(c_hat, convention)
     if variance < 0.0:
         # the covariance series dips below zero on parts of (0,1) --
         # see asymptotic_variance -- and no normal interval exists there
@@ -206,7 +264,7 @@ def confidence_interval(
             f"variance series is negative at c_hat={c_hat!r}; "
             "no confidence interval can be formed"
         )
-    half = float(norm.ppf(0.5 * (1.0 + level))) * math.sqrt(variance / n)
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * math.sqrt(variance / n)
     return (c_hat - half, c_hat + half)
 
 

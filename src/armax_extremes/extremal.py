@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .armax import ProcessConfig, stationary_joint_logcdf, stationary_marginal_quantile
 from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import UndefinedResultError
 from .margins import DomainTag, attraction_domain
+from .taildep import _ordinal_ranks
 
 __all__ = [
     "ExtremalIndexResult",
@@ -207,7 +207,9 @@ def empirical_mv_extremal_index(
     if not 0 < k < n:
         raise ValueError("k must lie strictly between 0 and n")
 
-    ranks = np.column_stack([rankdata(data[:, j], method="ordinal") for j in range(d)])
+    ranks = np.column_stack(
+        [_ordinal_ranks(data[:, j], np.argsort(data[:, j], kind="stable")) for j in range(d)]
+    )
     index_set = [j for j, dom in enumerate(domains) if dom.is_frechet]
     if not index_set:
         return 1.0

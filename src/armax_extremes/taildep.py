@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .armax import (
     ProcessConfig,
@@ -118,7 +117,7 @@ def lag_tdc_diagnostics(
         # root-found z would only add the root finder's error
         log_fval = log_1mt
     else:
-        log_fval = [stationary_marginal_logcdf(margin_jp, c_jp, v) for v in z]
+        log_fval = stationary_marginal_logcdf(margin_jp, c_jp, np.array(z)).tolist()
     if j == jp:
         # the pair (X_j, X_j) is comonotone and F(z) >= 1 - t, so the
         # copula value is exactly 1 - t
@@ -189,14 +188,84 @@ def tdc_bounds(c_jp: float, alpha_jp: float, r: int) -> tuple[float, float]:
     return (0.0, c_jp ** (alpha_jp * r))
 
 
-def _lagged_ranks(data: np.ndarray, j: int, jp: int, r: int):
+def _ordinal_ranks(x: np.ndarray, order: np.ndarray, start: int = 0, stop: int | None = None):
+    """Ordinal ranks ``1..m`` of the window ``x[start:stop]`` as floats.
+
+    ``order`` is ``np.argsort(x, kind="stable")`` of the whole column;
+    keeping its entries inside the window is an O(n) filter that leaves
+    the window's own stable order, so the result equals
+    ``scipy.stats.rankdata(x[start:stop], method="ordinal")``: ties take
+    ranks in order of position, and a window holding a nan is all nan.
+    One sort then serves every window of the column.
+    """
+    stop = len(x) if stop is None else stop
+    window = order[(order >= start) & (order < stop)]
+    ranks = np.empty(window.size)
+    if window.size and np.isnan(x[window[-1]]):
+        # argsort puts nan last
+        ranks.fill(math.nan)
+    else:
+        ranks[window - start] = np.arange(1.0, window.size + 1.0)
+    return ranks
+
+
+def _column_orders(data: np.ndarray, columns) -> dict:
+    """Stable argsort of each listed column of ``data``, keyed by column."""
+    return {j: np.argsort(data[:, j], kind="stable") for j in columns}
+
+
+def _lagged_ranks(data: np.ndarray, orders: dict, j: int, jp: int, r: int):
+    """Ranks of ``X_j`` over ``[0, n-r)`` and of ``X_j'`` over ``[r, n)``."""
+    if r < 0:
+        raise ValueError("lag r must be nonnegative")
     n = data.shape[0]
     m = n - r
     if m < 2:
         raise ValueError("series too short for the requested lag")
-    head = np.asarray(rankdata(data[:m, j], method="ordinal"), dtype=float)
-    tail = np.asarray(rankdata(data[r:, jp], method="ordinal"), dtype=float)
-    return head, tail, m
+    head = _ordinal_ranks(data[:, j], orders[j], 0, m)
+    tail = _ordinal_ranks(data[:, jp], orders[jp], r, n)
+    return head, tail
+
+
+def _rank_tdc(head: np.ndarray, tail: np.ndarray, t: float) -> float:
+    if not 0.0 < t < 1.0:
+        raise ValueError("t must lie in (0, 1)")
+    m = head.size
+    if t * m < 10:
+        raise ValueError("t * (n - r) must be at least 10")
+    cutoff = (1.0 - t) * m
+    head_exceeds = head > cutoff
+    denom = int(np.count_nonzero(head_exceeds))
+    if denom == 0:
+        raise UndefinedResultError("empty conditioning set")
+    num = int(np.count_nonzero(head_exceeds & (tail > cutoff)))
+    return num / denom
+
+
+def _rank_eta(head: np.ndarray, tail: np.ndarray, k: int | None) -> float:
+    m = head.size
+    if k is None:
+        k = math.ceil(2.0 * math.sqrt(m))
+    if not 0 < k < m:
+        raise ValueError("k must lie strictly between 0 and n - r")
+    u_head = head / (m + 1.0)
+    u_tail = tail / (m + 1.0)
+    t_var = np.minimum(1.0 / (1.0 - u_head), 1.0 / (1.0 - u_tail))
+    t_sorted = np.sort(t_var)
+    top = t_sorted[m - k :]
+    pivot = t_sorted[m - k - 1]
+    eta = float(np.mean(np.log(top)) - math.log(pivot))
+    if eta <= 0.0:
+        raise UndefinedResultError("degenerate structure-variable sample")
+    return min(eta, 1.0)
+
+
+def _empirical_cell(data: np.ndarray, orders: dict, j: int, jp: int, r: int, t: float, k):
+    """``(empirical_tdc, empirical_eta)`` of one ``(j, jp, r)`` cell from
+    the column orders of `_column_orders`, so a caller with many cells
+    sorts each column once."""
+    head, tail = _lagged_ranks(data, orders, j, jp, r)
+    return _rank_tdc(head, tail, t), _rank_eta(head, tail, k)
 
 
 def _path_data(path) -> np.ndarray:
@@ -216,20 +285,7 @@ def empirical_tdc(path, j: int, jp: int, r: int, t: float) -> float:
     are meaningful.
     """
     data = _path_data(path)
-    if r < 0:
-        raise ValueError("lag r must be nonnegative")
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
-    head, tail, m = _lagged_ranks(data, j, jp, r)
-    if t * m < 10:
-        raise ValueError("t * (n - r) must be at least 10")
-    cutoff = (1.0 - t) * m
-    head_exceeds = head > cutoff
-    denom = int(np.count_nonzero(head_exceeds))
-    if denom == 0:
-        raise UndefinedResultError("empty conditioning set")
-    num = int(np.count_nonzero(head_exceeds & (tail > cutoff)))
-    return num / denom
+    return _rank_tdc(*_lagged_ranks(data, _column_orders(data, {j, jp}), j, jp, r), t)
 
 
 def empirical_eta(path, j: int, jp: int, r: int, k: int | None = None) -> float:
@@ -242,23 +298,7 @@ def empirical_eta(path, j: int, jp: int, r: int, k: int | None = None) -> float:
     the estimate is clamped to ``(0, 1]``.
     """
     data = _path_data(path)
-    if r < 0:
-        raise ValueError("lag r must be nonnegative")
-    head, tail, m = _lagged_ranks(data, j, jp, r)
-    if k is None:
-        k = math.ceil(2.0 * math.sqrt(m))
-    if not 0 < k < m:
-        raise ValueError("k must lie strictly between 0 and n - r")
-    u_head = head / (m + 1.0)
-    u_tail = tail / (m + 1.0)
-    t_var = np.minimum(1.0 / (1.0 - u_head), 1.0 / (1.0 - u_tail))
-    t_sorted = np.sort(t_var)
-    top = t_sorted[m - k :]
-    pivot = t_sorted[m - k - 1]
-    eta = float(np.mean(np.log(top)) - math.log(pivot))
-    if eta <= 0.0:
-        raise UndefinedResultError("degenerate structure-variable sample")
-    return min(eta, 1.0)
+    return _rank_eta(*_lagged_ranks(data, _column_orders(data, {j, jp}), j, jp, r), k)
 
 
 def eta_bounds_within_series(margin: MarginSpec, c: float, r: int) -> tuple[float, float]:

@@ -22,8 +22,8 @@ from armax_extremes.armax import (
     stationary_marginal_quantile,
 )
 from armax_extremes.copulas import CopulaSpec, copula_logcdf
-from armax_extremes.errors import ConfigurationError
-from armax_extremes.margins import MarginSpec, margin_cdf
+from armax_extremes.errors import ConfigurationError, NumericLimitError
+from armax_extremes.margins import MarginSpec, margin_cdf, margin_quantile, right_endpoint
 
 FRECHET1 = MarginSpec.frechet(1.0)
 INDEP = CopulaSpec.independence()
@@ -422,6 +422,59 @@ def test_stationary_marginal_quantile_validation():
         stationary_marginal_quantile(FRECHET1, 0.5, 0.0)
     with pytest.raises(ValueError):
         stationary_marginal_quantile(FRECHET1, 0.5, 1.0)
+
+
+def test_stationary_marginal_quantile_brackets_near_unit_c():
+    # 400 widening steps of 1/c cover only a factor 1.49 at c = 0.999
+    margin = MarginSpec.exponential(1.0)
+    q = stationary_marginal_quantile(margin, 0.999, 0.5)
+    assert abs(stationary_marginal_logcdf(margin, 0.999, q) - math.log(0.5)) <= 1e-12
+
+
+def test_stationary_marginal_logcdf_array_matches_scalars():
+    margin = MarginSpec.gpd(0.2, 1.0)
+    x = np.array([0.0, 0.05, 1.0, 7.5, 1e3, math.inf])
+    values = stationary_marginal_logcdf(margin, 0.7, x)
+    assert isinstance(values, np.ndarray) and values.shape == (6,)
+    scalars = [stationary_marginal_logcdf(margin, 0.7, v) for v in x.tolist()]
+    assert all(isinstance(v, float) for v in scalars)
+    assert values.tolist() == scalars
+    assert stationary_marginal_logcdf(margin, 0.7, np.empty(0)).shape == (0,)
+    with pytest.raises(ValueError):
+        stationary_marginal_logcdf(margin, 0.7, np.ones((2, 1)))
+
+
+def test_brentq_port_matches_scipy():
+    from scipy.optimize import brentq
+
+    solves = 0
+    for margin in (
+        MarginSpec.exponential(1.0),
+        MarginSpec.uniform01(),
+        MarginSpec.gpd(0.2, 1.0),
+        MarginSpec.weibull_min(0.7),
+    ):
+        for c in (0.3, 0.7, 0.95):
+            for p in (0.01, 0.25, 0.5, 0.9, 0.99):
+                log_p = math.log(p)
+
+                def excess(v):
+                    return stationary_marginal_logcdf(margin, c, v) - log_p
+
+                lo = float(margin_quantile(margin, p))
+                hi = min(2.0 * stationary_marginal_quantile(margin, c, p), right_endpoint(margin))
+                args = dict(xtol=1e-30, rtol=1e-15, maxiter=200)
+                ours = armax._brentq(excess, lo, hi, **args)
+                assert ours == brentq(excess, lo, hi, **args)
+                solves += 1
+                # a bracket without a sign change is rejected by both
+                with pytest.raises(ValueError, match="different signs"):
+                    brentq(excess, lo / 4, lo / 2, **args)
+                with pytest.raises(ValueError, match="different signs"):
+                    armax._brentq(excess, lo / 4, lo / 2, **args)
+    assert solves == 60
+    with pytest.raises(NumericLimitError):
+        armax._brentq(lambda v: math.exp(v) - 2.0, 0.0, 5.0, xtol=1e-30, rtol=1e-15, maxiter=3)
 
 
 # ----------------------------------------------------------- normalized levels

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (run as subprocesses)."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from armax_extremes import cli
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec
 from armax_extremes.estimation import build_estimate_report
@@ -124,6 +126,60 @@ def test_simulate_seed_override(tmp_path):
     assert out7.read_bytes() != out8.read_bytes()
     with open(str(out8) + ".meta.json") as fh:
         assert json.load(fh)["seed"] == 8
+
+
+def test_simulate_csv_bytes_pinned(tmp_path):
+    # sha256 of the path CSV written by the per-value formatter this
+    # row-wise writer replaced
+    out = tmp_path / "pin.csv"
+    cfg = write_config(
+        tmp_path,
+        "sim.json",
+        {"command": "simulate", "process": D2_GUMBEL, "n": 500, "seed": 7,
+         "output_path": str(out)},
+    )
+    assert run_cli("simulate", "--config", cfg).returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "831a533993a5b0a9d8533023e556fa800b44d550945055c33be238a595da5f44"
+    )
+
+
+def test_path_writer_chunks_render_like_fmt(tmp_path, monkeypatch):
+    # a chunk size that splits the rows unevenly, and the float values
+    # whose text is easiest to get wrong
+    monkeypatch.setattr(cli, "_PATH_CHUNK_ROWS", 3)
+    data = np.array(
+        [
+            [math.nan, math.inf],
+            [-math.inf, -0.0],
+            [0.0, 1e-310],
+            [1.0 / 3.0, 2.5e300],
+            [-1.0, 123456789.0],
+            [5e-324, 0.1],
+            [7.0, -2.0 / 3.0],
+        ]
+    )
+    expected = tmp_path / "expected.csv"
+    cli._write_csv(str(expected), ["t", "x1", "x2"], ([i, *row] for i, row in enumerate(data)))
+    written = tmp_path / "written.csv"
+    cli._write_path_csv(str(written), data)
+    assert written.read_bytes() == expected.read_bytes()
+    assert "nan,inf" in expected.read_text() and "-inf,-0\n" in expected.read_text()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, armax_extremes.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------ estimate

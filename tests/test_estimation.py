@@ -2,10 +2,11 @@
 
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.stats import anderson, norm
+from scipy.stats import anderson, norm, normaltest
 
 from armax_extremes import cli
 from armax_extremes.armax import ProcessConfig, simulate_path
@@ -13,6 +14,7 @@ from armax_extremes.copulas import CopulaSpec
 from armax_extremes.errors import UndefinedResultError
 from armax_extremes.estimation import (
     VARIANCE_CONVENTIONS,
+    _normality_pvalue,
     asymptotic_variance,
     build_estimate_report,
     confidence_interval,
@@ -211,6 +213,34 @@ def test_confidence_interval_validation():
         confidence_interval(0.5, 100, level=1.0)
 
 
+def test_normal_quantile_matches_scipy():
+    # the interval's z = NormalDist().inv_cdf((1 + level) / 2)
+    for level in (0.5, 0.9, 0.95, 0.99, 0.999):
+        p = 0.5 * (1.0 + level)
+        assert NormalDist().inv_cdf(p) == pytest.approx(float(norm.ppf(p)), rel=2e-15, abs=0.0)
+
+
+# ------------------------------------------------------------ normality test
+
+
+@pytest.mark.parametrize("n", [20, 100, 1000])
+def test_normality_pvalue_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), rng.uniform(size=n), rng.standard_t(5, n)):
+        expected = float(normaltest(x).pvalue)
+        assert _normality_pvalue(x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_normality_pvalue_undefined_cases():
+    # no variance, or a non-finite value, leaves K2 undefined; no
+    # RuntimeWarning may escape (the suite turns them into errors)
+    assert _normality_pvalue(np.full(30, 2.5)) is None
+    assert _normality_pvalue(np.r_[np.ones(29), 2.0, math.nan]) is None
+    assert _normality_pvalue(np.r_[np.arange(29.0), math.inf]) is None
+    with pytest.raises(ValueError):
+        _normality_pvalue(np.arange(7.0))
+
+
 # ------------------------------------------------------------ hill estimator
 
 
@@ -320,6 +350,14 @@ def test_mc_normality_of_moment_estimator(mc_study):
 
 def test_mc_summary_prefers_delta_convention(mc_study):
     assert mc_study["summary"]["matching_convention"] == "delta_pow4"
+
+
+def test_mc_summary_predicted_variances(mc_study):
+    # the same products, in the same order, as confidence_interval forms
+    summary, c = mc_study["summary"], mc_study["c_true"]
+    assert summary["sigma2_at_c_true"] == asymptotic_variance(c)
+    assert summary["predicted_var_delta_pow4"] == asymptotic_variance(c) * (2.0 - c) ** 4
+    assert summary["predicted_var_paper_3m2c"] == asymptotic_variance(c) * (3.0 - 2.0 * c)
 
 
 def test_rmse_shrinks_with_sample_size(tmp_path):

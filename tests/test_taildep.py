@@ -12,6 +12,9 @@ from armax_extremes.margins import MarginSpec
 from armax_extremes.taildep import (
     DEFAULT_T_GRID,
     REGIME_BAND,
+    _column_orders,
+    _empirical_cell,
+    _ordinal_ranks,
     classify_tail_regime,
     empirical_eta,
     empirical_tdc,
@@ -215,6 +218,39 @@ def test_empirical_eta_never_exceeds_one():
         pair = np.column_stack([x, x])
         eta = empirical_eta(pair, 0, 1, 0)
         assert 0.9 < eta <= 1.0
+
+
+def test_ordinal_ranks_match_rankdata():
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 20, 500).astype(float)  # heavy ties
+    x[::37] = -0.0  # ties with 0.0
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    assert np.array_equal(_ordinal_ranks(x, order), rankdata(x, method="ordinal"))
+    # every lagged window is ranked from the one order of the column
+    for r in (0, 1, 7, 250, 498):
+        head = _ordinal_ranks(x, order, 0, n - r)
+        tail = _ordinal_ranks(x, order, r, n)
+        assert np.array_equal(head, rankdata(x[: n - r], method="ordinal"))
+        assert np.array_equal(tail, rankdata(x[r:], method="ordinal"))
+    # a window holding a nan is all nan, as rankdata propagates it
+    x[10] = math.nan
+    order = np.argsort(x, kind="stable")
+    assert np.isnan(_ordinal_ranks(x, order, 0, 100)).all()
+    assert np.isnan(rankdata(x[:100], method="ordinal")).all()
+    assert np.array_equal(_ordinal_ranks(x, order, 11, n), rankdata(x[11:], method="ordinal"))
+
+
+def test_empirical_cell_matches_public_estimators():
+    cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
+    data = simulate_path(cfg, 4_000, 21).data
+    orders = _column_orders(data, range(2))
+    for j, jp in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for r in (0, 1, 5):
+            cell = _empirical_cell(data, orders, j, jp, r, 0.02, None)
+            assert cell == (empirical_tdc(data, j, jp, r, 0.02), empirical_eta(data, j, jp, r))
 
 
 def test_empirical_eta_validation():
