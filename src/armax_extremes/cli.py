@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,13 +32,11 @@ from .copulas import (
 from .errors import ConfigurationError, NumericLimitError, UndefinedResultError
 from .estimation import (
     VARIANCE_CONVENTIONS,
+    _c_estimates,
     _convention_factor,
     _normality_pvalue,
     asymptotic_variance,
     build_estimate_report,
-    estimate_c_davis_resnick,
-    estimate_c_lebedev,
-    estimate_c_moment,
 )
 from .extremal import (
     empirical_mv_extremal_index,
@@ -62,9 +60,6 @@ from .taildep import (
 __all__ = ["RunConfig", "run", "main"]
 
 COMMANDS = ("simulate", "estimate", "extremal_index", "tail_dep", "copula", "montecarlo")
-
-# commands that draw a sample path and therefore must be seeded
-_SIMULATING = ("simulate", "extremal_index", "tail_dep", "montecarlo")
 
 # rows of the simulated path formatted per write; a bounded chunk keeps
 # peak memory flat where one tolist() of the whole path would not
@@ -94,32 +89,14 @@ class RunConfig:
     workers: int = 1
 
 
-_RUN_FIELDS = (
-    "command",
-    "process",
-    "n",
-    "seed",
-    "output_path",
-    "input_path",
-    "replicates",
-    "level",
-    "convention",
-    "k",
-    "t",
-    "t_grid",
-    "r_list",
-    "pairs",
-    "tau_grid",
-    "copula",
-    "workers",
-)
+_RUN_FIELDS = frozenset(f.name for f in fields(RunConfig))
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
     """Parse a JSON config dictionary into an unresolved `RunConfig`."""
     if not isinstance(data, dict):
         raise ConfigurationError("config must be a JSON object")
-    unknown = set(data) - set(_RUN_FIELDS)
+    unknown = set(data) - _RUN_FIELDS
     if unknown:
         raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
     kwargs: dict = {}
@@ -406,17 +383,22 @@ def _run_extremal_index(config: RunConfig) -> int:
         [f"tau_{j + 1}" for j in range(d)]
         + ["theta_theoretical", "theta_empirical", "k", "n", "flag"]
     )
-    rows = []
-    for tau in config.tau_grid:
-        theo = process_mv_extremal_index(process, tau).theta
-        flag = "ok"
-        try:
-            emp = empirical_mv_extremal_index(path, domains, process.c, config.k, tau)
-        except UndefinedResultError as exc:
-            emp = None
-            flag = "empirical_undefined"
-            _warn(f"tau={list(tau)}: {exc}")
-        rows.append([*tau, theo, emp, config.k, config.n, flag])
+    theo = [process_mv_extremal_index(process, tau).theta for tau in config.tau_grid]
+    # one call ranks each column once for the whole grid; a zero
+    # denominator needs a nan in every weighted column of the path
+    flag = "ok"
+    try:
+        emp = empirical_mv_extremal_index(
+            path, domains, process.c, config.k, config.tau_grid
+        ).tolist()
+    except UndefinedResultError as exc:
+        emp = [None] * len(config.tau_grid)
+        flag = "empirical_undefined"
+        _warn(f"tau_grid: {exc}")
+    rows = [
+        [*tau, t, e, config.k, config.n, flag]
+        for tau, t, e in zip(config.tau_grid, theo, emp)
+    ]
     _write_csv(config.output_path, header, rows)
     print(f"extremal-index: wrote {len(rows)} rows to {config.output_path}")
     return 0
@@ -499,13 +481,7 @@ def _run_copula(config: RunConfig) -> int:
 def _mc_replicate(args) -> tuple:
     process, n, master_seed, index = args
     path = simulate_path(process, n, (master_seed, index))
-    series = path.data[:, 0]
-    moment = estimate_c_moment(series)
-    lebedev = estimate_c_lebedev(series)
-    try:
-        c_dr = estimate_c_davis_resnick(series)
-    except ValueError:
-        c_dr = math.nan
+    moment, lebedev, c_dr, _ = _c_estimates(path.data[:, 0])
     return (index, moment.c_hat, moment.u_bar, lebedev.c_hat, c_dr)
 
 
@@ -521,7 +497,6 @@ def _run_montecarlo(config: RunConfig) -> int:
             results = list(pool.map(_mc_replicate, payloads, chunksize=chunk))
     else:
         results = [_mc_replicate(p) for p in payloads]
-    results.sort(key=lambda row: row[0])
 
     header = ["replicate", "n", "c_true", "c_moment", "c_lebedev", "c_dr", "flag"]
     rows = []

@@ -141,8 +141,9 @@ def copula_logcdf(spec: CopulaSpec | DerivedCopula, log_u):
     return float(out[0]) if log_u.ndim == 1 else out
 
 
-def copula_eval(spec: CopulaSpec, u) -> float:
-    """Copula CDF ``C(u)`` for ``u`` in ``[0, 1]**d``."""
+def copula_eval(spec: CopulaSpec | DerivedCopula, u) -> float:
+    """Copula CDF ``C(u)`` for ``u`` in ``[0, 1]**d``; a `DerivedCopula`
+    is evaluated by `derived_copula_logcdf`."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise ValueError("u must be a non-empty 1-d array")
@@ -220,12 +221,7 @@ def derived_copula_eval(dc: DerivedCopula, u) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (dc.dim,):
         raise ValueError(f"u must have shape ({dc.dim},)")
-    if np.any(u < 0) or np.any(u > 1) or np.any(np.isnan(u)):
-        raise ValueError("u entries must lie in [0, 1]")
-    if np.any(u == 0):
-        return 0.0
-    with np.errstate(divide="ignore"):
-        return math.exp(derived_copula_logcdf(dc, np.log(u)))
+    return copula_eval(dc, u)
 
 
 def extremal_coefficient(gamma: float, m: int) -> float:

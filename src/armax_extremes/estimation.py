@@ -310,6 +310,27 @@ class EstimateReport:
     flags: tuple[str, ...]
 
 
+def _c_estimates(x: np.ndarray) -> tuple[MomentEstimate, LebedevEstimate, float, list[str]]:
+    """The moment, descent-frequency and minimum-ratio estimates of ``c``
+    on one series, with their flags; an unavailable minimum ratio is
+    ``nan``."""
+    flags: list[str] = []
+    moment = estimate_c_moment(x)
+    if moment.misfit:
+        flags.append("moment_misfit")
+    lebedev = estimate_c_lebedev(x)
+    if lebedev.misfit:
+        flags.append("lebedev_misfit")
+    if lebedev.boundary:
+        flags.append("lebedev_boundary")
+    try:
+        c_dr = estimate_c_davis_resnick(x)
+    except ValueError:
+        c_dr = math.nan
+        flags.append("davis_resnick_unavailable")
+    return moment, lebedev, c_dr, flags
+
+
 def build_estimate_report(
     series,
     j: int = 0,
@@ -328,22 +349,7 @@ def build_estimate_report(
     if x.ndim != 1 or x.size < 2:
         raise ValueError("series must hold at least two values")
     n = x.size
-    flags: list[str] = []
-
-    moment = estimate_c_moment(x)
-    if moment.misfit:
-        flags.append("moment_misfit")
-    lebedev = estimate_c_lebedev(x)
-    if lebedev.misfit:
-        flags.append("lebedev_misfit")
-    if lebedev.boundary:
-        flags.append("lebedev_boundary")
-
-    try:
-        c_dr = estimate_c_davis_resnick(x)
-    except ValueError:
-        c_dr = math.nan
-        flags.append("davis_resnick_unavailable")
+    moment, lebedev, c_dr, flags = _c_estimates(x)
 
     if math.isfinite(moment.c_hat) and 0.0 < moment.c_hat < 1.0:
         sigma2 = asymptotic_variance(moment.c_hat)

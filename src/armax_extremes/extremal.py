@@ -61,6 +61,43 @@ def marginal_extremal_index(c: float, domain: DomainTag) -> float:
     return 1.0
 
 
+def _index_levels(domains, c, tau, batch: bool = False):
+    """Validated levels of ``theta(tau)``: the index set and ``[tau, num]``.
+
+    Returns the Frechet-domain index set and the ``(..., 2, d)`` rows
+    ``[tau, num]``, with ``num_j = tau_j * c_j**alpha_j`` on the index
+    set and 0 elsewhere.  ``tau`` is one ``(d,)`` direction or, with
+    ``batch``, also an ``(m, d)`` grid of them; each must be nonnegative
+    with at least one positive entry.
+    """
+    d = len(domains)
+    c = np.asarray(c, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    if c.shape != (d,) or tau.ndim not in (1, 1 + batch) or tau.shape[-1] != d:
+        grid = f" or (m, {d})" if batch else ""
+        raise ValueError(f"c must have shape ({d},) and tau shape ({d},){grid}")
+    if (tau < 0).any() or not (tau > 0).any(axis=-1).all():
+        raise ValueError("tau must be nonnegative with at least one positive entry")
+    index_set = tuple(j for j, dom in enumerate(domains) if dom.is_frechet)
+    levels = np.zeros(tau.shape[:-1] + (2, d))
+    levels[..., 0, :] = tau
+    for j in index_set:
+        # a scalar power: numpy's array power can differ from it by an ulp
+        levels[..., 1, j] = tau[..., j] * c[j] ** domains[j].alpha
+    return index_set, levels
+
+
+def _index_result(theta: float, levels: np.ndarray, index_set, domains, c) -> ExtremalIndexResult:
+    return ExtremalIndexResult(
+        theta=float(theta),
+        tau=tuple(levels[0].tolist()),
+        index_set=index_set,
+        marginal_thetas=tuple(
+            marginal_extremal_index(float(cj), dom) for cj, dom in zip(c, domains)
+        ),
+    )
+
+
 def theoretical_mv_extremal_index(
     copula: CopulaSpec | DerivedCopula,
     domains,
@@ -77,33 +114,14 @@ def theoretical_mv_extremal_index(
     """
     domains = list(domains)
     c = np.asarray(c, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    d = len(domains)
-    if c.shape != (d,) or tau.shape != (d,):
-        raise ValueError("domains, c and tau must have equal length")
-    if np.any(tau < 0) or not np.any(tau > 0):
-        raise ValueError("tau must be nonnegative with at least one positive entry")
+    index_set, levels = _index_levels(domains, c, tau)
     if np.any(c <= 0) or np.any(c >= 1):
         raise ValueError("autoregression coefficients must lie in (0, 1)")
-
-    index_set = tuple(j for j, dom in enumerate(domains) if dom.is_frechet)
-    marginal = tuple(marginal_extremal_index(float(c[j]), domains[j]) for j in range(d))
-
-    if not index_set:
-        theta = 1.0
-    else:
-        log_den = copula_logcdf(copula, -tau)
-        log_u_num = np.zeros(d)
-        for j in index_set:
-            log_u_num[j] = -tau[j] * c[j] ** domains[j].alpha
-        log_num = copula_logcdf(copula, log_u_num)
+    theta = 1.0
+    if index_set:
+        log_den, log_num = copula_logcdf(copula, -levels).tolist()
         theta = 1.0 - log_num / log_den
-    return ExtremalIndexResult(
-        theta=float(theta),
-        tau=tuple(float(v) for v in tau),
-        index_set=index_set,
-        marginal_thetas=marginal,
-    )
+    return _index_result(theta, levels, index_set, domains, c)
 
 
 def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult:
@@ -116,42 +134,21 @@ def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult
     supplies the joint log CDF.  Components with ``tau_j = 0`` sit at
     argument one and are marginalized out.
     """
-    tau = np.asarray(tau, dtype=float)
-    d = config.d
-    if tau.shape != (d,):
-        raise ValueError(f"tau must have shape ({d},)")
-    if np.any(tau < 0) or not np.any(tau > 0):
-        raise ValueError("tau must be nonnegative with at least one positive entry")
     domains = [attraction_domain(m) for m in config.margins]
-    index_set = tuple(j for j in range(d) if domains[j].is_frechet)
-    marginal = tuple(
-        marginal_extremal_index(config.c[j], domains[j]) for j in range(d)
-    )
-
+    index_set, levels = _index_levels(domains, config.c, tau)
     theta = 1.0
     if index_set:
-        # row 0 holds the denominator levels tau_j, row 1 the numerator
-        # levels tau_j c_j**alpha_j on the Frechet-domain components;
         # components without a positive level sit at x_j = inf, which
         # marginalizes them out of the stationary law (an all-inf row
         # gives log F = 0)
-        levels = np.zeros((2, d))
-        levels[0] = tau
-        for j in index_set:
-            levels[1, j] = tau[j] * config.c[j] ** domains[j].alpha
-        x = np.full((2, d), math.inf)
+        x = np.full(levels.shape, math.inf)
         for i, j in zip(*np.nonzero(levels > 0)):
             x[i, j] = stationary_marginal_quantile(
                 config.margins[j], config.c[j], math.exp(-levels[i, j])
             )
         log_den, log_num = stationary_joint_logcdf(config, x).tolist()
         theta = 1.0 - log_num / log_den
-    return ExtremalIndexResult(
-        theta=float(theta),
-        tau=tuple(float(v) for v in tau),
-        index_set=index_set,
-        marginal_thetas=marginal,
-    )
+    return _index_result(theta, levels, index_set, domains, config.c)
 
 
 def empirical_extremal_index_runs(series, threshold: float, run_gap: int = 1) -> float:
@@ -181,7 +178,7 @@ def empirical_mv_extremal_index(
     c_est,
     k: int | None,
     tau,
-) -> float:
+) -> float | np.ndarray:
     """Rank-based estimator of the multivariate extremal index.
 
     Marginal ranks replace the unknown stationary margins: component
@@ -189,43 +186,41 @@ def empirical_mv_extremal_index(
     first with ``x = tau`` (denominator) and then with
     ``x_j = tau_j * c_j**alpha_j`` on the Frechet-domain components only
     (numerator).  ``k`` defaults to ``ceil(sqrt(n))``.  The ratio is
-    clamped to ``[0, 1]``.
+    clamped to ``[0, 1]``.  A ``(d,)`` direction ``tau`` gives a float;
+    an ``(m, d)`` grid gives an ``(m,)`` array, ranking each column once
+    for the whole grid.  Raises `UndefinedResultError` when no
+    observation exceeds the levels of some direction.
     """
     data = np.asarray(getattr(path, "data", path), dtype=float)
     if data.ndim != 2:
         raise ValueError("path data must be a 2-d array")
     n, d = data.shape
     domains = list(domains)
-    c_est = np.asarray(c_est, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if len(domains) != d or c_est.shape != (d,) or tau.shape != (d,):
-        raise ValueError("domains, c_est and tau must match the number of columns")
-    if np.any(tau < 0) or not np.any(tau > 0):
-        raise ValueError("tau must be nonnegative with at least one positive entry")
+    if len(domains) != d:
+        raise ValueError("domains must match the number of columns")
+    index_set, levels = _index_levels(domains, c_est, tau, batch=True)
     if k is None:
         k = math.ceil(math.sqrt(n))
     if not 0 < k < n:
         raise ValueError("k must lie strictly between 0 and n")
 
-    ranks = np.column_stack(
-        [_ordinal_ranks(data[:, j], np.argsort(data[:, j], kind="stable")) for j in range(d)]
-    )
-    index_set = [j for j, dom in enumerate(domains) if dom.is_frechet]
     if not index_set:
-        return 1.0
-
-    def union_count(levels, columns) -> int:
-        exceed = np.zeros(n, dtype=bool)
-        for j in columns:
-            exceed |= ranks[:, j] > n - k * levels[j]
-        return int(np.count_nonzero(exceed))
-
-    denominator = union_count(tau, range(d))
-    if denominator == 0:
-        raise UndefinedResultError("no observation exceeds the tau levels")
-    numer_levels = np.zeros(d)
-    for j in index_set:
-        numer_levels[j] = tau[j] * c_est[j] ** domains[j].alpha
-    numerator = union_count(numer_levels, index_set)
-    theta = 1.0 - numerator / denominator
-    return float(min(max(theta, 0.0), 1.0))
+        theta = np.ones(levels.shape[:-2])
+    else:
+        # one row of ranks per column: the union over columns is then an
+        # OR of contiguous rows, not a reduction along a short axis
+        ranks = np.stack(
+            [_ordinal_ranks(data[:, j], np.argsort(data[:, j], kind="stable")) for j in range(d)]
+        )
+        # numerator levels are 0 off the index set, and no rank exceeds n
+        counts = np.array(
+            [
+                np.count_nonzero((ranks > (n - k * x)[:, None]).any(axis=0))
+                for x in levels.reshape(-1, d)
+            ]
+        ).reshape(levels.shape[:-1])
+        denominator, numerator = counts[..., 0], counts[..., 1]
+        if np.any(denominator == 0):
+            raise UndefinedResultError("no observation exceeds the tau levels")
+        theta = np.clip(1.0 - numerator / denominator, 0.0, 1.0)
+    return float(theta) if levels.ndim == 2 else theta

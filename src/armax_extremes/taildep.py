@@ -251,9 +251,9 @@ def _rank_eta(head: np.ndarray, tail: np.ndarray, k: int | None) -> float:
     u_head = head / (m + 1.0)
     u_tail = tail / (m + 1.0)
     t_var = np.minimum(1.0 / (1.0 - u_head), 1.0 / (1.0 - u_tail))
-    t_sorted = np.sort(t_var)
-    top = t_sorted[m - k :]
-    pivot = t_sorted[m - k - 1]
+    # the top k + 1 order statistics, sorted, without sorting the rest
+    t_sorted = np.sort(np.partition(t_var, m - k - 1)[m - k - 1 :])
+    pivot, top = t_sorted[0], t_sorted[1:]
     eta = float(np.mean(np.log(top)) - math.log(pivot))
     if eta <= 0.0:
         raise UndefinedResultError("degenerate structure-variable sample")

@@ -309,6 +309,41 @@ def test_extremal_index_defaults_and_theory(tmp_path):
     assert row[6] == "ok"
 
 
+def test_extremal_index_csv_bytes_pinned(tmp_path):
+    # sha256 of the CSV written when each tau row ranked the path anew
+    out = tmp_path / "pin.csv"
+    cfg = write_config(
+        tmp_path,
+        "idx.json",
+        {"command": "extremal_index", "process": D2_GUMBEL, "n": 2000, "seed": 7,
+         "tau_grid": [[1.0, 1.0], [0.5, 2.0], [0.0, 1.5]], "output_path": str(out)},
+    )
+    assert run_cli("extremal-index", "--config", cfg).returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7907a94e64621177474c77b30dc025cb5b7cbfedb73313ea5f9832f5d7e2f7b7"
+    )
+
+
+def test_extremal_index_undefined_flags_every_row(tmp_path, monkeypatch, capsys):
+    def undefined(*args):
+        raise cli.UndefinedResultError("no observation exceeds the tau levels")
+
+    monkeypatch.setattr(cli, "empirical_mv_extremal_index", undefined)
+    out = tmp_path / "theta.csv"
+    config = cli.RunConfig(
+        command="extremal_index",
+        process=ProcessConfig.from_dict(D2_GUMBEL),
+        n=200,
+        seed=3,
+        output_path=str(out),
+        tau_grid=((1.0, 1.0), (0.0, 1.0)),
+    )
+    assert cli.run(config) == 0
+    assert capsys.readouterr().err.count("warning:") == 1
+    _, rows = read_rows(out)
+    assert [(r[3], r[6]) for r in rows] == [("nan", "empirical_undefined")] * 2
+
+
 # ------------------------------------------------------------------ tail dep
 
 

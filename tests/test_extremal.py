@@ -87,6 +87,24 @@ def test_theoretical_index_accepts_derived_copula():
     assert res.theta == pytest.approx(base.theta, abs=1e-14)
 
 
+def test_theoretical_index_derived_mixed_domains_pinned():
+    # a derived Gumbel copula, a Gumbel-domain middle component and one
+    # zero tau entry per direction; values computed with the separate
+    # denominator and numerator evaluations this joint one replaced
+    dc = DerivedCopula(CopulaSpec.gumbel(2.0), (0.5, 0.7, 0.9))
+    domains = [FRE_DOM, GUM_DOM, attraction_domain(MarginSpec.frechet(2.5))]
+    for tau, theta in (
+        ((1.0, 0.0, 2.0), 0.7426031559657436),
+        ((0.5, 2.0, 0.0), 0.8771360607199039),
+        ((0.0, 1.0, 3.0), 0.9520416947723732),
+    ):
+        res = theoretical_mv_extremal_index(dc, domains, [0.5, 0.7, 0.3], tau)
+        assert res.theta == theta
+        assert res.tau == tau
+        assert res.index_set == (0, 2)
+        assert res.marginal_thetas == (0.5, 1.0, 1.0 - 0.3**2.5)
+
+
 def test_theoretical_index_homogeneous_in_tau():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -270,6 +288,41 @@ def test_empirical_mv_validation():
         empirical_mv_extremal_index(path, [FRE_DOM], [0.5], 100, [1.0])  # k = n
     with pytest.raises(ValueError):
         empirical_mv_extremal_index(path, [FRE_DOM, FRE_DOM], [0.5], None, [1.0])
+
+
+def test_empirical_mv_grid_matches_rows():
+    cfg = ProcessConfig(3, (0.5, 0.9, 0.3), (FRECHET1,) * 3, CopulaSpec.gumbel(2.0))
+    cont = simulate_path(cfg, 3_000, 11).data
+    nan_col = cont.copy()
+    nan_col[5, 1] = math.nan
+    with_inf = cont.copy()
+    with_inf[::7, 0] = math.inf
+    grid = np.array(
+        [[1.0, 1.0, 1.0], [0.5, 0.0, 2.0], [3.0, 0.25, 0.0], [1e9, 0.0, 0.0], [0.0, 2.0, 1.0]]
+    )
+    domains = [FRE_DOM, attraction_domain(MarginSpec.frechet(2.0)), GUM_DOM]
+    for data in (cont, np.round(cont, 1), nan_col, with_inf):
+        for doms in (domains, [GUM_DOM] * 3):
+            for k in (None, 7, 300):
+                got = empirical_mv_extremal_index(data, doms, [0.5, 0.9, 0.3], k, grid)
+                assert got.shape == (5,)
+                rows = [
+                    empirical_mv_extremal_index(data, doms, [0.5, 0.9, 0.3], k, tau)
+                    for tau in grid
+                ]
+                assert all(isinstance(v, float) for v in rows)
+                assert got.tolist() == rows
+    # a row weighting only the nan column has no exceedance, and fails
+    # the whole grid as it fails alone
+    with pytest.raises(UndefinedResultError):
+        empirical_mv_extremal_index(nan_col, domains, [0.5, 0.9, 0.3], None, [0.0, 1.0, 0.0])
+    with pytest.raises(UndefinedResultError):
+        empirical_mv_extremal_index(
+            nan_col, domains, [0.5, 0.9, 0.3], None, [[1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]
+        )
+    for bad in ([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], [[1.0, 1.0]], [[[1.0, 1.0, 1.0]]]):
+        with pytest.raises(ValueError):
+            empirical_mv_extremal_index(cont, domains, [0.5, 0.9, 0.3], None, bad)
 
 
 def test_empirical_mv_result_in_unit_interval():
