@@ -20,15 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import CopulaSpec, DerivedCopula, copula_logcdf, copula_sample
+from .copulas import CopulaSpec, copula_logcdf, copula_sample
 from .errors import ConfigurationError, NumericLimitError
 from .margins import MarginSpec, margin_cdf, margin_quantile, right_endpoint
 from .schema import (
     config_digest,
     copula_from_dict,
-    copula_to_dict,
+    finite,
+    integer,
     margin_from_dict,
-    margin_to_dict,
+    parse_fields,
+    text,
+    to_json,
+    vector,
 )
 
 __all__ = [
@@ -69,7 +73,7 @@ class InitPolicy:
 
     def __post_init__(self) -> None:
         if self.kind not in ("burn_in", "exact_marginal"):
-            raise ValueError(f"unknown init policy {self.kind!r}")
+            raise ValueError(f"unknown init kind {self.kind!r}")
         if self.kind == "burn_in":
             if self.length is None or self.length < 0:
                 raise ValueError("burn_in requires a nonnegative length")
@@ -93,7 +97,7 @@ class ProcessConfig:
     c: tuple[float, ...]
     margins: tuple[MarginSpec, ...]
     copula: CopulaSpec
-    init: InitPolicy | None = None
+    init: InitPolicy | None = None  # None: InitPolicy.burn_in()
 
     def __post_init__(self) -> None:
         if not isinstance(self.d, int) or self.d < 1:
@@ -111,25 +115,14 @@ class ProcessConfig:
             if not isinstance(m, MarginSpec):
                 raise ConfigurationError("margins must be MarginSpec instances")
         if not isinstance(self.copula, CopulaSpec):
-            raise ConfigurationError("copula must be a CopulaSpec")
-        if self.init is not None and not isinstance(self.init, InitPolicy):
+            raise ConfigurationError("the innovation copula must be a base family (a CopulaSpec)")
+        if self.init is None:
+            object.__setattr__(self, "init", InitPolicy.burn_in())
+        elif not isinstance(self.init, InitPolicy):
             raise ConfigurationError("init must be an InitPolicy or None")
 
-    def effective_init(self) -> InitPolicy:
-        return self.init if self.init is not None else InitPolicy.burn_in()
-
     def to_dict(self) -> dict:
-        init = self.effective_init()
-        init_dict = {"kind": init.kind}
-        if init.length is not None:
-            init_dict["length"] = init.length
-        return {
-            "d": self.d,
-            "c": list(self.c),
-            "margins": [margin_to_dict(m) for m in self.margins],
-            "copula": copula_to_dict(self.copula),
-            "init": init_dict,
-        }
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProcessConfig":
@@ -138,45 +131,27 @@ class ProcessConfig:
         Raises `ConfigurationError` for a missing or unknown field, a
         derived innovation copula, or values `ProcessConfig` rejects.
         """
-        if not isinstance(data, dict):
-            raise ConfigurationError("process must be a JSON object")
-        unknown = set(data) - {"d", "c", "margins", "copula", "init"}
-        if unknown:
-            raise ConfigurationError(f"unknown process fields: {sorted(unknown)}")
-        for field in ("d", "c", "margins", "copula"):
-            if field not in data:
-                raise ConfigurationError(f"process requires the field {field!r}")
-        copula = copula_from_dict(data["copula"])
-        if isinstance(copula, DerivedCopula):
-            raise ConfigurationError("the innovation copula must be a base family")
-        init = None
-        if "init" in data and data["init"] is not None:
-            init_data = dict(data["init"])
-            kind = init_data.pop("kind", None)
-            try:
-                if kind == "burn_in":
-                    init = InitPolicy.burn_in(int(init_data.pop("length")))
-                elif kind == "exact_marginal":
-                    init = InitPolicy.exact_marginal()
-                else:
-                    raise ConfigurationError(f"unknown init kind {kind!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigurationError(f"bad init {data['init']!r}: {exc}") from exc
-            if init_data:
-                raise ConfigurationError(f"unknown init fields: {sorted(init_data)}")
-        try:
-            return cls(
-                d=int(data["d"]),
-                c=tuple(float(v) for v in data["c"]),
-                margins=tuple(margin_from_dict(m) for m in data["margins"]),
-                copula=copula,
-                init=init,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad process config: {exc}") from exc
+        return parse_fields(data, "process", _PROCESS_FIELDS, ("d", "c", "margins", "copula"), cls)
+
+    @functools.cached_property
+    def _digest(self) -> str:
+        return config_digest(self.to_dict())
 
     def digest(self) -> str:
-        return config_digest(self.to_dict())
+        # hashed on first use, once per instance: montecarlo simulates
+        # one config per replicate
+        return self._digest
+
+
+_PROCESS_FIELDS = {
+    "d": integer,
+    "c": vector(finite),
+    "margins": vector(margin_from_dict),
+    "copula": copula_from_dict,
+    "init": lambda data: parse_fields(
+        data, "init", {"kind": text, "length": integer}, ("kind",), InitPolicy
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -258,7 +233,7 @@ def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
         seed = int(seed)
     rng = np.random.default_rng(seed)
     d = config.d
-    policy = config.effective_init()
+    policy = config.init
 
     exact = policy.kind == "exact_marginal" and all(_is_frechet(m) for m in config.margins)
     if policy.kind == "exact_marginal" and not exact:

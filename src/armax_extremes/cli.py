@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +47,12 @@ from .margins import attraction_domain
 from .schema import (
     canonical_json,
     copula_from_dict,
-    copula_to_dict,
+    finite,
+    integer,
+    parse_fields,
+    text,
+    to_json,
+    vector,
 )
 from .taildep import (
     DEFAULT_T_GRID,
@@ -64,6 +70,11 @@ COMMANDS = ("simulate", "estimate", "extremal_index", "tail_dep", "copula", "mon
 # rows of the simulated path formatted per write; a bounded chunk keeps
 # peak memory flat where one tolist() of the whole path would not
 _PATH_CHUNK_ROWS = 65536
+
+
+def _pair(value) -> tuple[int, int]:
+    j, jp = vector(integer)(value)
+    return j, jp
 
 
 @dataclass(frozen=True)
@@ -89,83 +100,28 @@ class RunConfig:
     workers: int = 1
 
 
-_RUN_FIELDS = frozenset(f.name for f in fields(RunConfig))
+_RUN_FIELDS = {
+    "command": text,
+    "process": ProcessConfig.from_dict,
+    "copula": copula_from_dict,
+    **dict.fromkeys(("n", "seed", "replicates", "k", "workers"), integer),
+    **dict.fromkeys(("level", "t"), finite),
+    **dict.fromkeys(("output_path", "input_path", "convention"), text),
+    "t_grid": vector(finite),
+    "r_list": vector(integer),
+    "pairs": vector(_pair),
+    "tau_grid": vector(vector(finite)),
+}
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
     """Parse a JSON config dictionary into an unresolved `RunConfig`."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("config must be a JSON object")
-    unknown = set(data) - _RUN_FIELDS
-    if unknown:
-        raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-    kwargs: dict = {}
-    if "command" not in data:
-        raise ConfigurationError("config requires a 'command' field")
-    kwargs["command"] = data["command"]
-    if data.get("process") is not None:
-        kwargs["process"] = ProcessConfig.from_dict(data["process"])
-    if data.get("copula") is not None:
-        kwargs["copula"] = copula_from_dict(data["copula"])
-    for name in ("n", "seed", "replicates", "k", "workers"):
-        if data.get(name) is not None:
-            try:
-                kwargs[name] = int(data[name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"{name} must be an integer") from exc
-    for name in ("level", "t"):
-        if data.get(name) is not None:
-            kwargs[name] = float(data[name])
-    for name in ("output_path", "input_path", "convention"):
-        if data.get(name) is not None:
-            kwargs[name] = str(data[name])
-    try:
-        if data.get("t_grid") is not None:
-            kwargs["t_grid"] = tuple(float(v) for v in data["t_grid"])
-        if data.get("r_list") is not None:
-            kwargs["r_list"] = tuple(int(v) for v in data["r_list"])
-        if data.get("pairs") is not None:
-            kwargs["pairs"] = tuple((int(a), int(b)) for a, b in data["pairs"])
-        if data.get("tau_grid") is not None:
-            kwargs["tau_grid"] = tuple(
-                tuple(float(v) for v in row) for row in data["tau_grid"]
-            )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad grid field: {exc}") from exc
-    return RunConfig(**kwargs)
+    return parse_fields(data, "config", _RUN_FIELDS, ("command",), RunConfig)
 
 
 def run_config_to_dict(config: RunConfig) -> dict:
     """JSON-ready form of a `RunConfig`; omits unset fields."""
-    out: dict = {"command": config.command}
-    if config.process is not None:
-        out["process"] = config.process.to_dict()
-    if config.copula is not None:
-        out["copula"] = copula_to_dict(config.copula)
-    for name in (
-        "n",
-        "seed",
-        "output_path",
-        "input_path",
-        "replicates",
-        "level",
-        "convention",
-        "k",
-        "t",
-        "workers",
-    ):
-        value = getattr(config, name)
-        if value is not None:
-            out[name] = value
-    if config.t_grid is not None:
-        out["t_grid"] = list(config.t_grid)
-    if config.r_list is not None:
-        out["r_list"] = list(config.r_list)
-    if config.pairs is not None:
-        out["pairs"] = [list(p) for p in config.pairs]
-    if config.tau_grid is not None:
-        out["tau_grid"] = [list(row) for row in config.tau_grid]
-    return out
+    return to_json(config)
 
 
 def resolve_run_config(config: RunConfig) -> RunConfig:
@@ -417,23 +373,36 @@ def _run_tail_dep(config: RunConfig) -> int:
         "regime",
         "flag",
     ]
+    # each column is sorted once and each window ranked once; a lag's
+    # windows serve only that lag's cells, so they are dropped after it
+    ranks = _column_orders(path.data, range(process.d))
+    empirical = {}
+    for r in config.r_list:
+        for j, jp in config.pairs:
+            try:
+                empirical[j, jp, r] = _empirical_cell(
+                    path.data, ranks, j, jp, r, config.t, config.k
+                )
+            except (ValueError, UndefinedResultError) as exc:
+                # raised or flagged in row order below, after the cell's
+                # theoretical value, as if each cell ran alone
+                empirical[j, jp, r] = exc
+        ranks.cache_clear()
     rows = []
-    # each column is sorted once; every (pair, lag) cell ranks its
-    # windows from these orders
-    orders = _column_orders(path.data, range(process.d))
     for j, jp in config.pairs:
         for r in config.r_list:
             lam_theo = theoretical_lag_tdc(process, j, jp, r, config.t_grid)
-            flag = "ok"
-            try:
-                lam_emp, eta_emp = _empirical_cell(
-                    path.data, orders, j, jp, r, config.t, config.k
-                )
-                regime = classify_tail_regime(lam_emp, eta_emp)
-            except UndefinedResultError as exc:
+            cell = empirical[j, jp, r]
+            if isinstance(cell, UndefinedResultError):
                 lam_emp = eta_emp = regime = None
                 flag = "empirical_undefined"
-                _warn(f"pair ({j},{jp}) lag {r}: {exc}")
+                _warn(f"pair ({j},{jp}) lag {r}: {cell}")
+            elif isinstance(cell, ValueError):
+                raise cell
+            else:
+                lam_emp, eta_emp = cell
+                regime = classify_tail_regime(lam_emp, eta_emp)
+                flag = "ok"
             rows.append([j, jp, r, lam_theo, lam_emp, eta_emp, regime, flag])
     _write_csv(config.output_path, header, rows)
     print(
@@ -491,9 +460,12 @@ def _run_montecarlo(config: RunConfig) -> int:
     reps = config.replicates
     c_true = process.c[0]
     payloads = [(process, n, config.seed, i) for i in range(reps)]
-    if config.workers > 1:
-        chunk = max(1, reps // (config.workers * 4))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # a forking pool starts every worker at the first submit, so ask for
+    # no more than there are replicates and CPUs
+    workers = min(config.workers, reps, os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, reps // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mc_replicate, payloads, chunksize=chunk))
     else:
         results = [_mc_replicate(p) for p in payloads]
@@ -605,27 +577,21 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             data = json.load(f)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes and over-long integers are ValueErrors too
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
-    if isinstance(data, dict) and "command" not in data:
-        data = {**data, "command": args.command}
+    if isinstance(data, dict):
+        # the command-line overrides go through the same field parsers
+        overrides = {"seed": args.seed, "output_path": args.out, "replicates": args.replicates,
+                     "workers": getattr(args, "workers", None)}
+        data = {"command": args.command, **data,
+                **{name: value for name, value in overrides.items() if value is not None}}
     config = run_config_from_dict(data)
     if config.command != args.command:
         raise ConfigurationError(
             f"config command {config.command!r} does not match the "
             f"{args.command.replace('_', '-')} subcommand"
         )
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        config = replace(config, **overrides)
     return resolve_run_config(config)
 
 

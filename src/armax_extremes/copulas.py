@@ -82,6 +82,8 @@ class DerivedCopula:
     theta: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, CopulaSpec):
+            raise ValueError("derived copulas cannot be nested: base must be a CopulaSpec")
         theta = tuple(float(t) for t in self.theta)
         object.__setattr__(self, "theta", theta)
         if len(theta) == 0:

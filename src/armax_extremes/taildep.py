@@ -18,6 +18,7 @@ min-structure variable of rank-transformed margins.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -209,12 +210,20 @@ def _ordinal_ranks(x: np.ndarray, order: np.ndarray, start: int = 0, stop: int |
     return ranks
 
 
-def _column_orders(data: np.ndarray, columns) -> dict:
-    """Stable argsort of each listed column of ``data``, keyed by column."""
-    return {j: np.argsort(data[:, j], kind="stable") for j in columns}
+def _column_orders(data: np.ndarray, columns):
+    """``ranks(j, start, stop)``: the `_ordinal_ranks` of the window
+    ``data[start:stop, j]`` of a listed column.  Each column is sorted
+    once and each window ranked once, however many cells share it."""
+    orders = {j: np.argsort(data[:, j], kind="stable") for j in columns}
+
+    @functools.cache
+    def ranks(j: int, start: int, stop: int) -> np.ndarray:
+        return _ordinal_ranks(data[:, j], orders[j], start, stop)
+
+    return ranks
 
 
-def _lagged_ranks(data: np.ndarray, orders: dict, j: int, jp: int, r: int):
+def _lagged_ranks(data: np.ndarray, ranks, j: int, jp: int, r: int):
     """Ranks of ``X_j`` over ``[0, n-r)`` and of ``X_j'`` over ``[r, n)``."""
     if r < 0:
         raise ValueError("lag r must be nonnegative")
@@ -222,9 +231,7 @@ def _lagged_ranks(data: np.ndarray, orders: dict, j: int, jp: int, r: int):
     m = n - r
     if m < 2:
         raise ValueError("series too short for the requested lag")
-    head = _ordinal_ranks(data[:, j], orders[j], 0, m)
-    tail = _ordinal_ranks(data[:, jp], orders[jp], r, n)
-    return head, tail
+    return ranks(j, 0, m), ranks(jp, r, n)
 
 
 def _rank_tdc(head: np.ndarray, tail: np.ndarray, t: float) -> float:
@@ -260,11 +267,11 @@ def _rank_eta(head: np.ndarray, tail: np.ndarray, k: int | None) -> float:
     return min(eta, 1.0)
 
 
-def _empirical_cell(data: np.ndarray, orders: dict, j: int, jp: int, r: int, t: float, k):
+def _empirical_cell(data: np.ndarray, ranks, j: int, jp: int, r: int, t: float, k):
     """``(empirical_tdc, empirical_eta)`` of one ``(j, jp, r)`` cell from
-    the column orders of `_column_orders`, so a caller with many cells
-    sorts each column once."""
-    head, tail = _lagged_ranks(data, orders, j, jp, r)
+    the window ranks of `_column_orders`, so a caller with many cells
+    sorts each column and ranks each window once."""
+    head, tail = _lagged_ranks(data, ranks, j, jp, r)
     return _rank_tdc(head, tail, t), _rank_eta(head, tail, k)
 
 

@@ -101,6 +101,52 @@ def test_config_from_dict_round_trip_and_errors():
             ProcessConfig.from_dict(data)
 
 
+def test_default_init_is_burn_in():
+    assert d1_config().init == InitPolicy.burn_in()
+    assert d1_config() == d1_config(init=InitPolicy.burn_in())
+    assert d1_config().to_dict()["init"] == {"kind": "burn_in", "length": 1000}
+
+
+def test_config_digests_pinned():
+    # digests written before the config codec was table-driven
+    cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
+    assert cfg.digest() == "c12603dcfff253702e0f1974f30a2c78d704cc56efd66907801df65a1ea18b68"
+    cfg = ProcessConfig(
+        2,
+        (0.5, 0.9),
+        (FRECHET1, MarginSpec.gpd(0.2, 1.0)),
+        CopulaSpec.gumbel(2.0),
+        InitPolicy.exact_marginal(),
+    )
+    assert cfg.digest() == "0a3197d373a9d1121cf9b0ad75abdb713d4b8d6f2b8647440affa23e7cbc4402"
+    assert ProcessConfig.from_dict(cfg.to_dict()).digest() == cfg.digest()
+
+
+def test_digest_is_hashed_once_per_config(monkeypatch):
+    hashed = []
+    config_digest = armax.config_digest
+    monkeypatch.setattr(armax, "config_digest", lambda data: hashed.append(data) or config_digest(data))
+    cfg = d1_config()
+    digests = {simulate_path(cfg, 10, seed).config_digest for seed in range(3)}
+    assert digests == {cfg.digest()}
+    assert len(hashed) == 1
+
+
+def test_config_from_dict_refuses_malformed_values():
+    base = d1_config().to_dict()
+    bad = [
+        ({**base, "d": 1.7}, "bad process config: d: must be an integer"),
+        ({**base, "d": True}, "bad process config: d: must be an integer"),
+        ({**base, "c": 0.5}, "bad process config: c: must be a list"),
+        ({**base, "init": 5}, "init must be a JSON object"),
+        ({**base, "init": {"kind": "burn_in", "length": 2.5}}, "bad init config: length"),
+        ({**base, "margins": [{"kind": "frechet", "alpha": math.inf}]}, "bad margin config: alpha"),
+    ]
+    for data, message in bad:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            ProcessConfig.from_dict(data)
+
+
 # ----------------------------------------------------------------- recursion
 
 

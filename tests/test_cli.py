@@ -8,12 +8,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from armax_extremes import cli
+from armax_extremes import cli, taildep
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec
-from armax_extremes.estimation import build_estimate_report
+from armax_extremes.errors import ConfigurationError
+from armax_extremes.estimation import VARIANCE_CONVENTIONS, build_estimate_report
 from armax_extremes.margins import MarginSpec
+from armax_extremes.schema import canonical_json
 
 D2_GUMBEL = {
     "d": 2,
@@ -394,6 +398,43 @@ def test_tail_dep_defaults_exponential_margin(tmp_path):
     assert float(rows[0][3]) == 1.0
 
 
+D2_UNEQUAL = {**D2_GUMBEL, "c": [0.5, 0.9]}
+
+
+def test_tail_dep_csv_bytes_pinned(tmp_path):
+    # sha256 of the CSV written when every cell ranked its own windows
+    out = tmp_path / "pin.csv"
+    cfg = write_config(
+        tmp_path,
+        "tdc.json",
+        {"command": "tail_dep", "process": D2_UNEQUAL, "n": 4000, "seed": 7,
+         "output_path": str(out)},
+    )
+    assert run_cli("tail-dep", "--config", cfg).returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "031195666d891edff8c49e5aade2153802a73f83754719e440a442b369efaf35"
+    )
+
+
+def test_tail_dep_ranks_each_window_once(tmp_path, monkeypatch):
+    windows = []
+    ordinal_ranks = taildep._ordinal_ranks
+
+    def counting(x, order, start, stop):
+        windows.append((start, stop))
+        return ordinal_ranks(x, order, start, stop)
+
+    monkeypatch.setattr(taildep, "_ordinal_ranks", counting)
+    config = cli.resolve_run_config(cli.run_config_from_dict(
+        {"command": "tail_dep", "process": D2_UNEQUAL, "n": 4000, "seed": 7,
+         "output_path": str(tmp_path / "tdc.csv")}
+    ))
+    assert cli.run(config) == 0
+    # 12 default cells read 10 distinct (column, window) rank vectors:
+    # the two full columns at lag 0, then two heads and two tails per lag
+    assert len(windows) == 10
+
+
 def test_tail_dep_numeric_failure_exit_code(tmp_path):
     out = tmp_path / "tdc.csv"
     cfg = write_config(
@@ -554,6 +595,43 @@ def test_montecarlo_workers_do_not_change_results(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "workers, replicates, cpus, sizes",
+    [(64, 3, 8, [3]), (64, 12, 8, [8]), (3, 12, 8, [3]), (64, 12, None, [])],
+)
+def test_montecarlo_pool_is_bounded(tmp_path, monkeypatch, workers, replicates, cpus, sizes):
+    # a serial stand-in for the process pool records the size asked of it;
+    # no worker process is started
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    outputs = []
+    for name, count in (("pool.csv", workers), ("serial.csv", 1)):
+        out = tmp_path / name
+        config = cli.resolve_run_config(cli.run_config_from_dict(
+            {"command": "montecarlo", "process": D1_INDEP, "n": 200, "seed": 42,
+             "replicates": replicates, "workers": count, "output_path": str(out)}
+        ))
+        assert cli.run(config) == 0
+        outputs.append((out.read_bytes(), (tmp_path / (name + ".summary.json")).read_bytes()))
+    assert asked == sizes
+    assert outputs[0] == outputs[1]
+
+
 def test_montecarlo_replicates_override(tmp_path):
     out = tmp_path / "mc.csv"
     cfg = _mc_config(tmp_path, out)
@@ -593,6 +671,114 @@ def test_print_config_resolves_defaults_and_round_trips(tmp_path):
     assert proc2.stdout == proc.stdout
 
 
+# any JSON value, with the numbers most likely to slip through a coercion
+# values a coercing parser lets through, or turns into a crash later on
+_MALFORMED = [
+    None, True, "x", 10.9, 2.0, -1, 2**63, -(2**63) - 1, 10**400,
+    math.inf, -math.inf, math.nan, [], [math.inf], [[math.nan, 1.0]], [10**400], {},
+]
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from(_MALFORMED)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda items: st.lists(items, max_size=3) | st.dictionaries(st.text(max_size=4), items, max_size=3),
+    max_leaves=6,
+)
+
+
+_PROCESSES = [
+    D1_INDEP,
+    {**D2_GUMBEL, "c": [0.5, 0.9], "init": {"kind": "exact_marginal"}},
+    {**D1_INDEP, "margins": [{"kind": "gpd", "shape": 0.2, "scale": 1.0}],
+     "init": {"kind": "burn_in", "length": 10}},
+]
+_RUN_VALUES = {
+    "command": st.sampled_from(cli.COMMANDS),
+    "n": st.integers(2, 10**6),
+    "seed": st.integers(0, 2**32),
+    "output_path": st.text(max_size=5),
+    "input_path": st.text(max_size=5),
+    "replicates": st.integers(2, 50),
+    "level": st.floats(0.0, 0.99),
+    "convention": st.sampled_from(VARIANCE_CONVENTIONS),
+    "k": st.integers(1, 100),
+    "t": st.floats(1e-3, 0.5),
+    "t_grid": st.lists(st.floats(1e-5, 0.1), min_size=1, max_size=3),
+    "r_list": st.lists(st.integers(0, 3), max_size=3),
+    "pairs": st.lists(st.lists(st.integers(0, 1), min_size=2, max_size=2), max_size=3),
+    "tau_grid": st.lists(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2), min_size=1, max_size=2),
+    "copula": st.sampled_from(
+        [{"kind": "gumbel", "gamma": 2.0},
+         {"kind": "derived", "base": {"kind": "independence"}, "theta": [0.5, 1.0]}]
+    ),
+    "workers": st.integers(1, 4),
+}
+_OPTIONAL = sorted(set(_RUN_VALUES) - {"command", "n", "seed"})
+
+
+@st.composite
+def _configs(draw):
+    """Config objects built from valid field values, with any optional
+    fields left out and up to three fields of the run or its process
+    replaced by any JSON value."""
+    process = dict(draw(st.sampled_from(_PROCESSES)))
+    data = {name: draw(values) for name, values in _RUN_VALUES.items()}
+    data["process"] = process
+    for name in draw(st.sets(st.sampled_from(_OPTIONAL))):
+        del data[name]
+    for obj, name in draw(st.lists(st.sampled_from(
+        [(data, name) for name in sorted(data)] + [(process, name) for name in sorted(process)]
+    ), max_size=3)):
+        obj[name] = draw(_JSON)
+    return data
+
+
+def _resolves_or_refuses(data):
+    """A config resolves or raises `ConfigurationError`; what resolves
+    prints as canonical JSON that parses and resolves back to itself."""
+    try:
+        config = cli.resolve_run_config(cli.run_config_from_dict(data))
+    except ConfigurationError:
+        return
+    text = canonical_json(cli.run_config_to_dict(config))
+    again = cli.run_config_from_dict(json.loads(text))
+    assert again == config
+    assert cli.resolve_run_config(again) == config
+    assert canonical_json(cli.run_config_to_dict(again)) == text
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_configs() | _JSON)
+def test_config_values_resolve_or_refuse_and_round_trip(data):
+    _resolves_or_refuses(data)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_field_resolves_or_refuses_each_malformed_value(command):
+    process = {**D2_GUMBEL, "init": {"kind": "burn_in", "length": 10}}
+    data = {
+        "command": command, "process": process, "n": 100, "seed": 1,
+        "output_path": "x.csv", "input_path": "in.csv", "replicates": 5,
+        "level": 0.9, "convention": "delta_pow4", "k": 10, "t": 0.02,
+        "t_grid": [0.01, 0.001], "r_list": [0, 1], "pairs": [[0, 1]],
+        "tau_grid": [[1.0, 0.5]], "copula": {"kind": "gumbel", "gamma": 2.0},
+        "workers": 2,
+    }
+    required = {"command", "process", "n", "seed", "output_path", "copula"}
+    # every optional field set, and every one left to its default
+    for data in (data, {name: data[name] for name in required}):
+        _resolves_or_refuses(data)
+        for name in set(data) - {"process"}:
+            for value in _MALFORMED:
+                _resolves_or_refuses({**data, name: value})
+        for name in process:
+            for value in _MALFORMED:
+                _resolves_or_refuses({**data, "process": {**process, name: value}})
+
+
 # ------------------------------------------------------------- failure modes
 
 
@@ -612,6 +798,30 @@ def test_print_config_resolves_defaults_and_round_trips(tmp_path):
         ({"command": "simulate", "process": D1_INDEP, "n": 10, "seed": 1,
           "output_path": "x.csv", "bogus": True},
          "unknown config fields"),
+        ({"command": "estimate", "input_path": "p.csv", "output_path": "x.csv",
+          "level": "abc"},
+         "bad config: level: must be a number"),
+        ({"command": "tail_dep", "process": D1_INDEP, "n": 100, "seed": 1,
+          "output_path": "x.csv", "t": {}},
+         "bad config: t: must be a number"),
+        ({"command": "simulate", "process": {**D1_INDEP, "init": 5}, "n": 10,
+          "seed": 1, "output_path": "x.csv"},
+         "init must be a JSON object"),
+        ({"command": "simulate", "process": {**D1_INDEP, "init": "ab"}, "n": 10,
+          "seed": 1, "output_path": "x.csv"},
+         "init must be a JSON object"),
+        ({"command": "tail_dep", "process": D1_INDEP, "n": 100, "seed": 1,
+          "output_path": "x.csv", "t": math.inf},
+         "bad config: t: must be finite"),
+        ({"command": "extremal_index", "process": D1_INDEP, "n": 10**400,
+          "seed": 1, "output_path": "x.csv"},
+         "bad config: n: must fit in a signed 64-bit integer"),
+        ({"command": "simulate", "process": D1_INDEP, "n": 10.9, "seed": 1,
+          "output_path": "x.csv"},
+         "bad config: n: must be an integer"),
+        ({"command": "simulate", "process": {**D1_INDEP, "d": 1.7}, "n": 10,
+          "seed": 1, "output_path": "x.csv"},
+         "bad process config: d: must be an integer"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, payload, fragment):
@@ -620,6 +830,41 @@ def test_config_errors_exit_2(tmp_path, payload, fragment):
     proc = run_cli(name.replace("_", "-"), "--config", cfg)
     assert proc.returncode == 2
     assert "config error:" in proc.stderr
+    assert fragment in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, extra, fragment",
+    [
+        ("tail_dep", {"t": math.inf}, "bad config: t: must be finite"),
+        ("extremal_index", {"n": 10**400}, "bad config: n: must fit in a signed 64-bit integer"),
+    ],
+)
+def test_print_config_refuses_malformed_values(tmp_path, command, extra, fragment):
+    payload = {"command": command, "process": D1_INDEP, "n": 100, "seed": 1,
+               "output_path": "x.csv", **extra}
+    cfg = write_config(tmp_path, "bad.json", payload)
+    proc = run_cli(command.replace("_", "-"), "--config", cfg, "--print-config")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"config error: {fragment}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        (b"\xff\xfe{", "codec can't decode"),
+        (b'{"n": ' + b"9" * 5000 + b"}", "integer string conversion"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
+    ],
+    ids=["undecodable", "long-integer", "deep-nesting"],
+)
+def test_unreadable_json_config_exit_2(tmp_path, content, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    proc = run_cli("simulate", "--config", str(bad))
+    assert proc.returncode == 2
+    assert "config error: config file is not valid JSON" in proc.stderr
     assert fragment in proc.stderr
 
 

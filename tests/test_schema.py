@@ -1,6 +1,7 @@
 """JSON round-trip and digest tests for the config schema."""
 
 import json
+import math
 
 import pytest
 
@@ -12,8 +13,14 @@ from armax_extremes.schema import (
     config_digest,
     copula_from_dict,
     copula_to_dict,
+    finite,
+    integer,
     margin_from_dict,
     margin_to_dict,
+    parse_fields,
+    text,
+    to_json,
+    vector,
 )
 
 MARGIN_SPECS = [
@@ -132,3 +139,81 @@ def test_config_digest_stability():
     assert digest == "c0166ea70ace21fbde0c32ed211776bab08094d46e9abe6a7ebf05e997ad8fef"
     assert digest == config_digest({"gamma": 2.0, "kind": "gumbel"})
     assert config_digest({"kind": "gumbel", "gamma": 2.5}) != digest
+
+
+# ------------------------------------------------------------- field parsers
+
+TABLE = {"n": integer, "x": finite, "name": text, "grid": vector(finite)}
+
+
+def test_parse_fields_reads_each_value_with_its_parser():
+    data = {"n": 10.0, "x": 2, "name": "a", "grid": [1, 0.5], "unset": None}
+    kwargs = parse_fields(data, "thing", {**TABLE, "unset": integer})
+    assert kwargs == {"n": 10, "x": 2.0, "name": "a", "grid": (1.0, 0.5)}
+    assert type(kwargs["n"]) is int and type(kwargs["x"]) is float
+
+
+@pytest.mark.parametrize(
+    "name, value, fragment",
+    [
+        ("n", 10.9, "must be an integer"),
+        ("n", True, "must be an integer"),
+        ("n", "10", "must be an integer"),
+        ("n", math.inf, "must be an integer"),
+        ("n", 2**63, "must fit in a signed 64-bit integer"),
+        ("n", -(2**63) - 1, "must fit in a signed 64-bit integer"),
+        ("x", math.nan, "must be finite"),
+        ("x", -math.inf, "must be finite"),
+        ("x", 10**400, "too large"),
+        ("x", False, "must be a number"),
+        ("x", "0.5", "must be a number"),
+        ("name", 5, "must be a string"),
+        ("grid", 0.5, "must be a list"),
+        ("grid", [0.5, None], "must be a number"),
+    ],
+)
+def test_parse_fields_refuses_malformed_values(name, value, fragment):
+    with pytest.raises(ConfigurationError, match=f"^bad thing config: {name}: .*{fragment}"):
+        parse_fields({name: value}, "thing", TABLE)
+
+
+def test_parse_fields_refuses_bad_objects():
+    with pytest.raises(ConfigurationError, match="thing must be a JSON object"):
+        parse_fields([1], "thing", TABLE)
+    with pytest.raises(ConfigurationError, match=r"unknown thing fields: \['m'\]"):
+        parse_fields({"m": 1}, "thing", TABLE)
+    for data in ({}, {"n": None}):
+        with pytest.raises(ConfigurationError, match="thing requires the field 'n'"):
+            parse_fields(data, "thing", TABLE, ("n",))
+
+
+def test_integer_bounds_are_int64():
+    assert integer(2**63 - 1) == 2**63 - 1
+    assert integer(-(2**63)) == -(2**63)
+
+
+def test_margin_and_copula_values_must_be_numbers():
+    assert margin_from_dict({"kind": "frechet", "alpha": 2}).alpha == 2.0
+    for data in (
+        {"kind": "frechet", "alpha": "1.0"},
+        {"kind": "frechet", "alpha": True},
+        {"kind": 5},
+    ):
+        with pytest.raises(ConfigurationError):
+            margin_from_dict(data)
+    for data in (
+        {"kind": "gumbel", "gamma": "2"},
+        {"kind": "derived", "base": {"kind": "independence"}, "theta": 0.5},
+        {"kind": None},
+    ):
+        with pytest.raises(ConfigurationError):
+            copula_from_dict(data)
+
+
+def test_to_json_writes_set_fields_and_lists():
+    derived = DerivedCopula(CopulaSpec.gumbel(2.0), (1.0, 0.5))
+    assert to_json((derived, None, (1, (2, 3)))) == [
+        {"kind": "derived", "base": {"kind": "gumbel", "gamma": 2.0}, "theta": [1.0, 0.5]},
+        None,
+        [1, [2, 3]],
+    ]
