@@ -59,6 +59,7 @@ from .taildep import (
     REGIME_BAND,
     _column_orders,
     _empirical_cell,
+    check_tail_dep_parameters,
     classify_tail_regime,
     theoretical_lag_tdc,
 )
@@ -173,6 +174,16 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
             updates["t"] = 0.02
         if config.t_grid is None:
             updates["t_grid"] = DEFAULT_T_GRID
+        resolved = replace(config, **updates)
+        # refused here, before the path is drawn; a run with no cells
+        # computes no coefficient and refuses nothing
+        if resolved.pairs and resolved.r_list:
+            try:
+                check_tail_dep_parameters(
+                    resolved.n, resolved.r_list, resolved.t, resolved.k, resolved.t_grid
+                )
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from exc
     elif cmd == "copula":
         if config.copula is None:
             raise ConfigurationError("the copula command requires a 'copula' entry")

@@ -42,6 +42,7 @@ __all__ = [
     "tdc_bounds",
     "empirical_tdc",
     "empirical_eta",
+    "check_tail_dep_parameters",
     "eta_bounds_within_series",
     "classify_tail_regime",
 ]
@@ -96,11 +97,7 @@ def lag_tdc_diagnostics(
         raise ValueError("component indices out of range")
     if r < 0:
         raise ValueError("lag r must be nonnegative")
-    t_grid = tuple(float(t) for t in t_grid)
-    if len(t_grid) < 2 or any(t <= 0 or t >= 1 for t in t_grid):
-        raise ValueError("t_grid must hold at least two values in (0, 1)")
-    if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t_grid must be strictly decreasing")
+    t_grid = _check_t_grid(t_grid)
 
     margin_jp = config.margins[jp]
     c_jp = config.c[jp]
@@ -223,23 +220,63 @@ def _column_orders(data: np.ndarray, columns):
     return ranks
 
 
-def _lagged_ranks(data: np.ndarray, ranks, j: int, jp: int, r: int):
-    """Ranks of ``X_j`` over ``[0, n-r)`` and of ``X_j'`` over ``[r, n)``."""
+def _check_t_grid(t_grid) -> tuple[float, ...]:
+    t_grid = tuple(float(t) for t in t_grid)
+    if len(t_grid) < 2 or any(t <= 0 or t >= 1 for t in t_grid):
+        raise ValueError("t_grid must hold at least two values in (0, 1)")
+    if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError("t_grid must be strictly decreasing")
+    return t_grid
+
+
+def _check_lag(n: int, r: int) -> int:
+    """The number ``n - r`` of lag-r pairs in ``n`` rows."""
     if r < 0:
         raise ValueError("lag r must be nonnegative")
-    n = data.shape[0]
-    m = n - r
-    if m < 2:
+    if n - r < 2:
         raise ValueError("series too short for the requested lag")
+    return n - r
+
+
+def _check_t(m: int, t: float) -> None:
+    if not 0.0 < t < 1.0:
+        raise ValueError("t must lie in (0, 1)")
+    if t * m < 10:
+        raise ValueError("t * (n - r) must be at least 10")
+
+
+def _check_k(m: int, k: int | None) -> int:
+    """``k``, or its default ``ceil(2 sqrt(m))``, for ``m`` pairs."""
+    if k is None:
+        k = math.ceil(2.0 * math.sqrt(m))
+    if not 0 < k < m:
+        raise ValueError("k must lie strictly between 0 and n - r")
+    return k
+
+
+def check_tail_dep_parameters(n: int, r_list, t: float, k: int | None, t_grid) -> None:
+    """Raise the `ValueError` that `theoretical_lag_tdc`, `empirical_tdc`
+    or `empirical_eta` would raise for a cell at some lag of ``r_list``
+    of an ``n``-row path, with level ``t``, Hill count ``k`` and limit
+    grid ``t_grid``, so a caller can refuse them before drawing a path.
+    """
+    _check_t_grid(t_grid)
+    for r in r_list:
+        m = _check_lag(n, r)
+        _check_t(m, t)
+        _check_k(m, k)
+
+
+def _lagged_ranks(data: np.ndarray, ranks, j: int, jp: int, r: int):
+    """Ranks of ``X_j`` over ``[0, n-r)`` and of ``X_j'`` over ``[r, n)``."""
+    n = data.shape[0]
+    m = _check_lag(n, r)
     return ranks(j, 0, m), ranks(jp, r, n)
 
 
 def _rank_tdc(head: np.ndarray, tail: np.ndarray, t: float) -> float:
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
     m = head.size
-    if t * m < 10:
-        raise ValueError("t * (n - r) must be at least 10")
+    _check_t(m, t)
     cutoff = (1.0 - t) * m
     head_exceeds = head > cutoff
     denom = int(np.count_nonzero(head_exceeds))
@@ -251,10 +288,7 @@ def _rank_tdc(head: np.ndarray, tail: np.ndarray, t: float) -> float:
 
 def _rank_eta(head: np.ndarray, tail: np.ndarray, k: int | None) -> float:
     m = head.size
-    if k is None:
-        k = math.ceil(2.0 * math.sqrt(m))
-    if not 0 < k < m:
-        raise ValueError("k must lie strictly between 0 and n - r")
+    k = _check_k(m, k)
     u_head = head / (m + 1.0)
     u_tail = tail / (m + 1.0)
     t_var = np.minimum(1.0 / (1.0 - u_head), 1.0 / (1.0 - u_tail))

@@ -3,13 +3,21 @@
 The expensive Monte Carlo study (10^3 replicates of an n=10^4 path at
 c=0.5) is produced once per session through the ``montecarlo`` CLI
 handler and shared by the estimation and acceptance tests.
+
+Property tests run under one Hypothesis profile: derandomized, so every
+run replays the same examples, and with no deadline, so a loaded machine
+does not fail them on time.
 """
 
 import json
 
 import pytest
+from hypothesis import settings
 
 from armax_extremes import cli
+
+settings.register_profile("replay", derandomize=True, deadline=None)
+settings.load_profile("replay")
 
 
 MC_SEED = 20240817

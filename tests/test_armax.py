@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import kstest, ks_2samp
 
 from armax_extremes import armax
@@ -169,6 +171,94 @@ def test_apply_recursion_rejects_bad_c():
         apply_recursion(0.0, 1.0, [1.0, 2.0])
 
 
+# values where a lane could part from the scalar loop: nan, infinities,
+# signed zeros, and powers of two, whose products with c = 1/2 or 1/4
+# tie with the next innovation exactly
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1.0, 2.0, 4.0]
+_VALUES = st.sampled_from(_SPECIAL) | st.floats()
+_C = st.sampled_from([0.5, 0.25]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _innovations(draw, n):
+    """``n`` unit Frechet draws with a share of them replaced by values
+    from a small palette of `_VALUES`."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    palette = np.array(draw(st.lists(_VALUES, min_size=1, max_size=4), label="palette"))
+    share = draw(st.sampled_from([0.0, 0.01, 0.3, 1.0]), label="share")
+    y = 1.0 / -np.log(rng.random(n))
+    special = rng.random(n) < share
+    y[special] = rng.choice(palette, size=int(special.sum()))
+    return y
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@given(st.data())
+def test_lockstep_column_equals_scalar_loop_bit_for_bit(data):
+    n = data.draw(st.integers(1, 3000), label="n")
+    c, x0 = data.draw(_C, label="c"), data.draw(_VALUES, label="x0")
+    # one block or more, exact multiples or a ragged tail, and columns
+    # shorter than one block
+    length = data.draw(st.integers(1, n + 2), label="block length")
+    sweeps = data.draw(st.integers(1, armax._MAX_SWEEPS), label="sweeps")
+    # strided columns, as simulate_path passes them
+    y = np.empty((n, 2))
+    y[:, 0] = data.draw(_innovations(n), label="innovations")
+    expected = np.empty(n)
+    armax._recurse_column(c, x0, y[:, 0], expected)
+    out = np.empty((n, 2))
+    armax._lockstep_column(c, x0, y[:, 0], out[:, 0], length, sweeps)
+    assert np.array_equal(_bits(out[:, 0]), _bits(expected))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 20])
+def test_lockstep_column_keeps_the_sign_of_zero(length):
+    # 0.0 > -0.0 is false, so the scalar loop keeps x0 = -0.0 all along;
+    # a block started from -inf takes 0.0 instead, and only a bitwise
+    # comparison of the block starts sees that it must be swept again
+    out = np.empty(20)
+    armax._lockstep_column(0.5, -0.0, np.zeros(20), out, length)
+    assert np.array_equal(_bits(out), _bits(np.full(20, -0.0)))
+
+
+@given(st.data())
+def test_apply_recursion_equals_scalar_loop_bit_for_bit(data):
+    # the longer columns run as lanes for small c
+    n = data.draw(st.integers(1, 3000) | st.sampled_from([4000, 6000]), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    c = [data.draw(_C, label="c") for _ in range(d)]
+    x0 = [data.draw(_VALUES, label="x0") for _ in range(d)]
+    y = np.column_stack([data.draw(_innovations(n), label="innovations") for _ in range(d)])
+    out = apply_recursion(c, x0, y)
+    for j in range(d):
+        expected = np.empty(n)
+        armax._recurse_column(c[j], x0[j], y[:, j], expected)
+        assert np.array_equal(_bits(out[:, j]), _bits(expected))
+
+
+_C_GRID = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999)
+
+
+@pytest.mark.parametrize("n, lanes_up_to", [(10, 0.0), (10_000, 0.9), (200_000, 0.995)])
+def test_lane_rule_is_pinned(monkeypatch, n, lanes_up_to):
+    # short columns and c near 1 stay on the scalar loop, where a lane
+    # sweep would be slower (timings in CHANGES.md)
+    ran = []
+    monkeypatch.setattr(armax, "_lockstep_column", lambda c, *args: ran.append((c, "lanes")))
+    monkeypatch.setattr(armax, "_recurse_column", lambda c, *args: ran.append((c, "scalar")))
+    y = np.zeros((n, len(_C_GRID)))
+    armax._recurse(_C_GRID, np.zeros(len(_C_GRID)), y, np.empty_like(y))
+    assert ran == [(c, "lanes" if c <= lanes_up_to else "scalar") for c in _C_GRID]
+
+
+def test_lane_block_lengths_are_pinned():
+    assert [armax._block_length(c, 11_000) for c in (0.3, 0.5, 0.9, 0.99)] == [26, 26, 61, 0]
+    assert [armax._block_length(c, 201_000) for c in (0.5, 0.9, 0.99, 0.999)] == [112, 112, 600, 0]
+
+
 # ---------------------------------------------------------------- simulation
 
 
@@ -184,6 +274,34 @@ def test_recursion_lower_bound_exact():
         # the recursion stores max(c * prev, innovation) of python floats,
         # so the bound holds with no tolerance at all
         assert np.all(x[1:, j] >= c * x[:-1, j])
+
+
+@pytest.mark.parametrize(
+    "margin",
+    [FRECHET1, MarginSpec.exponential(1.0), MarginSpec.gpd(0.2, 1.0)],
+    ids=["frechet", "exponential", "gpd"],
+)
+def test_simulated_path_is_the_recursion_exactly(monkeypatch, margin):
+    seen = {}
+    recurse = armax._recurse
+
+    def spy(c, x0, y, out):
+        recurse(c, x0, y, out)
+        seen.update(x0=np.array(x0), y=y.copy(), x=out)
+
+    monkeypatch.setattr(armax, "_recurse", spy)
+    cfg = ProcessConfig(2, (0.5, 0.98), (margin, margin), CopulaSpec.gumbel(2.0))
+    n = 5_000
+    path = simulate_path(cfg, n, 3)
+    c, x, y = np.array(cfg.c), seen["x"], seen["y"]
+    # the first column runs as lanes, the second on the scalar loop
+    assert [armax._block_length(v, len(y)) > 0 for v in cfg.c] == [True, False]
+    assert path.data.shape == (n, 2) and np.shares_memory(path.data, x)
+    assert np.array_equal(path.data, x[-n:])
+    # X[i] = max(c X[i-1], Y[i]), with the scalar loop's tie and nan rule
+    decayed = c * np.vstack((seen["x0"], x[:-1]))
+    assert np.array_equal(_bits(x), _bits(np.where(y > decayed, y, decayed)))
+    assert np.all(path.data[1:] >= c * path.data[:-1])
 
 
 def test_determinism_and_seed_separation():

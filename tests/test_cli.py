@@ -443,7 +443,7 @@ def test_tail_dep_numeric_failure_exit_code(tmp_path):
         {
             "command": "tail_dep",
             "process": D1_INDEP,
-            "n": 200,
+            "n": 1000,
             "seed": 7,
             "pairs": [[0, 0]],
             "r_list": [2],
@@ -454,6 +454,51 @@ def test_tail_dep_numeric_failure_exit_code(tmp_path):
     proc = run_cli("tail-dep", "--config", cfg)
     assert proc.returncode == 3
     assert "numeric failure:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "extra, fragment",
+    [
+        ({"r_list": [-1]}, "lag r must be nonnegative"),
+        ({"r_list": [0, 999]}, "series too short for the requested lag"),
+        ({"t": 0.0}, "t must lie in (0, 1)"),
+        ({"t": 1.5}, "t must lie in (0, 1)"),
+        ({"t": 0.005}, "t * (n - r) must be at least 10"),
+        ({"r_list": [0, 600]}, "t * (n - r) must be at least 10"),
+        ({"k": 0}, "k must lie strictly between 0 and n - r"),
+        ({"k": 999, "r_list": [0, 1]}, "k must lie strictly between 0 and n - r"),
+        ({"t_grid": [0.01]}, "t_grid must hold at least two values in (0, 1)"),
+        ({"t_grid": [0.5, 0.0]}, "t_grid must hold at least two values in (0, 1)"),
+        ({"t_grid": [0.001, 0.01]}, "t_grid must be strictly decreasing"),
+    ],
+)
+def test_tail_dep_refuses_bad_parameters_before_drawing_a_path(
+    tmp_path, monkeypatch, capsys, extra, fragment
+):
+    def no_path(*args):
+        raise AssertionError("tail-dep drew a path")
+
+    monkeypatch.setattr(cli, "simulate_path", no_path)
+    out = tmp_path / "tdc.csv"
+    cfg = write_config(tmp_path, "tdc.json", {
+        "command": "tail_dep", "process": D1_INDEP, "n": 1000, "seed": 1,
+        "output_path": str(out), **extra,
+    })
+    for flags in ([], ["--print-config"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["tail-dep", "--config", cfg, *flags])
+        assert exit_.value.code == 2
+        assert f"config error: {fragment}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tail_dep_without_cells_refuses_nothing():
+    # no (pair, lag) cell uses t, so it is not checked, as before
+    config = cli.resolve_run_config(cli.run_config_from_dict({
+        "command": "tail_dep", "process": D1_INDEP, "n": 1000, "seed": 1,
+        "pairs": [], "t": 5.0,
+    }))
+    assert config.pairs == () and config.t == 5.0
 
 
 # -------------------------------------------------------------------- copula
@@ -647,7 +692,7 @@ def test_print_config_resolves_defaults_and_round_trips(tmp_path):
     cfg = write_config(
         tmp_path,
         "tdc.json",
-        {"command": "tail_dep", "process": D2_GUMBEL, "n": 100, "seed": 1,
+        {"command": "tail_dep", "process": D2_GUMBEL, "n": 1000, "seed": 1,
          "output_path": str(tmp_path / "x.csv")},
     )
     proc = run_cli("tail-dep", "--config", cfg, "--print-config")
@@ -760,7 +805,7 @@ def test_config_values_resolve_or_refuse_and_round_trip(data):
 def test_each_field_resolves_or_refuses_each_malformed_value(command):
     process = {**D2_GUMBEL, "init": {"kind": "burn_in", "length": 10}}
     data = {
-        "command": command, "process": process, "n": 100, "seed": 1,
+        "command": command, "process": process, "n": 1000, "seed": 1,
         "output_path": "x.csv", "input_path": "in.csv", "replicates": 5,
         "level": 0.9, "convention": "delta_pow4", "k": 10, "t": 0.02,
         "t_grid": [0.01, 0.001], "r_list": [0, 1], "pairs": [[0, 1]],
