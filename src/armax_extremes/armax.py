@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import CopulaSpec, copula_logcdf, copula_sample
+from .copulas import CopulaSpec, _base_logcdf, copula_sample
 from .errors import ConfigurationError, NumericLimitError
 from .margins import MarginSpec, margin_cdf, margin_quantile, right_endpoint
 from .schema import (
@@ -61,6 +61,13 @@ _QUANTILE_CACHE_SIZE = 1024
 _BLOCK_MEMORIES = 6
 _MIN_BLOCKS = 160
 _MAX_SWEEPS = 8
+
+# first chunk of the truncated product (see `_first_chunk`); at
+# trunc_tol = 1e-12 a point with light-tailed margins, or with unit
+# Frechet margins at c up to 0.6, needs fewer than 64 factors
+_FIRST_CHUNK_TERMS = 64
+_MIN_FIRST_CHUNK_TERMS = 16
+_FIRST_CHUNK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -365,24 +372,18 @@ class StationarityResult:
     probe: tuple[float, ...]
 
 
-def _joint_innovation_logcdf(config: ProcessConfig, x: np.ndarray) -> np.ndarray:
-    """Row-wise ``log G(x)`` for points ``x`` of shape ``(m, d)``."""
-    g = np.column_stack([margin_cdf(m, x[:, j]) for j, m in enumerate(config.margins)])
-    with np.errstate(divide="ignore"):
-        return copula_logcdf(config.copula, np.log(g))
-
-
 def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, threshold: float):
     """Truncated sums ``sum_{i = first, first + 1, ...} log G(x_k / c**i)``,
-    one per row ``x_k`` of the ``(m, d)`` array ``x``.
+    one per row ``x_k`` of the ``(m, d)`` array ``x``, which holds no nan
+    (the public entries refuse it; the kernel checks nothing).
 
     Each row stops at its first term with ``i >= 1`` and
     ``-log G < threshold`` (converged), once its sum reaches ``-inf``,
     or after term ``last``.  Terms are evaluated in chunks that double
     in size, for all unfinished rows at once, and summed in order along
     each row by `np.cumsum`, so every row's total equals that of a
-    term-by-term loop over that row alone.  Returns ``(total, n_terms,
-    converged)``, arrays of shape ``(m,)``.
+    term-by-term loop over that row alone, whatever the chunk lengths.
+    Returns ``(total, n_terms, converged)``, arrays of shape ``(m,)``.
     """
     c = np.asarray(config.c)
     m, d = x.shape
@@ -390,16 +391,21 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
     n_terms = np.full(m, last - first + 1)
     converged = np.zeros(m, dtype=bool)
     rows = np.arange(m)  # rows still summing
-    start, size = first, 16
+    start, size = first, _first_chunk(m * d)
     while start <= last and rows.size:
         idx = np.arange(start, min(start + size, last + 1))
+        g = np.empty((rows.size * idx.size, d))
         # c**i may underflow to 0 for small components while larger ones
         # still need factors; x / 0 -> inf is then the right argument
         # (that margin's factor is exactly 1); 0 / 0 needs x_j = 0, whose
-        # first factor already ends the product at -inf
+        # first factor already ends the product at -inf, so the nan terms
+        # after it are never summed; log 0 = -inf encodes G_j = 0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            scaled = x[rows, None, :] / c ** idx[:, None]
-        terms = _joint_innovation_logcdf(config, scaled.reshape(-1, d)).reshape(rows.size, idx.size)
+            scaled = (x[rows, None, :] / c ** idx[:, None]).reshape(-1, d)
+            for j, margin in enumerate(config.margins):
+                g[:, j] = margin_cdf(margin, scaled[:, j])
+            np.log(g, out=g)
+        terms = _base_logcdf(config.copula, g).reshape(rows.size, idx.size)
         partial = np.cumsum(np.concatenate((total[rows, None], terms), axis=1), axis=1)[:, 1:]
         stop = (partial == -np.inf) | ((idx >= 1) & (-terms < threshold))
         hit = stop.any(axis=1)
@@ -412,6 +418,25 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
         total[rows] = partial[~hit, -1]
         start, size = start + size, 2 * size
     return total, n_terms, converged
+
+
+def _first_chunk(cells: int) -> int:
+    """Terms in the first chunk of `_log_product` for a batch of ``cells
+    = m * d`` point entries.
+
+    A chunk costs a fixed overhead plus a share per evaluated entry.  A
+    small batch takes `_FIRST_CHUNK_TERMS` terms, more than most points
+    need, so it finishes in one chunk; a larger one takes about
+    ``_FIRST_CHUNK_CELLS / cells`` terms, but at least
+    `_MIN_FIRST_CHUNK_TERMS`, so a large batch evaluates few terms past
+    the ends of its points.
+    """
+    return max(_MIN_FIRST_CHUNK_TERMS, min(_FIRST_CHUNK_TERMS, _FIRST_CHUNK_CELLS // max(cells, 1)))
+
+
+def _check_points(x: np.ndarray) -> None:
+    if np.isnan(x).any():
+        raise ValueError("x entries must not be nan")
 
 
 def check_stationarity(
@@ -472,12 +497,14 @@ def stationary_marginal_logcdf(
 
     ``x`` is one value, giving a float, or an ``(m,)`` array, giving an
     ``(m,)`` array whose entries equal the one-value results exactly.
+    A nan entry raises ``ValueError``.
     """
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
     x = np.asarray(x, dtype=float)
     if x.ndim > 1:
         raise ValueError("x must be a scalar or a 1-d array")
+    _check_points(x)
     one = ProcessConfig(1, (c,), (margin,), CopulaSpec.independence())
     values = _stationary_logcdf(one, x.reshape(-1, 1), trunc_tol, 10_000)
     return float(values[0]) if x.ndim == 0 else values
@@ -605,7 +632,8 @@ def stationary_joint_logcdf(
     the next one would exceed ``1 - trunc_tol``; the neglected tail then
     contributes at most about ``trunc_tol / (1 - max c)`` to ``-log F``.
     Raises `ConfigurationError` when the product fails to converge at
-    any point, which is the non-stationary case.
+    any point, which is the non-stationary case, and ``ValueError`` for
+    a nan entry.
 
     An entry ``x_j = inf`` marginalizes component ``j`` out: its margin
     contributes ``G_j = 1`` to every factor, and the exchangeable
@@ -615,6 +643,7 @@ def stationary_joint_logcdf(
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != config.d:
         raise ValueError(f"x must have shape ({config.d},) or (m, {config.d})")
+    _check_points(x)
     if x.ndim == 1:
         return float(_stationary_logcdf(config, x[None, :], trunc_tol, max_terms)[0])
     return _stationary_logcdf(config, x, trunc_tol, max_terms)

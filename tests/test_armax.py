@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, ks_2samp
 
@@ -544,6 +544,112 @@ def test_stationary_joint_validation():
     with pytest.raises(ConfigurationError):
         # force non-convergence by starving the factor budget
         stationary_joint_cdf(d1_config(c=0.99), [1.0], max_terms=100)
+
+
+def test_stationary_law_refuses_nan_points():
+    # one error at the public edge for every margin: Frechet and
+    # exponential CDFs map nan to 0, which would read as F = 0
+    margins = (FRECHET1, MarginSpec.exponential(1.0), MarginSpec.uniform01())
+    for margin in margins:
+        cfg = ProcessConfig(2, (0.5, 0.7), (margin, FRECHET1), CopulaSpec.gumbel(2.0))
+        for x in ([math.nan, 1.0], [[1.0, 2.0], [1.0, math.nan]]):
+            with pytest.raises(ValueError, match=r"^x entries must not be nan$"):
+                stationary_joint_logcdf(cfg, x)
+        with pytest.raises(ValueError, match=r"^x entries must not be nan$"):
+            stationary_joint_cdf(cfg, [1.0, math.nan])
+        for x in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"^x entries must not be nan$"):
+                stationary_marginal_logcdf(margin, 0.5, x)
+
+
+def _reference_log_product(config, x, first, last, threshold):
+    """`armax._log_product` as a term-by-term loop over each row alone,
+    through the public, validating copula entry."""
+    powers = np.asarray(config.c) ** np.arange(last + 1)[:, None]
+    totals, counts, flags = [], [], []
+    for row in x:
+        total, count, converged = 0.0, last - first + 1, False
+        for i in range(first, last + 1):
+            with np.errstate(divide="ignore", over="ignore"):
+                point = row / powers[i]
+                log_u = np.log([margin_cdf(m, v) for m, v in zip(config.margins, point)])
+            term = copula_logcdf(config.copula, log_u)
+            total += term
+            if total == -math.inf or (i >= 1 and -term < threshold):
+                count, converged = i - first + 1, total != -math.inf
+                break
+        totals.append(total)
+        counts.append(count)
+        flags.append(converged)
+    return totals, counts, flags
+
+
+_KERNEL_MARGINS = st.sampled_from(
+    [
+        FRECHET1,
+        MarginSpec.frechet(0.5),
+        MarginSpec.exponential(2.0),
+        MarginSpec.uniform01(),
+        MarginSpec.gpd(0.3, 1.0),
+        MarginSpec.gpd(-0.5, 1.0),
+        MarginSpec.weibull_min(2.0),
+    ]
+)
+_KERNEL_COPULAS = st.sampled_from(
+    [INDEP, CopulaSpec.comonotone(), CopulaSpec.gumbel(1.0), CopulaSpec.gumbel(2.5)]
+)
+# 0 and negative entries end a row at its first factor, 1e-3 underflows
+# a Frechet factor to 0, inf marginalizes a component out
+_KERNEL_SPECIAL = st.sampled_from([0.0, -1.0, 1e-3, math.inf])
+_KERNEL_TOL = -math.log1p(-1e-12)
+
+
+@st.composite
+def _kernel_cases(draw):
+    d = draw(st.integers(1, 3), label="d")
+    c = draw(st.lists(st.sampled_from([0.99, 0.9, 0.8]) | st.floats(0.05, 0.95), min_size=d, max_size=d))
+    margins = draw(st.lists(_KERNEL_MARGINS, min_size=d, max_size=d))
+    config = ProcessConfig(d, c, margins, draw(_KERNEL_COPULAS))
+    m = draw(st.integers(0, 4), label="m")
+    x = np.array(draw(st.lists(st.floats(0.05, 50.0), min_size=m * d, max_size=m * d)))
+    if m:
+        for k, v in draw(st.lists(st.tuples(st.integers(0, m * d - 1), _KERNEL_SPECIAL), max_size=3)):
+            x[k] = v
+    first = draw(st.sampled_from([0, 1]), label="first")
+    last = draw(st.sampled_from([1, 2, 40, 350, 1000]), label="last")
+    threshold = draw(st.sampled_from([_KERNEL_TOL, 1e-6, 1e-3]), label="threshold")
+    # tiled copies make batches of up to 360 entries, whose first chunk
+    # is shorter; the reference loop runs once per distinct row
+    copies = draw(st.sampled_from([1, 5, 30]), label="copies")
+    return config, x.reshape(m, d), first, last, threshold, copies
+
+
+@settings(max_examples=200)
+@given(_kernel_cases())
+@example(  # unit Frechet at c = 0.99: 689 and 620 factors, then converged
+    (d1_config(c=0.99), np.array([[1.0], [2.0]]), 0, 1000, 1e-3, 1)
+)
+@example(  # the same row runs out of factors before converging
+    (d1_config(c=0.99), np.array([[1.0]]), 0, 350, _KERNEL_TOL, 1)
+)
+@example(  # a row with x_j = 0 beside a row that takes one chunk
+    (
+        ProcessConfig(2, (0.3, 0.99), (MarginSpec.uniform01(), FRECHET1), CopulaSpec.gumbel(2.0)),
+        np.array([[0.0, 1.0], [0.5, math.inf]]),
+        1,
+        1000,
+        _KERNEL_TOL,
+        30,
+    )
+)
+def test_log_product_equals_term_by_term_loop(case):
+    config, x, first, last, threshold, copies = case
+    expected = _reference_log_product(config, x, first, last, threshold)
+    total, n_terms, converged = armax._log_product(config, np.tile(x, (copies, 1)), first, last, threshold)
+    assert total.shape == n_terms.shape == converged.shape == (copies * len(x),)
+    assert np.array_equal(total.view(np.int64), np.tile(np.array(expected[0]).view(np.int64), copies))
+    assert n_terms.tolist() == expected[1] * copies
+    assert converged.tolist() == expected[2] * copies
 
 
 def test_stationary_marginal_quantile_round_trip():

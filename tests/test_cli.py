@@ -492,13 +492,14 @@ def test_tail_dep_refuses_bad_parameters_before_drawing_a_path(
     assert not out.exists()
 
 
-def test_tail_dep_without_cells_refuses_nothing():
-    # no (pair, lag) cell uses t, so it is not checked, as before
-    config = cli.resolve_run_config(cli.run_config_from_dict({
-        "command": "tail_dep", "process": D1_INDEP, "n": 1000, "seed": 1,
-        "pairs": [], "t": 5.0,
-    }))
-    assert config.pairs == () and config.t == 5.0
+def test_tail_dep_without_cells_is_refused(tmp_path, monkeypatch, capsys):
+    # an empty cell grid would write a header-only CSV; it is refused
+    # before any parameter check, so t = 5.0 is not what refuses it
+    for empty in ({"pairs": []}, {"r_list": []}):
+        test_tail_dep_refuses_bad_parameters_before_drawing_a_path(
+            tmp_path, monkeypatch, capsys, {**empty, "t": 5.0},
+            "tail_dep needs at least one pair and one lag in r_list",
+        )
 
 
 # -------------------------------------------------------------------- copula
