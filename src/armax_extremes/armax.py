@@ -478,10 +478,14 @@ def check_stationarity(
 
 
 def stationary_marginal_cdf(c: float, x):
-    """Stationary marginal CDF for a unit-Frechet margin: ``exp(-1/((1-c)x))``."""
+    """Stationary marginal CDF for a unit-Frechet margin: ``exp(-1/((1-c)x))``.
+
+    A nan entry raises ``ValueError``.
+    """
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
     arr = np.asarray(x, dtype=float)
+    _check_points(arr)
     scalar = arr.ndim == 0
     with np.errstate(divide="ignore"):
         out = np.where(arr > 0, np.exp(-1.0 / ((1.0 - c) * np.maximum(arr, 1e-300))), 0.0)
@@ -534,9 +538,12 @@ def stationary_marginal_quantile(
 @functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
 def _stationary_quantile(margin: MarginSpec, c: float, p: float, trunc_tol: float) -> float:
     log_p = math.log(p)
+    # the one-component law of `stationary_marginal_logcdf`, built once
+    # per solve; the iterates are finite, so its checks are not repeated
+    one = ProcessConfig(1, (c,), (margin,), CopulaSpec.independence())
 
     def excess(v: float) -> float:
-        return stationary_marginal_logcdf(margin, c, v, trunc_tol) - log_p
+        return float(_stationary_logcdf(one, np.array([[v]]), trunc_tol, 10_000)[0]) - log_p
 
     # F <= G factorwise, so the innovation quantile brackets from below
     lo = float(margin_quantile(margin, p))
@@ -674,13 +681,14 @@ def normalized_level(c: float, n: int, tau: float) -> float:
     stationary marginal ``F_c``.
 
     Solves ``F_c(u) = 1 - tau/n`` exactly: ``u = -1 / ((1-c) log(1 - tau/n))``.
-    ``tau = 0`` maps to ``inf``; ``tau >= n`` is out of range.
+    ``tau = 0`` maps to ``inf``; ``tau >= n`` is out of range, and so is
+    a nan ``tau``.
     """
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     if tau == 0:
         return math.inf

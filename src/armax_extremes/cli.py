@@ -3,12 +3,13 @@
 Subcommands: ``simulate``, ``estimate``, ``extremal-index``, ``tail-dep``,
 ``copula``, ``montecarlo``.  Each takes a JSON config (``--config``) whose
 ``command`` field, when present, must match the subcommand; ``--seed``,
-``--out`` and ``--replicates`` override the corresponding config entries,
-and ``--print-config`` echoes the fully resolved configuration instead of
-running.  Every CSV has a header row and 17-significant-digit floats;
-values that could not be computed are the literal ``nan`` with a reason in
-the ``flag`` column.  Exit codes: 0 success (warnings go to stderr),
-2 configuration error, 3 numeric failure.
+``--out``, ``--replicates`` and, for ``montecarlo``, ``--workers``
+override the corresponding config entries, and ``--print-config`` echoes
+the fully resolved configuration instead of running.  Every CSV has a
+header row and 17-significant-digit floats; values that could not be
+computed are the literal ``nan`` with a reason in the ``flag`` column.
+Exit codes: 0 success (warnings go to stderr), 2 configuration error,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .estimation import (
     build_estimate_report,
 )
 from .extremal import (
+    check_extremal_index_parameters,
     empirical_mv_extremal_index,
     process_mv_extremal_index,
 )
@@ -56,10 +58,9 @@ from .schema import (
 from .taildep import (
     DEFAULT_T_GRID,
     REGIME_BAND,
-    _column_orders,
-    _empirical_cell,
     check_tail_dep_parameters,
     classify_tail_regime,
+    empirical_cells,
     theoretical_lag_tdc,
 )
 
@@ -157,8 +158,13 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
             for row in config.tau_grid:
                 if len(row) != config.process.d:
                     raise ConfigurationError("tau_grid rows must have length d")
-        if config.k is None:
-            updates["k"] = math.ceil(math.sqrt(config.n))
+        # refused here, before the path is drawn
+        try:
+            updates["k"] = check_extremal_index_parameters(
+                config.n, config.k, updates.get("tau_grid", config.tau_grid)
+            )
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
     elif cmd == "tail_dep":
         d = config.process.d
         if config.r_list is None:
@@ -383,37 +389,19 @@ def _run_tail_dep(config: RunConfig) -> int:
         "regime",
         "flag",
     ]
-    # each column is sorted once and each window ranked once; a lag's
-    # windows serve only that lag's cells, so they are dropped after it
-    ranks = _column_orders(path.data, range(process.d))
-    empirical = {}
-    for r in config.r_list:
-        for j, jp in config.pairs:
-            try:
-                empirical[j, jp, r] = _empirical_cell(
-                    path.data, ranks, j, jp, r, config.t, config.k
-                )
-            except (ValueError, UndefinedResultError) as exc:
-                # raised or flagged in row order below, after the cell's
-                # theoretical value, as if each cell ran alone
-                empirical[j, jp, r] = exc
-        ranks.cache_clear()
+    cells = [(j, jp, r) for j, jp in config.pairs for r in config.r_list]
     rows = []
-    for j, jp in config.pairs:
-        for r in config.r_list:
-            lam_theo = theoretical_lag_tdc(process, j, jp, r, config.t_grid)
-            cell = empirical[j, jp, r]
-            if isinstance(cell, UndefinedResultError):
-                lam_emp = eta_emp = regime = None
-                flag = "empirical_undefined"
-                _warn(f"pair ({j},{jp}) lag {r}: {cell}")
-            elif isinstance(cell, ValueError):
-                raise cell
-            else:
-                lam_emp, eta_emp = cell
-                regime = classify_tail_regime(lam_emp, eta_emp)
-                flag = "ok"
-            rows.append([j, jp, r, lam_theo, lam_emp, eta_emp, regime, flag])
+    for (j, jp, r), cell in zip(cells, empirical_cells(path, cells, config.t, config.k)):
+        lam_theo = theoretical_lag_tdc(process, j, jp, r, config.t_grid)
+        if isinstance(cell, UndefinedResultError):
+            lam_emp = eta_emp = regime = None
+            flag = "empirical_undefined"
+            _warn(f"pair ({j},{jp}) lag {r}: {cell}")
+        else:
+            lam_emp, eta_emp = cell
+            regime = classify_tail_regime(lam_emp, eta_emp)
+            flag = "ok"
+        rows.append([j, jp, r, lam_theo, lam_emp, eta_emp, regime, flag])
     _write_csv(config.output_path, header, rows)
     print(
         f"tail-dep: wrote {len(rows)} rows to {config.output_path} "

@@ -34,6 +34,7 @@ __all__ = [
     "process_mv_extremal_index",
     "empirical_extremal_index_runs",
     "empirical_mv_extremal_index",
+    "check_extremal_index_parameters",
 ]
 
 
@@ -76,8 +77,7 @@ def _index_levels(domains, c, tau, batch: bool = False):
     if c.shape != (d,) or tau.ndim not in (1, 1 + batch) or tau.shape[-1] != d:
         grid = f" or (m, {d})" if batch else ""
         raise ValueError(f"c must have shape ({d},) and tau shape ({d},){grid}")
-    if (tau < 0).any() or not (tau > 0).any(axis=-1).all():
-        raise ValueError("tau must be nonnegative with at least one positive entry")
+    _check_tau(tau)
     index_set = tuple(j for j, dom in enumerate(domains) if dom.is_frechet)
     levels = np.zeros(tau.shape[:-1] + (2, d))
     levels[..., 0, :] = tau
@@ -85,6 +85,26 @@ def _index_levels(domains, c, tau, batch: bool = False):
         # a scalar power: numpy's array power can differ from it by an ulp
         levels[..., 1, j] = tau[..., j] * c[j] ** domains[j].alpha
     return index_set, levels
+
+
+def _check_tau(tau: np.ndarray) -> None:
+    if (tau < 0).any() or not (tau > 0).any(axis=-1).all():
+        raise ValueError("tau must be nonnegative with at least one positive entry")
+
+
+def check_extremal_index_parameters(n: int, k: int | None, tau) -> int:
+    """``k``, or its default ``ceil(sqrt(n))``, for `empirical_mv_extremal_index`
+    on an ``n``-row path, after raising the ``ValueError`` that estimator
+    raises for ``k`` or for a direction or grid ``tau`` with a negative
+    entry or a row without a positive one, so a caller can refuse them
+    before drawing a path.
+    """
+    _check_tau(np.asarray(tau, dtype=float))
+    if k is None:
+        k = math.ceil(math.sqrt(n))
+    if not 0 < k < n:
+        raise ValueError("k must lie strictly between 0 and n")
+    return k
 
 
 def _index_result(theta: float, levels: np.ndarray, index_set, domains, c) -> ExtremalIndexResult:
@@ -199,10 +219,7 @@ def empirical_mv_extremal_index(
     if len(domains) != d:
         raise ValueError("domains must match the number of columns")
     index_set, levels = _index_levels(domains, c_est, tau, batch=True)
-    if k is None:
-        k = math.ceil(math.sqrt(n))
-    if not 0 < k < n:
-        raise ValueError("k must lie strictly between 0 and n")
+    k = check_extremal_index_parameters(n, k, tau)
 
     if not index_set:
         theta = np.ones(levels.shape[:-2])

@@ -123,29 +123,31 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
 
 
 def margin_cdf(spec: MarginSpec, x):
-    """CDF of ``spec`` at ``x`` (scalar or array)."""
+    """CDF of ``spec`` at ``x`` (scalar or array); a nan entry gives nan."""
+    # nan <= 0 is false, so in np.where(arr <= 0, 0.0, ...) a nan entry
+    # takes the formula's nan rather than reading as a point below 0
     arr, scalar = _as_array(x)
     if spec.kind == "frechet":
         with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(arr > 0, np.exp(-np.power(np.maximum(arr, 1e-300), -spec.alpha)), 0.0)
+            out = np.where(arr <= 0, 0.0, np.exp(-np.power(np.maximum(arr, 1e-300), -spec.alpha)))
     elif spec.kind == "exponential":
-        out = np.where(arr > 0, -np.expm1(-spec.rate * np.maximum(arr, 0.0)), 0.0)
+        out = np.where(arr <= 0, 0.0, -np.expm1(-spec.rate * np.maximum(arr, 0.0)))
     elif spec.kind == "uniform01":
         out = np.clip(arr, 0.0, 1.0)
     elif spec.kind == "gpd":
         out = _gpd_cdf(spec.shape, spec.scale, arr)
     else:  # weibull_min
-        out = np.where(arr > 0, -np.expm1(-np.power(np.maximum(arr, 0.0), spec.k)), 0.0)
+        out = np.where(arr <= 0, 0.0, -np.expm1(-np.power(np.maximum(arr, 0.0), spec.k)))
     return _maybe_scalar(out, scalar)
 
 
 def _gpd_cdf(shape: float, scale: float, arr: np.ndarray) -> np.ndarray:
     if abs(shape) < GPD_SHAPE_TOL:
-        return np.where(arr > 0, -np.expm1(-np.maximum(arr, 0.0) / scale), 0.0)
+        return np.where(arr <= 0, 0.0, -np.expm1(-np.maximum(arr, 0.0) / scale))
     z = np.maximum(arr, 0.0) / scale
     inner = np.maximum(1.0 + shape * z, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.where(arr > 0, -np.expm1(np.log(np.maximum(inner, 1e-300)) * (-1.0 / shape)), 0.0)
+        out = np.where(arr <= 0, 0.0, -np.expm1(np.log(np.maximum(inner, 1e-300)) * (-1.0 / shape)))
     if shape < 0:
         # beyond the finite endpoint -scale/shape the CDF is exactly one
         out = np.where(arr >= -scale / shape, 1.0, out)

@@ -42,6 +42,7 @@ __all__ = [
     "tdc_bounds",
     "empirical_tdc",
     "empirical_eta",
+    "empirical_cells",
     "check_tail_dep_parameters",
     "eta_bounds_within_series",
     "classify_tail_regime",
@@ -301,14 +302,6 @@ def _rank_eta(head: np.ndarray, tail: np.ndarray, k: int | None) -> float:
     return min(eta, 1.0)
 
 
-def _empirical_cell(data: np.ndarray, ranks, j: int, jp: int, r: int, t: float, k):
-    """``(empirical_tdc, empirical_eta)`` of one ``(j, jp, r)`` cell from
-    the window ranks of `_column_orders`, so a caller with many cells
-    sorts each column and ranks each window once."""
-    head, tail = _lagged_ranks(data, ranks, j, jp, r)
-    return _rank_tdc(head, tail, t), _rank_eta(head, tail, k)
-
-
 def _path_data(path) -> np.ndarray:
     data = np.asarray(getattr(path, "data", path), dtype=float)
     if data.ndim == 1:
@@ -340,6 +333,32 @@ def empirical_eta(path, j: int, jp: int, r: int, k: int | None = None) -> float:
     """
     data = _path_data(path)
     return _rank_eta(*_lagged_ranks(data, _column_orders(data, {j, jp}), j, jp, r), k)
+
+
+def empirical_cells(path, cells, t: float, k: int | None = None) -> list:
+    """`empirical_tdc` and `empirical_eta` of many ``(j, jp, r)`` cells.
+
+    Returns, per cell in the order given, ``(lam, eta)`` or the
+    `UndefinedResultError` that cell raised; a bad lag, ``t`` or ``k``
+    raises its ``ValueError``.  Each column is sorted once and each
+    (column, window) ranked once.  Cells are taken lag by lag and a lag's
+    windows are dropped after it, so one lag's ranks are held at a time.
+    """
+    data = _path_data(path)
+    cells = list(cells)
+    ranks = _column_orders(data, {col for j, jp, _ in cells for col in (j, jp)})
+    out: list = [None] * len(cells)
+    for lag in dict.fromkeys(r for _, _, r in cells):
+        for i, (j, jp, r) in enumerate(cells):
+            if r != lag:
+                continue
+            head, tail = _lagged_ranks(data, ranks, j, jp, r)
+            try:
+                out[i] = _rank_tdc(head, tail, t), _rank_eta(head, tail, k)
+            except UndefinedResultError as exc:
+                out[i] = exc
+        ranks.cache_clear()
+    return out
 
 
 def eta_bounds_within_series(margin: MarginSpec, c: float, r: int) -> tuple[float, float]:

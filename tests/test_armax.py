@@ -562,6 +562,14 @@ def test_stationary_law_refuses_nan_points():
                 stationary_marginal_logcdf(margin, 0.5, x)
 
 
+def test_unit_frechet_level_and_cdf_refuse_nan():
+    for x in (math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError, match=r"^x entries must not be nan$"):
+            stationary_marginal_cdf(0.5, x)
+    with pytest.raises(ValueError, match=r"^tau must be nonnegative$"):
+        normalized_level(0.5, 100, math.nan)
+
+
 def _reference_log_product(config, x, first, last, threshold):
     """`armax._log_product` as a term-by-term loop over each row alone,
     through the public, validating copula entry."""

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from armax_extremes import cli, taildep
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec
-from armax_extremes.errors import ConfigurationError
+from armax_extremes.errors import ConfigurationError, UndefinedResultError
 from armax_extremes.estimation import VARIANCE_CONVENTIONS, build_estimate_report
 from armax_extremes.margins import MarginSpec
 from armax_extremes.schema import canonical_json
@@ -171,13 +171,16 @@ def test_path_writer_chunks_render_like_fmt(tmp_path, monkeypatch):
     assert "nan,inf" in expected.read_text() and "-inf,-0\n" in expected.read_text()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize("package", ["scipy", "concurrent.futures"])
+def test_cli_import_leaves_scipy_unloaded(package):
+    # montecarlo imports concurrent.futures only when it asks for a pool
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, armax_extremes.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+            f"print(sorted(m for m in sys.modules if m == {package!r} "
+            f"or m.startswith({package + '.'!r})))",
         ],
         capture_output=True,
         text=True,
@@ -348,6 +351,37 @@ def test_extremal_index_undefined_flags_every_row(tmp_path, monkeypatch, capsys)
     assert [(r[3], r[6]) for r in rows] == [("nan", "empirical_undefined")] * 2
 
 
+@pytest.mark.parametrize(
+    "extra, fragment",
+    [
+        ({"tau_grid": [[-1.0, 1.0]]}, "tau must be nonnegative with at least one positive entry"),
+        ({"tau_grid": [[1.0, 1.0], [0.0, 0.0]]}, "tau must be nonnegative with at least one"),
+        ({"tau_grid": []}, "tau must be nonnegative with at least one positive entry"),
+        ({"k": 0}, "k must lie strictly between 0 and n"),
+        ({"k": 1000}, "k must lie strictly between 0 and n"),
+        ({"n": 2}, "k must lie strictly between 0 and n"),  # default k = ceil(sqrt 2) = 2
+    ],
+)
+def test_extremal_index_refuses_bad_parameters_before_drawing_a_path(
+    tmp_path, monkeypatch, capsys, extra, fragment
+):
+    def no_path(*args):
+        raise AssertionError("extremal-index drew a path")
+
+    monkeypatch.setattr(cli, "simulate_path", no_path)
+    out = tmp_path / "theta.csv"
+    cfg = write_config(tmp_path, "idx.json", {
+        "command": "extremal_index", "process": D2_GUMBEL, "n": 1000, "seed": 1,
+        "output_path": str(out), **extra,
+    })
+    for flags in ([], ["--print-config"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["extremal-index", "--config", cfg, *flags])
+        assert exit_.value.code == 2
+        assert f"config error: {fragment}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ tail dep
 
 
@@ -433,6 +467,49 @@ def test_tail_dep_ranks_each_window_once(tmp_path, monkeypatch):
     # 12 default cells read 10 distinct (column, window) rank vectors:
     # the two full columns at lag 0, then two heads and two tails per lag
     assert len(windows) == 10
+
+
+def test_tail_dep_flags_undefined_cells_in_row_order(tmp_path, monkeypatch, capsys):
+    # rows are pair-major while ranks are taken lag by lag: the two
+    # undefined cells below come in the opposite order lag by lag
+    n, undefined = 1000, {(0, 0, 1): "no head", (0, 1, 0): "no tail"}
+    data = simulate_path(ProcessConfig.from_dict(D2_GUMBEL), n, 3).data
+
+    def ranks(j, start, stop):
+        return np.argsort(np.argsort(data[start:stop, j])) + 1.0
+
+    windows = {cell: (ranks(cell[0], 0, n - cell[2]), ranks(cell[1], cell[2], n))
+               for cell in undefined}
+    rank_eta = taildep._rank_eta
+
+    def undefined_eta(head, tail, k):
+        for cell, (h, tl) in windows.items():
+            if np.array_equal(head, h) and np.array_equal(tail, tl):
+                raise UndefinedResultError(undefined[cell])
+        return rank_eta(head, tail, k)
+
+    monkeypatch.setattr(taildep, "_rank_eta", undefined_eta)
+    out = tmp_path / "tdc.csv"
+    cfg = write_config(tmp_path, "tdc.json", {
+        "command": "tail_dep", "process": D2_GUMBEL, "n": n, "seed": 3,
+        "pairs": [[0, 0], [0, 1]], "r_list": [0, 1], "output_path": str(out),
+    })
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["tail-dep", "--config", cfg])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: pair (0,0) lag 1: no head",
+        "warning: pair (0,1) lag 0: no tail",
+    ]
+    _, rows = read_rows(out)
+    assert [tuple(map(int, row[:3])) for row in rows] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    for row in rows:
+        assert math.isfinite(float(row[3]))
+        if tuple(map(int, row[:3])) in undefined:
+            assert row[4:] == ["nan", "nan", "nan", "empirical_undefined"]
+        else:
+            assert math.isfinite(float(row[4])) and math.isfinite(float(row[5]))
+            assert row[6] != "nan" and row[7] == "ok"
 
 
 def test_tail_dep_numeric_failure_exit_code(tmp_path):

@@ -68,6 +68,16 @@ def test_cdf_outside_support():
     assert margin_cdf(spec, 5.0) == 1.0
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_cdf_keeps_nan(spec):
+    # nan is not a point below the support, so it must not read as 0
+    x = np.array([math.nan, -1.0, 0.0, 0.5, 2.0, math.inf])
+    f = margin_cdf(spec, x)
+    assert math.isnan(margin_cdf(spec, math.nan))
+    assert np.isnan(f[0])
+    assert np.array_equal(f[1:], margin_cdf(spec, x[1:]))
+
+
 def test_attraction_domains():
     assert attraction_domain(MarginSpec.frechet(2.0)).kind == "frechet"
     assert attraction_domain(MarginSpec.frechet(2.0)).alpha == 2.0

@@ -12,10 +12,9 @@ from armax_extremes.margins import MarginSpec
 from armax_extremes.taildep import (
     DEFAULT_T_GRID,
     REGIME_BAND,
-    _column_orders,
-    _empirical_cell,
     _ordinal_ranks,
     classify_tail_regime,
+    empirical_cells,
     empirical_eta,
     empirical_tdc,
     eta_bounds_within_series,
@@ -246,11 +245,9 @@ def test_ordinal_ranks_match_rankdata():
 def test_empirical_cell_matches_public_estimators():
     cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
     data = simulate_path(cfg, 4_000, 21).data
-    orders = _column_orders(data, range(2))
-    for j, jp in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        for r in (0, 1, 5):
-            cell = _empirical_cell(data, orders, j, jp, r, 0.02, None)
-            assert cell == (empirical_tdc(data, j, jp, r, 0.02), empirical_eta(data, j, jp, r))
+    cells = [(j, jp, r) for j, jp in ((0, 0), (0, 1), (1, 0), (1, 1)) for r in (0, 1, 5)]
+    for (j, jp, r), cell in zip(cells, empirical_cells(data, cells, 0.02), strict=True):
+        assert cell == (empirical_tdc(data, j, jp, r, 0.02), empirical_eta(data, j, jp, r))
 
 
 def test_empirical_eta_validation():
