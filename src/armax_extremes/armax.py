@@ -53,7 +53,7 @@ __all__ = [
 
 DEFAULT_BURN_IN = 1000
 
-# distinct (margin, c, p, trunc_tol) solves kept by `_stationary_quantile`
+# distinct (margin, c, p) solves kept by `_stationary_quantile`
 _QUANTILE_CACHE_SIZE = 1024
 
 # the lane sweeps of the recursion (see `_block_length`); chosen from
@@ -62,9 +62,9 @@ _BLOCK_MEMORIES = 6
 _MIN_BLOCKS = 160
 _MAX_SWEEPS = 8
 
-# first chunk of the truncated product (see `_first_chunk`); at
-# trunc_tol = 1e-12 a point with light-tailed margins, or with unit
-# Frechet margins at c up to 0.6, needs fewer than 64 factors
+# first chunk of the truncated product (see `_first_chunk`); a point with
+# light-tailed margins, or with unit Frechet margins at c up to 0.6,
+# needs fewer than 64 factors
 _FIRST_CHUNK_TERMS = 64
 _MIN_FIRST_CHUNK_TERMS = 16
 _FIRST_CHUNK_CELLS = 4096
@@ -292,10 +292,6 @@ def apply_recursion(c, x0, innovations) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def _is_frechet(margin: MarginSpec) -> bool:
-    return margin.kind == "frechet"
-
-
 def _stationary_frechet_quantile(alpha: float, c: float, p: np.ndarray) -> np.ndarray:
     # stationary marginal for a frechet(alpha) margin is frechet(alpha)
     # scaled by (1 - c**alpha)**(-1/alpha)
@@ -321,32 +317,23 @@ def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
         seed = int(seed)
     rng = np.random.default_rng(seed)
     d = config.d
-    policy = config.init
-
-    exact = policy.kind == "exact_marginal" and all(_is_frechet(m) for m in config.margins)
-    if policy.kind == "exact_marginal" and not exact:
-        # closed-form stationary quantiles are unavailable: fall back to
-        # a burn-in long enough for the recursion memory to fade
-        policy = InitPolicy.burn_in(DEFAULT_BURN_IN)
-
-    if exact:
-        u0 = np.atleast_1d(copula_sample(config.copula, d, rng))
+    u0 = np.atleast_1d(copula_sample(config.copula, d, rng))
+    if config.init.kind == "exact_marginal" and all(m.kind == "frechet" for m in config.margins):
         x0 = np.array(
             [
                 _stationary_frechet_quantile(m.alpha, config.c[j], u0[j])
                 for j, m in enumerate(config.margins)
             ]
         )
-        n_rows = n
+        burn = 0
         init_used = "exact_marginal"
     else:
-        burn = policy.length
-        u0 = np.atleast_1d(copula_sample(config.copula, d, rng))
-        x0 = np.array(
-            [margin_quantile(m, u0[j]) for j, m in enumerate(config.margins)]
-        )
-        n_rows = burn + n
+        # without closed-form stationary quantiles, exact_marginal falls
+        # back to a burn-in long enough for the recursion memory to fade
+        burn = DEFAULT_BURN_IN if config.init.length is None else config.init.length
+        x0 = np.array([margin_quantile(m, u0[j]) for j, m in enumerate(config.margins)])
         init_used = f"burn_in:{burn}"
+    n_rows = burn + n
 
     # the innovations overwrite the uniforms they are drawn from
     innovations = copula_sample(config.copula, d, rng, size=n_rows)
@@ -354,10 +341,8 @@ def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
         innovations[:, j] = margin_quantile(m, innovations[:, j])
     data = np.empty((n_rows, d))
     _recurse(config.c, x0, innovations, data)
-    if n_rows > n:
-        data = data[n_rows - n :]
     return SamplePath(
-        data=data, seed=seed, config_digest=config.digest(), init_used=init_used
+        data=data[burn:], seed=seed, config_digest=config.digest(), init_used=init_used
     )
 
 
@@ -439,17 +424,12 @@ def _check_points(x: np.ndarray) -> None:
         raise ValueError("x entries must not be nan")
 
 
-def check_stationarity(
-    config: ProcessConfig,
-    probe=None,
-    tol: float = 1e-14,
-    max_terms: int = 10_000,
-) -> StationarityResult:
+def check_stationarity(config: ProcessConfig, probe=None) -> StationarityResult:
     """Evaluate ``sum_{i >= 1} -log G(probe / c**i)`` and test it.
 
     The process admits a stationary law exactly when this series is
     positive and finite.  Terms are nonincreasing in ``i``; summation
-    stops once a term drops below ``tol`` or after ``max_terms`` terms,
+    stops once a term drops below 1e-14 or after 10 000 terms,
     whichever comes first.  The default probe is ``c_j`` times the
     marginal median, so the first term is bounded away from both zero
     and infinity for any valid margin.
@@ -464,7 +444,7 @@ def check_stationarity(
             raise ValueError(f"probe must have shape ({config.d},)")
         if np.any(~(probe > 0.0)):
             raise ValueError("probe entries must be strictly positive")
-    log_total, n_terms, converged = _log_product(config, probe[None, :], 1, max_terms, tol)
+    log_total, n_terms, converged = _log_product(config, probe[None, :], 1, 10_000, 1e-14)
     total = 0.0 - float(log_total[0])  # +0.0, not -0.0, for a zero series
     converged = bool(converged[0])
     stationary = converged and 0.0 < total < math.inf
@@ -492,9 +472,7 @@ def stationary_marginal_cdf(c: float, x):
     return float(out) if scalar else out
 
 
-def stationary_marginal_logcdf(
-    margin: MarginSpec, c: float, x, trunc_tol: float = 1e-12
-) -> float | np.ndarray:
+def stationary_marginal_logcdf(margin: MarginSpec, c: float, x) -> float | np.ndarray:
     """Log stationary marginal CDF of one component for any margin,
     via the truncated product ``prod_{i >= 0} G(x / c**i)`` of the
     one-component process.
@@ -510,19 +488,17 @@ def stationary_marginal_logcdf(
         raise ValueError("x must be a scalar or a 1-d array")
     _check_points(x)
     one = ProcessConfig(1, (c,), (margin,), CopulaSpec.independence())
-    values = _stationary_logcdf(one, x.reshape(-1, 1), trunc_tol, 10_000)
+    values = _stationary_logcdf(one, x.reshape(-1, 1))
     return float(values[0]) if x.ndim == 0 else values
 
 
-def stationary_marginal_quantile(
-    margin: MarginSpec, c: float, p: float, trunc_tol: float = 1e-12
-) -> float:
+def stationary_marginal_quantile(margin: MarginSpec, c: float, p: float) -> float:
     """Quantile of the stationary marginal law of one component.
 
     Closed form for Frechet margins (the stationary marginal is again
     Frechet up to the scale ``(1 - c**alpha)**(-1/alpha)``), a bracketed
     root-find on the log product otherwise.  The root-find is memoised
-    on ``(margin, c, p, trunc_tol)``, so a repeated request returns the
+    on ``(margin, c, p)``, so a repeated request returns the
     identical float without solving again.
     """
     if not (0.0 < c < 1.0):
@@ -532,18 +508,18 @@ def stationary_marginal_quantile(
     if margin.kind == "frechet":
         scale = (1.0 - c**margin.alpha) ** (-1.0 / margin.alpha)
         return scale * (-math.log(p)) ** (-1.0 / margin.alpha)
-    return _stationary_quantile(margin, float(c), float(p), float(trunc_tol))
+    return _stationary_quantile(margin, float(c), float(p))
 
 
 @functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
-def _stationary_quantile(margin: MarginSpec, c: float, p: float, trunc_tol: float) -> float:
+def _stationary_quantile(margin: MarginSpec, c: float, p: float) -> float:
     log_p = math.log(p)
     # the one-component law of `stationary_marginal_logcdf`, built once
     # per solve; the iterates are finite, so its checks are not repeated
     one = ProcessConfig(1, (c,), (margin,), CopulaSpec.independence())
 
     def excess(v: float) -> float:
-        return float(_stationary_logcdf(one, np.array([[v]]), trunc_tol, 10_000)[0]) - log_p
+        return float(_stationary_logcdf(one, np.array([[v]]))[0]) - log_p
 
     # F <= G factorwise, so the innovation quantile brackets from below
     lo = float(margin_quantile(margin, p))
@@ -628,19 +604,17 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
     raise NumericLimitError(f"root finder did not converge in {maxiter} iterations")
 
 
-def stationary_joint_logcdf(
-    config: ProcessConfig, x, trunc_tol: float = 1e-12, max_terms: int = 10_000
-) -> float | np.ndarray:
+def stationary_joint_logcdf(config: ProcessConfig, x) -> float | np.ndarray:
     """``log F(x)`` via the truncated product ``prod_{i>=0} G(x / c**i)``.
 
     ``x`` is one point of shape ``(d,)``, giving a float, or a batch of
     shape ``(m, d)``, giving an ``(m,)`` array whose entries equal the
     one-point values of its rows exactly.  Factors are accumulated until
-    the next one would exceed ``1 - trunc_tol``; the neglected tail then
-    contributes at most about ``trunc_tol / (1 - max c)`` to ``-log F``.
-    Raises `ConfigurationError` when the product fails to converge at
-    any point, which is the non-stationary case, and ``ValueError`` for
-    a nan entry.
+    the next one would exceed ``1 - 1e-12``; the neglected tail then
+    contributes at most about ``1e-12 / (1 - max c)`` to ``-log F``.
+    Raises `ConfigurationError` when the product fails to converge
+    within 10 000 factors at any point, which is the non-stationary
+    case, and ``ValueError`` for a nan entry.
 
     An entry ``x_j = inf`` marginalizes component ``j`` out: its margin
     contributes ``G_j = 1`` to every factor, and the exchangeable
@@ -652,27 +626,24 @@ def stationary_joint_logcdf(
         raise ValueError(f"x must have shape ({config.d},) or (m, {config.d})")
     _check_points(x)
     if x.ndim == 1:
-        return float(_stationary_logcdf(config, x[None, :], trunc_tol, max_terms)[0])
-    return _stationary_logcdf(config, x, trunc_tol, max_terms)
+        return float(_stationary_logcdf(config, x[None, :])[0])
+    return _stationary_logcdf(config, x)
 
 
-def _stationary_logcdf(config: ProcessConfig, x: np.ndarray, trunc_tol: float, max_terms: int) -> np.ndarray:
-    total, _, converged = _log_product(config, x, 0, max_terms, -math.log1p(-trunc_tol))
+def _stationary_logcdf(config: ProcessConfig, x: np.ndarray) -> np.ndarray:
+    total, _, converged = _log_product(config, x, 0, 10_000, -math.log1p(-1e-12))
     if np.all(converged | (total == -math.inf)):
         return total
     raise ConfigurationError(
-        f"stationary product did not converge within {max_terms} factors; "
-        "the configuration is non-stationary at the requested point or "
-        "needs a larger max_terms"
+        "stationary product did not converge within 10000 factors; "
+        "the configuration is non-stationary at the requested point"
     )
 
 
-def stationary_joint_cdf(
-    config: ProcessConfig, x, trunc_tol: float = 1e-12, max_terms: int = 10_000
-) -> float | np.ndarray:
+def stationary_joint_cdf(config: ProcessConfig, x) -> float | np.ndarray:
     """Stationary joint CDF ``F(x) = prod_{i >= 0} G(x / c**i)``, at one
     point (float) or an ``(m, d)`` batch, as `stationary_joint_logcdf`."""
-    log_f = stationary_joint_logcdf(config, x, trunc_tol, max_terms)
+    log_f = stationary_joint_logcdf(config, x)
     return math.exp(log_f) if isinstance(log_f, float) else np.exp(log_f)
 
 

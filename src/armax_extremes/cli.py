@@ -3,7 +3,7 @@
 Subcommands: ``simulate``, ``estimate``, ``extremal-index``, ``tail-dep``,
 ``copula``, ``montecarlo``.  Each takes a JSON config (``--config``) whose
 ``command`` field, when present, must match the subcommand; ``--seed``,
-``--out``, ``--replicates`` and, for ``montecarlo``, ``--workers``
+``--out`` and, for ``montecarlo`` only, ``--replicates`` and ``--workers``
 override the corresponding config entries, and ``--print-config`` echoes
 the fully resolved configuration instead of running.  Every CSV has a
 header row and 17-significant-digit floats; values that could not be
@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,10 +172,6 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
             updates["r_list"] = (0, 1, 2)
         if config.pairs is None:
             updates["pairs"] = tuple((j, jp) for j in range(d) for jp in range(d))
-        else:
-            for j, jp in config.pairs:
-                if not (0 <= j < d and 0 <= jp < d):
-                    raise ConfigurationError("pair indices out of range")
         if config.t is None:
             updates["t"] = 0.02
         if config.t_grid is None:
@@ -185,7 +182,8 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
             raise ConfigurationError("tail_dep needs at least one pair and one lag in r_list")
         try:
             check_tail_dep_parameters(
-                resolved.n, resolved.r_list, resolved.t, resolved.k, resolved.t_grid
+                resolved.n, d, resolved.pairs, resolved.r_list, resolved.t, resolved.k,
+                resolved.t_grid,
             )
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
@@ -197,8 +195,6 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
             updates["replicates"] = 100
         elif config.replicates < 2:
             raise ConfigurationError("replicates must be at least 2")
-    elif cmd == "estimate" and config.input_path is None and config.seed is None:
-        raise ConfigurationError("estimate without an input file requires a seed")
     return replace(config, **updates) if updates else config
 
 
@@ -270,12 +266,16 @@ def _run_simulate(config: RunConfig) -> int:
 
 
 def _read_series_csv(path: str) -> np.ndarray:
+    # the first line with text decides the header; the blank lines before
+    # it are skipped too, since loadtxt refuses a line of spaces
     try:
         with open(path) as f:
-            first = f.readline()
+            first, blank = f.readline(), 0
+            while first and not first.strip():
+                first, blank = f.readline(), blank + 1
     except OSError as exc:
         raise ConfigurationError(f"cannot read input file {path}: {exc}") from exc
-    if not first.strip():
+    if not first:
         raise ConfigurationError(f"input file {path} is empty")
     tokens = [tok.strip() for tok in first.strip().split(",")]
     has_header = False
@@ -284,7 +284,10 @@ def _read_series_csv(path: str) -> np.ndarray:
     except ValueError:
         has_header = True
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
+        with warnings.catch_warnings():
+            # a header without rows is refused below, with its own message
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=blank + has_header, ndmin=2)
     except ValueError as exc:
         raise ConfigurationError(f"input file {path} is not numeric CSV: {exc}") from exc
     if has_header and tokens and tokens[0] == "t":
@@ -563,14 +566,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the config output path")
         p.add_argument(
-            "--replicates", type=int, default=None, help="override the replicate count"
-        )
-        p.add_argument(
             "--print-config",
             action="store_true",
             help="echo the resolved config as canonical JSON and exit",
         )
         if name == "montecarlo":
+            p.add_argument(
+                "--replicates", type=int, default=None, help="override the replicate count"
+            )
             p.add_argument(
                 "--workers", type=int, default=None, help="worker processes (default 1)"
             )
@@ -589,7 +592,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         # the command-line overrides go through the same field parsers
-        overrides = {"seed": args.seed, "output_path": args.out, "replicates": args.replicates,
+        overrides = {"seed": args.seed, "output_path": args.out,
+                     "replicates": getattr(args, "replicates", None),
                      "workers": getattr(args, "workers", None)}
         data = {"command": args.command, **data,
                 **{name: value for name, value in overrides.items() if value is not None}}

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ArmaxError", "ConfigurationError", "NumericLimitError", "UndefinedResultError"]
+
 
 class ArmaxError(Exception):
     """Base class for all package-specific errors."""

@@ -117,7 +117,9 @@ def estimate_c_davis_resnick(series) -> float:
         raise ValueError("series must hold at least two values")
     if np.any(x <= 0):
         raise ValueError("series entries must be positive")
-    return float(np.min(x[1:] / x[:-1]))
+    # inf / inf and a nan entry give nan, a ratio past the float range inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.min(x[1:] / x[:-1]))
 
 
 def cross_moment(c: float, r: int) -> float:
@@ -144,14 +146,14 @@ def cross_moment(c: float, r: int) -> float:
     return (1.0 - cr) / ((2.0 - c) * (2.0 - c - cr - cr * c))
 
 
-def asymptotic_variance(c: float, trunc_tol: float = 1e-14, max_terms: int = 10_000) -> float:
+def asymptotic_variance(c: float) -> float:
     """Variance of the limit law of ``sqrt(n) (U_bar - 1/(2-c))``:
 
         sigma2 = 1/(3-2c) - 1/(2-c)**2
                  + 2 * sum_{r>=1} (cross_moment(c, r) - 1/(2-c)**2).
 
-    The series stops once a term falls below ``trunc_tol`` in absolute
-    value (terms decay like ``c**r``) or after ``max_terms`` terms.
+    The series stops once a term falls below 1e-14 in absolute value
+    (terms decay like ``c**r``) or after 10 000 terms.
 
     .. warning::
         The closed form is not a variance for every ``c``: the
@@ -164,10 +166,10 @@ def asymptotic_variance(c: float, trunc_tol: float = 1e-14, max_terms: int = 10_
         raise ValueError("c must lie in (0, 1)")
     independent = 1.0 / (2.0 - c) ** 2
     total = 1.0 / (3.0 - 2.0 * c) - independent
-    for r in range(1, max_terms + 1):
+    for r in range(1, 10_001):
         term = cross_moment(c, r) - independent
         total += 2.0 * term
-        if abs(term) < trunc_tol:
+        if abs(term) < 1e-14:
             break
     return total
 
@@ -282,7 +284,9 @@ def hill_tail_index(series, k: int) -> float:
     top = x_sorted[n - k :]
     if pivot <= 0:
         raise ValueError("the top k+1 order statistics must be positive")
-    denom = float(np.sum(np.log(top / pivot)))
+    # inf / inf and a nan entry give nan, a ratio past the float range inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        denom = float(np.sum(np.log(top / pivot)))
     if denom == 0.0:
         raise UndefinedResultError("tied order statistics make the Hill denominator zero")
     return k / denom

@@ -88,7 +88,8 @@ def _index_levels(domains, c, tau, batch: bool = False):
 
 
 def _check_tau(tau: np.ndarray) -> None:
-    if (tau < 0).any() or not (tau > 0).any(axis=-1).all():
+    # `>= 0` is false for nan, so a nan entry is refused too
+    if not (tau >= 0).all() or not (tau > 0).any(axis=-1).all():
         raise ValueError("tau must be nonnegative with at least one positive entry")
 
 
@@ -96,8 +97,8 @@ def check_extremal_index_parameters(n: int, k: int | None, tau) -> int:
     """``k``, or its default ``ceil(sqrt(n))``, for `empirical_mv_extremal_index`
     on an ``n``-row path, after raising the ``ValueError`` that estimator
     raises for ``k`` or for a direction or grid ``tau`` with a negative
-    entry or a row without a positive one, so a caller can refuse them
-    before drawing a path.
+    or nan entry or a row without a positive one, so a caller can refuse
+    them before drawing a path.
     """
     _check_tau(np.asarray(tau, dtype=float))
     if k is None:

@@ -94,8 +94,7 @@ def lag_tdc_diagnostics(
     shrinking.
     """
     d = config.d
-    if not (0 <= j < d and 0 <= jp < d):
-        raise ValueError("component indices out of range")
+    _check_components(d, (j, jp))
     if r < 0:
         raise ValueError("lag r must be nonnegative")
     t_grid = _check_t_grid(t_grid)
@@ -212,6 +211,7 @@ def _column_orders(data: np.ndarray, columns):
     """``ranks(j, start, stop)``: the `_ordinal_ranks` of the window
     ``data[start:stop, j]`` of a listed column.  Each column is sorted
     once and each window ranked once, however many cells share it."""
+    _check_components(data.shape[1], columns)
     orders = {j: np.argsort(data[:, j], kind="stable") for j in columns}
 
     @functools.cache
@@ -219,6 +219,11 @@ def _column_orders(data: np.ndarray, columns):
         return _ordinal_ranks(data[:, j], orders[j], start, stop)
 
     return ranks
+
+
+def _check_components(d: int, components) -> None:
+    if not all(0 <= j < d for j in components):
+        raise ValueError("component indices out of range")
 
 
 def _check_t_grid(t_grid) -> tuple[float, ...]:
@@ -255,12 +260,16 @@ def _check_k(m: int, k: int | None) -> int:
     return k
 
 
-def check_tail_dep_parameters(n: int, r_list, t: float, k: int | None, t_grid) -> None:
+def check_tail_dep_parameters(
+    n: int, d: int, pairs, r_list, t: float, k: int | None, t_grid
+) -> None:
     """Raise the `ValueError` that `theoretical_lag_tdc`, `empirical_tdc`
-    or `empirical_eta` would raise for a cell at some lag of ``r_list``
-    of an ``n``-row path, with level ``t``, Hill count ``k`` and limit
-    grid ``t_grid``, so a caller can refuse them before drawing a path.
+    or `empirical_eta` would raise for a ``(j, jp)`` pair of ``pairs`` at
+    some lag of ``r_list`` of an ``n``-row, ``d``-column path, with level
+    ``t``, Hill count ``k`` and limit grid ``t_grid``, so a caller can
+    refuse them before drawing a path.
     """
+    _check_components(d, [col for pair in pairs for col in pair])
     _check_t_grid(t_grid)
     for r in r_list:
         m = _check_lag(n, r)
@@ -315,8 +324,8 @@ def empirical_tdc(path, j: int, jp: int, r: int, t: float) -> float:
     """Finite-t rank estimate of the lag-r TDC.
 
     Counts pairs with both ranks above ``(1-t)(n-r)`` relative to head
-    exceedances alone.  Requires ``t * (n-r) >= 10`` so the tail counts
-    are meaningful.
+    exceedances alone.  Requires ``0 <= j, jp < d`` and
+    ``t * (n-r) >= 10`` so the tail counts are meaningful.
     """
     data = _path_data(path)
     return _rank_tdc(*_lagged_ranks(data, _column_orders(data, {j, jp}), j, jp, r), t)
@@ -329,7 +338,7 @@ def empirical_eta(path, j: int, jp: int, r: int, k: int | None = None) -> float:
     with rank-based uniforms has survival ``t**(1/eta)`` up to slow
     variation, so its Hill tail index over the ``k`` upper order
     statistics estimates ``eta``.  ``k`` defaults to ``ceil(2 sqrt(n-r))``;
-    the estimate is clamped to ``(0, 1]``.
+    the estimate is clamped to ``(0, 1]``.  Requires ``0 <= j, jp < d``.
     """
     data = _path_data(path)
     return _rank_eta(*_lagged_ranks(data, _column_orders(data, {j, jp}), j, jp, r), k)
@@ -339,10 +348,11 @@ def empirical_cells(path, cells, t: float, k: int | None = None) -> list:
     """`empirical_tdc` and `empirical_eta` of many ``(j, jp, r)`` cells.
 
     Returns, per cell in the order given, ``(lam, eta)`` or the
-    `UndefinedResultError` that cell raised; a bad lag, ``t`` or ``k``
-    raises its ``ValueError``.  Each column is sorted once and each
-    (column, window) ranked once.  Cells are taken lag by lag and a lag's
-    windows are dropped after it, so one lag's ranks are held at a time.
+    `UndefinedResultError` that cell raised; a column index outside
+    ``[0, d)``, a bad lag, ``t`` or ``k`` raises its ``ValueError``.
+    Each column is sorted once and each (column, window) ranked once.
+    Cells are taken lag by lag and a lag's windows are dropped after it,
+    so one lag's ranks are held at a time.
     """
     data = _path_data(path)
     cells = list(cells)

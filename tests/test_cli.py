@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface (run as subprocesses)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +273,85 @@ def test_estimate_flags_are_warnings_not_errors(tmp_path):
     _, rows = read_rows(out)
     assert "lebedev_misfit" in rows[0][11]
     assert rows[0][4] == "nan"
+
+
+def _estimate_in_process(tmp_dir, content: bytes | None):
+    """Exit status, stdout and stderr of ``estimate`` on an input file
+    holding ``content`` (a directory for None), run in process with
+    warnings made errors."""
+    data = tmp_dir / "in.csv"
+    if content is None:
+        data.mkdir()
+    else:
+        data.write_bytes(content)
+    cfg = write_config(tmp_dir, "est.json", {
+        "command": "estimate", "input_path": str(data), "output_path": str(tmp_dir / "est.csv"),
+    })
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["estimate", "--config", cfg])
+    return exit_.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        (None, "cannot read input file"),
+        (b"", "is empty"),
+        (b"\n  \n", "is empty"),
+        (b"1.0\nabc\n", "is not numeric CSV"),
+        (b"1.0\n", "input file must hold at least two rows"),
+        (b"t,x1\n", "input file must hold at least two rows"),
+    ],
+    ids=["unreadable", "empty", "blank", "non-numeric", "one-row", "header-only"],
+)
+def test_estimate_refuses_bad_input_files(tmp_path, content, fragment):
+    code, out, err = _estimate_in_process(tmp_path, content)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and fragment in err
+    assert err.count("\n") == 1
+
+
+def test_estimate_skips_blank_lines_before_the_first_row(tmp_path):
+    for content in (b"\n1.0\n2.0\n3.0\n", b" \n\nt,x1\n0,1.0\n1,2.0\n2,3.0\n"):
+        code, out, _ = _estimate_in_process(tmp_path, content)
+        assert code == 0
+        assert out.startswith("estimate: wrote 1 rows")
+        _, rows = read_rows(tmp_path / "est.csv")
+        assert rows[0][:2] == ["0", "3"]
+
+
+_CSV_NUMBERS = st.sampled_from(
+    ["1.5", "0.25", "3", "7e2", "-2", "0", "1e-300", "1e300", "nan", "inf", "-inf"]
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text: an optional header over rows of one width, with up to
+    three blank lines, ragged rows or stray tokens put in anywhere."""
+    width = draw(st.integers(1, 3))
+    row = st.lists(_CSV_NUMBERS, min_size=width, max_size=width).map(",".join)
+    lines = draw(st.lists(row, max_size=8))
+    defect = st.sampled_from(["", " ", "t", "x"]) | st.lists(_CSV_NUMBERS, max_size=4).map(",".join)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(defect))
+    names = [f"x{j + 1}" for j in range(width)]
+    header = draw(st.sampled_from([[], [",".join(names)], [",".join(["t", *names[1:]])]]))
+    return "".join(line + "\n" for line in header + lines)
+
+
+@settings(max_examples=100, database=None)
+@given(_csv_texts())
+def test_estimate_input_files_exit_cleanly(tmp_path_factory, text):
+    # each file is estimated or refused, with no traceback and no Python
+    # warning
+    code, _, err = _estimate_in_process(tmp_path_factory.mktemp("fuzz"), text.encode())
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err and "Warning" not in err
 
 
 # ------------------------------------------------------------ extremal index
@@ -547,6 +629,7 @@ def test_tail_dep_numeric_failure_exit_code(tmp_path):
         ({"t_grid": [0.01]}, "t_grid must hold at least two values in (0, 1)"),
         ({"t_grid": [0.5, 0.0]}, "t_grid must hold at least two values in (0, 1)"),
         ({"t_grid": [0.001, 0.01]}, "t_grid must be strictly decreasing"),
+        ({"pairs": [[0, 2]]}, "component indices out of range"),
     ],
 )
 def test_tail_dep_refuses_bad_parameters_before_drawing_a_path(
@@ -761,6 +844,15 @@ def test_montecarlo_replicates_override(tmp_path):
     assert run_cli("montecarlo", "--config", cfg, "--replicates", "6").returncode == 0
     _, rows = read_rows(out)
     assert len(rows) == 6
+
+
+@pytest.mark.parametrize("command", [name for name in cli.COMMANDS if name != "montecarlo"])
+def test_only_montecarlo_takes_replicates_and_workers(capsys, command):
+    for flag in ("--replicates", "--workers"):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command.replace("_", "-"), "--config", "unused.json", flag, "3"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- print-config

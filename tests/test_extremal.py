@@ -9,6 +9,7 @@ from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec, DerivedCopula
 from armax_extremes.errors import UndefinedResultError
 from armax_extremes.extremal import (
+    check_extremal_index_parameters,
     empirical_extremal_index_runs,
     empirical_mv_extremal_index,
     marginal_extremal_index,
@@ -288,6 +289,22 @@ def test_empirical_mv_validation():
         empirical_mv_extremal_index(path, [FRE_DOM], [0.5], 100, [1.0])  # k = n
     with pytest.raises(ValueError):
         empirical_mv_extremal_index(path, [FRE_DOM, FRE_DOM], [0.5], None, [1.0])
+
+
+def test_nan_tau_entry_is_refused():
+    # nan is neither negative nor positive, so sign tests alone read it as 0
+    cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
+    path = simulate_path(cfg, 2_000, 1)
+    tau = [math.nan, 1.0]
+    calls = [
+        lambda: process_mv_extremal_index(cfg, tau),
+        lambda: empirical_mv_extremal_index(path, [FRE_DOM] * 2, cfg.c, None, tau),
+        lambda: check_extremal_index_parameters(2_000, None, [tau]),
+        lambda: theoretical_mv_extremal_index(CopulaSpec.gumbel(2.0), [FRE_DOM] * 2, cfg.c, tau),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^tau must be nonnegative with at least one positive entry$"):
+            call()
 
 
 def test_empirical_mv_grid_matches_rows():

@@ -13,6 +13,7 @@ from armax_extremes.taildep import (
     DEFAULT_T_GRID,
     REGIME_BAND,
     _ordinal_ranks,
+    check_tail_dep_parameters,
     classify_tail_regime,
     empirical_cells,
     empirical_eta,
@@ -179,6 +180,24 @@ def test_empirical_tdc_validation():
         empirical_tdc(pair, 0, 1, -1, 0.5)
     with pytest.raises(ValueError):
         empirical_tdc(pair, 0, 1, 99, 0.5)  # one lagged row left
+
+
+@pytest.mark.parametrize("j, jp", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+def test_column_indices_out_of_range_are_refused(j, jp):
+    # numpy indexing alone reads -1 as the last column and refuses 2 with
+    # an IndexError
+    cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
+    data = simulate_path(cfg, 1_000, 5).data
+    calls = [
+        lambda: empirical_tdc(data, j, jp, 0, 0.02),
+        lambda: empirical_eta(data, j, jp, 0),
+        lambda: empirical_cells(data, [(0, 1, 0), (j, jp, 0)], 0.02),
+        lambda: lag_tdc_diagnostics(cfg, j, jp, 0),
+        lambda: check_tail_dep_parameters(1_000, 2, [(0, 1), (j, jp)], [0], 0.02, None, DEFAULT_T_GRID),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^component indices out of range$"):
+            call()
 
 
 def test_empirical_rank_invariance():
