@@ -2,10 +2,11 @@
 
 Subcommands: ``simulate``, ``estimate``, ``extremal-index``, ``tail-dep``,
 ``copula``, ``montecarlo``.  Each takes a JSON config (``--config``) whose
-``command`` field, when present, must match the subcommand; ``--seed``,
-``--out`` and, for ``montecarlo`` only, ``--replicates`` and ``--workers``
-override the corresponding config entries, and ``--print-config`` echoes
-the fully resolved configuration instead of running.  Every CSV has a
+``command`` field, when present, must match the subcommand and whose
+other fields are those the command reads (`_COMMAND_FIELDS`); ``--out``
+and, where the command reads them, ``--seed``, ``--replicates`` and
+``--workers`` override those entries, and ``--print-config`` echoes the
+fully resolved configuration instead of running.  Every CSV has a
 header row and 17-significant-digit floats; values that could not be
 computed are the literal ``nan`` with a reason in the ``flag`` column.
 Exit codes: 0 success (warnings go to stderr), 2 configuration error,
@@ -15,6 +16,7 @@ Exit codes: 0 success (warnings go to stderr), 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -67,8 +69,6 @@ from .taildep import (
 
 __all__ = ["RunConfig", "run", "main"]
 
-COMMANDS = ("simulate", "estimate", "extremal_index", "tail_dep", "copula", "montecarlo")
-
 # rows of the simulated path formatted per write; a bounded chunk keeps
 # peak memory flat where one tolist() of the whole path would not
 _PATH_CHUNK_ROWS = 65536
@@ -90,8 +90,8 @@ class RunConfig:
     output_path: str | None = None
     input_path: str | None = None
     replicates: int | None = None
-    level: float = 0.95
-    convention: str = "delta_pow4"
+    level: float | None = None
+    convention: str | None = None
     k: int | None = None
     t: float | None = None
     t_grid: tuple[float, ...] | None = None
@@ -99,7 +99,7 @@ class RunConfig:
     pairs: tuple[tuple[int, int], ...] | None = None
     tau_grid: tuple[tuple[float, ...], ...] | None = None
     copula: CopulaSpec | DerivedCopula | None = None
-    workers: int = 1
+    workers: int | None = None
 
 
 _RUN_FIELDS = {
@@ -116,9 +116,29 @@ _RUN_FIELDS = {
 }
 
 
+# the fields each command reads, with the defaults resolving fills in;
+# a config field its command does not read is refused as unknown
+_PATH_FIELDS = dict.fromkeys(("process", "n", "seed", "output_path"))
+_COMMAND_FIELDS = {
+    "simulate": _PATH_FIELDS,
+    "estimate": {**_PATH_FIELDS, "input_path": None, "level": 0.95,
+                 "convention": "delta_pow4", "k": None},
+    "extremal_index": {**_PATH_FIELDS, "tau_grid": None, "k": None},
+    "tail_dep": {**_PATH_FIELDS, "pairs": None, "r_list": (0, 1, 2), "t": 0.02,
+                 "t_grid": DEFAULT_T_GRID, "k": None},
+    "copula": {"copula": None, "output_path": None},
+    "montecarlo": {**_PATH_FIELDS, "replicates": 100, "workers": 1},
+}
+COMMANDS = tuple(_COMMAND_FIELDS)
+
+
 def run_config_from_dict(data: dict) -> RunConfig:
     """Parse a JSON config dictionary into an unresolved `RunConfig`."""
-    return parse_fields(data, "config", _RUN_FIELDS, ("command",), RunConfig)
+    head = {"command": data.get("command")} if isinstance(data, dict) else data
+    command = parse_fields(head, "config", {"command": text}, ("command",))["command"]
+    # an unknown command is refused by resolve_run_config
+    names = ("command", *_COMMAND_FIELDS.get(command, _RUN_FIELDS))
+    return parse_fields(data, "config", {name: _RUN_FIELDS[name] for name in names}, (), RunConfig)
 
 
 def run_config_to_dict(config: RunConfig) -> dict:
@@ -127,22 +147,17 @@ def run_config_to_dict(config: RunConfig) -> dict:
 
 
 def resolve_run_config(config: RunConfig) -> RunConfig:
-    """Validate ``config`` and fill command-specific defaults."""
-    if config.command not in COMMANDS:
-        raise ConfigurationError(
-            f"command must be one of {COMMANDS}, got {config.command!r}"
-        )
-    if config.convention not in VARIANCE_CONVENTIONS:
-        raise ConfigurationError(f"convention must be one of {VARIANCE_CONVENTIONS}")
-    if not (0.0 <= config.level < 1.0):
-        raise ConfigurationError("level must lie in [0, 1)")
-    if config.workers < 1:
-        raise ConfigurationError("workers must be at least 1")
+    """Validate ``config`` and fill its command's defaults."""
     cmd = config.command
-    needs_process = cmd in ("simulate", "extremal_index", "tail_dep", "montecarlo") or (
-        cmd == "estimate" and config.input_path is None
-    )
-    if needs_process:
+    if cmd not in COMMANDS:
+        raise ConfigurationError(f"command must be one of {COMMANDS}, got {cmd!r}")
+    fields = _COMMAND_FIELDS[cmd]
+    config = replace(config, **{name: default for name, default in fields.items()
+                                if getattr(config, name) is None})
+    reads_file = cmd == "estimate" and config.input_path is not None
+    if reads_file and (config.process, config.n, config.seed) != (None, None, None):
+        raise ConfigurationError("estimate takes input_path or process, n and seed, not both")
+    if "process" in fields and not reads_file:
         if config.process is None:
             raise ConfigurationError(f"{cmd} requires a 'process' config")
         if config.n is None or config.n < 2:
@@ -152,7 +167,14 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
                 f"{cmd} draws a sample path and requires an explicit seed"
             )
     updates: dict = {}
-    if cmd == "extremal_index":
+    if cmd == "estimate":
+        if config.convention not in VARIANCE_CONVENTIONS:
+            raise ConfigurationError(f"convention must be one of {VARIANCE_CONVENTIONS}")
+        if not (0.0 <= config.level < 1.0):
+            raise ConfigurationError("level must lie in [0, 1)")
+        if not reads_file:  # refused here, before the path is drawn
+            _check_hill_k(config.k, config.n)
+    elif cmd == "extremal_index":
         if config.tau_grid is None:
             updates["tau_grid"] = (tuple(1.0 for _ in range(config.process.d)),)
         else:
@@ -168,14 +190,8 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
             raise ConfigurationError(str(exc)) from exc
     elif cmd == "tail_dep":
         d = config.process.d
-        if config.r_list is None:
-            updates["r_list"] = (0, 1, 2)
         if config.pairs is None:
             updates["pairs"] = tuple((j, jp) for j in range(d) for jp in range(d))
-        if config.t is None:
-            updates["t"] = 0.02
-        if config.t_grid is None:
-            updates["t_grid"] = DEFAULT_T_GRID
         resolved = replace(config, **updates)
         # refused here, before the path is drawn
         if not (resolved.pairs and resolved.r_list):
@@ -191,10 +207,10 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
         if config.copula is None:
             raise ConfigurationError("the copula command requires a 'copula' entry")
     elif cmd == "montecarlo":
-        if config.replicates is None:
-            updates["replicates"] = 100
-        elif config.replicates < 2:
+        if config.replicates < 2:
             raise ConfigurationError("replicates must be at least 2")
+        if config.workers < 1:
+            raise ConfigurationError("workers must be at least 1")
     return replace(config, **updates) if updates else config
 
 
@@ -266,40 +282,48 @@ def _run_simulate(config: RunConfig) -> int:
 
 
 def _read_series_csv(path: str) -> np.ndarray:
-    # the first line with text decides the header; the blank lines before
-    # it are skipped too, since loadtxt refuses a line of spaces
     try:
         with open(path) as f:
-            first, blank = f.readline(), 0
-            while first and not first.strip():
-                first, blank = f.readline(), blank + 1
+            # empty lines and lines of spaces are skipped wherever they
+            # stand; the first other line decides the header
+            lines = itertools.filterfalse(str.isspace, f)
+            first = next(lines, "")
+            tokens = [tok.strip() for tok in first.split(",")]
+            try:
+                [float(tok) for tok in tokens]
+                has_header = False
+            except ValueError:
+                has_header = True
+            with warnings.catch_warnings():
+                # a header without rows is refused below, with its own message
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = lines if has_header else itertools.chain([first], lines)
+                data = np.loadtxt(rows, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigurationError(f"cannot read input file {path}: {exc}") from exc
-    if not first:
-        raise ConfigurationError(f"input file {path} is empty")
-    tokens = [tok.strip() for tok in first.strip().split(",")]
-    has_header = False
-    try:
-        [float(tok) for tok in tokens]
-    except ValueError:
-        has_header = True
-    try:
-        with warnings.catch_warnings():
-            # a header without rows is refused below, with its own message
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=blank + has_header, ndmin=2)
     except ValueError as exc:
         raise ConfigurationError(f"input file {path} is not numeric CSV: {exc}") from exc
-    if has_header and tokens and tokens[0] == "t":
+    if not first:
+        raise ConfigurationError(f"input file {path} is empty")
+    # a first field t is a row index, unless it heads the only column
+    if has_header and tokens[0] == "t" and data.shape[1] > 1:
         data = data[:, 1:]
     if data.shape[0] < 2 or data.shape[1] < 1:
         raise ConfigurationError("input file must hold at least two rows")
     return data
 
 
+def _check_hill_k(k: int | None, n: int) -> None:
+    # a k outside (0, n) is a config error; hill_unavailable stays for
+    # what the data decide, such as ties or a nonpositive pivot
+    if k is not None and not 0 < k < n:
+        raise ConfigurationError("k must lie strictly between 0 and n")
+
+
 def _run_estimate(config: RunConfig) -> int:
     if config.input_path is not None:
         data = _read_series_csv(config.input_path)
+        _check_hill_k(config.k, len(data))
     else:
         data = simulate_path(config.process, config.n, config.seed).data
     header = [
@@ -559,24 +583,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation, estimation and tail analysis of ARMAX processes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS:
+    for name, fields in _COMMAND_FIELDS.items():
         cli_name = name.replace("_", "-")
         p = sub.add_parser(cli_name, help=f"run the {cli_name} command")
         p.add_argument("--config", required=True, help="path to a JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="override the config output path")
+        p.add_argument("--out", dest="output_path", help="override the config output path")
+        for field in ("seed", "replicates", "workers"):
+            if field in fields:
+                p.add_argument(f"--{field}", type=int, help=f"override the config {field}")
         p.add_argument(
             "--print-config",
             action="store_true",
             help="echo the resolved config as canonical JSON and exit",
         )
-        if name == "montecarlo":
-            p.add_argument(
-                "--replicates", type=int, default=None, help="override the replicate count"
-            )
-            p.add_argument(
-                "--workers", type=int, default=None, help="worker processes (default 1)"
-            )
         p.set_defaults(command=name)
     return parser
 
@@ -592,9 +611,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         # the command-line overrides go through the same field parsers
-        overrides = {"seed": args.seed, "output_path": args.out,
-                     "replicates": getattr(args, "replicates", None),
-                     "workers": getattr(args, "workers", None)}
+        overrides = {name: getattr(args, name, None) for name in _COMMAND_FIELDS[args.command]}
         data = {"command": args.command, **data,
                 **{name: value for name, value in overrides.items() if value is not None}}
     config = run_config_from_dict(data)

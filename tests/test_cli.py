@@ -44,6 +44,13 @@ def run_cli(*args):
     )
 
 
+def main_exit(argv):
+    """Exit status of ``cli.main(argv)`` run in process."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    return exit_.value.code
+
+
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -322,6 +329,47 @@ def test_estimate_skips_blank_lines_before_the_first_row(tmp_path):
         assert out.startswith("estimate: wrote 1 rows")
         _, rows = read_rows(tmp_path / "est.csv")
         assert rows[0][:2] == ["0", "3"]
+
+
+def test_estimate_keeps_a_lone_t_column_and_skips_lines_of_spaces(tmp_path):
+    # a header t drops its column only when another column follows it,
+    # and a line of spaces is skipped where an empty line is
+    for same in ((b"1\n2\n3\n", b"t\n1\n2\n3\n"), (b"1.0\n2.0\n\n3.0\n", b"1.0\n2.0\n  \n3.0\n")):
+        outputs = []
+        for content in same:
+            code, out, _ = _estimate_in_process(tmp_path, content)
+            assert code == 0 and out.startswith("estimate: wrote 1 rows")
+            outputs.append((tmp_path / "est.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        _, rows = read_rows(tmp_path / "est.csv")
+        assert rows[0][:2] == ["0", "3"]
+
+
+@pytest.mark.parametrize("k", [0, 1000])
+def test_estimate_refuses_a_hill_k_outside_0_n(tmp_path, monkeypatch, capsys, k):
+    def no_path(*args):
+        raise AssertionError("estimate drew a path")
+
+    fragment = "config error: k must lie strictly between 0 and n\n"
+    # a simulated path is refused before it is drawn, also under --print-config
+    monkeypatch.setattr(cli, "simulate_path", no_path)
+    out = tmp_path / "est.csv"
+    cfg = write_config(tmp_path, "est.json", {
+        "command": "estimate", "process": D1_INDEP, "n": 1000, "seed": 1, "k": k,
+        "output_path": str(out),
+    })
+    for flags in ([], ["--print-config"]):
+        assert main_exit(["estimate", "--config", cfg, *flags]) == 2
+        assert capsys.readouterr().err == fragment
+    # a file is refused once it is read
+    data = tmp_path / "in.csv"
+    data.write_text("".join(f"{i + 1.0}\n" for i in range(1000)))
+    cfg = write_config(tmp_path, "est.json", {
+        "command": "estimate", "input_path": str(data), "k": k, "output_path": str(out),
+    })
+    assert main_exit(["estimate", "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", fragment)
+    assert not out.exists()
 
 
 _CSV_NUMBERS = st.sampled_from(
@@ -873,9 +921,8 @@ def test_print_config_resolves_defaults_and_round_trips(tmp_path):
     assert resolved["t_grid"] == [0.01, 0.001, 0.0001, 1e-05]
     assert resolved["r_list"] == [0, 1, 2]
     assert resolved["pairs"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
-    assert resolved["level"] == 0.95
-    assert resolved["convention"] == "delta_pow4"
-    assert resolved["workers"] == 1
+    # tail_dep reads no level, convention or workers, so none is echoed
+    assert not {"level", "convention", "workers"} & set(resolved)
     assert (tmp_path / "x.csv").exists() is False  # print-config does not run
 
     # the echoed config is itself a valid config and resolves to itself
@@ -884,6 +931,16 @@ def test_print_config_resolves_defaults_and_round_trips(tmp_path):
     proc2 = run_cli("tail-dep", "--config", str(echo), "--print-config")
     assert proc2.returncode == 0
     assert proc2.stdout == proc.stdout
+
+    # the commands that read them echo their defaults
+    for command, extra, defaults in (
+        ("estimate", {"input_path": "in.csv"}, {"level": 0.95, "convention": "delta_pow4"}),
+        ("montecarlo", {"process": D1_INDEP, "n": 100, "seed": 1}, {"workers": 1, "replicates": 100}),
+    ):
+        cfg = write_config(tmp_path, "cfg.json", {"command": command, "output_path": "x.csv", **extra})
+        proc = run_cli(command, "--config", cfg, "--print-config")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout).items() >= defaults.items()
 
 
 # any JSON value, with the numbers most likely to slip through a coercion
@@ -911,7 +968,7 @@ _PROCESSES = [
      "init": {"kind": "burn_in", "length": 10}},
 ]
 _RUN_VALUES = {
-    "command": st.sampled_from(cli.COMMANDS),
+    "process": st.sampled_from(_PROCESSES).map(dict),
     "n": st.integers(2, 10**6),
     "seed": st.integers(0, 2**32),
     "output_path": st.text(max_size=5),
@@ -931,19 +988,23 @@ _RUN_VALUES = {
     ),
     "workers": st.integers(1, 4),
 }
-_OPTIONAL = sorted(set(_RUN_VALUES) - {"command", "n", "seed"})
+# estimate reads input_path or draws a path from process, n and seed
+_ESTIMATE_MODES = ({"input_path"}, {"process", "n", "seed"})
 
 
 @st.composite
 def _configs(draw):
-    """Config objects built from valid field values, with any optional
-    fields left out and up to three fields of the run or its process
-    replaced by any JSON value."""
-    process = dict(draw(st.sampled_from(_PROCESSES)))
-    data = {name: draw(values) for name, values in _RUN_VALUES.items()}
-    data["process"] = process
-    for name in draw(st.sets(st.sampled_from(_OPTIONAL))):
+    """Config objects of one command built from valid values of the
+    fields it reads, with any optional fields left out and up to three
+    fields of the run or its process replaced by any JSON value."""
+    command = draw(st.sampled_from(cli.COMMANDS))
+    names = set(cli._COMMAND_FIELDS[command])
+    if command == "estimate":
+        names -= draw(st.sampled_from(_ESTIMATE_MODES))
+    data = {"command": command, **{name: draw(_RUN_VALUES[name]) for name in sorted(names)}}
+    for name in draw(st.sets(st.sampled_from(sorted(names - {"process", "n", "seed"})))):
         del data[name]
+    process = data.get("process", {})
     for obj, name in draw(st.lists(st.sampled_from(
         [(data, name) for name in sorted(data)] + [(process, name) for name in sorted(process)]
     ), max_size=3)):
@@ -953,16 +1014,18 @@ def _configs(draw):
 
 def _resolves_or_refuses(data):
     """A config resolves or raises `ConfigurationError`; what resolves
-    prints as canonical JSON that parses and resolves back to itself."""
+    prints as canonical JSON that parses and resolves back to itself.
+    Returns whether it resolved."""
     try:
         config = cli.resolve_run_config(cli.run_config_from_dict(data))
     except ConfigurationError:
-        return
+        return False
     text = canonical_json(cli.run_config_to_dict(config))
     again = cli.run_config_from_dict(json.loads(text))
     assert again == config
     assert cli.resolve_run_config(again) == config
     assert canonical_json(cli.run_config_to_dict(again)) == text
+    return True
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -971,27 +1034,88 @@ def test_config_values_resolve_or_refuse_and_round_trip(data):
     _resolves_or_refuses(data)
 
 
+# one valid value of each field a config can set
+_FIELD_VALUES = {
+    "process": D2_GUMBEL, "n": 1000, "seed": 1, "output_path": "x.csv",
+    "input_path": "in.csv", "replicates": 5, "level": 0.9, "convention": "delta_pow4",
+    "k": 10, "t": 0.02, "t_grid": [0.01, 0.001], "r_list": [0, 1], "pairs": [[0, 1]],
+    "tau_grid": [[1.0, 0.5]], "copula": {"kind": "gumbel", "gamma": 2.0}, "workers": 2,
+}
+_REQUIRED = {"command", "process", "n", "seed", "output_path", "input_path", "copula"}
+
+
+def _full_configs(command, values=_FIELD_VALUES):
+    """The configs of ``command`` that set every field it reads: one, or
+    one per mode of estimate."""
+    data = {"command": command, **{name: values[name] for name in cli._COMMAND_FIELDS[command]}}
+    modes = _ESTIMATE_MODES if command == "estimate" else [set()]
+    return [{name: v for name, v in data.items() if name not in mode} for mode in modes]
+
+
+def _minimal(data):
+    """``data`` with every field that has a default left out."""
+    return {name: v for name, v in data.items() if name in _REQUIRED}
+
+
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_each_field_resolves_or_refuses_each_malformed_value(command):
     process = {**D2_GUMBEL, "init": {"kind": "burn_in", "length": 10}}
-    data = {
-        "command": command, "process": process, "n": 1000, "seed": 1,
-        "output_path": "x.csv", "input_path": "in.csv", "replicates": 5,
-        "level": 0.9, "convention": "delta_pow4", "k": 10, "t": 0.02,
-        "t_grid": [0.01, 0.001], "r_list": [0, 1], "pairs": [[0, 1]],
-        "tau_grid": [[1.0, 0.5]], "copula": {"kind": "gumbel", "gamma": 2.0},
-        "workers": 2,
-    }
-    required = {"command", "process", "n", "seed", "output_path", "copula"}
+    full = _full_configs(command, {**_FIELD_VALUES, "process": process})
     # every optional field set, and every one left to its default
-    for data in (data, {name: data[name] for name in required}):
-        _resolves_or_refuses(data)
+    for data in full + [_minimal(d) for d in full]:
+        assert _resolves_or_refuses(data)
         for name in set(data) - {"process"}:
             for value in _MALFORMED:
                 _resolves_or_refuses({**data, name: value})
-        for name in process:
+        for name in process if "process" in data else ():
             for value in _MALFORMED:
                 _resolves_or_refuses({**data, "process": {**process, name: value}})
+
+
+@pytest.mark.parametrize("field", sorted(_FIELD_VALUES))
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_command_takes_exactly_the_fields_it_reads(tmp_path, monkeypatch, capsys, command, field):
+    def no_path(*args):
+        raise AssertionError("a refused config drew a path")
+
+    monkeypatch.setattr(cli, "simulate_path", no_path)
+    # estimate reads input_path only in its file mode, the last one
+    full = _full_configs(command)
+    base = _minimal(full[-1] if field == "input_path" else full[0])
+    cli_name = command.replace("_", "-")
+    cfg = write_config(tmp_path, "cfg.json", {**base, field: _FIELD_VALUES[field]})
+    flag = [f"--{field}", "3"] if field in ("seed", "replicates", "workers") else []
+    if field in cli._COMMAND_FIELDS[command]:
+        assert main_exit([cli_name, "--config", cfg, "--print-config"]) == 0
+        assert field in json.loads(capsys.readouterr().out)
+        # the override flag of a field exists where the field is read
+        if flag:
+            base_cfg = write_config(tmp_path, "base.json", base)
+            assert main_exit([cli_name, "--config", base_cfg, *flag, "--print-config"]) == 0
+            assert json.loads(capsys.readouterr().out)[field] == 3
+        return
+    for flags in ([], ["--print-config"]):
+        assert main_exit([cli_name, "--config", cfg, *flags]) == 2
+        assert capsys.readouterr() == ("", f"config error: unknown config fields: ['{field}']\n")
+    if flag:
+        assert main_exit([cli_name, "--config", cfg, *flag]) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_print_config_echoes_the_fields_its_command_reads(tmp_path, capsys, command):
+    # set in full, a config echoes its command's row; left to its
+    # defaults, it echoes no field of another command's row
+    row = {"command", *cli._COMMAND_FIELDS[command]}
+    echoed = set()
+    full = _full_configs(command)
+    for data in full + [_minimal(d) for d in full]:
+        cfg = write_config(tmp_path, "cfg.json", data)
+        assert main_exit([command.replace("_", "-"), "--config", cfg, "--print-config"]) == 0
+        keys = set(json.loads(capsys.readouterr().out))
+        assert keys <= row
+        echoed |= keys
+    assert echoed == row
 
 
 # ------------------------------------------------------------- failure modes
@@ -1037,6 +1161,9 @@ def test_each_field_resolves_or_refuses_each_malformed_value(command):
         ({"command": "simulate", "process": {**D1_INDEP, "d": 1.7}, "n": 10,
           "seed": 1, "output_path": "x.csv"},
          "bad process config: d: must be an integer"),
+        ({"command": "estimate", "input_path": "p.csv", "process": D1_INDEP, "n": 10,
+          "seed": 1, "output_path": "x.csv"},
+         "estimate takes input_path or process, n and seed, not both"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, payload, fragment):
