@@ -424,26 +424,17 @@ def _check_points(x: np.ndarray) -> None:
         raise ValueError("x entries must not be nan")
 
 
-def check_stationarity(config: ProcessConfig, probe=None) -> StationarityResult:
+def check_stationarity(config: ProcessConfig) -> StationarityResult:
     """Evaluate ``sum_{i >= 1} -log G(probe / c**i)`` and test it.
 
     The process admits a stationary law exactly when this series is
     positive and finite.  Terms are nonincreasing in ``i``; summation
     stops once a term drops below 1e-14 or after 10 000 terms,
-    whichever comes first.  The default probe is ``c_j`` times the
-    marginal median, so the first term is bounded away from both zero
-    and infinity for any valid margin.
+    whichever comes first.  The probe is ``c_j`` times the marginal
+    median, so the first term is bounded away from both zero and
+    infinity for any valid margin.
     """
-    if probe is None:
-        probe = np.array(
-            [config.c[j] * margin_quantile(m, 0.5) for j, m in enumerate(config.margins)]
-        )
-    else:
-        probe = np.asarray(probe, dtype=float)
-        if probe.shape != (config.d,):
-            raise ValueError(f"probe must have shape ({config.d},)")
-        if np.any(~(probe > 0.0)):
-            raise ValueError("probe entries must be strictly positive")
+    probe = np.array([c * margin_quantile(m, 0.5) for c, m in zip(config.c, config.margins)])
     log_total, n_terms, converged = _log_product(config, probe[None, :], 1, 10_000, 1e-14)
     total = 0.0 - float(log_total[0])  # +0.0, not -0.0, for a zero series
     converged = bool(converged[0])

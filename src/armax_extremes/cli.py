@@ -59,7 +59,6 @@ from .schema import (
     vector,
 )
 from .taildep import (
-    DEFAULT_T_GRID,
     REGIME_BAND,
     check_tail_dep_parameters,
     classify_tail_regime,
@@ -94,7 +93,6 @@ class RunConfig:
     convention: str | None = None
     k: int | None = None
     t: float | None = None
-    t_grid: tuple[float, ...] | None = None
     r_list: tuple[int, ...] | None = None
     pairs: tuple[tuple[int, int], ...] | None = None
     tau_grid: tuple[tuple[float, ...], ...] | None = None
@@ -109,7 +107,6 @@ _RUN_FIELDS = {
     **dict.fromkeys(("n", "seed", "replicates", "k", "workers"), integer),
     **dict.fromkeys(("level", "t"), finite),
     **dict.fromkeys(("output_path", "input_path", "convention"), text),
-    "t_grid": vector(finite),
     "r_list": vector(integer),
     "pairs": vector(_pair),
     "tau_grid": vector(vector(finite)),
@@ -124,8 +121,7 @@ _COMMAND_FIELDS = {
     "estimate": {**_PATH_FIELDS, "input_path": None, "level": 0.95,
                  "convention": "delta_pow4", "k": None},
     "extremal_index": {**_PATH_FIELDS, "tau_grid": None, "k": None},
-    "tail_dep": {**_PATH_FIELDS, "pairs": None, "r_list": (0, 1, 2), "t": 0.02,
-                 "t_grid": DEFAULT_T_GRID, "k": None},
+    "tail_dep": {**_PATH_FIELDS, "pairs": None, "r_list": (0, 1, 2), "t": 0.02, "k": None},
     "copula": {"copula": None, "output_path": None},
     "montecarlo": {**_PATH_FIELDS, "replicates": 100, "workers": 1},
 }
@@ -198,8 +194,7 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
             raise ConfigurationError("tail_dep needs at least one pair and one lag in r_list")
         try:
             check_tail_dep_parameters(
-                resolved.n, d, resolved.pairs, resolved.r_list, resolved.t, resolved.k,
-                resolved.t_grid,
+                resolved.n, d, resolved.pairs, resolved.r_list, resolved.t, resolved.k
             )
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
@@ -207,6 +202,10 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
         if config.copula is None:
             raise ConfigurationError("the copula command requires a 'copula' entry")
     elif cmd == "montecarlo":
+        # the study reads column 0 only; column 0's law does not depend
+        # on the copula, so a d = 1 process gives the same study
+        if config.process.d != 1:
+            raise ConfigurationError("montecarlo studies one series: give a d = 1 process")
         if config.replicates < 2:
             raise ConfigurationError("replicates must be at least 2")
         if config.workers < 1:
@@ -419,7 +418,7 @@ def _run_tail_dep(config: RunConfig) -> int:
     cells = [(j, jp, r) for j, jp in config.pairs for r in config.r_list]
     rows = []
     for (j, jp, r), cell in zip(cells, empirical_cells(path, cells, config.t, config.k)):
-        lam_theo = theoretical_lag_tdc(process, j, jp, r, config.t_grid)
+        lam_theo = theoretical_lag_tdc(process, j, jp, r)
         if isinstance(cell, UndefinedResultError):
             lam_emp = eta_emp = regime = None
             flag = "empirical_undefined"

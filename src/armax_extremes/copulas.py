@@ -147,6 +147,9 @@ def copula_eval(spec: CopulaSpec | DerivedCopula, u) -> float:
     """Copula CDF ``C(u)`` for ``u`` in ``[0, 1]**d``; a `DerivedCopula`
     is evaluated by `derived_copula_logcdf`."""
     u = np.asarray(u, dtype=float)
+    # checked before the u == 0 shortcut, which would return 0
+    if isinstance(spec, DerivedCopula) and u.shape != (spec.dim,):
+        raise ValueError(f"u must have shape ({spec.dim},)")
     if u.ndim != 1 or u.size == 0:
         raise ValueError("u must be a non-empty 1-d array")
     if np.any(u < 0) or np.any(u > 1) or np.any(np.isnan(u)):
@@ -220,9 +223,6 @@ def derived_copula_logcdf(dc: DerivedCopula, log_u):
 
 def derived_copula_eval(dc: DerivedCopula, u) -> float:
     """Ratio-construction CDF ``C*(u)``; ``u_j = 0`` yields 0 by convention."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (dc.dim,):
-        raise ValueError(f"u must have shape ({dc.dim},)")
     return copula_eval(dc, u)
 
 

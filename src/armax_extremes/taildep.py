@@ -8,8 +8,9 @@ the tail dependence coefficient is the limit
 where ``C`` is the common (same-time) copula of the pair, ``F`` the
 stationary marginal of ``j'`` and ``z_t = c_j'**(-r) * w_t`` the level
 ``w_t = F^{-1}(1-t)`` pushed ``r`` steps up the recursion.  The limit is
-evaluated numerically on a decreasing ``t`` grid with one Richardson
-extrapolation step and clamped to its Frechet-Hoeffding envelope.
+evaluated numerically on the fixed decreasing grid `DEFAULT_T_GRID` with
+one Richardson extrapolation step and clamped to its Frechet-Hoeffding
+envelope.
 
 When lambda vanishes the residual association is measured by the
 Ledford-Tawn coefficient ``eta``, estimated by a Hill statistic on the
@@ -75,14 +76,8 @@ class LagTdcDiagnostics:
     bounds: tuple[float, float]
 
 
-def lag_tdc_diagnostics(
-    config: ProcessConfig,
-    j: int,
-    jp: int,
-    r: int,
-    t_grid=DEFAULT_T_GRID,
-) -> LagTdcDiagnostics:
-    """Evaluate the lag-r TDC limit expression along ``t_grid``.
+def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTdcDiagnostics:
+    """Evaluate the lag-r TDC limit expression along `DEFAULT_T_GRID`.
 
     Frechet-domain margins use the tail substitution
     ``F(c**(-r) w_t) ~ 1 - t * c**(r * alpha)``; all other margins use
@@ -90,14 +85,18 @@ def lag_tdc_diagnostics(
     copula is the comonotone diagonal when ``j == j'`` and the
     stationary pair law otherwise (the other components marginalized
     out at ``inf``), evaluated at the whole grid in one batch.  Raises
-    `NumericLimitError` when the grid increments grow instead of
-    shrinking.
+    `NumericLimitError` when the last grid increment exceeds 10 times
+    the previous one plus a noise floor.  The floor is
+    ``1e-12 / ((1 - max(c_j, c_j')) * t_last)``: the truncated product
+    leaves up to about ``1e-12 / (1 - c)`` in ``log F``, and the limit
+    expression divides it by ``t``.
     """
     d = config.d
     _check_components(d, (j, jp))
     if r < 0:
         raise ValueError("lag r must be nonnegative")
-    t_grid = _check_t_grid(t_grid)
+    t_grid = DEFAULT_T_GRID
+    t_last, t_prev = t_grid[-1], t_grid[-2]
 
     margin_jp = config.margins[jp]
     c_jp = config.c[jp]
@@ -138,12 +137,12 @@ def lag_tdc_diagnostics(
         lams.append(2.0 - middle)
 
     diffs = np.diff(lams)
-    if len(diffs) >= 2 and abs(diffs[-1]) > 10.0 * abs(diffs[-2]) + 1e-12:
+    floor = 1e-12 / ((1.0 - max(config.c[j], c_jp)) * t_last)
+    if abs(diffs[-1]) > 10.0 * abs(diffs[-2]) + floor:
         raise NumericLimitError(
             "lag TDC grid did not converge: last increment "
             f"{diffs[-1]:.3e} exceeds 10x the previous {diffs[-2]:.3e}"
         )
-    t_last, t_prev = t_grid[-1], t_grid[-2]
     lam_extrapolated = (lams[-1] * t_prev - lams[-2] * t_last) / (t_prev - t_last)
 
     if domain_jp.is_frechet:
@@ -163,15 +162,9 @@ def lag_tdc_diagnostics(
     )
 
 
-def theoretical_lag_tdc(
-    config: ProcessConfig,
-    j: int,
-    jp: int,
-    r: int,
-    t_grid=DEFAULT_T_GRID,
-) -> float:
+def theoretical_lag_tdc(config: ProcessConfig, j: int, jp: int, r: int) -> float:
     """Numeric lag-r tail dependence coefficient of ``(X_j, X_j')``."""
-    return lag_tdc_diagnostics(config, j, jp, r, t_grid).lam
+    return lag_tdc_diagnostics(config, j, jp, r).lam
 
 
 def tdc_bounds(c_jp: float, alpha_jp: float, r: int) -> tuple[float, float]:
@@ -226,15 +219,6 @@ def _check_components(d: int, components) -> None:
         raise ValueError("component indices out of range")
 
 
-def _check_t_grid(t_grid) -> tuple[float, ...]:
-    t_grid = tuple(float(t) for t in t_grid)
-    if len(t_grid) < 2 or any(t <= 0 or t >= 1 for t in t_grid):
-        raise ValueError("t_grid must hold at least two values in (0, 1)")
-    if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t_grid must be strictly decreasing")
-    return t_grid
-
-
 def _check_lag(n: int, r: int) -> int:
     """The number ``n - r`` of lag-r pairs in ``n`` rows."""
     if r < 0:
@@ -260,17 +244,14 @@ def _check_k(m: int, k: int | None) -> int:
     return k
 
 
-def check_tail_dep_parameters(
-    n: int, d: int, pairs, r_list, t: float, k: int | None, t_grid
-) -> None:
+def check_tail_dep_parameters(n: int, d: int, pairs, r_list, t: float, k: int | None) -> None:
     """Raise the `ValueError` that `theoretical_lag_tdc`, `empirical_tdc`
     or `empirical_eta` would raise for a ``(j, jp)`` pair of ``pairs`` at
     some lag of ``r_list`` of an ``n``-row, ``d``-column path, with level
-    ``t``, Hill count ``k`` and limit grid ``t_grid``, so a caller can
-    refuse them before drawing a path.
+    ``t`` and Hill count ``k``, so a caller can refuse them before
+    drawing a path.
     """
     _check_components(d, [col for pair in pairs for col in pair])
-    _check_t_grid(t_grid)
     for r in r_list:
         m = _check_lag(n, r)
         _check_t(m, t)

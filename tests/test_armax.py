@@ -365,12 +365,14 @@ def test_simulate_rejects_bad_n():
 # -------------------------------------------------------------- stationarity
 
 
-def test_stationarity_series_unit_frechet_probe_one():
-    # sum_{i>=1} c^i / x is geometric: c/((1-c) x) = 1 at c=0.5, x=1
-    res = check_stationarity(d1_config(), probe=[1.0])
+def test_stationarity_series_unit_frechet_default_probe():
+    # the probe is c times the median 1/ln 2, and sum_{i>=1} c^i / x is
+    # geometric: c/((1-c) x) = 2 ln 2 at c=0.5, x=0.5/ln 2
+    res = check_stationarity(d1_config())
+    assert res.probe == pytest.approx((0.5 / math.log(2.0),), rel=1e-15)
     assert res.stationary
     assert res.converged
-    assert res.series_value == pytest.approx(1.0, abs=1e-12)
+    assert res.series_value == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
 
 
 def test_stationarity_gpd_margins():
@@ -391,15 +393,6 @@ def test_stationarity_uniform_margin():
     # default probe is c * median = 0.25; only the i=1 term (at 0.5) is
     # inside the support, so the series is exactly log 2
     assert res.series_value == pytest.approx(math.log(2.0), abs=1e-15)
-
-
-def test_stationarity_probe_validation():
-    with pytest.raises(ValueError):
-        check_stationarity(d1_config(), probe=[0.0])
-    with pytest.raises(ValueError):
-        check_stationarity(d1_config(), probe=[-1.0])
-    with pytest.raises(ValueError):
-        check_stationarity(d1_config(), probe=[1.0, 1.0])
 
 
 # ------------------------------------------------- stationary distributions

@@ -649,18 +649,39 @@ def test_tail_dep_numeric_failure_exit_code(tmp_path):
         "tdc.json",
         {
             "command": "tail_dep",
-            "process": D1_INDEP,
+            # the lag-1 cell (1, 0) of this process has a diverging grid
+            "process": {
+                "d": 2,
+                "c": [0.3, 0.9],
+                "margins": [{"kind": "frechet", "alpha": 1.0}, {"kind": "exponential", "rate": 1.0}],
+                "copula": {"kind": "gumbel", "gamma": 4.0},
+            },
             "n": 1000,
             "seed": 7,
-            "pairs": [[0, 0]],
-            "r_list": [2],
-            "t_grid": [0.01, 0.0099, 1e-06],
+            "pairs": [[1, 0]],
+            "r_list": [1],
             "output_path": str(out),
         },
     )
     proc = run_cli("tail-dep", "--config", cfg)
     assert proc.returncode == 3
-    assert "numeric failure:" in proc.stderr
+    assert "numeric failure: lag TDC grid did not converge" in proc.stderr
+
+
+def test_tail_dep_writes_an_exact_limit(tmp_path):
+    # identical comonotone components: lambda is exactly 1, and the grid's
+    # truncation noise (last increment 4.4e-12) stays below the floor
+    out = tmp_path / "tdc.csv"
+    uniform = {"kind": "uniform01"}
+    cfg = write_config(tmp_path, "tdc.json", {
+        "command": "tail_dep",
+        "process": {"d": 2, "c": [0.5, 0.5], "margins": [uniform, uniform],
+                    "copula": {"kind": "comonotone"}},
+        "n": 1000, "seed": 1, "pairs": [[0, 1]], "r_list": [0], "output_path": str(out),
+    })
+    assert main_exit(["tail-dep", "--config", cfg]) == 0
+    header, rows = read_rows(out)
+    assert [row[header.index("lambda_theoretical")] for row in rows] == ["1"]
 
 
 @pytest.mark.parametrize(
@@ -674,9 +695,9 @@ def test_tail_dep_numeric_failure_exit_code(tmp_path):
         ({"r_list": [0, 600]}, "t * (n - r) must be at least 10"),
         ({"k": 0}, "k must lie strictly between 0 and n - r"),
         ({"k": 999, "r_list": [0, 1]}, "k must lie strictly between 0 and n - r"),
-        ({"t_grid": [0.01]}, "t_grid must hold at least two values in (0, 1)"),
-        ({"t_grid": [0.5, 0.0]}, "t_grid must hold at least two values in (0, 1)"),
-        ({"t_grid": [0.001, 0.01]}, "t_grid must be strictly decreasing"),
+        ({"t_grid": [0.01, 0.001]}, "unknown config fields: ['t_grid']"),
+        ({"pairs": [[-1, 0]]}, "component indices out of range"),
+        ({"pairs": [[0, 0], [1, 0]]}, "component indices out of range"),
         ({"pairs": [[0, 2]]}, "component indices out of range"),
     ],
 )
@@ -918,7 +939,6 @@ def test_print_config_resolves_defaults_and_round_trips(tmp_path):
     resolved = json.loads(proc.stdout)
     assert resolved["command"] == "tail_dep"
     assert resolved["t"] == 0.02
-    assert resolved["t_grid"] == [0.01, 0.001, 0.0001, 1e-05]
     assert resolved["r_list"] == [0, 1, 2]
     assert resolved["pairs"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
     # tail_dep reads no level, convention or workers, so none is echoed
@@ -978,7 +998,6 @@ _RUN_VALUES = {
     "convention": st.sampled_from(VARIANCE_CONVENTIONS),
     "k": st.integers(1, 100),
     "t": st.floats(1e-3, 0.5),
-    "t_grid": st.lists(st.floats(1e-5, 0.1), min_size=1, max_size=3),
     "r_list": st.lists(st.integers(0, 3), max_size=3),
     "pairs": st.lists(st.lists(st.integers(0, 1), min_size=2, max_size=2), max_size=3),
     "tau_grid": st.lists(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2), min_size=1, max_size=2),
@@ -1046,7 +1065,10 @@ _REQUIRED = {"command", "process", "n", "seed", "output_path", "input_path", "co
 
 def _full_configs(command, values=_FIELD_VALUES):
     """The configs of ``command`` that set every field it reads: one, or
-    one per mode of estimate."""
+    one per mode of estimate.  montecarlo, which studies one series,
+    gets the d = 1 process with the same other entries (such as init)."""
+    if command == "montecarlo":
+        values = {**values, "process": {**values["process"], **D1_INDEP}}
     data = {"command": command, **{name: values[name] for name in cli._COMMAND_FIELDS[command]}}
     modes = _ESTIMATE_MODES if command == "estimate" else [set()]
     return [{name: v for name, v in data.items() if name not in mode} for mode in modes]
@@ -1067,9 +1089,25 @@ def test_each_field_resolves_or_refuses_each_malformed_value(command):
         for name in set(data) - {"process"}:
             for value in _MALFORMED:
                 _resolves_or_refuses({**data, name: value})
-        for name in process if "process" in data else ():
+        for name in data.get("process", ()):
             for value in _MALFORMED:
-                _resolves_or_refuses({**data, "process": {**process, name: value}})
+                _resolves_or_refuses({**data, "process": {**data["process"], name: value}})
+
+
+def test_command_field_table_is_pinned():
+    # every settable (command, field) pair and its default, written out,
+    # so adding or dropping a setting shows up as a change here
+    path = {"process": None, "n": None, "seed": None, "output_path": None}
+    assert cli._COMMAND_FIELDS == {
+        "simulate": path,
+        "estimate": {**path, "input_path": None, "level": 0.95, "convention": "delta_pow4",
+                     "k": None},
+        "extremal_index": {**path, "tau_grid": None, "k": None},
+        "tail_dep": {**path, "pairs": None, "r_list": (0, 1, 2), "t": 0.02, "k": None},
+        "copula": {"copula": None, "output_path": None},
+        "montecarlo": {**path, "replicates": 100, "workers": 1},
+    }
+    assert sum(map(len, cli._COMMAND_FIELDS.values())) == 34
 
 
 @pytest.mark.parametrize("field", sorted(_FIELD_VALUES))
@@ -1083,7 +1121,8 @@ def test_a_command_takes_exactly_the_fields_it_reads(tmp_path, monkeypatch, caps
     full = _full_configs(command)
     base = _minimal(full[-1] if field == "input_path" else full[0])
     cli_name = command.replace("_", "-")
-    cfg = write_config(tmp_path, "cfg.json", {**base, field: _FIELD_VALUES[field]})
+    # a field the base sets keeps its value (montecarlo's d = 1 process)
+    cfg = write_config(tmp_path, "cfg.json", {field: _FIELD_VALUES[field], **base})
     flag = [f"--{field}", "3"] if field in ("seed", "replicates", "workers") else []
     if field in cli._COMMAND_FIELDS[command]:
         assert main_exit([cli_name, "--config", cfg, "--print-config"]) == 0
@@ -1164,6 +1203,11 @@ def test_print_config_echoes_the_fields_its_command_reads(tmp_path, capsys, comm
         ({"command": "estimate", "input_path": "p.csv", "process": D1_INDEP, "n": 10,
           "seed": 1, "output_path": "x.csv"},
          "estimate takes input_path or process, n and seed, not both"),
+        # the study reads column 0 only, so a second column would be drawn
+        # and never read
+        ({"command": "montecarlo", "process": D2_GUMBEL, "n": 200, "seed": 42,
+          "output_path": "x.csv"},
+         "montecarlo studies one series: give a d = 1 process"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, payload, fragment):

@@ -293,6 +293,12 @@ def test_derived_validation():
     dc = DerivedCopula(GUMBEL2, (1.0, 0.5))
     with pytest.raises(ValueError):
         derived_copula_eval(dc, [0.5, 0.5, 0.5])  # length mismatch
+    # a short point is refused, also where a zero entry would give C = 0
+    dc3 = DerivedCopula(GUMBEL2, (0.5, 0.7, 0.9))
+    for u in ([0.0, 0.5], [0.5, 0.5]):
+        for evaluate in (copula_eval, derived_copula_eval):
+            with pytest.raises(ValueError, match=r"^u must have shape \(3,\)$"):
+                evaluate(dc3, u)
 
 
 def test_derived_rectangle_masses_on_screened_instances():

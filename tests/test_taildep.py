@@ -117,23 +117,45 @@ def test_tdc_lam_grid_pinned_non_frechet_cell():
     assert lam_grid == pytest.approx(pinned, rel=1e-15, abs=0.0)
 
 
+# a cell whose grid diverges: its last increment, -1.09e-3, is far above
+# 10x the previous one (5.2e-5) plus the noise floor (1e-6 at c = 0.9)
+DIVERGING = ProcessConfig(
+    2, (0.3, 0.9), (FRECHET1, MarginSpec.exponential(1.0)), CopulaSpec.gumbel(4.0)
+)
+
+
 def test_tdc_grid_oscillation_raises():
-    with pytest.raises(NumericLimitError):
-        theoretical_lag_tdc(D1, 0, 0, 2, t_grid=(0.01, 0.0099, 1e-06))
+    with pytest.raises(NumericLimitError, match="last increment -1.094e-03"):
+        theoretical_lag_tdc(DIVERGING, 1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "c, margin, r, lam",
+    [
+        (0.5, FRECHET1, 0, 1.0),
+        (0.5, MarginSpec.exponential(1.0), 0, 1.0),
+        (0.5, MarginSpec.gpd(0.2, 1.0), 0, 1.0),
+        (0.5, MarginSpec.weibull_min(2.0), 0, 1.0),
+        (0.5, MarginSpec.uniform01(), 0, 1.0),
+        (0.99, FRECHET1, 2, 0.99**2),
+    ],
+    ids=["frechet", "exponential", "gpd", "weibull_min", "uniform01", "frechet-c0.99-r2"],
+)
+def test_tdc_comonotone_identical_components_is_exact(c, margin, r, lam):
+    # comonotone innovations with equal c and margins make X_0 and X_1
+    # one series, so the cross TDC is the within-series one; the grid
+    # increments here are truncation noise, below the floor
+    cfg = ProcessConfig(2, (c, c), (margin, margin), CopulaSpec.comonotone())
+    assert theoretical_lag_tdc(cfg, 0, 1, r) == lam
 
 
 def test_tdc_grid_validation():
-    with pytest.raises(ValueError):
-        theoretical_lag_tdc(D1, 0, 0, 2, t_grid=(0.01,))
-    with pytest.raises(ValueError):
-        theoretical_lag_tdc(D1, 0, 0, 2, t_grid=(0.01, 0.02))
-    with pytest.raises(ValueError):
-        theoretical_lag_tdc(D1, 0, 0, 2, t_grid=(0.5, 0.0))
     with pytest.raises(ValueError):
         theoretical_lag_tdc(D1, 0, 0, -1)
     with pytest.raises(ValueError):
         theoretical_lag_tdc(D1, 0, 1, 0)  # index out of range
     assert DEFAULT_T_GRID == (1e-2, 1e-3, 1e-4, 1e-5)
+    assert lag_tdc_diagnostics(D1, 0, 0, 2).t == DEFAULT_T_GRID
 
 
 def test_tdc_bounds_values():
@@ -193,7 +215,7 @@ def test_column_indices_out_of_range_are_refused(j, jp):
         lambda: empirical_eta(data, j, jp, 0),
         lambda: empirical_cells(data, [(0, 1, 0), (j, jp, 0)], 0.02),
         lambda: lag_tdc_diagnostics(cfg, j, jp, 0),
-        lambda: check_tail_dep_parameters(1_000, 2, [(0, 1), (j, jp)], [0], 0.02, None, DEFAULT_T_GRID),
+        lambda: check_tail_dep_parameters(1_000, 2, [(0, 1), (j, jp)], [0], 0.02, None),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"^component indices out of range$"):
