@@ -10,7 +10,8 @@ fully resolved configuration instead of running.  Every CSV has a
 header row and 17-significant-digit floats; values that could not be
 computed are the literal ``nan`` with a reason in the ``flag`` column.
 Exit codes: 0 success (warnings go to stderr), 2 configuration error,
-3 numeric failure.
+3 numeric failure; a ``tail-dep`` cell that fails is flagged in its row
+instead.
 """
 
 from __future__ import annotations
@@ -237,14 +238,22 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _write_path_csv(path: str, data: np.ndarray) -> None:
-    # one "%.17g" row format per chunk of rows renders every float (nan,
-    # inf and -0.0 included) as _fmt does, far faster than value by value
-    row = "%d" + ",%.17g" * data.shape[1] + "\n"
+    # "%.17g" renders every float (nan, inf and -0.0 included) as _fmt
+    # does; a chunk of k rows is one % of the row format repeated k times
+    # over the flat tuple (t, x1, ..., xd, t + 1, ...), filled column by
+    # column, far faster than one % per row
+    d = data.shape[1]
+    row = "%d" + ",%.17g" * d + "\n"
     with open(path, "w", newline="") as f:
-        f.write(",".join(["t"] + [f"x{j + 1}" for j in range(data.shape[1])]) + "\n")
+        f.write(",".join(["t"] + [f"x{j + 1}" for j in range(d)]) + "\n")
         for start in range(0, len(data), _PATH_CHUNK_ROWS):
-            chunk = data[start : start + _PATH_CHUNK_ROWS].tolist()
-            f.write("".join(row % (start + i, *values) for i, values in enumerate(chunk)))
+            chunk = data[start : start + _PATH_CHUNK_ROWS]
+            k = len(chunk)
+            flat = [0] * (k * (d + 1))
+            flat[:: d + 1] = range(start, start + k)
+            for j in range(d):
+                flat[j + 1 :: d + 1] = chunk[:, j].tolist()
+            f.write((row * k) % tuple(flat))
 
 
 def _write_json(path: str, payload) -> None:
@@ -418,16 +427,22 @@ def _run_tail_dep(config: RunConfig) -> int:
     cells = [(j, jp, r) for j, jp in config.pairs for r in config.r_list]
     rows = []
     for (j, jp, r), cell in zip(cells, empirical_cells(path, cells, config.t, config.k)):
-        lam_theo = theoretical_lag_tdc(process, j, jp, r)
+        # a cell that fails keeps its row, as nan with the reason in flag
+        flags = []
+        try:
+            lam_theo = theoretical_lag_tdc(process, j, jp, r)
+        except NumericLimitError as exc:
+            lam_theo = None
+            flags.append("theoretical_undefined")
+            _warn(f"pair ({j},{jp}) lag {r}: {exc}")
         if isinstance(cell, UndefinedResultError):
             lam_emp = eta_emp = regime = None
-            flag = "empirical_undefined"
+            flags.append("empirical_undefined")
             _warn(f"pair ({j},{jp}) lag {r}: {cell}")
         else:
             lam_emp, eta_emp = cell
             regime = classify_tail_regime(lam_emp, eta_emp)
-            flag = "ok"
-        rows.append([j, jp, r, lam_theo, lam_emp, eta_emp, regime, flag])
+        rows.append([j, jp, r, lam_theo, lam_emp, eta_emp, regime, ";".join(flags) or "ok"])
     _write_csv(config.output_path, header, rows)
     print(
         f"tail-dep: wrote {len(rows)} rows to {config.output_path} "

@@ -25,7 +25,7 @@ from .armax import ProcessConfig, stationary_joint_logcdf, stationary_marginal_q
 from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import UndefinedResultError
 from .margins import DomainTag, attraction_domain
-from .taildep import _ordinal_ranks
+from .taildep import _column_order, _ordinal_ranks
 
 __all__ = [
     "ExtremalIndexResult",
@@ -228,7 +228,7 @@ def empirical_mv_extremal_index(
         # one row of ranks per column: the union over columns is then an
         # OR of contiguous rows, not a reduction along a short axis
         ranks = np.stack(
-            [_ordinal_ranks(data[:, j], np.argsort(data[:, j], kind="stable")) for j in range(d)]
+            [_ordinal_ranks(data[:, j], _column_order(data[:, j])) for j in range(d)]
         )
         # numerator levels are 0 off the index set, and no rank exceeds n
         counts = np.array(

@@ -182,9 +182,9 @@ def tdc_bounds(c_jp: float, alpha_jp: float, r: int) -> tuple[float, float]:
 def _ordinal_ranks(x: np.ndarray, order: np.ndarray, start: int = 0, stop: int | None = None):
     """Ordinal ranks ``1..m`` of the window ``x[start:stop]`` as floats.
 
-    ``order`` is ``np.argsort(x, kind="stable")`` of the whole column;
-    keeping its entries inside the window is an O(n) filter that leaves
-    the window's own stable order, so the result equals
+    ``order`` is `_column_order` of the whole column, which sorts equal
+    values by position; keeping its entries inside the window is an
+    O(n) filter that leaves the window's own order, so the result equals
     ``scipy.stats.rankdata(x[start:stop], method="ordinal")``: ties take
     ranks in order of position, and a window holding a nan is all nan.
     One sort then serves every window of the column.
@@ -200,12 +200,26 @@ def _ordinal_ranks(x: np.ndarray, order: np.ndarray, start: int = 0, stop: int |
     return ranks
 
 
+def _column_order(x: np.ndarray) -> np.ndarray:
+    """An order of ``x`` that `_ordinal_ranks` reads as it reads
+    ``np.argsort(x, kind="stable")``.  numpy's faster default sort is
+    kept when no two values of ``x`` are equal (``-0.0 == 0.0`` counts):
+    the ascending order is then unique but for the nans, which both
+    sorts put last and whose order `_ordinal_ranks` never reads.  A
+    column with ties is sorted again by the stable sort."""
+    order = np.argsort(x)
+    ordered = x[order]
+    if np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(x, kind="stable")
+    return order
+
+
 def _column_orders(data: np.ndarray, columns):
     """``ranks(j, start, stop)``: the `_ordinal_ranks` of the window
     ``data[start:stop, j]`` of a listed column.  Each column is sorted
     once and each window ranked once, however many cells share it."""
     _check_components(data.shape[1], columns)
-    orders = {j: np.argsort(data[:, j], kind="stable") for j in columns}
+    orders = {j: _column_order(data[:, j]) for j in columns}
 
     @functools.cache
     def ranks(j: int, start: int, stop: int) -> np.ndarray:

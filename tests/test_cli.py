@@ -181,6 +181,39 @@ def test_path_writer_chunks_render_like_fmt(tmp_path, monkeypatch):
     assert "nan,inf" in expected.read_text() and "-inf,-0\n" in expected.read_text()
 
 
+# nan, infinities, signed zeros, subnormals and values near 1e+-300,
+# besides any float
+_PATH_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-320,
+                     2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(1e299, 1e301) | st.floats(-1e301, -1e299),
+    st.floats(1e-301, 1e-299) | st.floats(-1e-299, -1e-301),
+)
+
+
+@settings(max_examples=150, database=None)
+@given(st.data())
+def test_path_writer_matches_the_fmt_writer(tmp_path_factory, data):
+    d = data.draw(st.integers(1, 3), label="d")
+    n = data.draw(st.integers(1, 60), label="n")
+    chunk = data.draw(st.integers(1, n + 2), label="chunk rows")
+    values = data.draw(st.lists(_PATH_VALUES, min_size=n * d, max_size=n * d), label="values")
+    path = np.array(values).reshape(n, d)
+    folder = tmp_path_factory.mktemp("writer")
+    expected = folder / "expected.csv"
+    cli._write_csv(
+        str(expected),
+        ["t", *(f"x{j + 1}" for j in range(d))],
+        ([i, *row] for i, row in enumerate(path)),
+    )
+    written = folder / "written.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_PATH_CHUNK_ROWS", chunk)
+        cli._write_path_csv(str(written), path)
+    assert written.read_bytes() == expected.read_bytes()
+
+
 @pytest.mark.parametrize("package", ["scipy", "concurrent.futures"])
 def test_cli_import_leaves_scipy_unloaded(package):
     # montecarlo imports concurrent.futures only when it asks for a pool
@@ -642,14 +675,15 @@ def test_tail_dep_flags_undefined_cells_in_row_order(tmp_path, monkeypatch, caps
             assert row[6] != "nan" and row[7] == "ok"
 
 
-def test_tail_dep_numeric_failure_exit_code(tmp_path):
+def test_tail_dep_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # the lag-1 cell (1, 0) of this process has a diverging grid: its row
+    # is flagged and the other 11 default cells keep their values
     out = tmp_path / "tdc.csv"
     cfg = write_config(
         tmp_path,
         "tdc.json",
         {
             "command": "tail_dep",
-            # the lag-1 cell (1, 0) of this process has a diverging grid
             "process": {
                 "d": 2,
                 "c": [0.3, 0.9],
@@ -658,14 +692,39 @@ def test_tail_dep_numeric_failure_exit_code(tmp_path):
             },
             "n": 1000,
             "seed": 7,
-            "pairs": [[1, 0]],
-            "r_list": [1],
             "output_path": str(out),
         },
     )
     proc = run_cli("tail-dep", "--config", cfg)
-    assert proc.returncode == 3
-    assert "numeric failure: lag TDC grid did not converge" in proc.stderr
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        "warning: pair (1,0) lag 1: lag TDC grid did not converge: last increment "
+        "-1.094e-03 exceeds 10x the previous 5.199e-05"
+    ]
+    header, rows = read_rows(out)
+    assert len(rows) == 12
+    flag = header.index("flag")
+    for row in rows:
+        if row[:3] == ["1", "0", "1"]:
+            assert row[3] == "nan" and row[flag] == "theoretical_undefined"
+            assert math.isfinite(float(row[4])) and math.isfinite(float(row[5]))
+        else:
+            assert math.isfinite(float(row[3])) and row[flag] == "ok"
+    # the same cell with no empirical value either carries both reasons
+    real_cells = cli.empirical_cells
+
+    def cells_without_head(path, cells, t, k):
+        found = real_cells(path, cells, t, k)
+        return [UndefinedResultError("no head") if cell == (1, 0, 1) else value
+                for cell, value in zip(cells, found)]
+
+    monkeypatch.setattr(cli, "empirical_cells", cells_without_head)
+    assert main_exit(["tail-dep", "--config", cfg]) == 0
+    assert capsys.readouterr().err.splitlines()[1:] == ["warning: pair (1,0) lag 1: no head"]
+    _, rows = read_rows(out)
+    assert [row[3:] for row in rows if row[:3] == ["1", "0", "1"]] == [
+        ["nan", "nan", "nan", "nan", "theoretical_undefined;empirical_undefined"]
+    ]
 
 
 def test_tail_dep_writes_an_exact_limit(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from armax_extremes import extremal
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec, DerivedCopula
 from armax_extremes.errors import UndefinedResultError
@@ -340,6 +341,22 @@ def test_empirical_mv_grid_matches_rows():
     for bad in ([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], [[1.0, 1.0]], [[[1.0, 1.0, 1.0]]]):
         with pytest.raises(ValueError):
             empirical_mv_extremal_index(cont, domains, [0.5, 0.9, 0.3], None, bad)
+
+
+def test_empirical_mv_ranks_ties_as_the_stable_sort(monkeypatch):
+    # column 0 ties throughout, its top ranks included; column 1 has no
+    # ties, so its order comes from the unstable sort
+    cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
+    data = simulate_path(cfg, 3_000, 5).data
+    data[:, 0] = np.floor(4.0 * np.log(data[:, 0]))
+    top = np.sort(data[:, 0])[-60:]
+    assert np.any(top[1:] == top[:-1])
+    assert np.unique(data[:, 1]).size == len(data)
+    grid = [[1.0, 1.0], [0.5, 2.0], [3.0, 0.25], [1.0, 0.0]]
+    args = (data, [FRE_DOM] * 2, [0.5, 0.9], None, grid)
+    got = empirical_mv_extremal_index(*args)
+    monkeypatch.setattr(extremal, "_column_order", lambda x: np.argsort(x, kind="stable"))
+    assert got.tobytes() == empirical_mv_extremal_index(*args).tobytes()
 
 
 def test_empirical_mv_result_in_unit_interval():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec
@@ -12,6 +14,7 @@ from armax_extremes.margins import MarginSpec
 from armax_extremes.taildep import (
     DEFAULT_T_GRID,
     REGIME_BAND,
+    _column_order,
     _ordinal_ranks,
     check_tail_dep_parameters,
     classify_tail_regime,
@@ -281,6 +284,37 @@ def test_ordinal_ranks_match_rankdata():
     assert np.isnan(_ordinal_ranks(x, order, 0, 100)).all()
     assert np.isnan(rankdata(x[:100], method="ordinal")).all()
     assert np.array_equal(_ordinal_ranks(x, order, 11, n), rankdata(x[11:], method="ordinal"))
+
+
+_TIES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0]
+
+
+@st.composite
+def _columns(draw):
+    if draw(st.booleans()):
+        # forced ties, signed zeros, nan and infinities among any floats
+        return draw(st.lists(st.sampled_from(_TIES) | st.floats(), min_size=1, max_size=80))
+    # distinct values and nans: the unstable sort's order is used
+    values = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=80, unique=True))
+    nans = draw(st.lists(st.integers(0, len(values)), max_size=5))
+    for i in nans:
+        values.insert(i, math.nan)
+    return values
+
+
+@settings(max_examples=300, database=None)
+@given(_columns(), st.data())
+def test_column_order_ranks_like_the_stable_sort(values, data):
+    x = np.array(values)
+    n = x.size
+    order = _column_order(x)
+    stable = np.argsort(x, kind="stable")
+    windows = data.draw(
+        st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), min_size=1, max_size=5)
+    )
+    for start, stop in [(0, n), *(sorted(w) for w in windows)]:
+        ranks = _ordinal_ranks(x, order, start, stop)
+        assert ranks.tobytes() == _ordinal_ranks(x, stable, start, stop).tobytes()
 
 
 def test_empirical_cell_matches_public_estimators():
