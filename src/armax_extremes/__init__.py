@@ -6,155 +6,22 @@ dependence coefficients, and estimators for the autoregression
 coefficients — plus a CLI that emits seeded, reproducible CSV/JSON runs.
 """
 
-from .armax import (
-    InitPolicy,
-    ProcessConfig,
-    SamplePath,
-    StationarityResult,
-    apply_recursion,
-    check_stationarity,
-    normalized_level,
-    simulate_path,
-    stationary_joint_cdf,
-    stationary_joint_logcdf,
-    stationary_marginal_cdf,
-    stationary_marginal_logcdf,
-    stationary_marginal_quantile,
-)
-from .copulas import (
-    CopulaSpec,
-    DerivedCopula,
-    ValidityReport,
-    copula_eval,
-    copula_logcdf,
-    copula_sample,
-    derived_copula_eval,
-    derived_copula_logcdf,
-    derived_copula_validity,
-    extremal_coefficient,
-    extremal_coefficient_derived,
-)
-from .errors import (
-    ArmaxError,
-    ConfigurationError,
-    NumericLimitError,
-    UndefinedResultError,
-)
-from .estimation import (
-    VARIANCE_CONVENTIONS,
-    EstimateReport,
-    LebedevEstimate,
-    MomentEstimate,
-    asymptotic_variance,
-    build_estimate_report,
-    confidence_interval,
-    cross_moment,
-    estimate_c_davis_resnick,
-    estimate_c_lebedev,
-    estimate_c_moment,
-    hill_tail_index,
-)
-from .extremal import (
-    ExtremalIndexResult,
-    check_extremal_index_parameters,
-    empirical_extremal_index_runs,
-    empirical_mv_extremal_index,
-    marginal_extremal_index,
-    process_mv_extremal_index,
-    theoretical_mv_extremal_index,
-)
-from .margins import (
-    DomainTag,
-    MarginSpec,
-    attraction_domain,
-    margin_cdf,
-    margin_quantile,
-    margin_sample,
-    right_endpoint,
-)
-from .taildep import (
-    DEFAULT_T_GRID,
-    REGIME_BAND,
-    LagTdcDiagnostics,
-    check_tail_dep_parameters,
-    classify_tail_regime,
-    empirical_cells,
-    empirical_eta,
-    empirical_tdc,
-    eta_bounds_within_series,
-    lag_tdc_diagnostics,
-    tdc_bounds,
-    theoretical_lag_tdc,
-)
+from . import armax, copulas, errors, estimation, extremal, margins, taildep
+from .armax import *
+from .copulas import *
+from .errors import *
+from .estimation import *
+from .extremal import *
+from .margins import *
+from .taildep import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArmaxError",
-    "ConfigurationError",
-    "NumericLimitError",
-    "UndefinedResultError",
-    "MarginSpec",
-    "DomainTag",
-    "margin_cdf",
-    "margin_quantile",
-    "margin_sample",
-    "attraction_domain",
-    "right_endpoint",
-    "CopulaSpec",
-    "DerivedCopula",
-    "ValidityReport",
-    "copula_logcdf",
-    "copula_eval",
-    "copula_sample",
-    "derived_copula_logcdf",
-    "derived_copula_eval",
-    "derived_copula_validity",
-    "extremal_coefficient",
-    "extremal_coefficient_derived",
-    "InitPolicy",
-    "ProcessConfig",
-    "SamplePath",
-    "StationarityResult",
-    "simulate_path",
-    "apply_recursion",
-    "check_stationarity",
-    "stationary_marginal_cdf",
-    "stationary_marginal_logcdf",
-    "stationary_marginal_quantile",
-    "stationary_joint_cdf",
-    "stationary_joint_logcdf",
-    "normalized_level",
-    "ExtremalIndexResult",
-    "marginal_extremal_index",
-    "theoretical_mv_extremal_index",
-    "process_mv_extremal_index",
-    "empirical_extremal_index_runs",
-    "empirical_mv_extremal_index",
-    "check_extremal_index_parameters",
-    "LagTdcDiagnostics",
-    "REGIME_BAND",
-    "DEFAULT_T_GRID",
-    "theoretical_lag_tdc",
-    "lag_tdc_diagnostics",
-    "tdc_bounds",
-    "empirical_tdc",
-    "empirical_eta",
-    "empirical_cells",
-    "check_tail_dep_parameters",
-    "eta_bounds_within_series",
-    "classify_tail_regime",
-    "MomentEstimate",
-    "LebedevEstimate",
-    "EstimateReport",
-    "VARIANCE_CONVENTIONS",
-    "estimate_c_moment",
-    "estimate_c_lebedev",
-    "estimate_c_davis_resnick",
-    "cross_moment",
-    "asymptotic_variance",
-    "confidence_interval",
-    "hill_tail_index",
-    "build_estimate_report",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += armax.__all__
+__all__ += copulas.__all__
+__all__ += errors.__all__
+__all__ += estimation.__all__
+__all__ += extremal.__all__
+__all__ += margins.__all__
+__all__ += taildep.__all__

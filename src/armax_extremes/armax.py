@@ -62,12 +62,10 @@ _BLOCK_MEMORIES = 6
 _MIN_BLOCKS = 160
 _MAX_SWEEPS = 8
 
-# first chunk of the truncated product (see `_first_chunk`); a point with
+# terms in the first chunk of the truncated product; a point with
 # light-tailed margins, or with unit Frechet margins at c up to 0.6,
-# needs fewer than 64 factors
+# needs fewer than 64 factors, so it finishes in one chunk
 _FIRST_CHUNK_TERMS = 64
-_MIN_FIRST_CHUNK_TERMS = 16
-_FIRST_CHUNK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -292,11 +290,25 @@ def apply_recursion(c, x0, innovations) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
+def _frechet_scale(alpha: float, c: float) -> float:
+    """``(1 - c**alpha)**(-1/alpha)``: the stationary marginal for a
+    frechet(alpha) margin is frechet(alpha) times this scale; inf where
+    the power leaves the float range (small ``alpha``)."""
+    try:
+        return (1.0 - c**alpha) ** (-1.0 / alpha)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _finite_quantile(value):
+    if not np.isfinite(value).all():
+        raise NumericLimitError("the stationary Frechet quantile is outside the float range")
+    return value
+
+
 def _stationary_frechet_quantile(alpha: float, c: float, p: np.ndarray) -> np.ndarray:
-    # stationary marginal for a frechet(alpha) margin is frechet(alpha)
-    # scaled by (1 - c**alpha)**(-1/alpha)
-    scale = (1.0 - c**alpha) ** (-1.0 / alpha)
-    return scale * np.power(-np.log(p), -1.0 / alpha)
+    with np.errstate(all="ignore"):
+        return _finite_quantile(_frechet_scale(alpha, c) * np.power(-np.log(p), -1.0 / alpha))
 
 
 def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
@@ -376,7 +388,7 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
     n_terms = np.full(m, last - first + 1)
     converged = np.zeros(m, dtype=bool)
     rows = np.arange(m)  # rows still summing
-    start, size = first, _first_chunk(m * d)
+    start, size = first, _FIRST_CHUNK_TERMS
     while start <= last and rows.size:
         idx = np.arange(start, min(start + size, last + 1))
         g = np.empty((rows.size * idx.size, d))
@@ -403,20 +415,6 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
         total[rows] = partial[~hit, -1]
         start, size = start + size, 2 * size
     return total, n_terms, converged
-
-
-def _first_chunk(cells: int) -> int:
-    """Terms in the first chunk of `_log_product` for a batch of ``cells
-    = m * d`` point entries.
-
-    A chunk costs a fixed overhead plus a share per evaluated entry.  A
-    small batch takes `_FIRST_CHUNK_TERMS` terms, more than most points
-    need, so it finishes in one chunk; a larger one takes about
-    ``_FIRST_CHUNK_CELLS / cells`` terms, but at least
-    `_MIN_FIRST_CHUNK_TERMS`, so a large batch evaluates few terms past
-    the ends of its points.
-    """
-    return max(_MIN_FIRST_CHUNK_TERMS, min(_FIRST_CHUNK_TERMS, _FIRST_CHUNK_CELLS // max(cells, 1)))
 
 
 def _check_points(x: np.ndarray) -> None:
@@ -490,15 +488,19 @@ def stationary_marginal_quantile(margin: MarginSpec, c: float, p: float) -> floa
     Frechet up to the scale ``(1 - c**alpha)**(-1/alpha)``), a bracketed
     root-find on the log product otherwise.  The root-find is memoised
     on ``(margin, c, p)``, so a repeated request returns the
-    identical float without solving again.
+    identical float without solving again.  Raises `NumericLimitError`
+    when the closed form leaves the float range (small ``alpha``).
     """
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie strictly inside (0, 1)")
     if margin.kind == "frechet":
-        scale = (1.0 - c**margin.alpha) ** (-1.0 / margin.alpha)
-        return scale * (-math.log(p)) ** (-1.0 / margin.alpha)
+        try:
+            value = _frechet_scale(margin.alpha, c) * (-math.log(p)) ** (-1.0 / margin.alpha)
+        except OverflowError:
+            value = math.inf
+        return _finite_quantile(value)
     return _stationary_quantile(margin, float(c), float(p))
 
 

@@ -9,9 +9,9 @@ and, where the command reads them, ``--seed``, ``--replicates`` and
 fully resolved configuration instead of running.  Every CSV has a
 header row and 17-significant-digit floats; values that could not be
 computed are the literal ``nan`` with a reason in the ``flag`` column.
-Exit codes: 0 success (warnings go to stderr), 2 configuration error,
-3 numeric failure; a ``tail-dep`` cell that fails is flagged in its row
-instead.
+Exit codes: 0 success (warnings go to stderr), 2 configuration error
+(a run too large for memory included), 3 numeric failure; a
+``tail-dep`` cell that fails is flagged in its row instead.
 """
 
 from __future__ import annotations
@@ -136,11 +136,6 @@ def run_config_from_dict(data: dict) -> RunConfig:
     # an unknown command is refused by resolve_run_config
     names = ("command", *_COMMAND_FIELDS.get(command, _RUN_FIELDS))
     return parse_fields(data, "config", {name: _RUN_FIELDS[name] for name in names}, (), RunConfig)
-
-
-def run_config_to_dict(config: RunConfig) -> dict:
-    """JSON-ready form of a `RunConfig`; omits unset fields."""
-    return to_json(config)
 
 
 def resolve_run_config(config: RunConfig) -> RunConfig:
@@ -646,7 +641,7 @@ def main(argv=None) -> None:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     if args.print_config:
-        print(canonical_json(run_config_to_dict(config)))
+        print(canonical_json(to_json(config)))
         raise SystemExit(0)
     try:
         status = run(config)
@@ -658,6 +653,9 @@ def main(argv=None) -> None:
         raise SystemExit(3)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    except MemoryError as exc:
+        print(f"config error: the run does not fit in memory ({exc})", file=sys.stderr)
         raise SystemExit(2)
     raise SystemExit(status)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .armax import ProcessConfig, stationary_joint_logcdf, stationary_marginal_quantile
 from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
-from .errors import UndefinedResultError
+from .errors import NumericLimitError, UndefinedResultError
 from .margins import DomainTag, attraction_domain
 from .taildep import _column_order, _ordinal_ranks
 
@@ -152,8 +152,11 @@ def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult
     the stationary law as given, this evaluates that copula numerically
     from the innovation model: stationary marginal quantiles map
     ``exp(-tau)`` levels to points, and the truncated stationary product
-    supplies the joint log CDF.  Components with ``tau_j = 0`` sit at
-    argument one and are marginalized out.
+    supplies the joint log CDF.  Components with ``tau_j = 0``, or with
+    a level whose ``exp(-level)`` rounds to one, sit at argument one and
+    are marginalized out.  Raises `NumericLimitError` when a level's
+    ``exp(-level)`` rounds to zero, or when every denominator level
+    rounds to argument one.
     """
     domains = [attraction_domain(m) for m in config.margins]
     index_set, levels = _index_levels(domains, config.c, tau)
@@ -164,10 +167,15 @@ def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult
         # gives log F = 0)
         x = np.full(levels.shape, math.inf)
         for i, j in zip(*np.nonzero(levels > 0)):
-            x[i, j] = stationary_marginal_quantile(
-                config.margins[j], config.c[j], math.exp(-levels[i, j])
-            )
+            # math.exp, not np.exp: the two can differ by an ulp
+            p = math.exp(-levels[i, j])
+            if p == 0.0:
+                raise NumericLimitError(f"exp(-level) underflows to 0 at level {levels[i, j]:.17g}")
+            if p < 1.0:
+                x[i, j] = stationary_marginal_quantile(config.margins[j], config.c[j], p)
         log_den, log_num = stationary_joint_logcdf(config, x).tolist()
+        if log_den == 0.0:
+            raise NumericLimitError("every denominator level rounds to argument one")
         theta = 1.0 - log_num / log_den
     return _index_result(theta, levels, index_set, domains, config.c)
 

@@ -26,9 +26,7 @@ __all__ = [
     "finite",
     "text",
     "vector",
-    "margin_to_dict",
     "margin_from_dict",
-    "copula_to_dict",
     "copula_from_dict",
     "canonical_json",
     "config_digest",
@@ -127,9 +125,6 @@ def _refused(prefix: str):
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{prefix} {exc}") from exc
 
-
-# the names under which margins and copulas have always been written
-margin_to_dict = copula_to_dict = to_json
 
 _MARGIN_FIELDS = {"kind": text, **dict.fromkeys(("alpha", "rate", "shape", "scale", "k"), finite)}
 

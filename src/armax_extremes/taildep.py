@@ -105,8 +105,13 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
 
     log_1mt = [math.log1p(-t) for t in t_grid]
     if not frechet_sub or j != jp:
-        # the levels z_t, needed by F(z_t) and by the pair law
-        z = [stationary_marginal_quantile(margin_jp, c_jp, 1.0 - t) / c_jp**r for t in t_grid]
+        # the levels z_t, needed by F(z_t) and by the pair law; where
+        # c**r underflows to 0 the level c**(-r) w_t is +inf
+        c_r = c_jp**r
+        z = [
+            stationary_marginal_quantile(margin_jp, c_jp, 1.0 - t) / c_r if c_r else math.inf
+            for t in t_grid
+        ]
     if frechet_sub:
         log_fval = [math.log1p(-t * c_jp ** (r * margin_jp.alpha)) for t in t_grid]
     elif r == 0:

@@ -619,8 +619,8 @@ def _kernel_cases(draw):
     first = draw(st.sampled_from([0, 1]), label="first")
     last = draw(st.sampled_from([1, 2, 40, 350, 1000]), label="last")
     threshold = draw(st.sampled_from([_KERNEL_TOL, 1e-6, 1e-3]), label="threshold")
-    # tiled copies make batches of up to 360 entries, whose first chunk
-    # is shorter; the reference loop runs once per distinct row
+    # tiled copies make batches of up to 360 entries; the reference
+    # loop runs once per distinct row
     copies = draw(st.sampled_from([1, 5, 30]), label="copies")
     return config, x.reshape(m, d), first, last, threshold, copies
 
@@ -693,6 +693,19 @@ def test_stationary_marginal_quantile_validation():
         stationary_marginal_quantile(FRECHET1, 0.5, 0.0)
     with pytest.raises(ValueError):
         stationary_marginal_quantile(FRECHET1, 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, p",
+    [(0.001, 0.5), (1e-20, 0.5), (0.01, 1.0 - 1e-16)],
+    ids=["scale-overflows", "scale-divides-by-zero", "power-overflows"],
+)
+def test_stationary_frechet_quantile_outside_the_float_range(alpha, p):
+    with pytest.raises(NumericLimitError, match="outside the float range"):
+        stationary_marginal_quantile(MarginSpec.frechet(alpha), 0.5, p)
+    # a finite closed form is the formula itself, near the edge too
+    expected = (1.0 - 0.5**0.01) ** (-1.0 / 0.01) * (-math.log(0.5)) ** (-1.0 / 0.01)
+    assert stationary_marginal_quantile(MarginSpec.frechet(0.01), 0.5, 0.5) == expected
 
 
 def test_stationary_marginal_quantile_brackets_near_unit_c():

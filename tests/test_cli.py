@@ -20,7 +20,7 @@ from armax_extremes.copulas import CopulaSpec
 from armax_extremes.errors import ConfigurationError, UndefinedResultError
 from armax_extremes.estimation import VARIANCE_CONVENTIONS, build_estimate_report
 from armax_extremes.margins import MarginSpec
-from armax_extremes.schema import canonical_json
+from armax_extremes.schema import canonical_json, to_json
 
 D2_GUMBEL = {
     "d": 2,
@@ -1098,11 +1098,11 @@ def _resolves_or_refuses(data):
         config = cli.resolve_run_config(cli.run_config_from_dict(data))
     except ConfigurationError:
         return False
-    text = canonical_json(cli.run_config_to_dict(config))
+    text = canonical_json(to_json(config))
     again = cli.run_config_from_dict(json.loads(text))
     assert again == config
     assert cli.resolve_run_config(again) == config
-    assert canonical_json(cli.run_config_to_dict(again)) == text
+    assert canonical_json(to_json(again)) == text
     return True
 
 
@@ -1217,6 +1217,81 @@ def test_print_config_echoes_the_fields_its_command_reads(tmp_path, capsys, comm
 
 
 # ------------------------------------------------------------- failure modes
+
+
+def _frechet(alpha):
+    return {"kind": "frechet", "alpha": alpha}
+
+
+_GUMBEL_2 = {"kind": "gumbel", "gamma": 2.0}
+# (1 - c**alpha)**(-1/alpha) overflows at alpha = 0.001
+_SMALL_ALPHA = {"d": 2, "c": [0.5, 0.5], "margins": [_frechet(0.001), _frechet(1.0)],
+                "copula": _GUMBEL_2}
+_UNIT_FRECHET = {**_SMALL_ALPHA, "margins": [_frechet(1.0), _frechet(1.0)]}
+
+
+@pytest.mark.parametrize(
+    "command, body, code, fragment, flags",
+    [
+        ("simulate",
+         {"process": {**D1_INDEP, "margins": [_frechet(0.001)],
+                      "init": {"kind": "exact_marginal"}}, "n": 100, "seed": 1},
+         3, "numeric failure: the stationary Frechet quantile is outside the float range", None),
+        ("extremal_index", {"process": _SMALL_ALPHA, "n": 400, "seed": 3},
+         3, "numeric failure: the stationary Frechet quantile is outside the float range", None),
+        # only the cross cells need the overflowing quantile
+        ("tail_dep", {"process": _SMALL_ALPHA, "n": 400, "seed": 3, "t": 0.05},
+         0, "warning: pair (0,1) lag 0: the stationary Frechet quantile is outside the float range",
+         ["ok"] * 3 + ["theoretical_undefined"] * 6 + ["ok"] * 3),
+        # c**r underflows to 0, so the lag level c**(-r) w_t is +inf
+        ("tail_dep",
+         {"process": {**_SMALL_ALPHA, "c": [1e-300, 0.5], "margins": [{"kind": "uniform01"}, _frechet(1.0)]},
+          "n": 400, "seed": 3, "t": 0.05},
+         0, "", ["ok"] * 12),
+        # exp(-tau_1 c**1000) rounds to 1: that component is marginalized
+        ("extremal_index",
+         {"process": {**_SMALL_ALPHA, "margins": [_frechet(1000.0), _frechet(1.0)]}, "n": 400, "seed": 3},
+         0, "", ["ok"]),
+        ("extremal_index", {"process": _UNIT_FRECHET, "n": 400, "seed": 1, "tau_grid": [[1e-320, 0]]},
+         3, "numeric failure: every denominator level rounds to argument one", None),
+        ("extremal_index", {"process": _UNIT_FRECHET, "n": 400, "seed": 1, "tau_grid": [[1e300, 1]]},
+         3, "numeric failure: exp(-level) underflows to 0 at level 1.0000000000000001e+300", None),
+    ],
+    ids=["simulate-small-alpha", "extremal-index-small-alpha", "tail-dep-small-alpha",
+         "tail-dep-lag-level-inf", "extremal-index-alpha-1000", "tau-rounds-to-one",
+         "tau-rounds-to-zero"],
+)
+def test_float_edges_exit_without_traceback(tmp_path, capsys, command, body, code, fragment, flags):
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, "edge.json", {"command": command, **body, "output_path": str(out)})
+    assert main_exit([command.replace("_", "-"), "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert fragment in err
+    if flags is None:
+        assert not out.exists()
+        return
+    header, rows = read_rows(out)
+    assert [row[header.index("flag")] for row in rows] == flags
+    theory = header.index("lambda_theoretical" if command == "tail_dep" else "theta_theoretical")
+    for row, flag in zip(rows, flags):
+        assert math.isfinite(float(row[theory])) == (flag == "ok")
+    if command == "extremal_index":
+        assert rows[0][theory] == "0.69098300562544113"
+
+
+def test_a_run_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys):
+    def no_memory(config, n, seed):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "simulate_path", no_memory)
+    process = {**D1_INDEP, "init": {"kind": "burn_in", "length": 10**12}}
+    cfg = write_config(tmp_path, "big.json", {"command": "simulate", "process": process, "n": 10,
+                                              "seed": 1, "output_path": str(tmp_path / "x.csv")})
+    assert main_exit(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the run does not fit in memory (Unable to allocate 7.28 TiB)\n"
+    )
 
 
 @pytest.mark.parametrize(

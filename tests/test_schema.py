@@ -12,11 +12,9 @@ from armax_extremes.schema import (
     canonical_json,
     config_digest,
     copula_from_dict,
-    copula_to_dict,
     finite,
     integer,
     margin_from_dict,
-    margin_to_dict,
     parse_fields,
     text,
     to_json,
@@ -47,35 +45,35 @@ COPULA_SPECS = [
 
 @pytest.mark.parametrize("spec", MARGIN_SPECS, ids=str)
 def test_margin_round_trip(spec):
-    assert margin_from_dict(margin_to_dict(spec)) == spec
+    assert margin_from_dict(to_json(spec)) == spec
 
 
 @pytest.mark.parametrize("spec", COPULA_SPECS, ids=str)
 def test_copula_round_trip(spec):
-    assert copula_from_dict(copula_to_dict(spec)) == spec
+    assert copula_from_dict(to_json(spec)) == spec
 
 
 def test_dicts_are_json_serializable():
     for spec in MARGIN_SPECS:
-        json.dumps(margin_to_dict(spec))
+        json.dumps(to_json(spec))
     for spec in COPULA_SPECS:
-        json.dumps(copula_to_dict(spec))
+        json.dumps(to_json(spec))
 
 
 def test_margin_dict_field_names():
-    assert margin_to_dict(MarginSpec.frechet(1.0)) == {"kind": "frechet", "alpha": 1.0}
-    assert margin_to_dict(MarginSpec.gpd(0.5, 2.0)) == {
+    assert to_json(MarginSpec.frechet(1.0)) == {"kind": "frechet", "alpha": 1.0}
+    assert to_json(MarginSpec.gpd(0.5, 2.0)) == {
         "kind": "gpd",
         "shape": 0.5,
         "scale": 2.0,
     }
-    assert margin_to_dict(MarginSpec.uniform01()) == {"kind": "uniform01"}
+    assert to_json(MarginSpec.uniform01()) == {"kind": "uniform01"}
 
 
 def test_copula_dict_field_names():
-    assert copula_to_dict(CopulaSpec.gumbel(2.0)) == {"kind": "gumbel", "gamma": 2.0}
-    assert copula_to_dict(CopulaSpec.comonotone()) == {"kind": "comonotone"}
-    derived = copula_to_dict(DerivedCopula(CopulaSpec.gumbel(2.0), (1.0, 0.5)))
+    assert to_json(CopulaSpec.gumbel(2.0)) == {"kind": "gumbel", "gamma": 2.0}
+    assert to_json(CopulaSpec.comonotone()) == {"kind": "comonotone"}
+    derived = to_json(DerivedCopula(CopulaSpec.gumbel(2.0), (1.0, 0.5)))
     assert derived == {
         "kind": "derived",
         "base": {"kind": "gumbel", "gamma": 2.0},
