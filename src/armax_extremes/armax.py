@@ -206,22 +206,49 @@ def _block_length(c: float, n: int) -> int:
     return length if n // length >= _MIN_BLOCKS else 0
 
 
-def _sweep(c: float, start: np.ndarray, y: np.ndarray, out: np.ndarray, again: bool) -> None:
+def _fmax_step(decayed: np.ndarray, y_row: np.ndarray) -> None:
+    np.fmax(decayed, y_row, out=decayed)
+
+
+def _select_step(decayed: np.ndarray, y_row: np.ndarray) -> None:
+    # the scalar loop's rule: y only where y > decayed, so nan never wins
+    np.copyto(decayed, y_row, where=y_row > decayed)
+
+
+def _lane_step(x0: float, y: np.ndarray):
+    """The step of `_sweep` for a column ``y`` started from ``x0``.
+
+    ``fmax(d, y)`` parts from the select only where ``d`` is nan or
+    ``d`` and ``y`` are zeros of opposite sign.  With no sign bit on
+    ``x0`` or any innovation, every lane state is ``>= +0`` or ``-inf``
+    (a block start), so ``d = c * prev`` is never nan and never ``-0.0``,
+    and `_fmax_step` is exact; every simulated column is such a column,
+    since margin quantiles are ``>= +0``.  Other columns take
+    `_select_step`.
+    """
+    if math.isnan(x0) or math.copysign(1.0, x0) < 0 or np.signbit(y).any():
+        return _select_step
+    return _fmax_step
+
+
+def _sweep(c: float, step, start: np.ndarray, y: np.ndarray, out: np.ndarray, again: bool) -> None:
     """One lockstep pass of the recursion down the rows of ``y``, whose
     columns are independent lanes starting from ``start``, into ``out``.
 
-    Each lane takes the same IEEE multiply and compare as the scalar
-    loop.  A repeated sweep (``again``) stops at the first row where
+    Each row multiplies the lanes by ``c`` in place, as the scalar loop
+    does, and ``step`` (see `_lane_step`) takes the innovation where it
+    wins.  A repeated sweep (``again``) stops at the first row where
     every lane already holds its value in ``out``: each lane of ``out``
     is a run of the recursion, so the rest would repeat it.
     """
-    prev = start
+    buf = start.copy()
+    lanes = buf.view(np.int64)
     for y_row, out_row in zip(y, out):
-        decayed = prev * c
-        prev = np.where(y_row > decayed, y_row, decayed)
-        if again and np.array_equal(prev.view(np.int64), out_row.view(np.int64)):
+        np.multiply(buf, c, out=buf)
+        step(buf, y_row)
+        if again and (lanes == out_row.view(np.int64)).all():
             return
-        out_row[...] = prev
+        out_row[...] = buf
 
 
 def _lockstep_column(
@@ -241,11 +268,12 @@ def _lockstep_column(
     rows = blocks * length
     y_lanes = y[:rows].reshape(blocks, length).T
     out_lanes = out[:rows].reshape(blocks, length).T
+    step = _lane_step(x0, y)
     starts = np.full(blocks, -np.inf)
     starts[:1] = x0
     first = 0  # blocks before it are exact
     for sweep in range(sweeps):
-        _sweep(c, starts[first:], y_lanes[:, first:], out_lanes[:, first:], sweep > 0)
+        _sweep(c, step, starts[first:], y_lanes[:, first:], out_lanes[:, first:], sweep > 0)
         ends = np.concatenate((starts[:1], out_lanes[-1, :-1]))
         moved = ends.view(np.int64) != starts.view(np.int64)
         if not moved.any():

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericLimitError
+
 __all__ = [
     "CopulaSpec",
     "DerivedCopula",
@@ -160,13 +162,41 @@ def copula_eval(spec: CopulaSpec | DerivedCopula, u) -> float:
         return math.exp(copula_logcdf(spec, np.log(u)))
 
 
-def _sample_positive_stable(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Positive alpha-stable draws with Laplace transform exp(-t**alpha)."""
-    u = rng.random(size) * math.pi
-    e = rng.exponential(size=size)
+def _gumbel_sample(gamma: float, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """``(n, d)`` Gumbel(gamma) uniforms ``U_j = exp(-(E_j / S)**alpha)``,
+    ``alpha = 1/gamma``, from a positive alpha-stable frailty ``S`` with
+    Laplace transform ``exp(-t**alpha)`` (Kanter's representation from
+    a uniform angle ``v`` and a unit exponential ``w``).
+
+    The direct form of ``S`` is 0/0 for ``alpha`` near 1, and for small
+    ``alpha`` it or ``E_j / S`` leaves the float range.  Rows where some
+    ``E_j / S`` is nan, 0 or inf are recomputed from the same draws in
+    log space; the other rows keep the direct form's bits.  Raises
+    `NumericLimitError` when a log-space ``S`` is not finite either.
+    """
+    alpha = 1.0 / gamma
+    v = rng.random(n) * math.pi
+    w = rng.exponential(size=n)
     ratio = alpha / (1.0 - alpha)
-    a = (np.sin(alpha * u) ** ratio) * np.sin((1.0 - alpha) * u) / np.sin(u) ** (1.0 + ratio)
-    return (a / e) ** (1.0 / ratio)
+    e = rng.exponential(size=(n, d))
+    with np.errstate(all="ignore"):
+        a = (np.sin(alpha * v) ** ratio) * np.sin((1.0 - alpha) * v) / np.sin(v) ** (1.0 + ratio)
+        q = e / ((a / w) ** (1.0 / ratio))[:, None]
+        out = np.exp(-(q**alpha))
+    bad = ~((q > 0.0) & (q < math.inf)).all(axis=1)
+    if bad.any():
+        v, w = v[bad], w[bad]
+        with np.errstate(all="ignore"):
+            log_a = (
+                ratio * np.log(np.sin(alpha * v))
+                + np.log(np.sin((1.0 - alpha) * v))
+                - (1.0 + ratio) * np.log(np.sin(v))
+            )
+            log_s = (log_a - np.log(w)) / ratio
+        if not np.isfinite(log_s).all():
+            raise NumericLimitError(f"the Gumbel({gamma!r}) frailty is outside the float range")
+        out[bad] = np.exp(-np.exp(alpha * (np.log(e[bad]) - log_s[:, None])))
+    return out
 
 
 def copula_sample(spec: CopulaSpec, d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -185,10 +215,7 @@ def copula_sample(spec: CopulaSpec, d: int, rng: np.random.Generator, size: int 
     elif spec.kind == "independence" or spec.gamma == 1.0 or d == 1:
         out = rng.random((n, d))
     else:
-        alpha = 1.0 / spec.gamma
-        s = _sample_positive_stable(alpha, rng, n)
-        e = rng.exponential(size=(n, d))
-        out = np.exp(-((e / s[:, None]) ** alpha))
+        out = _gumbel_sample(spec.gamma, rng, n, d)
     # keep draws away from the exact endpoints so that quantile
     # transforms never produce 0/inf innovations
     out = np.clip(out, 1e-300, 1.0 - 1e-16)

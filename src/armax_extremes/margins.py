@@ -159,10 +159,12 @@ def margin_quantile(spec: MarginSpec, p):
 
     The endpoints are excluded: every supported margin is continuous and
     strictly increasing on its support, so interior levels are enough, and
-    rejecting 0/1 keeps infinities out of downstream recursions.
+    rejecting 0/1 keeps infinities out of downstream recursions.  A nan
+    level is refused as well.
     """
     arr, scalar = _as_array(p)
-    if np.any(arr <= 0) or np.any(arr >= 1):
+    # one mask, false at nan as at 0 and 1
+    if not np.all((arr > 0) & (arr < 1)):
         raise ValueError("quantile levels must lie strictly inside (0, 1)")
     with np.errstate(divide="ignore", over="ignore"):
         if spec.kind == "frechet":

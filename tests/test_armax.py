@@ -25,7 +25,13 @@ from armax_extremes.armax import (
 )
 from armax_extremes.copulas import CopulaSpec, copula_logcdf
 from armax_extremes.errors import ConfigurationError, NumericLimitError
-from armax_extremes.margins import MarginSpec, margin_cdf, margin_quantile, right_endpoint
+from armax_extremes.margins import (
+    MarginSpec,
+    attraction_domain,
+    margin_cdf,
+    margin_quantile,
+    right_endpoint,
+)
 
 FRECHET1 = MarginSpec.frechet(1.0)
 INDEP = CopulaSpec.independence()
@@ -259,6 +265,130 @@ def test_lane_block_lengths_are_pinned():
     assert [armax._block_length(c, 201_000) for c in (0.5, 0.9, 0.99, 0.999)] == [112, 112, 600, 0]
 
 
+# values with no sign bit, as every simulated column holds: +0.0, +inf,
+# +nan and powers of two, whose products with c = 1/2 or 1/4 tie with
+# the next innovation exactly
+_UNSIGNED_SPECIAL = [0.0, math.inf, math.nan, 0.5, 1.0, 2.0, 4.0]
+_UNSIGNED = st.sampled_from(_UNSIGNED_SPECIAL) | st.floats(min_value=0.0, allow_infinity=True)
+
+
+@st.composite
+def _unsigned_innovations(draw, n):
+    """``n`` unit Frechet draws with a share of them replaced by values
+    from a small palette of `_UNSIGNED`."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    palette = np.array(draw(st.lists(_UNSIGNED, min_size=1, max_size=4), label="palette"))
+    share = draw(st.sampled_from([0.0, 0.01, 0.3, 1.0]), label="share")
+    y = 1.0 / -np.log(rng.random(n))
+    special = rng.random(n) < share
+    y[special] = rng.choice(palette, size=int(special.sum()))
+    return y
+
+
+@given(st.data())
+def test_lockstep_column_fmax_step_equals_scalar_loop_bit_for_bit(data):
+    n = data.draw(st.integers(1, 3000), label="n")
+    c = data.draw(st.sampled_from([0.5, 0.25]), label="c")
+    x0 = data.draw(_UNSIGNED.filter(lambda v: not math.isnan(v)), label="x0")
+    length = data.draw(st.integers(1, n + 2), label="block length")
+    sweeps = data.draw(st.integers(1, armax._MAX_SWEEPS), label="sweeps")
+    y = np.empty((n, 2))
+    y[:, 0] = data.draw(_unsigned_innovations(n), label="innovations")
+    assert armax._lane_step(x0, y[:, 0]) is armax._fmax_step
+    expected = np.empty(n)
+    armax._recurse_column(c, x0, y[:, 0], expected)
+    out = np.empty((n, 2))
+    armax._lockstep_column(c, x0, y[:, 0], out[:, 0], length, sweeps)
+    assert np.array_equal(_bits(out[:, 0]), _bits(expected))
+
+
+def _spy_steps(monkeypatch):
+    steps = []
+    sweep = armax._sweep
+
+    def spy(c, step, *args):
+        steps.append(step)
+        sweep(c, step, *args)
+
+    monkeypatch.setattr(armax, "_sweep", spy)
+    return steps
+
+
+_NEG_NAN = float(np.copysign(math.nan, -1.0))
+
+
+@pytest.mark.parametrize(
+    "x0, special, step",
+    [
+        (1.0, None, "_fmax_step"),
+        (0.0, 0.0, "_fmax_step"),
+        (math.inf, math.nan, "_fmax_step"),
+        (1.0, math.inf, "_fmax_step"),
+        (math.nan, None, "_select_step"),
+        (_NEG_NAN, None, "_select_step"),
+        (-0.0, None, "_select_step"),
+        (-1.0, None, "_select_step"),
+        (-math.inf, None, "_select_step"),
+        (1.0, -0.0, "_select_step"),
+        (1.0, -1.0, "_select_step"),
+        (1.0, _NEG_NAN, "_select_step"),
+        (1.0, -math.inf, "_select_step"),
+    ],
+    ids=[
+        "unsigned", "zeros", "inf-start-nan-innovation", "inf-innovation",
+        "nan-start", "negative-nan-start", "negative-zero-start", "negative-start",
+        "negative-inf-start", "negative-zero-innovation", "negative-innovation",
+        "negative-nan-innovation", "negative-inf-innovation",
+    ],
+)
+def test_lane_step_is_pinned(monkeypatch, x0, special, step):
+    # fmax only where no lane can meet a nan state or zeros of opposite
+    # sign: no sign bit on x0 or on any innovation, and x0 not nan
+    steps = _spy_steps(monkeypatch)
+    y = 1.0 / -np.log(np.random.default_rng(4).random(200))
+    if special is not None:
+        y[57] = special
+    out = np.empty(200)
+    armax._lockstep_column(0.5, x0, y, out, 10)
+    assert steps and all(s is getattr(armax, step) for s in steps)
+    expected = np.empty(200)
+    armax._recurse_column(0.5, x0, y, expected)
+    assert np.array_equal(_bits(out), _bits(expected))
+
+
+_ALL_MARGINS = [
+    FRECHET1,
+    MarginSpec.frechet(0.2),
+    MarginSpec.exponential(1.0),
+    MarginSpec.exponential(1e300),
+    MarginSpec.uniform01(),
+    MarginSpec.gpd(0.5, 1.0),
+    MarginSpec.gpd(0.0, 1.0),
+    MarginSpec.gpd(-0.5, 1.0),
+    MarginSpec.weibull_min(0.5),
+    MarginSpec.weibull_min(3.0),
+]
+_MARGIN_IDS = ["frechet", "frechet-0.2", "exponential", "exponential-1e300", "uniform01",
+               "gpd+", "gpd0", "gpd-", "weibull_min-0.5", "weibull_min-3"]
+
+
+@pytest.mark.parametrize("margin", _ALL_MARGINS, ids=_MARGIN_IDS)
+def test_margin_quantiles_carry_no_sign_bit(margin):
+    # the copula draws are clipped to [1e-300, 1 - 1e-16], so these are
+    # the extremes of every innovation and burn-in start of a path
+    values = margin_quantile(margin, np.array([1e-300, 0.5, 1.0 - 1e-16]))
+    assert not np.signbit(values).any() and not np.isnan(values).any()
+
+
+@pytest.mark.parametrize("init", [None, InitPolicy.exact_marginal()], ids=["burn_in", "exact"])
+@pytest.mark.parametrize("margin", _ALL_MARGINS, ids=_MARGIN_IDS)
+def test_simulated_columns_take_the_fmax_step(monkeypatch, margin, init):
+    steps = _spy_steps(monkeypatch)
+    cfg = ProcessConfig(2, (0.5, 0.3), (margin, margin), CopulaSpec.gumbel(2.0), init)
+    simulate_path(cfg, 10_000, 5)
+    assert steps and all(s is armax._fmax_step for s in steps)
+
+
 # ---------------------------------------------------------------- simulation
 
 
@@ -463,6 +593,48 @@ def test_stationary_joint_fixed_point(make_margin):
         )
         rhs = stationary_joint_cdf(cfg, x / np.asarray(c)) * g
         assert abs(lhs - rhs) <= 1e-11
+
+
+_FP_MARGINS = st.one_of(
+    st.floats(0.5, 3.0).map(MarginSpec.frechet),
+    st.floats(0.2, 5.0).map(MarginSpec.exponential),
+    st.just(MarginSpec.uniform01()),
+    st.builds(MarginSpec.gpd, st.floats(-0.5, 1.0), st.floats(0.5, 2.0)),
+    st.floats(0.5, 3.0).map(MarginSpec.weibull_min),
+)
+_FP_COPULAS = st.one_of(
+    st.floats(1.0, 5.0).map(CopulaSpec.gumbel),
+    st.just(INDEP),
+    st.just(CopulaSpec.comonotone()),
+)
+
+
+@given(st.data())
+def test_stationary_joint_fixed_point_property(data):
+    # log F(x) = log F(x/c) + log G(x) across margins and copulas.  The
+    # product stops at the first factor i >= 1 with -log G < t; the
+    # terms after it shrink by a ratio r at least as fast as geometric,
+    # so each side leaves out a tail in [0, t/(1 - r)] and the two sides
+    # differ by at most that.  r is c_j**alpha_j for a Frechet-domain
+    # margin of index alpha_j and c_j for the lighter tails (at the
+    # stopping point an exponential or Weibull term shrinks faster than
+    # c), the largest over components; the rounding of sums this size
+    # stays far below the bound
+    d = data.draw(st.integers(1, 3), label="d")
+    c = data.draw(st.lists(st.floats(0.05, 0.95), min_size=d, max_size=d), label="c")
+    margins = data.draw(st.lists(_FP_MARGINS, min_size=d, max_size=d), label="margins")
+    copula = data.draw(_FP_COPULAS, label="copula")
+    p = data.draw(st.lists(st.floats(0.05, 0.95), min_size=d, max_size=d), label="levels")
+    cfg = ProcessConfig(d, c, margins, copula)
+    x = np.array([margin_quantile(m, q) for m, q in zip(margins, p)])
+    lhs = stationary_joint_logcdf(cfg, x)
+    log_g = copula_logcdf(copula, np.log([margin_cdf(m, v) for m, v in zip(margins, x)]))
+    rhs = stationary_joint_logcdf(cfg, x / np.asarray(c)) + log_g
+    ratio = max(
+        cj ** attraction_domain(m).alpha if attraction_domain(m).is_frechet else cj
+        for cj, m in zip(c, margins)
+    )
+    assert abs(lhs - rhs) <= -math.log1p(-1e-12) / (1.0 - ratio)
 
 
 def test_stationary_joint_inf_marginalizes_exactly():

@@ -158,6 +158,28 @@ def test_simulate_csv_bytes_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize("gamma", [1.0000001, 1e6])
+def test_simulate_gumbel_near_one_and_at_large_gamma(tmp_path, gamma):
+    # the frailty sampler once wrote nan paths near gamma = 1 and paths
+    # pinned at the clip bound 1 - 1e-16 (values near 9e15) at large gamma
+    out = tmp_path / "path.csv"
+    process = dict(D2_GUMBEL, copula={"kind": "gumbel", "gamma": gamma})
+    cfg = write_config(
+        tmp_path,
+        "sim.json",
+        {"command": "simulate", "process": process, "n": 100, "seed": 1,
+         "output_path": str(out)},
+    )
+    assert main_exit(["simulate", "--config", cfg]) == 0
+    _, rows = read_rows(out)
+    x = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert x.shape == (100, 2) and np.isfinite(x).all()
+    assert x.max() < 1e6
+    if gamma > 2:
+        # nearly comonotone innovations and equal c: nearly equal columns
+        assert np.max(np.abs(x[:, 0] / x[:, 1] - 1.0)) < 1e-4
+
+
 def test_path_writer_chunks_render_like_fmt(tmp_path, monkeypatch):
     # a chunk size that splits the rows unevenly, and the float values
     # whose text is easiest to get wrong

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kendalltau
+from scipy.stats import kendalltau, kstest
 
 from armax_extremes.copulas import (
     CopulaSpec,
@@ -19,6 +19,7 @@ from armax_extremes.copulas import (
     extremal_coefficient,
     extremal_coefficient_derived,
 )
+from armax_extremes.errors import NumericLimitError
 
 GUMBEL2 = CopulaSpec.gumbel(2.0)
 INDEP = CopulaSpec.independence()
@@ -215,6 +216,63 @@ def test_sample_deterministic_for_fixed_seed():
     a = copula_sample(GUMBEL2, 2, np.random.default_rng(5), size=10)
     b = copula_sample(GUMBEL2, 2, np.random.default_rng(5), size=10)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("gamma", [1.001, 1.01, 200.0, 1000.0])
+def test_gumbel_sample_near_one_and_at_large_gamma(gamma):
+    # the direct frailty form is 0/0 near gamma = 1 and leaves the float
+    # range at large gamma; those rows are drawn in log space
+    n = 20_000
+    s = copula_sample(CopulaSpec.gumbel(gamma), 2, np.random.default_rng(1), size=n)
+    # no draw at the clip bounds, which only a nan or a 0/inf frailty hits
+    assert np.all((s > 1e-300) & (s < 1.0 - 1e-16))
+    for j in range(2):
+        assert kstest(s[:, j], "uniform").pvalue >= 0.01
+    # four standard errors of Kendall's tau under independence, which
+    # bound its spread at any gamma
+    se = math.sqrt(2.0 * (2 * n + 5) / (9.0 * n * (n - 1)))
+    tau = kendalltau(s[:, 0], s[:, 1]).statistic
+    assert abs(tau - (1.0 - 1.0 / gamma)) <= 4.0 * se
+
+
+@pytest.mark.parametrize("gamma", [1.01, 1.5, 2.0, 50.0, 200.0])
+def test_gumbel_sample_keeps_the_direct_form_where_it_is_finite(gamma):
+    # the positive-stable frailty S from a uniform angle and an
+    # exponential, then U_j = exp(-(E_j / S)**alpha), clipped
+    rng = np.random.default_rng(6)
+    alpha = 1.0 / gamma
+    v = rng.random(5000) * math.pi
+    w = rng.exponential(size=5000)
+    e = rng.exponential(size=(5000, 3))
+    ratio = alpha / (1.0 - alpha)
+    with np.errstate(all="ignore"):
+        a = (np.sin(alpha * v) ** ratio) * np.sin((1.0 - alpha) * v) / np.sin(v) ** (1.0 + ratio)
+        q = e / ((a / w) ** (1.0 / ratio))[:, None]
+        direct = np.clip(np.exp(-(q**alpha)), 1e-300, 1.0 - 1e-16)
+    good = ((q > 0.0) & (q < math.inf)).all(axis=1)
+    assert good.any()
+    s = copula_sample(CopulaSpec.gumbel(gamma), 3, np.random.default_rng(6), size=5000)
+    assert np.array_equal(s[good], direct[good])
+    assert np.isfinite(s).all()
+
+
+class _ZeroAngles:
+    """A generator whose uniforms are all 0: the frailty angle is then 0
+    and ``S`` is nan in both the direct and the log form."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def exponential(self, size):
+        return self._rng.exponential(size=size)
+
+
+def test_gumbel_sample_refuses_a_frailty_outside_the_float_range():
+    with pytest.raises(NumericLimitError, match=r"Gumbel\(2\.0\) frailty"):
+        copula_sample(GUMBEL2, 2, _ZeroAngles(), size=4)
 
 
 # -------------------------------------------------------- ratio construction

@@ -150,3 +150,12 @@ def test_quantile_domain_errors():
     for p in (-0.1, 0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             margin_quantile(MarginSpec.frechet(1.0), p)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_quantile_refuses_nan(spec):
+    # a nan level is refused like 0 and 1, alone or in an array
+    with pytest.raises(ValueError, match="strictly inside"):
+        margin_quantile(spec, math.nan)
+    with pytest.raises(ValueError, match="strictly inside"):
+        margin_quantile(spec, np.array([0.25, math.nan, 0.75]))
