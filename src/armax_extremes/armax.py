@@ -206,13 +206,9 @@ def _block_length(c: float, n: int) -> int:
     return length if n // length >= _MIN_BLOCKS else 0
 
 
-def _fmax_step(decayed: np.ndarray, y_row: np.ndarray) -> None:
-    np.fmax(decayed, y_row, out=decayed)
-
-
-def _select_step(decayed: np.ndarray, y_row: np.ndarray) -> None:
+def _select_step(decayed: np.ndarray, y_row: np.ndarray, out: np.ndarray) -> None:
     # the scalar loop's rule: y only where y > decayed, so nan never wins
-    np.copyto(decayed, y_row, where=y_row > decayed)
+    np.copyto(out, y_row, where=y_row > decayed)
 
 
 def _lane_step(x0: float, y: np.ndarray):
@@ -222,13 +218,13 @@ def _lane_step(x0: float, y: np.ndarray):
     ``d`` and ``y`` are zeros of opposite sign.  With no sign bit on
     ``x0`` or any innovation, every lane state is ``>= +0`` or ``-inf``
     (a block start), so ``d = c * prev`` is never nan and never ``-0.0``,
-    and `_fmax_step` is exact; every simulated column is such a column,
+    and ``np.fmax`` is exact; every simulated column is such a column,
     since margin quantiles are ``>= +0``.  Other columns take
     `_select_step`.
     """
     if math.isnan(x0) or math.copysign(1.0, x0) < 0 or np.signbit(y).any():
         return _select_step
-    return _fmax_step
+    return np.fmax
 
 
 def _sweep(c: float, step, start: np.ndarray, y: np.ndarray, out: np.ndarray, again: bool) -> None:
@@ -245,7 +241,7 @@ def _sweep(c: float, step, start: np.ndarray, y: np.ndarray, out: np.ndarray, ag
     lanes = buf.view(np.int64)
     for y_row, out_row in zip(y, out):
         np.multiply(buf, c, out=buf)
-        step(buf, y_row)
+        step(buf, y_row, out=buf)
         if again and (lanes == out_row.view(np.int64)).all():
             return
         out_row[...] = buf

@@ -183,8 +183,9 @@ def _gumbel_sample(gamma: float, rng: np.random.Generator, n: int, d: int) -> np
         a = (np.sin(alpha * v) ** ratio) * np.sin((1.0 - alpha) * v) / np.sin(v) ** (1.0 + ratio)
         q = e / ((a / w) ** (1.0 / ratio))[:, None]
         out = np.exp(-(q**alpha))
-    bad = ~((q > 0.0) & (q < math.inf)).all(axis=1)
-    if bad.any():
+    # a nan fails both tests, so the row mask is built only when needed
+    if not (q.min() > 0.0 and q.max() < math.inf):
+        bad = ~((q > 0.0) & (q < math.inf)).all(axis=1)
         v, w = v[bad], w[bad]
         with np.errstate(all="ignore"):
             log_a = (

@@ -163,8 +163,9 @@ def margin_quantile(spec: MarginSpec, p):
     level is refused as well.
     """
     arr, scalar = _as_array(p)
-    # one mask, false at nan as at 0 and 1
-    if not np.all((arr > 0) & (arr < 1)):
+    # min and max carry a nan through, so it fails both tests as 0 and 1
+    # do; `initial` passes an empty array
+    if not (arr.min(initial=0.5) > 0 and arr.max(initial=0.5) < 1):
         raise ValueError("quantile levels must lie strictly inside (0, 1)")
     with np.errstate(divide="ignore", over="ignore"):
         if spec.kind == "frechet":

@@ -294,7 +294,7 @@ def test_lockstep_column_fmax_step_equals_scalar_loop_bit_for_bit(data):
     sweeps = data.draw(st.integers(1, armax._MAX_SWEEPS), label="sweeps")
     y = np.empty((n, 2))
     y[:, 0] = data.draw(_unsigned_innovations(n), label="innovations")
-    assert armax._lane_step(x0, y[:, 0]) is armax._fmax_step
+    assert armax._lane_step(x0, y[:, 0]) is np.fmax
     expected = np.empty(n)
     armax._recurse_column(c, x0, y[:, 0], expected)
     out = np.empty((n, 2))
@@ -320,19 +320,19 @@ _NEG_NAN = float(np.copysign(math.nan, -1.0))
 @pytest.mark.parametrize(
     "x0, special, step",
     [
-        (1.0, None, "_fmax_step"),
-        (0.0, 0.0, "_fmax_step"),
-        (math.inf, math.nan, "_fmax_step"),
-        (1.0, math.inf, "_fmax_step"),
-        (math.nan, None, "_select_step"),
-        (_NEG_NAN, None, "_select_step"),
-        (-0.0, None, "_select_step"),
-        (-1.0, None, "_select_step"),
-        (-math.inf, None, "_select_step"),
-        (1.0, -0.0, "_select_step"),
-        (1.0, -1.0, "_select_step"),
-        (1.0, _NEG_NAN, "_select_step"),
-        (1.0, -math.inf, "_select_step"),
+        (1.0, None, np.fmax),
+        (0.0, 0.0, np.fmax),
+        (math.inf, math.nan, np.fmax),
+        (1.0, math.inf, np.fmax),
+        (math.nan, None, armax._select_step),
+        (_NEG_NAN, None, armax._select_step),
+        (-0.0, None, armax._select_step),
+        (-1.0, None, armax._select_step),
+        (-math.inf, None, armax._select_step),
+        (1.0, -0.0, armax._select_step),
+        (1.0, -1.0, armax._select_step),
+        (1.0, _NEG_NAN, armax._select_step),
+        (1.0, -math.inf, armax._select_step),
     ],
     ids=[
         "unsigned", "zeros", "inf-start-nan-innovation", "inf-innovation",
@@ -350,7 +350,7 @@ def test_lane_step_is_pinned(monkeypatch, x0, special, step):
         y[57] = special
     out = np.empty(200)
     armax._lockstep_column(0.5, x0, y, out, 10)
-    assert steps and all(s is getattr(armax, step) for s in steps)
+    assert steps and all(s is step for s in steps)
     expected = np.empty(200)
     armax._recurse_column(0.5, x0, y, expected)
     assert np.array_equal(_bits(out), _bits(expected))
@@ -386,7 +386,7 @@ def test_simulated_columns_take_the_fmax_step(monkeypatch, margin, init):
     steps = _spy_steps(monkeypatch)
     cfg = ProcessConfig(2, (0.5, 0.3), (margin, margin), CopulaSpec.gumbel(2.0), init)
     simulate_path(cfg, 10_000, 5)
-    assert steps and all(s is armax._fmax_step for s in steps)
+    assert steps and all(s is np.fmax for s in steps)
 
 
 # ---------------------------------------------------------------- simulation
