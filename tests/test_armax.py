@@ -27,7 +27,6 @@ from armax_extremes.copulas import CopulaSpec, copula_logcdf
 from armax_extremes.errors import ConfigurationError, NumericLimitError
 from armax_extremes.margins import (
     MarginSpec,
-    attraction_domain,
     margin_cdf,
     margin_quantile,
     right_endpoint,
@@ -611,15 +610,13 @@ _FP_COPULAS = st.one_of(
 
 @given(st.data())
 def test_stationary_joint_fixed_point_property(data):
-    # log F(x) = log F(x/c) + log G(x) across margins and copulas.  The
-    # product stops at the first factor i >= 1 with -log G < t; the
-    # terms after it shrink by a ratio r at least as fast as geometric,
-    # so each side leaves out a tail in [0, t/(1 - r)] and the two sides
-    # differ by at most that.  r is c_j**alpha_j for a Frechet-domain
-    # margin of index alpha_j and c_j for the lighter tails (at the
-    # stopping point an exponential or Weibull term shrinks faster than
-    # c), the largest over components; the rounding of sums this size
-    # stays far below the bound
+    # log F(x) = log F(x/c) + log G(x) across margins and copulas.  With
+    # T_i = log G(x / c**i), the product stops at its first term i >= 1
+    # with -T_i < t and includes it: lhs sums T_0..T_K, K the first such
+    # i >= 1, and rhs sums T_0 and T_1..T_K', K' the first such i >= 2.
+    # -T_i falls as i grows, so K' = K unless K = 1, where K' = 2 and the
+    # sides differ by the one term T_2, below t; the rounding of sums
+    # this size stays well below t
     d = data.draw(st.integers(1, 3), label="d")
     c = data.draw(st.lists(st.floats(0.05, 0.95), min_size=d, max_size=d), label="c")
     margins = data.draw(st.lists(_FP_MARGINS, min_size=d, max_size=d), label="margins")
@@ -630,11 +627,7 @@ def test_stationary_joint_fixed_point_property(data):
     lhs = stationary_joint_logcdf(cfg, x)
     log_g = copula_logcdf(copula, np.log([margin_cdf(m, v) for m, v in zip(margins, x)]))
     rhs = stationary_joint_logcdf(cfg, x / np.asarray(c)) + log_g
-    ratio = max(
-        cj ** attraction_domain(m).alpha if attraction_domain(m).is_frechet else cj
-        for cj, m in zip(c, margins)
-    )
-    assert abs(lhs - rhs) <= -math.log1p(-1e-12) / (1.0 - ratio)
+    assert abs(lhs - rhs) <= -math.log1p(-1e-12)
 
 
 def test_stationary_joint_inf_marginalizes_exactly():
