@@ -62,6 +62,13 @@ _BLOCK_MEMORIES = 6
 _MIN_BLOCKS = 160
 _MAX_SWEEPS = 8
 
+# replicates whose recursion `_simulate_batch` runs as one lane array:
+# up to `_MAX_BATCH`, fewer where their innovations and paths
+# (16 bytes a value) would pass `_BATCH_BYTES`; chosen from timings of
+# K = 1, 4, 8, 16 and 32 replicates of 11 000 rows
+_MAX_BATCH = 8
+_BATCH_BYTES = 1 << 22
+
 # terms in the first chunk of the truncated product; a point with
 # light-tailed margins, or with unit Frechet margins at c up to 0.6,
 # needs fewer than 64 factors, so it finishes in one chunk
@@ -211,25 +218,27 @@ def _select_step(decayed: np.ndarray, y_row: np.ndarray, out: np.ndarray) -> Non
     np.copyto(out, y_row, where=y_row > decayed)
 
 
-def _lane_step(x0: float, y: np.ndarray):
-    """The step of `_sweep` for a column ``y`` started from ``x0``.
+def _lane_step(x0: np.ndarray, y: np.ndarray):
+    """The step of `_sweep` for the columns ``y`` ``(K, n)`` started
+    from ``x0`` ``(K,)``.
 
     ``fmax(d, y)`` parts from the select only where ``d`` is nan or
-    ``d`` and ``y`` are zeros of opposite sign.  With no sign bit on
-    ``x0`` or any innovation, every lane state is ``>= +0`` or ``-inf``
-    (a block start), so ``d = c * prev`` is never nan and never ``-0.0``,
-    and ``np.fmax`` is exact; every simulated column is such a column,
-    since margin quantiles are ``>= +0``.  Other columns take
-    `_select_step`.
+    ``d`` and ``y`` are zeros of opposite sign.  With no nan in ``x0``
+    and no sign bit on ``x0`` or any innovation, every lane state is
+    ``>= +0`` or ``-inf`` (a block start), so ``d = c * prev`` is never
+    nan and never ``-0.0``, and ``np.fmax`` is exact; every simulated
+    column is such a column, since margin quantiles are ``>= +0``.
+    Other batches take `_select_step`.
     """
-    if math.isnan(x0) or math.copysign(1.0, x0) < 0 or np.signbit(y).any():
+    if np.isnan(x0).any() or np.signbit(x0).any() or np.signbit(y).any():
         return _select_step
     return np.fmax
 
 
 def _sweep(c: float, step, start: np.ndarray, y: np.ndarray, out: np.ndarray, again: bool) -> None:
     """One lockstep pass of the recursion down the rows of ``y``, whose
-    columns are independent lanes starting from ``start``, into ``out``.
+    other axes are independent lanes starting from ``start``, into
+    ``out``.
 
     Each row multiplies the lanes by ``c`` in place, as the scalar loop
     does, and ``step`` (see `_lane_step`) takes the innovation where it
@@ -248,48 +257,63 @@ def _sweep(c: float, step, start: np.ndarray, y: np.ndarray, out: np.ndarray, ag
 
 
 def _lockstep_column(
-    c: float, x0: float, y: np.ndarray, out: np.ndarray, length: int, sweeps: int = _MAX_SWEEPS
+    c: float, x0: np.ndarray, y: np.ndarray, out: np.ndarray, length: int, sweeps: int = _MAX_SWEEPS
 ) -> None:
-    """The recursion of one column ``y`` from ``x0`` into ``out``, with
-    the column cut into blocks of ``length`` rows run as lanes.
+    """The recursion of each column ``y[k]`` of ``y`` ``(K, n)`` from
+    ``x0[k]`` into ``out[k]``, with every column cut into blocks of
+    ``length`` rows and all blocks of all columns run as one lane array.
 
-    Block 0 starts from ``x0`` and the others from ``-inf``.  Each next
-    sweep starts every block from the end of the block before it, until
-    no start changes bit for bit: sweep k makes blocks 0..k-1 exact, so
-    then every block is.  After ``sweeps`` sweeps the scalar loop runs
-    from the first block not yet exact, and it always runs the ragged
-    tail of fewer than ``length`` rows.
+    Block 0 of a column starts from its ``x0`` and the others from
+    ``-inf``.  Each next sweep starts every block from the end of the
+    block before it: sweep k makes blocks 0..k-1 exact, so once no
+    start of a column changes bit for bit, all its blocks are.  Each
+    column keeps its own first block not yet exact; a sweep starts at
+    the earliest of them over the batch, and the blocks it recomputes
+    that are already exact get the same bits.  After ``sweeps`` sweeps,
+    or once every column is exact, the scalar loop runs each column on
+    from its own first inexact block, as it would for that column
+    alone, and it always runs the ragged tail of fewer than ``length``
+    rows.
     """
-    blocks = len(y) // length
+    k_cols, n = y.shape
+    blocks = n // length
     rows = blocks * length
-    y_lanes = y[:rows].reshape(blocks, length).T
-    out_lanes = out[:rows].reshape(blocks, length).T
+    # (length, K, blocks) views: row i of every block of every column
+    y_lanes = y[:, :rows].reshape(k_cols, blocks, length).transpose(2, 0, 1)
+    out_lanes = out[:, :rows].reshape(k_cols, blocks, length).transpose(2, 0, 1)
     step = _lane_step(x0, y)
-    starts = np.full(blocks, -np.inf)
-    starts[:1] = x0
-    first = 0  # blocks before it are exact
+    starts = np.full((k_cols, blocks), -np.inf)
+    starts[:, :1] = x0[:, None]
+    # per column, the blocks whose start moved in the last sweep, and a
+    # last entry that is always set, so argmax finds the first inexact
+    # block or `blocks` when there is none
+    moved = np.ones((k_cols, blocks + 1), dtype=bool)
+    first = np.zeros(k_cols, dtype=np.intp)  # per column: blocks before it are exact
     for sweep in range(sweeps):
-        _sweep(c, step, starts[first:], y_lanes[:, first:], out_lanes[:, first:], sweep > 0)
-        ends = np.concatenate((starts[:1], out_lanes[-1, :-1]))
-        moved = ends.view(np.int64) != starts.view(np.int64)
-        if not moved.any():
-            first = blocks
+        lo = first.min()
+        _sweep(c, step, starts[:, lo:], y_lanes[:, :, lo:], out_lanes[:, :, lo:], sweep > 0)
+        ends = np.concatenate((starts[:, :1], out_lanes[-1, :, :-1]), axis=1)
+        np.not_equal(ends.view(np.int64), starts.view(np.int64), out=moved[:, :-1])
+        first = moved.argmax(axis=1)
+        if (first == blocks).all():
             break
-        first = int(moved.argmax())
         starts = ends
-    tail = first * length
-    _recurse_column(c, out[tail - 1] if tail else x0, y[tail:], out[tail:])
+    for k, block in enumerate(first.tolist()):
+        tail = block * length
+        _recurse_column(c, out[k, tail - 1] if tail else x0[k], y[k, tail:], out[k, tail:])
 
 
-def _recurse(c, x0, y: np.ndarray, out: np.ndarray) -> None:
-    """The recursion of each column ``j`` of ``y`` ``(n, d)`` with
-    coefficient ``c[j]`` from ``x0[j]``, written into ``out``."""
-    for j in range(y.shape[1]):
-        length = _block_length(c[j], len(y))
+def _recurse(c, x0: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """The recursion of column ``j`` of each replicate ``k`` of ``y``
+    ``(K, n, d)`` with coefficient ``c[j]`` from ``x0[k, j]``, written
+    into ``out``; the lane sweeps of a column serve all K replicates."""
+    for j in range(y.shape[2]):
+        length = _block_length(c[j], y.shape[1])
         if length:
-            _lockstep_column(c[j], x0[j], y[:, j], out[:, j], length)
+            _lockstep_column(c[j], x0[:, j], y[:, :, j], out[:, :, j], length)
         else:
-            _recurse_column(c[j], x0[j], y[:, j], out[:, j])
+            for k in range(len(y)):
+                _recurse_column(c[j], x0[k, j], y[k, :, j], out[k, :, j])
 
 
 def apply_recursion(c, x0, innovations) -> np.ndarray:
@@ -310,7 +334,7 @@ def apply_recursion(c, x0, innovations) -> np.ndarray:
         if not (0.0 < v < 1.0):
             raise ValueError("autoregression coefficients must lie in (0, 1)")
     out = np.empty_like(y)
-    _recurse([float(v) for v in c_vec], x0_vec, y, out)
+    _recurse([float(v) for v in c_vec], x0_vec[None], y[None], out[None])
     return out[:, 0] if squeeze else out
 
 
@@ -335,6 +359,34 @@ def _stationary_frechet_quantile(alpha: float, c: float, p: np.ndarray) -> np.nd
         return _finite_quantile(_frechet_scale(alpha, c) * np.power(-np.log(p), -1.0 / alpha))
 
 
+def _exact_start(config: ProcessConfig) -> bool:
+    # without closed-form stationary quantiles, exact_marginal falls
+    # back to a burn-in long enough for the recursion memory to fade
+    return config.init.kind == "exact_marginal" and all(
+        m.kind == "frechet" for m in config.margins
+    )
+
+
+def _burn_in(config: ProcessConfig) -> int:
+    if _exact_start(config):
+        return 0
+    return DEFAULT_BURN_IN if config.init.length is None else config.init.length
+
+
+def _batch_size(config: ProcessConfig, n: int) -> int:
+    """Replicates of ``n`` rows that `_simulate_batch` should take at
+    once: `_MAX_BATCH`, or fewer where their ``16 * rows * d`` bytes of
+    innovations and path would pass `_BATCH_BYTES`."""
+    each = 16 * (_burn_in(config) + n) * config.d
+    return max(1, min(_MAX_BATCH, _BATCH_BYTES // each))
+
+
+def _normalized_seed(seed):
+    if isinstance(seed, (list, tuple)):
+        return tuple(int(s) for s in seed)
+    return int(seed)
+
+
 def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
     """Simulate ``n`` rows of the process defined by ``config``.
 
@@ -345,41 +397,49 @@ def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
     per step), so a given ``(config, n, seed)`` triple always returns
     identical output.
     """
+    return _simulate_batch(config, n, [seed])[0]
+
+
+def _simulate_batch(config: ProcessConfig, n: int, seeds) -> list[SamplePath]:
+    """`simulate_path` for each of ``seeds``, with one recursion for all.
+
+    Each seed draws from its own generator, in `simulate_path`'s order,
+    into row k of one ``(K, burn + n, d)`` innovation buffer, and
+    `_recurse` runs the K replicates side by side, so every path equals
+    the one ``simulate_path(config, n, seeds[k])`` returns alone.  The
+    buffer and the paths cost ``16 * K * (burn + n) * d`` bytes; see
+    `_batch_size`.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if isinstance(seed, (list, tuple)):
-        seed = tuple(int(s) for s in seed)
-    else:
-        seed = int(seed)
-    rng = np.random.default_rng(seed)
+    seeds = [_normalized_seed(seed) for seed in seeds]
     d = config.d
-    u0 = np.atleast_1d(copula_sample(config.copula, d, rng))
-    if config.init.kind == "exact_marginal" and all(m.kind == "frechet" for m in config.margins):
-        x0 = np.array(
-            [
-                _stationary_frechet_quantile(m.alpha, config.c[j], u0[j])
-                for j, m in enumerate(config.margins)
-            ]
-        )
-        burn = 0
-        init_used = "exact_marginal"
-    else:
-        # without closed-form stationary quantiles, exact_marginal falls
-        # back to a burn-in long enough for the recursion memory to fade
-        burn = DEFAULT_BURN_IN if config.init.length is None else config.init.length
-        x0 = np.array([margin_quantile(m, u0[j]) for j, m in enumerate(config.margins)])
-        init_used = f"burn_in:{burn}"
-    n_rows = burn + n
-
-    # the innovations overwrite the uniforms they are drawn from
-    innovations = copula_sample(config.copula, d, rng, size=n_rows)
-    for j, m in enumerate(config.margins):
-        innovations[:, j] = margin_quantile(m, innovations[:, j])
-    data = np.empty((n_rows, d))
+    exact = _exact_start(config)
+    burn = _burn_in(config)
+    x0 = np.empty((len(seeds), d))
+    innovations = np.empty((len(seeds), burn + n, d))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        u0 = np.atleast_1d(copula_sample(config.copula, d, rng))
+        for j, m in enumerate(config.margins):
+            if exact:
+                x0[k, j] = _stationary_frechet_quantile(m.alpha, config.c[j], u0[j])
+            else:
+                x0[k, j] = margin_quantile(m, u0[j])
+        # the quantiles go straight into the buffer row; the uniforms
+        # are freed before the next draw
+        u = copula_sample(config.copula, d, rng, size=burn + n)
+        for j, m in enumerate(config.margins):
+            innovations[k, :, j] = margin_quantile(m, u[:, j])
+        del u
+    data = np.empty_like(innovations)
     _recurse(config.c, x0, innovations, data)
-    return SamplePath(
-        data=data[burn:], seed=seed, config_digest=config.digest(), init_used=init_used
-    )
+    digest = config.digest()
+    init_used = "exact_marginal" if exact else f"burn_in:{burn}"
+    return [
+        SamplePath(data=data[k, burn:], seed=seed, config_digest=digest, init_used=init_used)
+        for k, seed in enumerate(seeds)
+    ]
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,27 @@
 
 Subcommands: ``simulate``, ``estimate``, ``extremal-index``, ``tail-dep``,
 ``copula``, ``montecarlo``.  Each takes a JSON config (``--config``) whose
-``command`` field, when present, must match the subcommand and whose
-other fields are those the command reads (`_COMMAND_FIELDS`); ``--out``
-and, where the command reads them, ``--seed``, ``--replicates`` and
-``--workers`` override those entries, and ``--print-config`` echoes the
-fully resolved configuration instead of running.  Every CSV has a
-header row and 17-significant-digit floats; values that could not be
-computed are the literal ``nan`` with a reason in the ``flag`` column.
-Exit codes: 0 success (warnings go to stderr), 2 configuration error
-(a run too large for memory included), 3 numeric failure; a
-``tail-dep`` cell that fails is flagged in its row instead.
+``command`` field, when present, must name the subcommand, spelled with
+a hyphen as the subcommand is or with an underscore as `COMMANDS` is,
+and whose other fields are those the command reads (`_COMMAND_FIELDS`);
+``--out`` and, where the command reads them, ``--seed``,
+``--replicates`` and ``--workers`` override those entries, and
+``--print-config`` echoes the fully resolved configuration, with the
+underscore spelling, instead of running.  Every CSV has a header row and
+17-significant-digit floats; values that could not be computed are the
+literal ``nan`` with a reason in the ``flag`` column.  Exit codes: 0
+success (warnings go to stderr), 2 configuration error (a run too large
+for memory included), 3 numeric failure; a ``tail-dep`` cell that fails
+is flagged in its row instead.
+
+``montecarlo`` draws replicate ``i`` from ``default_rng((seed, i))`` and
+recurses the paths of up to 8 replicates as one batch
+(`armax._simulate_batch`); ``workers > 1`` maps the batches over a
+process pool.  Its CSV and summary do not depend on the batch size or on
+``workers``.  A replicate's ``flag`` holds the estimator codes
+``estimate`` writes (``moment_misfit``, ``lebedev_misfit``,
+``lebedev_boundary``, ``davis_resnick_unavailable``), or
+``estimator_unavailable`` for a nan estimate none of them explains.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .armax import ProcessConfig, simulate_path
+from .armax import ProcessConfig, _batch_size, _simulate_batch, simulate_path
 from .copulas import (
     CopulaSpec,
     DerivedCopula,
@@ -127,15 +138,25 @@ _COMMAND_FIELDS = {
     "montecarlo": {**_PATH_FIELDS, "replicates": 100, "workers": 1},
 }
 COMMANDS = tuple(_COMMAND_FIELDS)
+# the subcommand spelling of each command (extremal-index, tail-dep),
+# which a config's command field may use as well
+_SUBCOMMANDS = {name.replace("_", "-"): name for name in COMMANDS}
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    """Parse a JSON config dictionary into an unresolved `RunConfig`."""
+    """Parse a JSON config dictionary into an unresolved `RunConfig`.
+
+    The ``command`` field may spell a command as its subcommand does
+    (``tail-dep``) or as `COMMANDS` does (``tail_dep``); the result
+    holds the `COMMANDS` spelling.
+    """
     head = {"command": data.get("command")} if isinstance(data, dict) else data
     command = parse_fields(head, "config", {"command": text}, ("command",))["command"]
     # an unknown command is refused by resolve_run_config
+    command = _SUBCOMMANDS.get(command, command)
     names = ("command", *_COMMAND_FIELDS.get(command, _RUN_FIELDS))
-    return parse_fields(data, "config", {name: _RUN_FIELDS[name] for name in names}, (), RunConfig)
+    fields = {name: _RUN_FIELDS[name] for name in names}
+    return parse_fields({**data, "command": command}, "config", fields, (), RunConfig)
 
 
 def resolve_run_config(config: RunConfig) -> RunConfig:
@@ -490,11 +511,25 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-def _mc_replicate(args) -> tuple:
-    process, n, master_seed, index = args
-    path = simulate_path(process, n, (master_seed, index))
-    moment, lebedev, c_dr, _ = _c_estimates(path.data[:, 0])
-    return (index, moment.c_hat, moment.u_bar, lebedev.c_hat, c_dr)
+# the code that explains a nan estimate of each of the three estimators
+_NAN_CODES = ("moment_misfit", "lebedev_misfit", "davis_resnick_unavailable")
+
+
+def _mc_batch(args) -> list[tuple]:
+    """The estimates and flag of each replicate in ``indices``, whose
+    paths are drawn as one batch (see `armax._simulate_batch`)."""
+    process, n, master_seed, indices = args
+    paths = _simulate_batch(process, n, [(master_seed, index) for index in indices])
+    results = []
+    for index, path in zip(indices, paths):
+        moment, lebedev, c_dr, flags = _c_estimates(path.data[:, 0])
+        estimates = (moment.c_hat, lebedev.c_hat, c_dr)
+        # the estimator codes of `estimate`; a nan that none explains
+        # is estimator_unavailable
+        if any(math.isnan(v) and code not in flags for v, code in zip(estimates, _NAN_CODES)):
+            flags.append("estimator_unavailable")
+        results.append((index, moment.u_bar, *estimates, ";".join(flags) or "ok"))
+    return results
 
 
 def _run_montecarlo(config: RunConfig) -> int:
@@ -502,28 +537,31 @@ def _run_montecarlo(config: RunConfig) -> int:
     n = config.n
     reps = config.replicates
     c_true = process.c[0]
-    payloads = [(process, n, config.seed, i) for i in range(reps)]
+    size = _batch_size(process, n)
+    payloads = [
+        (process, n, config.seed, range(start, min(start + size, reps)))
+        for start in range(0, reps, size)
+    ]
     # a forking pool starts every worker at the first submit, so ask for
-    # no more than there are replicates and CPUs
-    workers = min(config.workers, reps, os.cpu_count() or 1)
+    # no more than there are batches and CPUs
+    workers = min(config.workers, len(payloads), os.cpu_count() or 1)
     if workers > 1:
-        chunk = max(1, reps // (workers * 4))
+        chunk = max(1, len(payloads) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_replicate, payloads, chunksize=chunk))
+            batches = list(pool.map(_mc_batch, payloads, chunksize=chunk))
     else:
-        results = [_mc_replicate(p) for p in payloads]
+        batches = [_mc_batch(p) for p in payloads]
+    results = [row for batch in batches for row in batch]
 
     header = ["replicate", "n", "c_true", "c_moment", "c_lebedev", "c_dr", "flag"]
-    rows = []
-    for index, c_moment, _, c_lebedev, c_dr in results:
-        flag = "ok"
-        if math.isnan(c_moment) or math.isnan(c_lebedev) or math.isnan(c_dr):
-            flag = "estimator_unavailable"
-        rows.append([index, n, c_true, c_moment, c_lebedev, c_dr, flag])
+    rows = [
+        [index, n, c_true, c_moment, c_lebedev, c_dr, flag]
+        for index, _, c_moment, c_lebedev, c_dr, flag in results
+    ]
     _write_csv(config.output_path, header, rows)
 
-    c_moment = np.array([row[1] for row in results])
-    u_bar = np.array([row[2] for row in results])
+    u_bar = np.array([row[1] for row in results])
+    c_moment = np.array([row[2] for row in results])
     c_lebedev = np.array([row[3] for row in results])
     c_dr = np.array([row[4] for row in results])
     sqrt_n = math.sqrt(n)
@@ -625,9 +663,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 **{name: value for name, value in overrides.items() if value is not None}}
     config = run_config_from_dict(data)
     if config.command != args.command:
+        cli_name = args.command.replace("_", "-")
+        spellings = " or ".join(repr(name) for name in dict.fromkeys((cli_name, args.command)))
         raise ConfigurationError(
-            f"config command {config.command!r} does not match the "
-            f"{args.command.replace('_', '-')} subcommand"
+            f"config command {data['command']!r} does not match the {cli_name} "
+            f"subcommand, which takes {spellings}"
         )
     return resolve_run_config(config)
 

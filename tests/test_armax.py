@@ -2,6 +2,7 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -201,32 +202,65 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.int64)
 
 
+def _lockstep(c, x0, y, length, sweeps=armax._MAX_SWEEPS):
+    """`armax._lockstep_column` on the columns ``y`` ``(K, n)`` from
+    ``x0``, into strided columns as `_simulate_batch` passes them.
+
+    Returns the output and, per column, the rows the scalar loop ran
+    after the sweeps (its first inexact block and ragged tail).
+    """
+    tails = []
+    recurse = armax._recurse_column
+
+    def spy(c, x0, innovations, out):
+        tails.append(len(innovations))
+        recurse(c, x0, innovations, out)
+
+    out = np.empty((*y.shape, 2))[..., 0]
+    with mock.patch.object(armax, "_recurse_column", spy):
+        armax._lockstep_column(c, np.array(x0, dtype=float), y, out, length, sweeps)
+    return out, tails
+
+
+def _scalar_loop(c, x0, y):
+    expected = np.empty(len(y))
+    armax._recurse_column(c, x0, y, expected)
+    return expected
+
+
 @given(st.data())
 def test_lockstep_column_equals_scalar_loop_bit_for_bit(data):
     n = data.draw(st.integers(1, 3000), label="n")
-    c, x0 = data.draw(_C, label="c"), data.draw(_VALUES, label="x0")
+    c = data.draw(_C, label="c")
+    # a batch of columns, each with a clean start and innovations (no
+    # sign bit, as simulated columns have) or with nan, -0.0 or negative
+    # values anywhere, which make the whole batch take the select step
+    clean = data.draw(st.lists(st.booleans(), min_size=1, max_size=9), label="clean columns")
+    x0 = [data.draw(_UNSIGNED.filter(lambda v: not math.isnan(v)) if ok else _VALUES, label="x0")
+          for ok in clean]
     # one block or more, exact multiples or a ragged tail, and columns
     # shorter than one block
     length = data.draw(st.integers(1, n + 2), label="block length")
     sweeps = data.draw(st.integers(1, armax._MAX_SWEEPS), label="sweeps")
     # strided columns, as simulate_path passes them
-    y = np.empty((n, 2))
-    y[:, 0] = data.draw(_innovations(n), label="innovations")
-    expected = np.empty(n)
-    armax._recurse_column(c, x0, y[:, 0], expected)
-    out = np.empty((n, 2))
-    armax._lockstep_column(c, x0, y[:, 0], out[:, 0], length, sweeps)
-    assert np.array_equal(_bits(out[:, 0]), _bits(expected))
+    y = np.empty((len(clean), n, 2))[..., 0]
+    for k, ok in enumerate(clean):
+        y[k] = data.draw(_unsigned_innovations(n) if ok else _innovations(n), label="innovations")
+    out, tails = _lockstep(c, x0, y, length, sweeps)
+    for k in range(len(clean)):
+        assert np.array_equal(_bits(out[k]), _bits(_scalar_loop(c, x0[k], y[k])))
+        # each column's scalar loop starts where it would for that column alone
+        assert _lockstep(c, x0[k : k + 1], y[k : k + 1], length, sweeps)[1] == [tails[k]]
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 20])
 def test_lockstep_column_keeps_the_sign_of_zero(length):
     # 0.0 > -0.0 is false, so the scalar loop keeps x0 = -0.0 all along;
     # a block started from -inf takes 0.0 instead, and only a bitwise
-    # comparison of the block starts sees that it must be swept again
-    out = np.empty(20)
-    armax._lockstep_column(0.5, -0.0, np.zeros(20), out, length)
-    assert np.array_equal(_bits(out), _bits(np.full(20, -0.0)))
+    # comparison of the block starts sees that it must be swept again;
+    # a +0.0 column beside it keeps +0.0
+    out, _ = _lockstep(0.5, [-0.0, 0.0], np.zeros((2, 20)), length)
+    assert np.array_equal(_bits(out), _bits(np.array([[-0.0] * 20, [0.0] * 20])))
 
 
 @given(st.data())
@@ -254,8 +288,8 @@ def test_lane_rule_is_pinned(monkeypatch, n, lanes_up_to):
     ran = []
     monkeypatch.setattr(armax, "_lockstep_column", lambda c, *args: ran.append((c, "lanes")))
     monkeypatch.setattr(armax, "_recurse_column", lambda c, *args: ran.append((c, "scalar")))
-    y = np.zeros((n, len(_C_GRID)))
-    armax._recurse(_C_GRID, np.zeros(len(_C_GRID)), y, np.empty_like(y))
+    y = np.zeros((1, n, len(_C_GRID)))
+    armax._recurse(_C_GRID, np.zeros((1, len(_C_GRID))), y, np.empty_like(y))
     assert ran == [(c, "lanes" if c <= lanes_up_to else "scalar") for c in _C_GRID]
 
 
@@ -288,17 +322,17 @@ def _unsigned_innovations(draw, n):
 def test_lockstep_column_fmax_step_equals_scalar_loop_bit_for_bit(data):
     n = data.draw(st.integers(1, 3000), label="n")
     c = data.draw(st.sampled_from([0.5, 0.25]), label="c")
-    x0 = data.draw(_UNSIGNED.filter(lambda v: not math.isnan(v)), label="x0")
+    x0 = data.draw(st.lists(_UNSIGNED.filter(lambda v: not math.isnan(v)), min_size=1,
+                            max_size=9), label="x0")
     length = data.draw(st.integers(1, n + 2), label="block length")
     sweeps = data.draw(st.integers(1, armax._MAX_SWEEPS), label="sweeps")
-    y = np.empty((n, 2))
-    y[:, 0] = data.draw(_unsigned_innovations(n), label="innovations")
-    assert armax._lane_step(x0, y[:, 0]) is np.fmax
-    expected = np.empty(n)
-    armax._recurse_column(c, x0, y[:, 0], expected)
-    out = np.empty((n, 2))
-    armax._lockstep_column(c, x0, y[:, 0], out[:, 0], length, sweeps)
-    assert np.array_equal(_bits(out[:, 0]), _bits(expected))
+    y = np.empty((len(x0), n, 2))[..., 0]
+    for k in range(len(x0)):
+        y[k] = data.draw(_unsigned_innovations(n), label="innovations")
+    assert armax._lane_step(np.array(x0), y) is np.fmax
+    out, _ = _lockstep(c, x0, y, length, sweeps)
+    for k in range(len(x0)):
+        assert np.array_equal(_bits(out[k]), _bits(_scalar_loop(c, x0[k], y[k])))
 
 
 def _spy_steps(monkeypatch):
@@ -342,17 +376,19 @@ _NEG_NAN = float(np.copysign(math.nan, -1.0))
 )
 def test_lane_step_is_pinned(monkeypatch, x0, special, step):
     # fmax only where no lane can meet a nan state or zeros of opposite
-    # sign: no sign bit on x0 or on any innovation, and x0 not nan
-    steps = _spy_steps(monkeypatch)
-    y = 1.0 / -np.log(np.random.default_rng(4).random(200))
+    # sign: no sign bit on x0 or on any innovation, and x0 not nan, in
+    # any column of the batch; the column is run alone and between two
+    # clean columns
+    y = 1.0 / -np.log(np.random.default_rng(4).random((3, 200)))
     if special is not None:
-        y[57] = special
-    out = np.empty(200)
-    armax._lockstep_column(0.5, x0, y, out, 10)
-    assert steps and all(s is step for s in steps)
-    expected = np.empty(200)
-    armax._recurse_column(0.5, x0, y, expected)
-    assert np.array_equal(_bits(out), _bits(expected))
+        y[1, 57] = special
+    for batch in ([1], [0, 1, 2]):
+        steps = _spy_steps(monkeypatch)
+        starts = [x0 if k == 1 else 1.0 for k in batch]
+        out, _ = _lockstep(0.5, starts, y[batch], 10)
+        assert steps and all(s is step for s in steps)
+        for k, start in enumerate(starts):
+            assert np.array_equal(_bits(out[k]), _bits(_scalar_loop(0.5, start, y[batch[k]])))
 
 
 _ALL_MARGINS = [
@@ -416,7 +452,8 @@ def test_simulated_path_is_the_recursion_exactly(monkeypatch, margin):
 
     def spy(c, x0, y, out):
         recurse(c, x0, y, out)
-        seen.update(x0=np.array(x0), y=y.copy(), x=out)
+        # the one replicate of the batch
+        seen.update(x0=np.array(x0[0]), y=y[0].copy(), x=out[0])
 
     monkeypatch.setattr(armax, "_recurse", spy)
     cfg = ProcessConfig(2, (0.5, 0.98), (margin, margin), CopulaSpec.gumbel(2.0))

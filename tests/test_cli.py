@@ -1,4 +1,9 @@
-"""End-to-end tests of the command-line interface (run as subprocesses)."""
+"""End-to-end tests of the command-line interface.
+
+Most run ``cli.main`` in process; the few that need a real process (the
+``-m`` entry, reruns in fresh interpreters, exit codes and stderr with
+no traceback) start ``python -m armax_extremes.cli``.
+"""
 
 import contextlib
 import hashlib
@@ -14,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armax_extremes import cli, taildep
+from armax_extremes import armax, cli, taildep
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec
 from armax_extremes.errors import ConfigurationError, UndefinedResultError
@@ -49,6 +54,14 @@ def main_exit(argv):
     with pytest.raises(SystemExit) as exit_:
         cli.main(argv)
     return exit_.value.code
+
+
+def run_main(capsys, *args):
+    """``cli.main(args)`` run in process, with its exit status and the
+    output it printed, in the shape `run_cli` returns."""
+    code = main_exit(list(args))
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
 
 
 def write_config(tmp_path, name, payload):
@@ -124,7 +137,7 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert meta_a == meta_b
 
 
-def test_simulate_seed_override(tmp_path):
+def test_simulate_seed_override(tmp_path, capsys):
     out7 = tmp_path / "s7.csv"
     cfg = write_config(
         tmp_path,
@@ -132,17 +145,17 @@ def test_simulate_seed_override(tmp_path):
         {"command": "simulate", "process": D2_GUMBEL, "n": 30, "seed": 7,
          "output_path": str(out7)},
     )
-    assert run_cli("simulate", "--config", cfg).returncode == 0
+    assert run_main(capsys, "simulate", "--config", cfg).returncode == 0
     out8 = tmp_path / "s8.csv"
-    assert run_cli(
-        "simulate", "--config", cfg, "--seed", "8", "--out", str(out8)
+    assert run_main(
+        capsys, "simulate", "--config", cfg, "--seed", "8", "--out", str(out8)
     ).returncode == 0
     assert out7.read_bytes() != out8.read_bytes()
     with open(str(out8) + ".meta.json") as fh:
         assert json.load(fh)["seed"] == 8
 
 
-def test_simulate_csv_bytes_pinned(tmp_path):
+def test_simulate_csv_bytes_pinned(tmp_path, capsys):
     # sha256 of the path CSV written by the per-value formatter this
     # row-wise writer replaced
     out = tmp_path / "pin.csv"
@@ -152,7 +165,7 @@ def test_simulate_csv_bytes_pinned(tmp_path):
         {"command": "simulate", "process": D2_GUMBEL, "n": 500, "seed": 7,
          "output_path": str(out)},
     )
-    assert run_cli("simulate", "--config", cfg).returncode == 0
+    assert run_main(capsys, "simulate", "--config", cfg).returncode == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "831a533993a5b0a9d8533023e556fa800b44d550945055c33be238a595da5f44"
     )
@@ -272,7 +285,7 @@ ESTIMATE_HEADER = [
 ]
 
 
-def test_estimate_from_file_matches_process_mode(tmp_path):
+def test_estimate_from_file_matches_process_mode(tmp_path, capsys):
     sim_out = tmp_path / "path.csv"
     sim_cfg = write_config(
         tmp_path,
@@ -280,7 +293,7 @@ def test_estimate_from_file_matches_process_mode(tmp_path):
         {"command": "simulate", "process": D1_INDEP, "n": 400, "seed": 3,
          "output_path": str(sim_out)},
     )
-    assert run_cli("simulate", "--config", sim_cfg).returncode == 0
+    assert run_main(capsys, "simulate", "--config", sim_cfg).returncode == 0
 
     est_file = tmp_path / "est_file.csv"
     file_cfg = write_config(
@@ -289,7 +302,7 @@ def test_estimate_from_file_matches_process_mode(tmp_path):
         {"command": "estimate", "input_path": str(sim_out),
          "output_path": str(est_file)},
     )
-    assert run_cli("estimate", "--config", file_cfg).returncode == 0
+    assert run_main(capsys, "estimate", "--config", file_cfg).returncode == 0
 
     est_proc = tmp_path / "est_proc.csv"
     proc_cfg = write_config(
@@ -298,7 +311,7 @@ def test_estimate_from_file_matches_process_mode(tmp_path):
         {"command": "estimate", "process": D1_INDEP, "n": 400, "seed": 3,
          "output_path": str(est_proc)},
     )
-    assert run_cli("estimate", "--config", proc_cfg).returncode == 0
+    assert run_main(capsys, "estimate", "--config", proc_cfg).returncode == 0
 
     # the CSV round trip is exact, so both estimate modes agree to the byte
     assert est_file.read_bytes() == est_proc.read_bytes()
@@ -319,7 +332,7 @@ def test_estimate_from_file_matches_process_mode(tmp_path):
     assert row[11] == "ok"
 
 
-def test_estimate_flags_are_warnings_not_errors(tmp_path):
+def test_estimate_flags_are_warnings_not_errors(tmp_path, capsys):
     data = tmp_path / "increasing.csv"
     data.write_text("".join(f"{float(i)}\n" for i in range(1, 101)))
     out = tmp_path / "est.csv"
@@ -328,7 +341,7 @@ def test_estimate_flags_are_warnings_not_errors(tmp_path):
         "est.json",
         {"command": "estimate", "input_path": str(data), "output_path": str(out)},
     )
-    proc = run_cli("estimate", "--config", cfg)
+    proc = run_main(capsys, "estimate", "--config", cfg)
     assert proc.returncode == 0
     assert "warning: column 0:" in proc.stderr
     assert "lebedev_misfit" in proc.stderr
@@ -460,7 +473,7 @@ def test_estimate_input_files_exit_cleanly(tmp_path_factory, text):
 # ------------------------------------------------------------ extremal index
 
 
-def test_extremal_index_defaults_and_theory(tmp_path):
+def test_extremal_index_defaults_and_theory(tmp_path, capsys):
     out = tmp_path / "theta.csv"
     cfg = write_config(
         tmp_path,
@@ -481,7 +494,7 @@ def test_extremal_index_defaults_and_theory(tmp_path):
             "output_path": str(out),
         },
     )
-    proc = run_cli("extremal-index", "--config", cfg)
+    proc = run_main(capsys, "extremal-index", "--config", cfg)
     assert proc.returncode == 0
     assert "extremal-index: wrote 1 rows" in proc.stdout
     header, rows = read_rows(out)
@@ -501,7 +514,7 @@ def test_extremal_index_defaults_and_theory(tmp_path):
     assert row[6] == "ok"
 
 
-def test_extremal_index_csv_bytes_pinned(tmp_path):
+def test_extremal_index_csv_bytes_pinned(tmp_path, capsys):
     # sha256 of the CSV written when each tau row ranked the path anew
     out = tmp_path / "pin.csv"
     cfg = write_config(
@@ -510,7 +523,7 @@ def test_extremal_index_csv_bytes_pinned(tmp_path):
         {"command": "extremal_index", "process": D2_GUMBEL, "n": 2000, "seed": 7,
          "tau_grid": [[1.0, 1.0], [0.5, 2.0], [0.0, 1.5]], "output_path": str(out)},
     )
-    assert run_cli("extremal-index", "--config", cfg).returncode == 0
+    assert run_main(capsys, "extremal-index", "--config", cfg).returncode == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "7907a94e64621177474c77b30dc025cb5b7cbfedb73313ea5f9832f5d7e2f7b7"
     )
@@ -545,6 +558,10 @@ def test_extremal_index_undefined_flags_every_row(tmp_path, monkeypatch, capsys)
         ({"k": 0}, "k must lie strictly between 0 and n"),
         ({"k": 1000}, "k must lie strictly between 0 and n"),
         ({"n": 2}, "k must lie strictly between 0 and n"),  # default k = ceil(sqrt 2) = 2
+        # the command field may spell the command as the subcommand does
+        ({"command": "extremal-index", "k": 0}, "k must lie strictly between 0 and n"),
+        ({"command": "tail-dep"}, "config command 'tail-dep' does not match the extremal-index "
+                                  "subcommand, which takes 'extremal-index' or 'extremal_index'"),
     ],
 )
 def test_extremal_index_refuses_bad_parameters_before_drawing_a_path(
@@ -570,7 +587,7 @@ def test_extremal_index_refuses_bad_parameters_before_drawing_a_path(
 # ------------------------------------------------------------------ tail dep
 
 
-def test_tail_dep_defaults(tmp_path):
+def test_tail_dep_defaults(tmp_path, capsys):
     out = tmp_path / "tdc.csv"
     cfg = write_config(
         tmp_path,
@@ -578,7 +595,7 @@ def test_tail_dep_defaults(tmp_path):
         {"command": "tail_dep", "process": D2_GUMBEL, "n": 4000, "seed": 7,
          "output_path": str(out)},
     )
-    proc = run_cli("tail-dep", "--config", cfg)
+    proc = run_main(capsys, "tail-dep", "--config", cfg)
     assert proc.returncode == 0
     assert "(regime bands: +/-0.05 around 0.5 and 1)" in proc.stdout
     header, rows = read_rows(out)
@@ -601,7 +618,7 @@ def test_tail_dep_defaults(tmp_path):
     assert all(r[7] == "ok" for r in rows)
 
 
-def test_tail_dep_defaults_exponential_margin(tmp_path):
+def test_tail_dep_defaults_exponential_margin(tmp_path, capsys):
     out = tmp_path / "tdc.csv"
     process = dict(D1_INDEP, c=[0.7], margins=[{"kind": "exponential", "rate": 1.0}])
     cfg = write_config(
@@ -610,7 +627,7 @@ def test_tail_dep_defaults_exponential_margin(tmp_path):
         {"command": "tail_dep", "process": process, "n": 4000, "seed": 7,
          "output_path": str(out)},
     )
-    proc = run_cli("tail-dep", "--config", cfg)
+    proc = run_main(capsys, "tail-dep", "--config", cfg)
     assert proc.returncode == 0, proc.stderr
     _, rows = read_rows(out)
     assert [r[2] for r in rows] == ["0", "1", "2"]
@@ -620,7 +637,7 @@ def test_tail_dep_defaults_exponential_margin(tmp_path):
 D2_UNEQUAL = {**D2_GUMBEL, "c": [0.5, 0.9]}
 
 
-def test_tail_dep_csv_bytes_pinned(tmp_path):
+def test_tail_dep_csv_bytes_pinned(tmp_path, capsys):
     # sha256 of the CSV written when every cell ranked its own windows
     out = tmp_path / "pin.csv"
     cfg = write_config(
@@ -629,7 +646,7 @@ def test_tail_dep_csv_bytes_pinned(tmp_path):
         {"command": "tail_dep", "process": D2_UNEQUAL, "n": 4000, "seed": 7,
          "output_path": str(out)},
     )
-    assert run_cli("tail-dep", "--config", cfg).returncode == 0
+    assert run_main(capsys, "tail-dep", "--config", cfg).returncode == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "031195666d891edff8c49e5aade2153802a73f83754719e440a442b369efaf35"
     )
@@ -780,6 +797,8 @@ def test_tail_dep_writes_an_exact_limit(tmp_path):
         ({"pairs": [[-1, 0]]}, "component indices out of range"),
         ({"pairs": [[0, 0], [1, 0]]}, "component indices out of range"),
         ({"pairs": [[0, 2]]}, "component indices out of range"),
+        # the command field may spell the command as the subcommand does
+        ({"command": "tail-dep", "t": 0.0}, "t must lie in (0, 1)"),
     ],
 )
 def test_tail_dep_refuses_bad_parameters_before_drawing_a_path(
@@ -815,7 +834,7 @@ def test_tail_dep_without_cells_is_refused(tmp_path, monkeypatch, capsys):
 # -------------------------------------------------------------------- copula
 
 
-def test_copula_tables_for_valid_derived(tmp_path):
+def test_copula_tables_for_valid_derived(tmp_path, capsys):
     out = tmp_path / "cop.csv"
     cfg = write_config(
         tmp_path,
@@ -830,7 +849,7 @@ def test_copula_tables_for_valid_derived(tmp_path):
             "output_path": str(out),
         },
     )
-    proc = run_cli("copula", "--config", cfg)
+    proc = run_main(capsys, "copula", "--config", cfg)
     assert proc.returncode == 0
     assert proc.stderr == ""
     header, rows = read_rows(out)
@@ -844,7 +863,7 @@ def test_copula_tables_for_valid_derived(tmp_path):
     assert validity == [["validity", "derived", "nan", "nan", "1", "ok"]]
 
 
-def test_copula_flags_invalid_derived(tmp_path):
+def test_copula_flags_invalid_derived(tmp_path, capsys):
     out = tmp_path / "cop.csv"
     cfg = write_config(
         tmp_path,
@@ -859,7 +878,7 @@ def test_copula_flags_invalid_derived(tmp_path):
             "output_path": str(out),
         },
     )
-    proc = run_cli("copula", "--config", cfg)
+    proc = run_main(capsys, "copula", "--config", cfg)
     assert proc.returncode == 0  # diagnostics still useful, so flag + warn only
     assert "derived copula fails the bound checks" in proc.stderr
     _, rows = read_rows(out)
@@ -869,7 +888,7 @@ def test_copula_flags_invalid_derived(tmp_path):
     assert coeff["derived"] == pytest.approx(math.sqrt(5.0) - 1.0, abs=1e-12)
 
 
-def test_copula_base_only(tmp_path):
+def test_copula_base_only(tmp_path, capsys):
     out = tmp_path / "cop.csv"
     cfg = write_config(
         tmp_path,
@@ -877,7 +896,7 @@ def test_copula_base_only(tmp_path):
         {"command": "copula", "copula": {"kind": "gumbel", "gamma": 2.0},
          "output_path": str(out)},
     )
-    assert run_cli("copula", "--config", cfg).returncode == 0
+    assert run_main(capsys, "copula", "--config", cfg).returncode == 0
     _, rows = read_rows(out)
     assert len(rows) == 10  # one coefficient + 9 diagonal, no validity table
     assert {r[0] for r in rows} == {"extremal_coefficient", "diagonal"}
@@ -921,10 +940,10 @@ def _mc_config(tmp_path, out, **extra):
     return write_config(tmp_path, f"mc_{out.stem}.json", payload)
 
 
-def test_montecarlo_outputs(tmp_path):
+def test_montecarlo_outputs(tmp_path, capsys):
     out = tmp_path / "mc.csv"
     cfg = _mc_config(tmp_path, out)
-    proc = run_cli("montecarlo", "--config", cfg)
+    proc = run_main(capsys, "montecarlo", "--config", cfg)
     assert proc.returncode == 0
     assert "matching variance convention:" in proc.stdout
     header, rows = read_rows(out)
@@ -938,12 +957,12 @@ def test_montecarlo_outputs(tmp_path):
     assert summary["normality_pvalue"] is None  # needs at least 20 replicates
 
 
-def test_montecarlo_workers_do_not_change_results(tmp_path):
+def test_montecarlo_workers_do_not_change_results(tmp_path, capsys):
     out1 = tmp_path / "w1.csv"
-    assert run_cli("montecarlo", "--config", _mc_config(tmp_path, out1)).returncode == 0
+    assert run_main(capsys, "montecarlo", "--config", _mc_config(tmp_path, out1)).returncode == 0
     out2 = tmp_path / "w2.csv"
-    assert run_cli(
-        "montecarlo", "--config", _mc_config(tmp_path, out2), "--workers", "2"
+    assert run_main(
+        capsys, "montecarlo", "--config", _mc_config(tmp_path, out2), "--workers", "2"
     ).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "w1.csv.summary.json").read_bytes() == (
@@ -953,11 +972,14 @@ def test_montecarlo_workers_do_not_change_results(tmp_path):
 
 @pytest.mark.parametrize(
     "workers, replicates, cpus, sizes",
-    [(64, 3, 8, [3]), (64, 12, 8, [8]), (3, 12, 8, [3]), (64, 12, None, [])],
+    [(64, 3, 8, []), (64, 12, 8, [2]), (3, 12, 8, [2]), (64, 12, None, []),
+     (64, 40, 8, [5]), (3, 40, 8, [3]), (64, 40, 4, [4])],
 )
 def test_montecarlo_pool_is_bounded(tmp_path, monkeypatch, workers, replicates, cpus, sizes):
     # a serial stand-in for the process pool records the size asked of it;
-    # no worker process is started
+    # no worker process is started.  The tasks are batches of 8
+    # replicates, so a pool never outnumbers the batches, the CPUs or
+    # the workers asked for, and one batch runs serially
     asked = []
 
     class RecordingPool:
@@ -988,10 +1010,75 @@ def test_montecarlo_pool_is_bounded(tmp_path, monkeypatch, workers, replicates, 
     assert outputs[0] == outputs[1]
 
 
-def test_montecarlo_replicates_override(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("replicates", [2, 7, 8, 9, 17])
+def test_montecarlo_batches_equal_the_scalar_loop(tmp_path, monkeypatch, replicates, workers):
+    # batches of 8 replicates, ragged last batches and one batch per pool
+    # task write the bytes of a study drawn one replicate at a time on
+    # the scalar loop; n = 2000 puts every column on the lane sweeps
+    def study(name, count):
+        out = tmp_path / name
+        config = cli.resolve_run_config(cli.run_config_from_dict(
+            {"command": "montecarlo", "process": D1_INDEP, "n": 2000, "seed": 42,
+             "replicates": replicates, "workers": count, "output_path": str(out)}
+        ))
+        assert cli.run(config) == 0
+        return out.read_bytes(), (tmp_path / (name + ".summary.json")).read_bytes()
+
+    assert armax._block_length(0.5, 3000) > 0 and armax._batch_size(
+        ProcessConfig.from_dict(D1_INDEP), 2000) == 8
+    batched = study("batched.csv", workers)
+    with monkeypatch.context() as patch:
+        patch.setattr(armax, "_MAX_BATCH", 1)
+        patch.setattr(armax, "_block_length", lambda c, n: 0)
+        assert study("scalar.csv", 1) == batched
+
+
+@pytest.mark.parametrize(
+    "margin",
+    [{"kind": "exponential", "rate": 1.0}, {"kind": "uniform01"}, {"kind": "frechet", "alpha": 1.0}],
+    ids=["exponential", "uniform01", "frechet"],
+)
+def test_montecarlo_flags_the_codes_estimate_writes(tmp_path, capsys, margin):
+    # a replicate carries the estimator codes estimate writes for the
+    # same path (its interval and Hill codes are not montecarlo's);
+    # unit Frechet paths fit, and read ok
+    process = {**D1_INDEP, "margins": [margin]}
+    out = tmp_path / "mc.csv"
+    cfg = _mc_config(tmp_path, out, process=process, n=200, seed=1, replicates=5)
+    assert main_exit(["montecarlo", "--config", cfg]) == 0
+    _, rows = read_rows(out)
+    codes = ("moment_misfit", "lebedev_misfit", "lebedev_boundary", "davis_resnick_unavailable")
+    config = ProcessConfig.from_dict(process)
+    for i, row in enumerate(rows):
+        report = build_estimate_report(simulate_path(config, 200, (1, i)).data[:, 0])
+        assert float(row[3]) == report.c_moment
+        assert row[6] == (";".join(f for f in report.flags if f in codes) or "ok")
+    flags = [row[6] for row in rows]
+    if margin["kind"] == "frechet":
+        assert flags == ["ok"] * 5
+    else:
+        assert all(flag != "ok" for flag in flags)
+
+
+def test_montecarlo_flags_a_nan_no_code_explains(tmp_path, capsys, monkeypatch):
+    real = cli._c_estimates
+
+    def nan_ratio(x):
+        moment, lebedev, _, flags = real(x)
+        return moment, lebedev, math.nan, flags
+
+    monkeypatch.setattr(cli, "_c_estimates", nan_ratio)
+    out = tmp_path / "mc.csv"
+    assert main_exit(["montecarlo", "--config", _mc_config(tmp_path, out, replicates=3)]) == 0
+    _, rows = read_rows(out)
+    assert [row[5:] for row in rows] == [["nan", "estimator_unavailable"]] * 3
+
+
+def test_montecarlo_replicates_override(tmp_path, capsys):
     out = tmp_path / "mc.csv"
     cfg = _mc_config(tmp_path, out)
-    assert run_cli("montecarlo", "--config", cfg, "--replicates", "6").returncode == 0
+    assert run_main(capsys, "montecarlo", "--config", cfg, "--replicates", "6").returncode == 0
     _, rows = read_rows(out)
     assert len(rows) == 6
 
@@ -1008,14 +1095,14 @@ def test_only_montecarlo_takes_replicates_and_workers(capsys, command):
 # -------------------------------------------------------------- print-config
 
 
-def test_print_config_resolves_defaults_and_round_trips(tmp_path):
+def test_print_config_resolves_defaults_and_round_trips(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         "tdc.json",
         {"command": "tail_dep", "process": D2_GUMBEL, "n": 1000, "seed": 1,
          "output_path": str(tmp_path / "x.csv")},
     )
-    proc = run_cli("tail-dep", "--config", cfg, "--print-config")
+    proc = run_main(capsys, "tail-dep", "--config", cfg, "--print-config")
     assert proc.returncode == 0
     resolved = json.loads(proc.stdout)
     assert resolved["command"] == "tail_dep"
@@ -1029,9 +1116,14 @@ def test_print_config_resolves_defaults_and_round_trips(tmp_path):
     # the echoed config is itself a valid config and resolves to itself
     echo = tmp_path / "resolved.json"
     echo.write_text(proc.stdout)
-    proc2 = run_cli("tail-dep", "--config", str(echo), "--print-config")
+    proc2 = run_main(capsys, "tail-dep", "--config", str(echo), "--print-config")
     assert proc2.returncode == 0
     assert proc2.stdout == proc.stdout
+    # the subcommand's spelling of the command resolves to the same
+    # config, which echoes the tail_dep spelling
+    spelled = tmp_path / "spelled.json"
+    spelled.write_text(json.dumps({**resolved, "command": "tail-dep"}))
+    assert run_main(capsys, "tail-dep", "--config", str(spelled), "--print-config").stdout == proc.stdout
 
     # the commands that read them echo their defaults
     for command, extra, defaults in (
@@ -1039,7 +1131,7 @@ def test_print_config_resolves_defaults_and_round_trips(tmp_path):
         ("montecarlo", {"process": D1_INDEP, "n": 100, "seed": 1}, {"workers": 1, "replicates": 100}),
     ):
         cfg = write_config(tmp_path, "cfg.json", {"command": command, "output_path": "x.csv", **extra})
-        proc = run_cli(command, "--config", cfg, "--print-config")
+        proc = run_main(capsys, command, "--config", cfg, "--print-config")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout).items() >= defaults.items()
 
@@ -1198,6 +1290,7 @@ def test_a_command_takes_exactly_the_fields_it_reads(tmp_path, monkeypatch, caps
         raise AssertionError("a refused config drew a path")
 
     monkeypatch.setattr(cli, "simulate_path", no_path)
+    monkeypatch.setattr(cli, "_simulate_batch", no_path)
     # estimate reads input_path only in its file mode, the last one
     full = _full_configs(command)
     base = _minimal(full[-1] if field == "input_path" else full[0])
@@ -1366,10 +1459,10 @@ def test_a_run_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys):
          "montecarlo studies one series: give a d = 1 process"),
     ],
 )
-def test_config_errors_exit_2(tmp_path, payload, fragment):
+def test_config_errors_exit_2(tmp_path, capsys, payload, fragment):
     name = payload["command"]
     cfg = write_config(tmp_path, f"{name}_bad.json", payload)
-    proc = run_cli(name.replace("_", "-"), "--config", cfg)
+    proc = run_main(capsys, name.replace("_", "-"), "--config", cfg)
     assert proc.returncode == 2
     assert "config error:" in proc.stderr
     assert fragment in proc.stderr
@@ -1401,10 +1494,10 @@ def test_print_config_refuses_malformed_values(tmp_path, command, extra, fragmen
     ],
     ids=["undecodable", "long-integer", "deep-nesting"],
 )
-def test_unreadable_json_config_exit_2(tmp_path, content, fragment):
+def test_unreadable_json_config_exit_2(tmp_path, capsys, content, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
-    proc = run_cli("simulate", "--config", str(bad))
+    proc = run_main(capsys, "simulate", "--config", str(bad))
     assert proc.returncode == 2
     assert "config error: config file is not valid JSON" in proc.stderr
     assert fragment in proc.stderr
@@ -1416,21 +1509,21 @@ def test_missing_config_file_exit_2(tmp_path):
     assert "cannot read config file" in proc.stderr
 
 
-def test_invalid_json_config_exit_2(tmp_path):
+def test_invalid_json_config_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    proc = run_cli("simulate", "--config", str(bad))
+    proc = run_main(capsys, "simulate", "--config", str(bad))
     assert proc.returncode == 2
     assert "config file is not valid JSON" in proc.stderr
 
 
-def test_command_mismatch_exit_2(tmp_path):
+def test_command_mismatch_exit_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         "sim.json",
         {"command": "simulate", "process": D1_INDEP, "n": 10, "seed": 1,
          "output_path": "x.csv"},
     )
-    proc = run_cli("estimate", "--config", cfg)
+    proc = run_main(capsys, "estimate", "--config", cfg)
     assert proc.returncode == 2
     assert "does not match" in proc.stderr
