@@ -630,8 +630,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation, estimation and tail analysis of ARMAX processes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, fields in _COMMAND_FIELDS.items():
-        cli_name = name.replace("_", "-")
+    for cli_name, name in _SUBCOMMANDS.items():
+        fields = _COMMAND_FIELDS[name]
         p = sub.add_parser(cli_name, help=f"run the {cli_name} command")
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", dest="output_path", help="override the config output path")
@@ -663,10 +663,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 **{name: value for name, value in overrides.items() if value is not None}}
     config = run_config_from_dict(data)
     if config.command != args.command:
-        cli_name = args.command.replace("_", "-")
-        spellings = " or ".join(repr(name) for name in dict.fromkeys((cli_name, args.command)))
+        spellings = " or ".join(map(repr, dict.fromkeys((args.subcommand, args.command))))
         raise ConfigurationError(
-            f"config command {data['command']!r} does not match the {cli_name} "
+            f"config command {data['command']!r} does not match the {args.subcommand} "
             f"subcommand, which takes {spellings}"
         )
     return resolve_run_config(config)

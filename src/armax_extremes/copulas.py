@@ -200,27 +200,30 @@ def _gumbel_sample(gamma: float, rng: np.random.Generator, n: int, d: int) -> np
     return out
 
 
-def copula_sample(spec: CopulaSpec, d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+def copula_sample(
+    spec: CopulaSpec, d: int, rng: np.random.Generator, size: int | None = None, out=None
+) -> np.ndarray:
     """Draw uniforms with copula ``spec``; shape ``(size, d)`` or ``(d,)``.
 
-    Gumbel draws use the positive-stable frailty representation: with
-    ``S`` alpha-stable for ``alpha = 1/gamma`` and ``E_j`` i.i.d. unit
-    exponentials, ``U_j = exp(-(E_j / S)**alpha)`` has the Gumbel copula.
+    ``out``, a float array of that shape, receives the draws and is
+    returned; by default a new array is.  Gumbel draws use the
+    positive-stable frailty representation: with ``S`` alpha-stable for
+    ``alpha = 1/gamma`` and ``E_j`` i.i.d. unit exponentials,
+    ``U_j = exp(-(E_j / S)**alpha)`` has the Gumbel copula.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
     squeeze = size is None
     n = 1 if squeeze else int(size)
     if spec.kind == "comonotone":
-        out = np.repeat(rng.random(n)[:, None], d, axis=1)
+        u = np.repeat(rng.random(n)[:, None], d, axis=1)
     elif spec.kind == "independence" or spec.gamma == 1.0 or d == 1:
-        out = rng.random((n, d))
+        u = rng.random((n, d))
     else:
-        out = _gumbel_sample(spec.gamma, rng, n, d)
+        u = _gumbel_sample(spec.gamma, rng, n, d)
     # keep draws away from the exact endpoints so that quantile
     # transforms never produce 0/inf innovations
-    out = np.clip(out, 1e-300, 1.0 - 1e-16)
-    return out[0] if squeeze else out
+    return np.clip(u[0] if squeeze else u, 1e-300, 1.0 - 1e-16, out=out)
 
 
 def _derived_logcdf(dc: DerivedCopula, log_u: np.ndarray) -> np.ndarray:

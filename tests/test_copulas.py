@@ -216,6 +216,11 @@ def test_sample_deterministic_for_fixed_seed():
     a = copula_sample(GUMBEL2, 2, np.random.default_rng(5), size=10)
     b = copula_sample(GUMBEL2, 2, np.random.default_rng(5), size=10)
     assert np.array_equal(a, b)
+    # drawn into a given array, as a row of a batch buffer
+    rows = np.zeros((3, 10, 2))
+    row = rows[1]
+    assert copula_sample(GUMBEL2, 2, np.random.default_rng(5), size=10, out=row) is row
+    assert np.array_equal(rows[1], a) and not rows[[0, 2]].any()
 
 
 @pytest.mark.parametrize("gamma", [1.001, 1.01, 200.0, 1000.0])
