@@ -63,9 +63,10 @@ _MIN_BLOCKS = 160
 _MAX_SWEEPS = 8
 
 # replicates whose recursion `_simulate_batch` runs as one lane array:
-# up to `_MAX_BATCH`, fewer where their innovations and paths
-# (16 bytes a value) would pass `_BATCH_BYTES`; chosen from timings of
-# K = 1, 4, 8, 16 and 32 replicates of 11 000 rows
+# up to `_MAX_BATCH` (the fastest of K = 1 to 16 at 11 000 rows), fewer
+# where their innovations and paths, 16 bytes a value, would pass
+# `_BATCH_BYTES`, so a study of long paths holds no more than one path
+# or a few MiB at a time
 _MAX_BATCH = 8
 _BATCH_BYTES = 1 << 22
 
@@ -381,12 +382,6 @@ def _batch_size(config: ProcessConfig, n: int) -> int:
     return max(1, min(_MAX_BATCH, _BATCH_BYTES // each))
 
 
-def _normalized_seed(seed):
-    if isinstance(seed, (list, tuple)):
-        return tuple(int(s) for s in seed)
-    return int(seed)
-
-
 def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
     """Simulate ``n`` rows of the process defined by ``config``.
 
@@ -412,7 +407,7 @@ def _simulate_batch(config: ProcessConfig, n: int, seeds) -> list[SamplePath]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    seeds = [_normalized_seed(seed) for seed in seeds]
+    seeds = [tuple(map(int, s)) if isinstance(s, (list, tuple)) else int(s) for s in seeds]
     d = config.d
     exact = _exact_start(config)
     burn = _burn_in(config)

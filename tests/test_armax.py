@@ -382,8 +382,9 @@ def test_lane_step_is_pinned(monkeypatch, x0, special, step):
     y = 1.0 / -np.log(np.random.default_rng(4).random((3, 200)))
     if special is not None:
         y[1, 57] = special
+    steps = _spy_steps(monkeypatch)
     for batch in ([1], [0, 1, 2]):
-        steps = _spy_steps(monkeypatch)
+        steps.clear()
         starts = [x0 if k == 1 else 1.0 for k in batch]
         out, _ = _lockstep(0.5, starts, y[batch], 10)
         assert steps and all(s is step for s in steps)
