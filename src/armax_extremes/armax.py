@@ -22,6 +22,7 @@ import numpy as np
 
 from .copulas import CopulaSpec, _base_logcdf, copula_sample
 from .errors import ConfigurationError, NumericLimitError
+from .errors import _check_coefficients, _check_open_unit
 from .margins import MarginSpec, margin_cdf, margin_quantile, right_endpoint
 from .schema import (
     config_digest,
@@ -127,9 +128,7 @@ class ProcessConfig:
         object.__setattr__(self, "margins", margins)
         if len(c) != self.d or len(margins) != self.d:
             raise ConfigurationError("c and margins must both have length d")
-        for v in c:
-            if not (0.0 < v < 1.0):
-                raise ConfigurationError("autoregression coefficients must lie in (0, 1)")
+        _check_coefficients(c, ConfigurationError)
         for m in margins:
             if not isinstance(m, MarginSpec):
                 raise ConfigurationError("margins must be MarginSpec instances")
@@ -331,9 +330,7 @@ def apply_recursion(c, x0, innovations) -> np.ndarray:
     d = y.shape[1]
     c_vec = np.broadcast_to(np.asarray(c, dtype=float), (d,))
     x0_vec = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
-    for v in c_vec:
-        if not (0.0 < v < 1.0):
-            raise ValueError("autoregression coefficients must lie in (0, 1)")
+    _check_coefficients(c_vec)
     out = np.empty_like(y)
     _recurse([float(v) for v in c_vec], x0_vec[None], y[None], out[None])
     return out[:, 0] if squeeze else out
@@ -536,8 +533,7 @@ def stationary_marginal_cdf(c: float, x):
 
     A nan entry raises ``ValueError``.
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
+    _check_open_unit(c)
     arr = np.asarray(x, dtype=float)
     _check_points(arr)
     scalar = arr.ndim == 0
@@ -555,8 +551,7 @@ def stationary_marginal_logcdf(margin: MarginSpec, c: float, x) -> float | np.nd
     ``(m,)`` array whose entries equal the one-value results exactly.
     A nan entry raises ``ValueError``.
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
+    _check_open_unit(c)
     x = np.asarray(x, dtype=float)
     if x.ndim > 1:
         raise ValueError("x must be a scalar or a 1-d array")
@@ -576,8 +571,7 @@ def stationary_marginal_quantile(margin: MarginSpec, c: float, p: float) -> floa
     identical float without solving again.  Raises `NumericLimitError`
     when the closed form leaves the float range (small ``alpha``).
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
+    _check_open_unit(c)
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie strictly inside (0, 1)")
     if margin.kind == "frechet":
@@ -733,8 +727,7 @@ def normalized_level(c: float, n: int, tau: float) -> float:
     ``tau = 0`` maps to ``inf``; ``tau >= n`` is out of range, and so is
     a nan ``tau``.
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
+    _check_open_unit(c)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not tau >= 0:

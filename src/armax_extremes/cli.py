@@ -45,13 +45,11 @@ from .copulas import (
     copula_logcdf,
     derived_copula_validity,
 )
-from .errors import ConfigurationError, NumericLimitError, UndefinedResultError
+from .errors import ConfigurationError, NumericLimitError, UndefinedResultError, _check_top_k
 from .estimation import (
     VARIANCE_CONVENTIONS,
     _c_estimates,
-    _convention_factor,
-    _normality_pvalue,
-    asymptotic_variance,
+    _study_statistics,
     build_estimate_report,
 )
 from .extremal import (
@@ -185,8 +183,10 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
             raise ConfigurationError(f"convention must be one of {VARIANCE_CONVENTIONS}")
         if not (0.0 <= config.level < 1.0):
             raise ConfigurationError("level must lie in [0, 1)")
-        if not reads_file:  # refused here, before the path is drawn
-            _check_hill_k(config.k, config.n)
+        # a k outside (0, n) is a config error, refused here before the
+        # path is drawn; hill_unavailable stays for what the data decide
+        if not reads_file and config.k is not None:
+            _check_top_k(config.k, config.n, ConfigurationError)
     elif cmd == "extremal_index":
         if config.tau_grid is None:
             updates["tau_grid"] = (tuple(1.0 for _ in range(config.process.d)),)
@@ -277,11 +277,6 @@ def _write_json(path: str, payload) -> None:
         f.write(canonical_json(payload) + "\n")
 
 
-def _finite_or_none(value):
-    v = float(value)
-    return v if math.isfinite(v) else None
-
-
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -337,17 +332,11 @@ def _read_series_csv(path: str) -> np.ndarray:
     return data
 
 
-def _check_hill_k(k: int | None, n: int) -> None:
-    # a k outside (0, n) is a config error; hill_unavailable stays for
-    # what the data decide, such as ties or a nonpositive pivot
-    if k is not None and not 0 < k < n:
-        raise ConfigurationError("k must lie strictly between 0 and n")
-
-
 def _run_estimate(config: RunConfig) -> int:
     if config.input_path is not None:
         data = _read_series_csv(config.input_path)
-        _check_hill_k(config.k, len(data))
+        if config.k is not None:
+            _check_top_k(config.k, len(data), ConfigurationError)
     else:
         data = simulate_path(config.process, config.n, config.seed).data
     header = [
@@ -511,25 +500,12 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-# the code that explains a nan estimate of each of the three estimators
-_NAN_CODES = ("moment_misfit", "lebedev_misfit", "davis_resnick_unavailable")
-
-
-def _mc_batch(args) -> list[tuple]:
-    """The estimates and flag of each replicate in ``indices``, whose
-    paths are drawn as one batch (see `armax._simulate_batch`)."""
+def _mc_batch(args) -> list:
+    """The `estimation._CEstimates` of each replicate in ``indices``,
+    whose paths are drawn as one batch (see `armax._simulate_batch`)."""
     process, n, master_seed, indices = args
     paths = _simulate_batch(process, n, [(master_seed, index) for index in indices])
-    results = []
-    for index, path in zip(indices, paths):
-        moment, lebedev, c_dr, flags = _c_estimates(path.data[:, 0])
-        estimates = (moment.c_hat, lebedev.c_hat, c_dr)
-        # the estimator codes of `estimate`; a nan that none explains
-        # is estimator_unavailable
-        if any(math.isnan(v) and code not in flags for v, code in zip(estimates, _NAN_CODES)):
-            flags.append("estimator_unavailable")
-        results.append((index, moment.u_bar, *estimates, ";".join(flags) or "ok"))
-    return results
+    return [_c_estimates(path.data[:, 0]) for path in paths]
 
 
 def _run_montecarlo(config: RunConfig) -> int:
@@ -551,54 +527,29 @@ def _run_montecarlo(config: RunConfig) -> int:
             batches = list(pool.map(_mc_batch, payloads, chunksize=chunk))
     else:
         batches = [_mc_batch(p) for p in payloads]
-    results = [row for batch in batches for row in batch]
+    estimates = [e for batch in batches for e in batch]
 
     header = ["replicate", "n", "c_true", "c_moment", "c_lebedev", "c_dr", "flag"]
     rows = [
-        [index, n, c_true, c_moment, c_lebedev, c_dr, flag]
-        for index, _, c_moment, c_lebedev, c_dr, flag in results
+        [index, n, c_true, e.c_moment, e.c_lebedev, e.c_dr, ";".join(e.flags) or "ok"]
+        for index, e in enumerate(estimates)
     ]
     _write_csv(config.output_path, header, rows)
 
-    u_bar = np.array([row[1] for row in results])
-    c_moment = np.array([row[2] for row in results])
-    c_lebedev = np.array([row[3] for row in results])
-    c_dr = np.array([row[4] for row in results])
-    sqrt_n = math.sqrt(n)
-    z_c = sqrt_n * (c_moment - c_true)
-    z_u = sqrt_n * (u_bar - 1.0 / (2.0 - c_true))
-    sigma2 = asymptotic_variance(c_true)
-    predicted = {name: sigma2 * _convention_factor(c_true, name) for name in VARIANCE_CONVENTIONS}
-    empirical_var_c = float(np.var(z_c, ddof=1))
-    matching = min(predicted, key=lambda name: abs(empirical_var_c - predicted[name]))
-    if reps >= 20:
-        normality_pvalue = _normality_pvalue(z_c)
-    else:
-        normality_pvalue = None
+    stats = _study_statistics(estimates, c_true, n)
     summary = {
         "command": "montecarlo",
         "n": n,
         "replicates": reps,
         "seed": config.seed,
-        "c_true": c_true,
-        "bias_c_moment": _finite_or_none(np.mean(c_moment) - c_true),
-        "bias_c_lebedev": _finite_or_none(np.mean(c_lebedev) - c_true),
-        "bias_c_dr": _finite_or_none(np.mean(c_dr) - c_true),
-        "rmse_c_moment": _finite_or_none(np.sqrt(np.mean((c_moment - c_true) ** 2))),
-        "rmse_c_lebedev": _finite_or_none(np.sqrt(np.mean((c_lebedev - c_true) ** 2))),
-        "rmse_c_dr": _finite_or_none(np.sqrt(np.mean((c_dr - c_true) ** 2))),
-        "empirical_var_sqrt_n_c_moment": _finite_or_none(empirical_var_c),
-        "empirical_var_sqrt_n_u_bar": _finite_or_none(np.var(z_u, ddof=1)),
-        "sigma2_at_c_true": _finite_or_none(sigma2),
-        "predicted_var_delta_pow4": _finite_or_none(predicted["delta_pow4"]),
-        "predicted_var_paper_3m2c": _finite_or_none(predicted["paper_3m2c"]),
-        "matching_convention": matching,
-        "normality_pvalue": normality_pvalue,
+        # JSON has no nan or inf: such a statistic is written as null
+        **{name: None if isinstance(v, float) and not math.isfinite(v) else v
+           for name, v in stats.items()},
     }
     _write_json(config.output_path + ".summary.json", summary)
     print(
         f"montecarlo: wrote {reps} replicates to {config.output_path}; "
-        f"matching variance convention: {matching}"
+        f"matching variance convention: {stats['matching_convention']}"
     )
     return 0
 
@@ -676,21 +627,14 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    if args.print_config:
-        print(canonical_json(to_json(config)))
-        raise SystemExit(0)
-    try:
+        if args.print_config:
+            print(canonical_json(to_json(config)))
+            raise SystemExit(0)
         status = run(config)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
     except (NumericLimitError, UndefinedResultError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         raise SystemExit(3)
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigurationError included
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     except MemoryError as exc:

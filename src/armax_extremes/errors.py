@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks
+that several modules raise with one message."""
 
 __all__ = ["ArmaxError", "ConfigurationError", "NumericLimitError", "UndefinedResultError"]
 
@@ -24,3 +25,20 @@ class UndefinedResultError(ArmaxError):
     Raised e.g. when no observation exceeds a threshold, or when a
     conditioning event has empirical probability zero.
     """
+
+
+
+def _check_open_unit(value, name: str = "c") -> None:
+    if not (0.0 < value < 1.0):  # a nan is refused too
+        raise ValueError(f"{name} must lie in (0, 1)")
+
+
+def _check_coefficients(c, error: type[ValueError] = ValueError) -> None:
+    if not all(0.0 < v < 1.0 for v in c):
+        raise error("autoregression coefficients must lie in (0, 1)")
+
+
+def _check_top_k(k: int, n: int, error: type[ValueError] = ValueError) -> None:
+    # k upper order statistics of n values
+    if not 0 < k < n:
+        raise error("k must lie strictly between 0 and n")

@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UndefinedResultError
+from .errors import UndefinedResultError, _check_open_unit, _check_top_k
 
 __all__ = [
     "MomentEstimate",
@@ -73,6 +74,14 @@ class LebedevEstimate:
     boundary: bool
 
 
+def _series(series) -> np.ndarray:
+    """``series`` as a float array, which must be 1-d with two values or more."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("series must hold at least two values")
+    return x
+
+
 def estimate_c_moment(series) -> MomentEstimate:
     """Estimate ``c`` from the mean of ``exp(-1/X)``.
 
@@ -93,9 +102,7 @@ def estimate_c_moment(series) -> MomentEstimate:
 
 def estimate_c_lebedev(series) -> LebedevEstimate:
     """Estimate ``c`` from the frequency of non-increasing steps."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("series must hold at least two values")
+    x = _series(series)
     p_tilde = float(np.mean(x[1:] <= x[:-1]))
     c_hat = math.nan if p_tilde == 0.0 else 2.0 - 1.0 / p_tilde
     return LebedevEstimate(
@@ -112,9 +119,7 @@ def estimate_c_davis_resnick(series) -> float:
     For a true ARMAX path this never falls below the autoregression
     coefficient, and it decreases toward it as the series grows.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("series must hold at least two values")
+    x = _series(series)
     if np.any(x <= 0):
         raise ValueError("series entries must be positive")
     # inf / inf and a nan entry give nan, a ratio past the float range inf
@@ -138,8 +143,7 @@ def cross_moment(c: float, r: int) -> float:
         and can turn negative at large ``c``.  Downstream variance
         code inherits this; see `asymptotic_variance`.
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
+    _check_open_unit(c)
     if r < 1:
         raise ValueError("r must be a positive integer")
     cr = c**r
@@ -162,8 +166,7 @@ def asymptotic_variance(c: float) -> float:
         confidence interval can be formed.  At ``c = 0.5`` every
         covariance term cancels exactly and the value is ``1/18``.
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
+    _check_open_unit(c)
     independent = 1.0 / (2.0 - c) ** 2
     total = 1.0 / (3.0 - 2.0 * c) - independent
     for r in range(1, 10_001):
@@ -250,15 +253,19 @@ def confidence_interval(
     ``sigma2 * (3-2c)`` under ``paper_3m2c``; both evaluate ``sigma2``
     and the factor at ``c_hat``.
     """
-    if not (0.0 < c_hat < 1.0):
-        raise ValueError("c_hat must lie in (0, 1)")
+    _check_open_unit(c_hat, "c_hat")
+    return _interval(c_hat, asymptotic_variance(c_hat), n, convention, level)
+
+
+def _interval(c_hat, sigma2: float, n: int, convention: str, level: float) -> tuple[float, float]:
+    """The interval of `confidence_interval` with ``sigma2`` given."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not (0.0 <= level < 1.0):
         raise ValueError("level must lie in [0, 1)")
     if convention not in VARIANCE_CONVENTIONS:
         raise ValueError(f"convention must be one of {VARIANCE_CONVENTIONS}")
-    variance = asymptotic_variance(c_hat) * _convention_factor(c_hat, convention)
+    variance = sigma2 * _convention_factor(c_hat, convention)
     if variance < 0.0:
         # the covariance series dips below zero on parts of (0,1) --
         # see asymptotic_variance -- and no normal interval exists there
@@ -273,12 +280,9 @@ def confidence_interval(
 def hill_tail_index(series, k: int) -> float:
     """Hill estimator ``k / sum log(X_(n-i+1) / X_(n-k))`` over the top
     ``k`` order statistics."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("series must hold at least two values")
+    x = _series(series)
     n = x.size
-    if not 0 < k < n:
-        raise ValueError("k must lie strictly between 0 and n")
+    _check_top_k(k, n)
     x_sorted = np.sort(x)
     pivot = x_sorted[n - k - 1]
     top = x_sorted[n - k :]
@@ -314,10 +318,20 @@ class EstimateReport:
     flags: tuple[str, ...]
 
 
-def _c_estimates(x: np.ndarray) -> tuple[MomentEstimate, LebedevEstimate, float, list[str]]:
-    """The moment, descent-frequency and minimum-ratio estimates of ``c``
-    on one series, with their flags; an unavailable minimum ratio is
-    ``nan``."""
+class _CEstimates(NamedTuple):
+    """The three estimates of ``c`` on one series, with ``u_bar`` and codes."""
+
+    u_bar: float
+    c_moment: float
+    c_lebedev: float
+    c_dr: float
+    flags: tuple[str, ...]
+
+
+def _c_estimates(x: np.ndarray) -> _CEstimates:
+    """The three estimates of ``c`` on one series with every code: a nan
+    moment or descent estimate is a misfit, and a nan minimum ratio that
+    no nonpositive entry explains (``inf / inf``) is estimator_unavailable."""
     flags: list[str] = []
     moment = estimate_c_moment(x)
     if moment.misfit:
@@ -332,7 +346,9 @@ def _c_estimates(x: np.ndarray) -> tuple[MomentEstimate, LebedevEstimate, float,
     except ValueError:
         c_dr = math.nan
         flags.append("davis_resnick_unavailable")
-    return moment, lebedev, c_dr, flags
+    if math.isnan(c_dr) and "davis_resnick_unavailable" not in flags:
+        flags.append("estimator_unavailable")
+    return _CEstimates(moment.u_bar, moment.c_hat, lebedev.c_hat, c_dr, tuple(flags))
 
 
 def build_estimate_report(
@@ -349,16 +365,16 @@ def build_estimate_report(
     are reported as ``nan`` with a flag instead of raising, so batch
     runs always complete.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("series must hold at least two values")
+    x = _series(series)
     n = x.size
-    moment, lebedev, c_dr, flags = _c_estimates(x)
+    estimates = _c_estimates(x)
+    c_hat = estimates.c_moment
+    flags = list(estimates.flags)
 
-    if math.isfinite(moment.c_hat) and 0.0 < moment.c_hat < 1.0:
-        sigma2 = asymptotic_variance(moment.c_hat)
+    if 0.0 < c_hat < 1.0:
+        sigma2 = asymptotic_variance(c_hat)
         try:
-            ci = confidence_interval(moment.c_hat, n, convention, level)
+            ci = _interval(c_hat, sigma2, n, convention, level)
         except UndefinedResultError:
             ci = (math.nan, math.nan)
             flags.append("variance_negative")
@@ -379,13 +395,41 @@ def build_estimate_report(
     return EstimateReport(
         j=j,
         n=n,
-        u_bar=moment.u_bar,
-        c_moment=moment.c_hat,
-        c_lebedev=lebedev.c_hat,
-        c_davis_resnick=c_dr,
+        u_bar=estimates.u_bar,
+        c_moment=c_hat,
+        c_lebedev=estimates.c_lebedev,
+        c_davis_resnick=estimates.c_dr,
         sigma2=sigma2,
         ci=ci,
         variance_convention=convention,
         alpha_hill=alpha_hill,
         flags=tuple(flags),
     )
+
+
+def _study_statistics(estimates, c_true: float, n: int) -> dict:
+    """The ``montecarlo`` summary statistics of one `_CEstimates` per
+    replicate path of length ``n`` drawn at ``c_true``; a value that
+    cannot be computed is a non-finite float, and the normality p-value
+    needs at least 20 replicates."""
+    columns = _CEstimates(*zip(*estimates))
+    sqrt_n = math.sqrt(n)
+    z_c = sqrt_n * (np.array(columns.c_moment) - c_true)
+    z_u = sqrt_n * (np.array(columns.u_bar) - 1.0 / (2.0 - c_true))
+    sigma2 = asymptotic_variance(c_true)
+    predicted = {name: sigma2 * _convention_factor(c_true, name) for name in VARIANCE_CONVENTIONS}
+    var_c = float(np.var(z_c, ddof=1))
+    stats = {
+        "c_true": c_true,
+        "empirical_var_sqrt_n_c_moment": var_c,
+        "empirical_var_sqrt_n_u_bar": float(np.var(z_u, ddof=1)),
+        "sigma2_at_c_true": sigma2,
+        **{f"predicted_var_{name}": value for name, value in predicted.items()},
+        "matching_convention": min(predicted, key=lambda name: abs(var_c - predicted[name])),
+        "normality_pvalue": _normality_pvalue(z_c) if len(estimates) >= 20 else None,
+    }
+    for name in ("c_moment", "c_lebedev", "c_dr"):
+        c = np.array(getattr(columns, name))
+        stats[f"bias_{name}"] = float(np.mean(c) - c_true)
+        stats[f"rmse_{name}"] = float(np.sqrt(np.mean((c - c_true) ** 2)))
+    return stats

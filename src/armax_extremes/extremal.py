@@ -24,6 +24,7 @@ import numpy as np
 from .armax import ProcessConfig, stationary_joint_logcdf, stationary_marginal_quantile
 from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import NumericLimitError, UndefinedResultError
+from .errors import _check_coefficients, _check_open_unit, _check_top_k
 from .margins import DomainTag, attraction_domain
 from .taildep import _column_order, _ordinal_ranks
 
@@ -55,8 +56,7 @@ class ExtremalIndexResult:
 def marginal_extremal_index(c: float, domain: DomainTag) -> float:
     """Extremal index of one component: ``1 - c**alpha`` in the Frechet
     domain, one otherwise."""
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
+    _check_open_unit(c)
     if domain.is_frechet:
         return 1.0 - c**domain.alpha
     return 1.0
@@ -103,8 +103,7 @@ def check_extremal_index_parameters(n: int, k: int | None, tau) -> int:
     _check_tau(np.asarray(tau, dtype=float))
     if k is None:
         k = math.ceil(math.sqrt(n))
-    if not 0 < k < n:
-        raise ValueError("k must lie strictly between 0 and n")
+    _check_top_k(k, n)
     return k
 
 
@@ -136,8 +135,7 @@ def theoretical_mv_extremal_index(
     domains = list(domains)
     c = np.asarray(c, dtype=float)
     index_set, levels = _index_levels(domains, c, tau)
-    if np.any(c <= 0) or np.any(c >= 1):
-        raise ValueError("autoregression coefficients must lie in (0, 1)")
+    _check_coefficients(c)
     theta = 1.0
     if index_set:
         log_den, log_num = copula_logcdf(copula, -levels).tolist()

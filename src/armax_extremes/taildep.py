@@ -31,7 +31,7 @@ from .armax import (
     stationary_marginal_logcdf,
     stationary_marginal_quantile,
 )
-from .errors import NumericLimitError, UndefinedResultError
+from .errors import NumericLimitError, UndefinedResultError, _check_open_unit
 from .margins import MarginSpec, attraction_domain, right_endpoint
 
 __all__ = [
@@ -93,8 +93,7 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
     """
     d = config.d
     _check_components(d, (j, jp))
-    if r < 0:
-        raise ValueError("lag r must be nonnegative")
+    _check_r(r)
     t_grid = DEFAULT_T_GRID
     t_last, t_prev = t_grid[-1], t_grid[-2]
 
@@ -175,12 +174,10 @@ def theoretical_lag_tdc(config: ProcessConfig, j: int, jp: int, r: int) -> float
 def tdc_bounds(c_jp: float, alpha_jp: float, r: int) -> tuple[float, float]:
     """Envelope ``[0, c**(alpha * r)]`` of the lag-r TDC for a
     Frechet-domain component."""
-    if not (0.0 < c_jp < 1.0):
-        raise ValueError("c must lie in (0, 1)")
+    _check_open_unit(c_jp)
     if not alpha_jp > 0:
         raise ValueError("alpha must be positive")
-    if r < 0:
-        raise ValueError("lag r must be nonnegative")
+    _check_r(r)
     return (0.0, c_jp ** (alpha_jp * r))
 
 
@@ -238,18 +235,21 @@ def _check_components(d: int, components) -> None:
         raise ValueError("component indices out of range")
 
 
-def _check_lag(n: int, r: int) -> int:
-    """The number ``n - r`` of lag-r pairs in ``n`` rows."""
+def _check_r(r: int) -> None:
     if r < 0:
         raise ValueError("lag r must be nonnegative")
+
+
+def _check_lag(n: int, r: int) -> int:
+    """The number ``n - r`` of lag-r pairs in ``n`` rows."""
+    _check_r(r)
     if n - r < 2:
         raise ValueError("series too short for the requested lag")
     return n - r
 
 
 def _check_t(m: int, t: float) -> None:
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
+    _check_open_unit(t, "t")
     if t * m < 10:
         raise ValueError("t * (n - r) must be at least 10")
 
@@ -380,10 +380,8 @@ def eta_bounds_within_series(margin: MarginSpec, c: float, r: int) -> tuple[floa
     Weibull-min with its own ``k``) give
     ``1/2 <= eta <= max(1/2, c**(r k))``.
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
-    if r < 0:
-        raise ValueError("lag r must be nonnegative")
+    _check_open_unit(c)
+    _check_r(r)
     if r == 0:
         return (1.0, 1.0)
     domain = attraction_domain(margin)

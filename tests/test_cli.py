@@ -19,10 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armax_extremes import armax, cli, taildep
+from armax_extremes import armax, cli, estimation, taildep
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec
-from armax_extremes.errors import ConfigurationError, UndefinedResultError
+from armax_extremes.errors import ConfigurationError, NumericLimitError, UndefinedResultError
 from armax_extremes.estimation import VARIANCE_CONVENTIONS, build_estimate_report
 from armax_extremes.margins import MarginSpec
 from armax_extremes.schema import canonical_json, to_json
@@ -348,6 +348,19 @@ def test_estimate_flags_are_warnings_not_errors(tmp_path, capsys):
     _, rows = read_rows(out)
     assert "lebedev_misfit" in rows[0][11]
     assert rows[0][4] == "nan"
+
+
+def test_estimate_flags_a_nan_no_code_explains(tmp_path):
+    # inf / inf makes the minimum ratio nan on a positive series; estimate
+    # writes the code montecarlo writes for it, not ok
+    code, _, err = _estimate_in_process(tmp_path, b"x1\n1.0\n2.0\ninf\ninf\n3.0\n1.5\n")
+    assert code == 0
+    header, rows = read_rows(tmp_path / "est.csv")
+    row = dict(zip(header, rows[0]))
+    assert row["c_davis_resnick"] == "nan"
+    assert "estimator_unavailable" in row["flag"].split(";")
+    assert "davis_resnick_unavailable" not in row["flag"]
+    assert f"warning: column 0: {row['flag']}\n" in err
 
 
 def _estimate_in_process(tmp_dir, content: bytes | None):
@@ -1062,13 +1075,8 @@ def test_montecarlo_flags_the_codes_estimate_writes(tmp_path, capsys, margin):
 
 
 def test_montecarlo_flags_a_nan_no_code_explains(tmp_path, capsys, monkeypatch):
-    real = cli._c_estimates
-
-    def nan_ratio(x):
-        moment, lebedev, _, flags = real(x)
-        return moment, lebedev, math.nan, flags
-
-    monkeypatch.setattr(cli, "_c_estimates", nan_ratio)
+    # a minimum ratio of nan without a ValueError, as inf / inf gives
+    monkeypatch.setattr(estimation, "estimate_c_davis_resnick", lambda x: math.nan)
     out = tmp_path / "mc.csv"
     assert main_exit(["montecarlo", "--config", _mc_config(tmp_path, out, replicates=3)]) == 0
     _, rows = read_rows(out)
@@ -1407,6 +1415,34 @@ def test_a_run_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "config error: the run does not fit in memory (Unable to allocate 7.28 TiB)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (ConfigurationError("bad value"), 2, "config error: bad value"),
+        (ValueError("bad value"), 2, "config error: bad value"),
+        (NumericLimitError("no limit"), 3, "numeric failure: no limit"),
+        (UndefinedResultError("no data"), 3, "numeric failure: no data"),
+        (MemoryError("too big"), 2, "config error: the run does not fit in memory (too big)"),
+    ],
+)
+def test_loading_printing_and_running_share_the_exit_codes(
+    tmp_path, monkeypatch, capsys, error, code, message
+):
+    # an exception from loading the config, from --print-config or from
+    # the run exits with the same code and message, never a traceback
+    def fail(*args):
+        raise error
+
+    cfg = write_config(tmp_path, "sim.json", {"command": "simulate", "process": D1_INDEP, "n": 10,
+                                              "seed": 1, "output_path": str(tmp_path / "x.csv")})
+    for stage, flags in (("_load_config", []), ("to_json", ["--print-config"]), ("run", [])):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, stage, fail)
+            assert main_exit(["simulate", "--config", cfg, *flags]) == code
+        assert capsys.readouterr() == ("", message + "\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import anderson, norm, normaltest
 
-from armax_extremes import cli
+from armax_extremes import cli, estimation
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec
 from armax_extremes.errors import UndefinedResultError
@@ -299,6 +299,23 @@ def test_report_negative_variance_flagged():
     assert math.isnan(report.ci[0]) and math.isnan(report.ci[1])
     # the point estimate itself is still fine
     assert report.c_moment == pytest.approx(0.3, abs=0.05)
+
+
+def test_report_evaluates_the_variance_series_once(monkeypatch):
+    # sigma2 and the interval share one evaluation of the series
+    calls = []
+    real = estimation.asymptotic_variance
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(estimation, "asymptotic_variance", counted)
+    path = simulate_path(FRECHET1_ARMAX, 5000, 1).data[:, 0]
+    report = build_estimate_report(path)
+    assert calls == [report.c_moment]
+    assert report.sigma2 == real(report.c_moment)
+    assert report.ci == confidence_interval(report.c_moment, 5000)
 
 
 def test_report_on_unsuitable_data():
