@@ -10,19 +10,23 @@ and whose other fields are those the command reads (`_COMMAND_FIELDS`);
 ``--print-config`` echoes the fully resolved configuration, with the
 underscore spelling, instead of running.  Every CSV has a header row and
 17-significant-digit floats; values that could not be computed are the
-literal ``nan`` with a reason in the ``flag`` column.  Exit codes: 0
-success (warnings go to stderr), 2 configuration error (a run too large
-for memory included), 3 numeric failure; a ``tail-dep`` cell that fails
-is flagged in its row instead.
+literal ``nan`` with a reason in the ``flag`` column.  Exit codes, for
+loading the config, ``--print-config`` and the run alike: 0 success
+(warnings go to stderr), 2 configuration error (a run too large for
+memory included), 3 numeric failure; a ``tail-dep`` cell that fails is
+flagged in its row instead.
 
+``estimate`` writes `estimation.build_estimate_report` per column: its
+``sigma2`` and interval come from `estimation.asymptotic_variance_exact`.
 ``montecarlo`` draws replicate ``i`` from ``default_rng((seed, i))`` and
 recurses the paths of up to 8 replicates as one batch
 (`armax._simulate_batch`); ``workers > 1`` maps the batches over a
 process pool.  Its CSV and summary do not depend on the batch size or on
-``workers``.  A replicate's ``flag`` holds the estimator codes
-``estimate`` writes (``moment_misfit``, ``lebedev_misfit``,
-``lebedev_boundary``, ``davis_resnick_unavailable``), or
-``estimator_unavailable`` for a nan estimate none of them explains.
+``workers``.  Both commands take their estimator codes from
+`estimation._c_estimates` (``moment_misfit``, ``lebedev_misfit``,
+``lebedev_boundary``, ``davis_resnick_unavailable`` and
+``estimator_unavailable`` for a nan estimate none of them explains), and
+the summary's statistics from `estimation._study_statistics`.
 """
 
 from __future__ import annotations
@@ -238,8 +242,6 @@ def _fmt(value) -> str:
         return "nan"
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     v = float(value)

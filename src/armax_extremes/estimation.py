@@ -9,9 +9,12 @@ steps, and the minimum consecutive ratio, which bounds ``c`` from above
 path by path because the recursion forces ``X_i >= c X_{i-1}``.
 
 The asymptotic variance of ``sqrt(n) (U_bar - 1/(2-c))`` is expanded as
-a covariance series over lagged cross moments; two variance conventions
-for the implied CLT of ``c_hat`` are implemented (see
-`confidence_interval`), since the delta-method factor ``(2-c)**4``
+a covariance series over lagged cross moments, once with the paper's
+closed-form cross moment (`asymptotic_variance`, which is wrong; see
+README.md) and once with the cross moment derived from the recursion
+(`asymptotic_variance_exact`), which the estimate report uses.  Two
+variance conventions for the implied CLT of ``c_hat`` are implemented
+(see `confidence_interval`), since the delta-method factor ``(2-c)**4``
 and the ``3 - 2c`` factor disagree — the Monte Carlo front end reports
 which one the data match.
 """
@@ -37,6 +40,8 @@ __all__ = [
     "estimate_c_davis_resnick",
     "cross_moment",
     "asymptotic_variance",
+    "cross_moment_exact",
+    "asymptotic_variance_exact",
     "confidence_interval",
     "hill_tail_index",
     "build_estimate_report",
@@ -143,11 +148,32 @@ def cross_moment(c: float, r: int) -> float:
         and can turn negative at large ``c``.  Downstream variance
         code inherits this; see `asymptotic_variance`.
     """
+    _check_lag_args(c, r)
+    cr = c**r
+    return (1.0 - cr) / ((2.0 - c) * (2.0 - c - cr - cr * c))
+
+
+def cross_moment_exact(c: float, r: int) -> float:
+    """Lagged cross moment ``E(U_0 U_r)``, ``U = exp(-1/X)``, of the
+    stationary unit-Frechet ARMAX series, derived from the recursion:
+
+        mu b/(b+1) + a c**r / ((b+1) ((a+1) c**r + b + 1)),
+
+    with ``a = 1/(1-c)``, ``b = (1-c**r)/(1-c)`` and ``mu = 1/(2-c)``.
+    ``U_0`` has the law ``u**a`` on ``[0, 1]`` and ``U_r`` is
+    ``max(U_0**(c**-r), V)`` with ``V`` independent of law ``v**b``.
+    """
+    _check_lag_args(c, r)
+    cr = c**r
+    a = 1.0 / (1.0 - c)
+    b = (1.0 - cr) / (1.0 - c)
+    return b / ((2.0 - c) * (b + 1.0)) + a * cr / ((b + 1.0) * ((a + 1.0) * cr + b + 1.0))
+
+
+def _check_lag_args(c: float, r: int) -> None:
     _check_open_unit(c)
     if r < 1:
         raise ValueError("r must be a positive integer")
-    cr = c**r
-    return (1.0 - cr) / ((2.0 - c) * (2.0 - c - cr - cr * c))
 
 
 def asymptotic_variance(c: float) -> float:
@@ -166,11 +192,28 @@ def asymptotic_variance(c: float) -> float:
         confidence interval can be formed.  At ``c = 0.5`` every
         covariance term cancels exactly and the value is ``1/18``.
     """
+    return _covariance_series(c, cross_moment)
+
+
+def asymptotic_variance_exact(c: float) -> float:
+    """`asymptotic_variance` with `cross_moment_exact` in place of the
+    paper's cross moment: the variance of the limit law of
+    ``sqrt(n) (U_bar - 1/(2-c))``, positive on ``(0, 1)``.  It reads
+    0.14885 at ``c = 0.3``, 0.18928 at 0.5 and 0.13661 at 0.9, which
+    simulated studies confirm (README.md, "Known discrepancies").
+    """
+    return _covariance_series(c, cross_moment_exact)
+
+
+def _covariance_series(c: float, cross) -> float:
+    """``Var U + 2 sum_{r>=1} (cross(c, r) - mu**2)`` with ``mu = 1/(2-c)``
+    and ``Var U = a/((a+1)**2 (a+2)) = 1/(3-2c) - mu**2``, stopped once
+    a term falls below 1e-14 in absolute value or after 10 000 terms."""
     _check_open_unit(c)
     independent = 1.0 / (2.0 - c) ** 2
     total = 1.0 / (3.0 - 2.0 * c) - independent
     for r in range(1, 10_001):
-        term = cross_moment(c, r) - independent
+        term = cross(c, r) - independent
         total += 2.0 * term
         if abs(term) < 1e-14:
             break
@@ -251,30 +294,32 @@ def confidence_interval(
     under ``delta_pow4`` (the delta method applied to ``g(u) = 2 - 1/u``,
     whose squared derivative at ``u = 1/(2-c)`` is ``(2-c)**4``) and
     ``sigma2 * (3-2c)`` under ``paper_3m2c``; both evaluate ``sigma2``
-    and the factor at ``c_hat``.
+    (the paper's `asymptotic_variance`) and the factor at ``c_hat``.
     """
     _check_open_unit(c_hat, "c_hat")
-    return _interval(c_hat, asymptotic_variance(c_hat), n, convention, level)
+    half = _half_width(c_hat, asymptotic_variance(c_hat), n, convention, level)
+    return (c_hat - half, c_hat + half)
 
 
-def _interval(c_hat, sigma2: float, n: int, convention: str, level: float) -> tuple[float, float]:
-    """The interval of `confidence_interval` with ``sigma2`` given."""
+def _half_width(c, sigma2: float, n: int, convention: str, level: float) -> float:
+    """Half the width of a normal interval for ``c`` whose
+    ``sqrt(n) (c_hat - c)`` has variance ``sigma2`` times the factor of
+    ``convention`` at ``c``."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not (0.0 <= level < 1.0):
         raise ValueError("level must lie in [0, 1)")
     if convention not in VARIANCE_CONVENTIONS:
         raise ValueError(f"convention must be one of {VARIANCE_CONVENTIONS}")
-    variance = sigma2 * _convention_factor(c_hat, convention)
+    variance = sigma2 * _convention_factor(c, convention)
     if variance < 0.0:
         # the covariance series dips below zero on parts of (0,1) --
         # see asymptotic_variance -- and no normal interval exists there
         raise UndefinedResultError(
-            f"variance series is negative at c_hat={c_hat!r}; "
+            f"variance series is negative at c_hat={c!r}; "
             "no confidence interval can be formed"
         )
-    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * math.sqrt(variance / n)
-    return (c_hat - half, c_hat + half)
+    return NormalDist().inv_cdf(0.5 * (1.0 + level)) * math.sqrt(variance / n)
 
 
 def hill_tail_index(series, k: int) -> float:
@@ -300,7 +345,8 @@ def hill_tail_index(series, k: int) -> float:
 class EstimateReport:
     """All estimators for one margin, with diagnostics.
 
-    ``ci`` is a normal interval around ``c_moment`` under
+    ``sigma2`` is `asymptotic_variance_exact` at ``c_moment`` and ``ci``
+    the normal interval around ``c_moment`` it gives under
     ``variance_convention``; entries that could not be computed are
     ``nan``/``None`` with an explanatory entry in ``flags``.
     """
@@ -372,12 +418,9 @@ def build_estimate_report(
     flags = list(estimates.flags)
 
     if 0.0 < c_hat < 1.0:
-        sigma2 = asymptotic_variance(c_hat)
-        try:
-            ci = _interval(c_hat, sigma2, n, convention, level)
-        except UndefinedResultError:
-            ci = (math.nan, math.nan)
-            flags.append("variance_negative")
+        sigma2 = asymptotic_variance_exact(c_hat)
+        half = _half_width(c_hat, sigma2, n, convention, level)
+        ci = (c_hat - half, c_hat + half)
     else:
         sigma2 = math.nan
         ci = (math.nan, math.nan)
@@ -414,16 +457,23 @@ def _study_statistics(estimates, c_true: float, n: int) -> dict:
     needs at least 20 replicates."""
     columns = _CEstimates(*zip(*estimates))
     sqrt_n = math.sqrt(n)
-    z_c = sqrt_n * (np.array(columns.c_moment) - c_true)
+    c_moment = np.array(columns.c_moment)
+    z_c = sqrt_n * (c_moment - c_true)
     z_u = sqrt_n * (np.array(columns.u_bar) - 1.0 / (2.0 - c_true))
     sigma2 = asymptotic_variance(c_true)
     predicted = {name: sigma2 * _convention_factor(c_true, name) for name in VARIANCE_CONVENTIONS}
     var_c = float(np.var(z_c, ddof=1))
+    sigma2_exact = asymptotic_variance_exact(c_true)
+    half = _half_width(c_true, sigma2_exact, n, "delta_pow4", 0.95)
     stats = {
         "c_true": c_true,
         "empirical_var_sqrt_n_c_moment": var_c,
         "empirical_var_sqrt_n_u_bar": float(np.var(z_u, ddof=1)),
         "sigma2_at_c_true": sigma2,
+        "sigma2_exact_at_c_true": sigma2_exact,
+        # the share of 95% delta-method intervals of the exact variance
+        # that hold c_true
+        "ci_coverage": float(np.mean(np.abs(c_moment - c_true) <= half)),
         **{f"predicted_var_{name}": value for name, value in predicted.items()},
         "matching_convention": min(predicted, key=lambda name: abs(var_c - predicted[name])),
         "normality_pvalue": _normality_pvalue(z_c) if len(estimates) >= 20 else None,

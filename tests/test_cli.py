@@ -350,6 +350,32 @@ def test_estimate_flags_are_warnings_not_errors(tmp_path, capsys):
     assert rows[0][4] == "nan"
 
 
+def test_estimate_of_a_c_09_column_has_a_positive_variance(tmp_path, capsys):
+    # the benchmark's pipeline process: the paper's variance series is
+    # negative near c = 0.9, the exact one the report uses is not
+    process = {
+        "d": 2,
+        "c": [0.5, 0.9],
+        "margins": [{"kind": "frechet", "alpha": 1.0}, {"kind": "frechet", "alpha": 1.0}],
+        "copula": {"kind": "gumbel", "gamma": 2.0},
+    }
+    out = tmp_path / "est.csv"
+    cfg = write_config(tmp_path, "est.json", {
+        "command": "estimate", "process": process, "n": 20_000, "seed": 101,
+        "output_path": str(out),
+    })
+    proc = run_main(capsys, "estimate", "--config", cfg)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    header, rows = read_rows(out)
+    for row in map(lambda r: dict(zip(header, r)), rows):
+        c_hat = float(row["c_moment"])
+        assert row["flag"] == "ok"
+        assert float(row["sigma2"]) == estimation.asymptotic_variance_exact(c_hat) > 0.0
+        assert float(row["ci_low"]) < c_hat < float(row["ci_high"])
+    assert estimation.asymptotic_variance(float(rows[1][3])) < 0.0
+
+
 def test_estimate_flags_a_nan_no_code_explains(tmp_path):
     # inf / inf makes the minimum ratio nan on a positive series; estimate
     # writes the code montecarlo writes for it, not ok
@@ -575,6 +601,8 @@ def test_extremal_index_undefined_flags_every_row(tmp_path, monkeypatch, capsys)
         ({"command": "extremal-index", "k": 0}, "k must lie strictly between 0 and n"),
         ({"command": "tail-dep"}, "config command 'tail-dep' does not match the extremal-index "
                                   "subcommand, which takes 'extremal-index' or 'extremal_index'"),
+        # a row of the wrong length
+        ({"tau_grid": [[1.0, 1.0], [1.0]]}, "tau_grid rows must have length d"),
     ],
 )
 def test_extremal_index_refuses_bad_parameters_before_drawing_a_path(
@@ -923,6 +951,7 @@ SUMMARY_KEYS = [
     "bias_c_lebedev",
     "bias_c_moment",
     "c_true",
+    "ci_coverage",
     "command",
     "empirical_var_sqrt_n_c_moment",
     "empirical_var_sqrt_n_u_bar",
@@ -937,6 +966,7 @@ SUMMARY_KEYS = [
     "rmse_c_moment",
     "seed",
     "sigma2_at_c_true",
+    "sigma2_exact_at_c_true",
 ]
 
 

@@ -6,6 +6,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import anderson, norm, normaltest
 
 from armax_extremes import cli, estimation
@@ -16,9 +17,11 @@ from armax_extremes.estimation import (
     VARIANCE_CONVENTIONS,
     _normality_pvalue,
     asymptotic_variance,
+    asymptotic_variance_exact,
     build_estimate_report,
     confidence_interval,
     cross_moment,
+    cross_moment_exact,
     estimate_c_davis_resnick,
     estimate_c_lebedev,
     estimate_c_moment,
@@ -180,6 +183,53 @@ def test_asymptotic_variance_sign_structure_pinned():
         assert asymptotic_variance(c) < 0.0
 
 
+# ------------------------------------------------ the exact variance series
+
+
+@pytest.mark.parametrize("c", [0.1, 0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("r", [1, 2, 5])
+def test_cross_moment_exact_matches_the_recursion(c, r):
+    # U_0 has the law u**a and U_r = max(U_0**(c**-r), V), V independent
+    # of law v**b: integrate E(U_0 U_r) numerically from that alone
+    a, b = 1.0 / (1.0 - c), (1.0 - c**r) / (1.0 - c)
+
+    def given_u0(u):
+        w = u ** (c**-r)
+        inner = quad(lambda v: max(w, v) * b * v ** (b - 1.0), 0.0, 1.0, points=[w])[0]
+        return u * inner * a * u ** (a - 1.0)
+
+    # w = u**(c**-r) rises from 0 to 1 in a thin layer below u = 1
+    layer = [p ** (c**r) for p in (1e-6, 0.01, 0.5, 0.99)]
+    expected = quad(given_u0, 0.0, 1.0, points=layer, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+    assert cross_moment_exact(c, r) == pytest.approx(expected, rel=1e-8)
+
+
+def test_cross_moment_exact_tends_to_the_independent_value():
+    for c in (0.3, 0.5, 0.9):
+        assert cross_moment_exact(c, 400) == pytest.approx(1.0 / (2.0 - c) ** 2, rel=1e-12)
+        assert 1.0 / (2.0 - c) ** 2 < cross_moment_exact(c, 3) < 1.0 / (3.0 - 2.0 * c)
+
+
+@pytest.mark.parametrize("c, value, terms", [(0.3, 0.1488473, 25), (0.5, 0.1892793, 43),
+                                             (0.9, 0.1366140, 260)])
+def test_asymptotic_variance_exact_pinned(monkeypatch, c, value, terms):
+    # the values and series lengths of the first-principles form
+    calls = []
+    real = estimation.cross_moment_exact
+    monkeypatch.setattr(estimation, "cross_moment_exact", lambda c, r: calls.append(r) or real(c, r))
+    assert asymptotic_variance_exact(c) == pytest.approx(value, abs=5e-8)
+    assert len(calls) == terms
+
+
+def test_asymptotic_variance_exact_positive_on_grid():
+    assert all(asymptotic_variance_exact(c) > 0.0 for c in np.linspace(0.01, 0.99, 99))
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="c must lie in"):
+            asymptotic_variance_exact(bad)
+    with pytest.raises(ValueError, match="r must be a positive integer"):
+        cross_moment_exact(0.5, 0)
+
+
 # ------------------------------------------------------- confidence intervals
 
 
@@ -288,34 +338,39 @@ def test_report_on_clean_path():
     assert report.variance_convention == "delta_pow4"
 
 
-def test_report_negative_variance_flagged():
+def test_report_variance_is_positive_where_the_paper_form_is_negative():
     cfg = ProcessConfig(
         1, (0.3,), (FRECHET1_ARMAX.margins[0],), CopulaSpec.independence()
     )
     path = simulate_path(cfg, 50_000, 2).data[:, 0]
     report = build_estimate_report(path)
-    assert "variance_negative" in report.flags
-    assert report.sigma2 < 0.0
-    assert math.isnan(report.ci[0]) and math.isnan(report.ci[1])
-    # the point estimate itself is still fine
+    # the paper's series is negative here, the exact one is not
+    assert asymptotic_variance(report.c_moment) < 0.0
+    assert report.flags == ()
+    assert report.sigma2 == asymptotic_variance_exact(report.c_moment) > 0.0
+    assert math.isfinite(report.ci[0]) and math.isfinite(report.ci[1])
+    assert report.ci[0] < report.c_moment < report.ci[1]
     assert report.c_moment == pytest.approx(0.3, abs=0.05)
 
 
 def test_report_evaluates_the_variance_series_once(monkeypatch):
-    # sigma2 and the interval share one evaluation of the series
+    # sigma2 and the interval share one evaluation of the exact series
     calls = []
-    real = estimation.asymptotic_variance
+    real = estimation.asymptotic_variance_exact
 
     def counted(c):
         calls.append(c)
         return real(c)
 
-    monkeypatch.setattr(estimation, "asymptotic_variance", counted)
+    monkeypatch.setattr(estimation, "asymptotic_variance_exact", counted)
+    monkeypatch.setattr(estimation, "asymptotic_variance", None)
     path = simulate_path(FRECHET1_ARMAX, 5000, 1).data[:, 0]
     report = build_estimate_report(path)
     assert calls == [report.c_moment]
     assert report.sigma2 == real(report.c_moment)
-    assert report.ci == confidence_interval(report.c_moment, 5000)
+    z = NormalDist().inv_cdf(0.975)
+    half = z * math.sqrt(report.sigma2 * (2.0 - report.c_moment) ** 4 / 5000)
+    assert report.ci == (report.c_moment - half, report.c_moment + half)
 
 
 def test_report_on_unsuitable_data():
@@ -363,6 +418,25 @@ def test_mc_normality_of_moment_estimator(mc_study):
     z = np.sqrt(n) * (np.asarray(mc_study["c_moment"]) - c) / scale
     result = anderson(z, dist="norm", method="interpolate")
     assert result.pvalue > 0.01
+
+
+def test_mc_exact_intervals_cover_c_true(mc_study):
+    # 1000 replicates: 3 binomial standard deviations around 0.95 are 0.021
+    summary = mc_study["summary"]
+    assert summary["sigma2_exact_at_c_true"] == asymptotic_variance_exact(0.5)
+    assert summary["ci_coverage"] == pytest.approx(0.95, abs=0.021)
+    half = NormalDist().inv_cdf(0.975) * math.sqrt(
+        asymptotic_variance_exact(0.5) * 1.5**4 / mc_study["n"]
+    )
+    covered = np.abs(np.asarray(mc_study["c_moment"]) - 0.5) <= half
+    assert summary["ci_coverage"] == float(np.mean(covered))
+
+
+def test_mc_exact_variance_matches_the_simulated_one(mc_study):
+    # n Var(U_bar) over 1000 replicates has a standard error of about
+    # sigma2 sqrt(2 / 999), 0.0085 at c = 0.5
+    simulated = mc_study["summary"]["empirical_var_sqrt_n_u_bar"]
+    assert simulated == pytest.approx(asymptotic_variance_exact(0.5), abs=3 * 0.0085)
 
 
 def test_mc_summary_prefers_delta_convention(mc_study):
