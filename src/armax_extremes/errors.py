@@ -27,7 +27,6 @@ class UndefinedResultError(ArmaxError):
     """
 
 
-
 def _check_open_unit(value, name: str = "c") -> None:
     if not (0.0 < value < 1.0):  # a nan is refused too
         raise ValueError(f"{name} must lie in (0, 1)")

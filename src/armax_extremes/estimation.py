@@ -301,7 +301,7 @@ def confidence_interval(
     return (c_hat - half, c_hat + half)
 
 
-def _half_width(c, sigma2: float, n: int, convention: str, level: float) -> float:
+def _half_width(c: float, sigma2: float, n: int, convention: str, level: float) -> float:
     """Half the width of a normal interval for ``c`` whose
     ``sqrt(n) (c_hat - c)`` has variance ``sigma2`` times the factor of
     ``convention`` at ``c``."""
