@@ -389,22 +389,27 @@ def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
     per step), so a given ``(config, n, seed)`` triple always returns
     identical output.
     """
-    return _simulate_batch(config, n, [seed])[0]
+    seed = tuple(map(int, seed)) if isinstance(seed, (list, tuple)) else int(seed)
+    _, data = _simulate_batch(config, n, [seed])
+    burn = _burn_in(config)
+    init_used = "exact_marginal" if _exact_start(config) else f"burn_in:{burn}"
+    return SamplePath(data=data[0, burn:], seed=seed, config_digest=config.digest(), init_used=init_used)
 
 
-def _simulate_batch(config: ProcessConfig, n: int, seeds) -> list[SamplePath]:
-    """`simulate_path` for each of ``seeds``, with one recursion for all.
+def _simulate_batch(config: ProcessConfig, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The innovations and the paths of `simulate_path` for each of
+    ``seeds``, as two ``(K, burn + n, d)`` arrays, burn-in rows first.
 
     Each seed draws from its own generator, in `simulate_path`'s order,
-    into row k of one ``(K, burn + n, d)`` innovation buffer, and
-    `_recurse` runs the K replicates side by side, so every path equals
-    the one ``simulate_path(config, n, seeds[k])`` returns alone.  The
-    buffer and the paths cost ``16 * K * (burn + n) * d`` bytes; see
-    `_batch_size`.
+    its start value and then its uniforms into row k of the innovation
+    buffer.  Each margin's quantiles then overwrite the uniforms of its
+    column over all K rows at once, and `_recurse` runs the K replicates
+    side by side, so every path equals the one
+    ``simulate_path(config, n, seeds[k])`` returns alone.  The two arrays
+    cost ``16 * K * (burn + n) * d`` bytes; see `_batch_size`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    seeds = [tuple(map(int, s)) if isinstance(s, (list, tuple)) else int(s) for s in seeds]
     d = config.d
     exact = _exact_start(config)
     burn = _burn_in(config)
@@ -421,23 +426,20 @@ def _simulate_batch(config: ProcessConfig, n: int, seeds) -> list[SamplePath]:
         innovations, data = np.empty(shape), np.empty(shape)
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
+        # the start value keeps its scalar transform: a scalar and an
+        # array log or power can part by an ulp, which a burn-in hides
         u0 = np.atleast_1d(copula_sample(config.copula, d, rng))
         for j, m in enumerate(config.margins):
             if exact:
                 x0[k, j] = _stationary_frechet_quantile(m.alpha, config.c[j], u0[j])
             else:
                 x0[k, j] = margin_quantile(m, u0[j])
-        # the innovations overwrite the uniforms drawn into their row
-        y = copula_sample(config.copula, d, rng, size=burn + n, out=innovations[k])
-        for j, m in enumerate(config.margins):
-            y[:, j] = margin_quantile(m, y[:, j])
+        copula_sample(config.copula, d, rng, size=burn + n, out=innovations[k])
+    for j, m in enumerate(config.margins):
+        column = innovations[:, :, j]
+        margin_quantile(m, column, out=column)
     _recurse(config.c, x0, innovations, data)
-    digest = config.digest()
-    init_used = "exact_marginal" if exact else f"burn_in:{burn}"
-    return [
-        SamplePath(data=data[k, burn:], seed=seed, config_digest=digest, init_used=init_used)
-        for k, seed in enumerate(seeds)
-    ]
+    return innovations, data
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,13 @@ flagged in its row instead.
 
 ``estimate`` writes `estimation.build_estimate_report` per column: its
 ``sigma2`` and interval come from `estimation.asymptotic_variance_exact`.
-``montecarlo`` draws replicate ``i`` from ``default_rng((seed, i))`` and
-recurses the paths of up to 8 replicates as one batch
-(`armax._simulate_batch`); ``workers > 1`` maps the batches over a
-process pool.  Its CSV and summary do not depend on the batch size or on
-``workers``.  Both commands take their estimator codes from
+``montecarlo`` draws replicate ``i`` from ``default_rng((seed, i))``.
+Up to 8 replicates form one batch: `armax._simulate_batch` transforms
+each margin's column of the batch's innovations in one in-place pass and
+recurses the paths side by side, and `estimation._c_estimates` estimates
+all of them in one pass with the spent innovations as scratch;
+``workers > 1`` maps the batches over a process pool.  Its CSV and
+summary do not depend on the batch size or on ``workers``.  Both commands take their estimator codes from
 `estimation._c_estimates` (``moment_misfit``, ``lebedev_misfit``,
 ``lebedev_boundary``, ``davis_resnick_unavailable`` and
 ``estimator_unavailable`` for a nan estimate none of them explains), and
@@ -504,10 +506,11 @@ def ProcessPoolExecutor(max_workers: int):
 
 def _mc_batch(args) -> list:
     """The `estimation._CEstimates` of each replicate in ``indices``,
-    whose paths are drawn as one batch (see `armax._simulate_batch`)."""
+    whose paths are drawn as one batch (see `armax._simulate_batch`) and
+    estimated in one pass, with the spent innovations as its scratch."""
     process, n, master_seed, indices = args
-    paths = _simulate_batch(process, n, [(master_seed, index) for index in indices])
-    return [_c_estimates(path.data[:, 0]) for path in paths]
+    innovations, data = _simulate_batch(process, n, [(master_seed, index) for index in indices])
+    return _c_estimates(data[:, -n:, 0], innovations.reshape(-1))
 
 
 def _run_montecarlo(config: RunConfig) -> int:

@@ -92,30 +92,19 @@ def estimate_c_moment(series) -> MomentEstimate:
 
     Entries ``X <= 0`` contribute zero (the left-tail limit of the
     transform), so contaminated inputs degrade gracefully and surface
-    through the misfit flag rather than an exception.
+    through the misfit flag rather than an exception; a nan entry makes
+    ``u_bar`` and ``c_hat`` nan, a misfit.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("series must be a non-empty 1-d array")
-    with np.errstate(divide="ignore", over="ignore"):
-        w = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-    u_bar = float(np.mean(w))
-    misfit = not (0.5 < u_bar < 1.0)
-    c_hat = math.nan if u_bar == 0.0 else 2.0 - 1.0 / u_bar
-    return MomentEstimate(c_hat=c_hat, u_bar=u_bar, misfit=misfit)
+    return _moment_estimate(_mean_transform(x[None], np.empty(x.size)).item())
 
 
 def estimate_c_lebedev(series) -> LebedevEstimate:
     """Estimate ``c`` from the frequency of non-increasing steps."""
     x = _series(series)
-    p_tilde = float(np.mean(x[1:] <= x[:-1]))
-    c_hat = math.nan if p_tilde == 0.0 else 2.0 - 1.0 / p_tilde
-    return LebedevEstimate(
-        c_hat=c_hat,
-        p_tilde=p_tilde,
-        misfit=p_tilde <= 0.5,
-        boundary=p_tilde == 1.0,
-    )
+    return _lebedev_estimate(_descent_share(x[None], np.empty(x.size)).item())
 
 
 def estimate_c_davis_resnick(series) -> float:
@@ -124,12 +113,70 @@ def estimate_c_davis_resnick(series) -> float:
     For a true ARMAX path this never falls below the autoregression
     coefficient, and it decreases toward it as the series grows.
     """
-    x = _series(series)
-    if np.any(x <= 0):
+    x = _series(series)[None]
+    if _nonpositive(x)[0]:
         raise ValueError("series entries must be positive")
-    # inf / inf and a nan entry give nan, a ratio past the float range inf
-    with np.errstate(invalid="ignore", over="ignore"):
-        return float(np.min(x[1:] / x[:-1]))
+    return _min_ratio(x, np.empty(x.size)).item()
+
+
+# The estimators on each row of a (K, n) array ``x``.  Each writes its
+# intermediate values into ``scratch``, a contiguous float array of at
+# least ``x.size`` values, and reduces them along axis 1, so a batch of
+# replicates costs no temporary array of its size.
+
+
+def _mean_transform(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``u_bar``: the mean of ``exp(-1/X)`` over each row."""
+    w = scratch[: x.size].reshape(x.shape)
+    # an entry <= 0 gives exp(-1e300) = 0, the transform's limit there,
+    # and a nan entry stays nan
+    np.maximum(x, 1e-300, out=w)
+    np.divide(-1.0, w, out=w)
+    np.exp(w, out=w)
+    return np.mean(w, axis=1)
+
+
+def _descent_share(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``p_tilde``: the share of steps with ``X_{i+1} <= X_i`` in each row."""
+    k, n = x.shape
+    steps = scratch.view(np.bool_)[: k * (n - 1)].reshape(k, n - 1)
+    np.less_equal(x[:, 1:], x[:, :-1], out=steps)
+    return np.count_nonzero(steps, axis=1) / (n - 1)
+
+
+def _nonpositive(x: np.ndarray) -> np.ndarray:
+    """Whether each row holds an entry ``<= 0``; ``fmin`` skips nan."""
+    return np.fmin.reduce(x, axis=1) <= 0
+
+
+def _min_ratio(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The minimum consecutive ratio of each row."""
+    k, n = x.shape
+    ratios = scratch[: k * (n - 1)].reshape(k, n - 1)
+    # inf / inf and a nan entry give nan, a ratio past the float range
+    # inf; a row with an entry <= 0, whose ratios mean nothing, may
+    # divide by zero
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(x[:, 1:], x[:, :-1], out=ratios)
+    return np.min(ratios, axis=1)
+
+
+def _c_from_mean(mean: float) -> float:
+    """``2 - 1/mean``, the moment and the descent estimate; nan at 0."""
+    return math.nan if mean == 0.0 else 2.0 - 1.0 / mean
+
+
+def _moment_estimate(u_bar: float) -> MomentEstimate:
+    return MomentEstimate(c_hat=_c_from_mean(u_bar), u_bar=u_bar, misfit=not (0.5 < u_bar < 1.0))
+
+
+def _lebedev_estimate(p_tilde: float) -> LebedevEstimate:
+    return LebedevEstimate(
+        c_hat=_c_from_mean(p_tilde),
+        p_tilde=p_tilde,
+        misfit=p_tilde <= 0.5,
+        boundary=p_tilde == 1.0,
+    )
 
 
 def cross_moment(c: float, r: int) -> float:
@@ -324,7 +371,12 @@ def _half_width(c: float, sigma2: float, n: int, convention: str, level: float) 
 
 def hill_tail_index(series, k: int) -> float:
     """Hill estimator ``k / sum log(X_(n-i+1) / X_(n-k))`` over the top
-    ``k`` order statistics."""
+    ``k`` order statistics.
+
+    Raises `UndefinedResultError` where the denominator is zero (ties) or
+    not finite (a nan or inf among the top order statistics, or a ratio
+    past the float range), where no index can be read off.
+    """
     x = _series(series)
     n = x.size
     _check_top_k(k, n)
@@ -338,6 +390,8 @@ def hill_tail_index(series, k: int) -> float:
         denom = float(np.sum(np.log(top / pivot)))
     if denom == 0.0:
         raise UndefinedResultError("tied order statistics make the Hill denominator zero")
+    if not math.isfinite(denom):
+        raise UndefinedResultError(f"the Hill denominator is {denom!r}, not finite")
     return k / denom
 
 
@@ -374,27 +428,35 @@ class _CEstimates(NamedTuple):
     flags: tuple[str, ...]
 
 
-def _c_estimates(x: np.ndarray) -> _CEstimates:
-    """The three estimates of ``c`` on one series with every code: a nan
-    moment or descent estimate is a misfit, and a nan minimum ratio that
-    no nonpositive entry explains (``inf / inf``) is estimator_unavailable."""
-    flags: list[str] = []
-    moment = estimate_c_moment(x)
-    if moment.misfit:
-        flags.append("moment_misfit")
-    lebedev = estimate_c_lebedev(x)
-    if lebedev.misfit:
-        flags.append("lebedev_misfit")
-    if lebedev.boundary:
-        flags.append("lebedev_boundary")
-    try:
-        c_dr = estimate_c_davis_resnick(x)
-    except ValueError:
-        c_dr = math.nan
-        flags.append("davis_resnick_unavailable")
-    if math.isnan(c_dr) and "davis_resnick_unavailable" not in flags:
-        flags.append("estimator_unavailable")
-    return _CEstimates(moment.u_bar, moment.c_hat, lebedev.c_hat, c_dr, tuple(flags))
+def _c_estimates(x: np.ndarray, scratch: np.ndarray | None = None) -> list[_CEstimates]:
+    """The three estimates of ``c`` on each row of ``x`` ``(K, n)``,
+    ``n >= 2``, with every code: a nan moment or descent estimate is a
+    misfit, and a nan minimum ratio that no nonpositive entry explains
+    (``inf / inf``) is estimator_unavailable.  ``scratch`` (see
+    `_mean_transform`) is overwritten; by default one is allocated."""
+    if scratch is None:
+        scratch = np.empty(x.size)
+    u_bar = _mean_transform(x, scratch).tolist()
+    p_tilde = _descent_share(x, scratch).tolist()
+    ratio = _min_ratio(x, scratch).tolist()
+    estimates = []
+    for u, p, c_dr, nonpositive in zip(u_bar, p_tilde, ratio, _nonpositive(x).tolist()):
+        moment = _moment_estimate(u)
+        lebedev = _lebedev_estimate(p)
+        flags = []
+        if moment.misfit:
+            flags.append("moment_misfit")
+        if lebedev.misfit:
+            flags.append("lebedev_misfit")
+        if lebedev.boundary:
+            flags.append("lebedev_boundary")
+        if nonpositive:
+            c_dr = math.nan
+            flags.append("davis_resnick_unavailable")
+        elif math.isnan(c_dr):
+            flags.append("estimator_unavailable")
+        estimates.append(_CEstimates(u, moment.c_hat, lebedev.c_hat, c_dr, tuple(flags)))
+    return estimates
 
 
 def build_estimate_report(
@@ -413,7 +475,7 @@ def build_estimate_report(
     """
     x = _series(series)
     n = x.size
-    estimates = _c_estimates(x)
+    estimates = _c_estimates(x[None])[0]
     c_hat = estimates.c_moment
     flags = list(estimates.flags)
 

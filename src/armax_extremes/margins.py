@@ -154,38 +154,60 @@ def _gpd_cdf(shape: float, scale: float, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def margin_quantile(spec: MarginSpec, p):
+def margin_quantile(spec: MarginSpec, p, out=None):
     """Quantile function (inverse CDF) of ``spec`` at ``p`` in (0, 1).
 
     The endpoints are excluded: every supported margin is continuous and
     strictly increasing on its support, so interior levels are enough, and
     rejecting 0/1 keeps infinities out of downstream recursions.  A nan
     level is refused as well.
+
+    ``out``, a float array of ``p``'s shape (``p`` itself included),
+    receives the quantiles and is returned; by default a new array is,
+    or a float for a scalar ``p``.
     """
     arr, scalar = _as_array(p)
     # min and max carry a nan through, so it fails both tests as 0 and 1
     # do; `initial` passes an empty array
     if not (arr.min(initial=0.5) > 0 and arr.max(initial=0.5) < 1):
         raise ValueError("quantile levels must lie strictly inside (0, 1)")
+    given = out is not None
+    if not given:
+        out = np.empty_like(arr)
+    # each formula is a chain of in-place steps, in the order of its
+    # written form, e.g. (-log(p)) ** (-1/alpha) for the Frechet margin
     with np.errstate(divide="ignore", over="ignore"):
         if spec.kind == "frechet":
-            out = np.power(-np.log(arr), -1.0 / spec.alpha)
-        elif spec.kind == "exponential":
-            out = -np.log1p(-arr) / spec.rate
+            np.log(arr, out=out)
+            np.negative(out, out=out)
+            np.power(out, -1.0 / spec.alpha, out=out)
         elif spec.kind == "uniform01":
-            out = arr.copy()
-        elif spec.kind == "gpd":
-            out = _gpd_quantile(spec.shape, spec.scale, arr)
-        else:  # weibull_min
-            out = np.power(-np.log1p(-arr), 1.0 / spec.k)
-    return _maybe_scalar(out, scalar)
+            np.copyto(out, arr)
+        else:
+            # log(1 - p), the log survival level, for the other three
+            np.negative(arr, out=out)
+            np.log1p(out, out=out)
+            if spec.kind == "gpd":
+                _gpd_quantile(spec.shape, spec.scale, out)
+            else:
+                np.negative(out, out=out)
+                if spec.kind == "exponential":
+                    np.divide(out, spec.rate, out=out)
+                else:  # weibull_min
+                    np.power(out, 1.0 / spec.k, out=out)
+    return out if given else _maybe_scalar(out, scalar)
 
 
-def _gpd_quantile(shape: float, scale: float, arr: np.ndarray) -> np.ndarray:
-    log_sf = np.log1p(-arr)
+def _gpd_quantile(shape: float, scale: float, log_sf: np.ndarray) -> None:
+    """``-scale * log_sf``, or ``scale * expm1(-shape * log_sf) / shape``
+    away from ``shape = 0``, written over ``log_sf``."""
     if abs(shape) < GPD_SHAPE_TOL:
-        return -scale * log_sf
-    return scale * np.expm1(-shape * log_sf) / shape
+        np.multiply(log_sf, -scale, out=log_sf)
+        return
+    np.multiply(log_sf, -shape, out=log_sf)
+    np.expm1(log_sf, out=log_sf)
+    np.multiply(log_sf, scale, out=log_sf)
+    np.divide(log_sf, shape, out=log_sf)
 
 
 def margin_sample(spec: MarginSpec, rng: np.random.Generator, size=None):

@@ -24,7 +24,7 @@ from armax_extremes.armax import (
     stationary_marginal_logcdf,
     stationary_marginal_quantile,
 )
-from armax_extremes.copulas import CopulaSpec, copula_logcdf
+from armax_extremes.copulas import CopulaSpec, copula_logcdf, copula_sample
 from armax_extremes.errors import ConfigurationError, NumericLimitError
 from armax_extremes.margins import (
     MarginSpec,
@@ -423,6 +423,49 @@ def test_simulated_columns_take_the_fmax_step(monkeypatch, margin, init):
     cfg = ProcessConfig(2, (0.5, 0.3), (margin, margin), CopulaSpec.gumbel(2.0), init)
     simulate_path(cfg, 10_000, 5)
     assert steps and all(s is np.fmax for s in steps)
+
+
+def _reference_path(cfg, n, seed):
+    """A path drawn seed by seed from public pieces: the start value and
+    the innovations of each column transformed apart, on contiguous
+    arrays, and the scalar loop."""
+    rng = np.random.default_rng(seed)
+    burn = armax._burn_in(cfg)
+    u0 = np.atleast_1d(copula_sample(cfg.copula, cfg.d, rng))
+    u = copula_sample(cfg.copula, cfg.d, rng, size=burn + n)
+    path = np.empty_like(u)
+    for j, (c, m) in enumerate(zip(cfg.c, cfg.margins)):
+        if armax._exact_start(cfg):
+            x0 = armax._stationary_frechet_quantile(m.alpha, c, u0[j])
+        else:
+            x0 = margin_quantile(m, u0[j])
+        armax._recurse_column(c, x0, margin_quantile(m, np.ascontiguousarray(u[:, j])), path[:, j])
+    return path[burn:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batch_equals_simulate_path_seed_by_seed(data):
+    # every margin kind, independence and Gumbel copulas, burn-in and
+    # exact starts; n up to 2500 puts c = 0.5 columns on the lane sweeps
+    d = data.draw(st.integers(1, 3), label="d")
+    frechet = data.draw(st.booleans(), label="frechet only")
+    kinds = [m for m in _ALL_MARGINS if m.kind == "frechet"] if frechet else _ALL_MARGINS
+    margins = data.draw(st.lists(st.sampled_from(kinds), min_size=d, max_size=d), label="margins")
+    c = data.draw(st.lists(st.sampled_from([0.3, 0.5, 0.9]), min_size=d, max_size=d), label="c")
+    copula = data.draw(st.sampled_from([INDEP, CopulaSpec.gumbel(1.5), CopulaSpec.gumbel(3.0)]),
+                       label="copula")
+    init = data.draw(st.sampled_from([InitPolicy.exact_marginal()])
+                     | st.integers(0, 300).map(InitPolicy.burn_in), label="init")
+    cfg = ProcessConfig(d, tuple(c), tuple(margins), copula, init)
+    n = data.draw(st.just(2500) | st.integers(1, 2500), label="n")
+    seeds = [(data.draw(st.integers(0, 2**32), label="master"), k)
+             for k in range(data.draw(st.integers(2, 6), label="K"))]
+    _, block = armax._simulate_batch(cfg, n, seeds)
+    for k, seed in enumerate(seeds):
+        alone = simulate_path(cfg, n, seed).data
+        assert np.array_equal(_bits(block[k, -n:]), _bits(alone))
+        assert np.array_equal(_bits(alone), _bits(_reference_path(cfg, n, seed)))
 
 
 # ---------------------------------------------------------------- simulation

@@ -389,6 +389,26 @@ def test_estimate_flags_a_nan_no_code_explains(tmp_path):
     assert f"warning: column 0: {row['flag']}\n" in err
 
 
+@pytest.mark.parametrize(
+    "content, codes",
+    [(b"x1\n1.0\nnan\n2.0\n", {"moment_misfit", "ci_unavailable", "hill_unavailable"}),
+     (b"x1\n1.0\ninf\ninf\n2.0\n", {"hill_unavailable"})],
+    ids=["nan", "inf"],
+)
+def test_estimate_flags_a_hill_index_that_is_not_finite(tmp_path, content, codes):
+    # a nan entry is nan through u_bar and c_moment, and the Hill index of
+    # either column (nan, and 0.0 from inf / 2) is unavailable
+    code, _, err = _estimate_in_process(tmp_path, content)
+    assert code == 0
+    header, rows = read_rows(tmp_path / "est.csv")
+    row = dict(zip(header, rows[0]))
+    assert row["alpha_hill"] == "nan"
+    assert codes <= set(row["flag"].split(";"))
+    if "moment_misfit" in codes:
+        assert row["u_bar"] == row["c_moment"] == row["sigma2"] == "nan"
+    assert f"warning: column 0: {row['flag']}\n" in err
+
+
 def _estimate_in_process(tmp_dir, content: bytes | None):
     """Exit status, stdout and stderr of ``estimate`` on an input file
     holding ``content`` (a directory for None), run in process with
@@ -1105,8 +1125,8 @@ def test_montecarlo_flags_the_codes_estimate_writes(tmp_path, capsys, margin):
 
 
 def test_montecarlo_flags_a_nan_no_code_explains(tmp_path, capsys, monkeypatch):
-    # a minimum ratio of nan without a ValueError, as inf / inf gives
-    monkeypatch.setattr(estimation, "estimate_c_davis_resnick", lambda x: math.nan)
+    # a minimum ratio of nan with no entry <= 0, as inf / inf gives
+    monkeypatch.setattr(estimation, "_min_ratio", lambda x, scratch: np.full(len(x), math.nan))
     out = tmp_path / "mc.csv"
     assert main_exit(["montecarlo", "--config", _mc_config(tmp_path, out, replicates=3)]) == 0
     _, rows = read_rows(out)

@@ -2,10 +2,13 @@
 
 import json
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import anderson, norm, normaltest
 
@@ -15,6 +18,7 @@ from armax_extremes.copulas import CopulaSpec
 from armax_extremes.errors import UndefinedResultError
 from armax_extremes.estimation import (
     VARIANCE_CONVENTIONS,
+    _c_estimates,
     _normality_pvalue,
     asymptotic_variance,
     asymptotic_variance_exact,
@@ -121,6 +125,109 @@ def test_moment_is_permutation_invariant_lebedev_is_not():
         estimate_c_moment(base).c_hat, abs=1e-12
     )
     assert estimate_c_lebedev(reordered).p_tilde != estimate_c_lebedev(base).p_tilde
+
+
+def test_moment_estimator_propagates_nan():
+    # a nan entry is no transform value of 0: u_bar and c_hat are nan,
+    # a misfit, and the report has no interval
+    est = estimate_c_moment([1.0, math.nan, 2.0])
+    assert math.isnan(est.u_bar) and math.isnan(est.c_hat) and est.misfit
+    path = simulate_path(FRECHET1_ARMAX, 1_000, 4).data[:, 0].copy()
+    assert not estimate_c_moment(path).misfit
+    path[500] = math.nan
+    est = estimate_c_moment(path)
+    assert math.isnan(est.u_bar) and math.isnan(est.c_hat) and est.misfit
+    report = build_estimate_report(path)
+    assert math.isnan(report.c_moment) and math.isnan(report.sigma2)
+    assert {"moment_misfit", "ci_unavailable"} <= set(report.flags)
+
+
+# the single-series formulas as written before the (K, n) kernel: the
+# kernel and the public estimators must give their bits
+def _written_u_bar(x):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.where(x <= 0, 0.0, np.exp(-1.0 / np.maximum(x, 1e-300)))
+    return float(np.mean(w))
+
+
+def _written_p_tilde(x):
+    return float(np.mean(x[1:] <= x[:-1]))
+
+
+def _written_min_ratio(x):
+    if np.any(x <= 0):
+        return None
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.min(x[1:] / x[:-1]))
+
+
+_ENTRIES = (
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5, 1.0, 2.0])
+    | st.floats(-10.0, 10.0)
+    | st.floats(allow_nan=False)
+)
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(np.float64(a).view(np.int64), np.float64(b).view(np.int64))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_kernel_rows_equal_the_single_series_estimators_bit_for_bit(data):
+    k = data.draw(st.integers(1, 9), label="K")
+    n = data.draw(st.integers(2, 60), label="n")
+    # rows of clean positive values, of special entries, or of ties
+    rows = []
+    for _ in range(k):
+        kind = data.draw(st.sampled_from(["positive", "mixed", "ties"]), label="row kind")
+        if kind == "positive":
+            row = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n), label="row")
+        elif kind == "mixed":
+            row = data.draw(st.lists(_ENTRIES, min_size=n, max_size=n), label="row")
+        else:
+            row = data.draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n), label="row")
+        rows.append(row)
+    # column 0 of a (K, n, 2) block, a strided view as montecarlo passes
+    # its paths, with scratch holding stale values and room to spare
+    block = np.zeros((k, n, 2))
+    block[:, :, 0] = rows
+    x = block[:, :, 0]
+    scratch = np.full(x.size + 7, math.nan)
+    for row, got in zip(x, _c_estimates(x, scratch)):
+        row = row.copy()
+        moment = estimate_c_moment(row)
+        lebedev = estimate_c_lebedev(row)
+        assert _same(got.u_bar, moment.u_bar) and _same(got.u_bar, _written_u_bar(row))
+        assert _same(got.c_moment, moment.c_hat)
+        assert _same(got.c_lebedev, lebedev.c_hat)
+        assert _same(lebedev.p_tilde, _written_p_tilde(row))
+        ratio = _written_min_ratio(row)
+        if ratio is None:
+            with pytest.raises(ValueError):
+                estimate_c_davis_resnick(row)
+            assert math.isnan(got.c_dr) and "davis_resnick_unavailable" in got.flags
+        else:
+            assert _same(got.c_dr, estimate_c_davis_resnick(row)) and _same(got.c_dr, ratio)
+        alone = _c_estimates(row[None])[0]
+        assert all(_same(a, b) for a, b in zip(got[:4], alone[:4])) and got.flags == alone.flags
+
+
+def test_kernel_allocates_no_block_sized_temporary():
+    # the estimator pass over a batch of 8 paths of 10^4 values writes
+    # its intermediates into the scratch: its peak stays below one
+    # (8, 10^4) float block of 640 kB
+    x = np.stack([simulate_path(FRECHET1_ARMAX, 10_000, (9, k)).data[:, 0] for k in range(8)])
+    scratch = np.empty(x.size)
+    _c_estimates(x, scratch)
+    tracemalloc.start()
+    try:
+        estimates = _c_estimates(x, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 8
+    assert peak < x.nbytes
 
 
 # ------------------------------------------------------- moments and variance
@@ -319,6 +426,18 @@ def test_hill_validation():
         hill_tail_index(np.ones(100), 10)
     with pytest.raises(ValueError):
         hill_tail_index(np.concatenate([np.zeros(50), -np.ones(50)]), 10)
+
+
+@pytest.mark.parametrize(
+    "series", [[1.0, math.nan, 2.0], [1.0, math.inf, math.inf, 2.0]], ids=["nan", "inf"]
+)
+def test_hill_refuses_a_denominator_that_is_not_finite(series):
+    # nan and inf / inf gave a nan denominator, inf / 2 an infinite one
+    # (an index of 0.0); neither is an index
+    with pytest.raises(UndefinedResultError, match="not finite"):
+        hill_tail_index(series, 2)
+    report = build_estimate_report(series)
+    assert report.alpha_hill is None and "hill_unavailable" in report.flags
 
 
 # ------------------------------------------------------------------- reports
