@@ -24,11 +24,12 @@ each margin's column of the batch's innovations in one in-place pass and
 recurses the paths side by side, and `estimation._c_estimates` estimates
 all of them in one pass with the spent innovations as scratch;
 ``workers > 1`` maps the batches over a process pool.  Its CSV and
-summary do not depend on the batch size or on ``workers``.  Both commands take their estimator codes from
-`estimation._c_estimates` (``moment_misfit``, ``lebedev_misfit``,
-``lebedev_boundary``, ``davis_resnick_unavailable`` and
-``estimator_unavailable`` for a nan estimate none of them explains), and
-the summary's statistics from `estimation._study_statistics`.
+summary do not depend on the batch size or on ``workers``.  Both
+commands take their estimator codes from `estimation._c_estimates`
+(``moment_misfit``, ``lebedev_misfit``, ``lebedev_boundary``,
+``davis_resnick_unavailable`` and ``estimator_unavailable`` for a nan
+estimate none of them explains), and the summary's statistics from
+`estimation._study_statistics`.
 """
 
 from __future__ import annotations
