@@ -76,6 +76,12 @@ _BATCH_BYTES = 1 << 22
 # needs fewer than 64 factors, so it finishes in one chunk
 _FIRST_CHUNK_TERMS = 64
 
+# the most terms summed of the stationarity series, the stationary
+# product and the variance series, and the product's per-factor bound:
+# it stops before its first factor above ``1 - _PRODUCT_TOL``
+_SERIES_TERMS = 10_000
+_PRODUCT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class InitPolicy:
@@ -213,35 +219,13 @@ def _block_length(c: float, n: int) -> int:
     return length if n // length >= _MIN_BLOCKS else 0
 
 
-def _select_step(decayed: np.ndarray, y_row: np.ndarray, out: np.ndarray) -> None:
-    # the scalar loop's rule: y only where y > decayed, so nan never wins
-    np.copyto(out, y_row, where=y_row > decayed)
-
-
-def _lane_step(x0: np.ndarray, y: np.ndarray):
-    """The step of `_sweep` for the columns ``y`` ``(K, n)`` started
-    from ``x0`` ``(K,)``.
-
-    ``fmax(d, y)`` parts from the select only where ``d`` is nan or
-    ``d`` and ``y`` are zeros of opposite sign.  With no nan in ``x0``
-    and no sign bit on ``x0`` or any innovation, every lane state is
-    ``>= +0`` or ``-inf`` (a block start), so ``d = c * prev`` is never
-    nan and never ``-0.0``, and ``np.fmax`` is exact; every simulated
-    column is such a column, since margin quantiles are ``>= +0``.
-    Other batches take `_select_step`.
-    """
-    if np.isnan(x0).any() or np.signbit(x0).any() or np.signbit(y).any():
-        return _select_step
-    return np.fmax
-
-
-def _sweep(c: float, step, start: np.ndarray, y: np.ndarray, out: np.ndarray, again: bool) -> None:
+def _sweep(c: float, start: np.ndarray, y: np.ndarray, out: np.ndarray, again: bool) -> None:
     """One lockstep pass of the recursion down the rows of ``y``, whose
     other axes are independent lanes starting from ``start``, into
     ``out``.
 
     Each row multiplies the lanes by ``c`` in place, as the scalar loop
-    does, and ``step`` (see `_lane_step`) takes the innovation where it
+    does, and ``np.fmax`` (see `_recurse`) takes the innovation where it
     wins.  A repeated sweep (``again``) stops at the first row where
     every lane already holds its value in ``out``: each lane of ``out``
     is a run of the recursion, so the rest would repeat it.
@@ -250,15 +234,13 @@ def _sweep(c: float, step, start: np.ndarray, y: np.ndarray, out: np.ndarray, ag
     lanes = buf.view(np.int64)
     for y_row, out_row in zip(y, out):
         np.multiply(buf, c, out=buf)
-        step(buf, y_row, out=buf)
+        np.fmax(buf, y_row, out=buf)
         if again and (lanes == out_row.view(np.int64)).all():
             return
         out_row[...] = buf
 
 
-def _lockstep_column(
-    c: float, x0: np.ndarray, y: np.ndarray, out: np.ndarray, length: int, sweeps: int = _MAX_SWEEPS
-) -> None:
+def _lockstep_column(c: float, x0: np.ndarray, y: np.ndarray, out: np.ndarray, length: int) -> None:
     """The recursion of each column ``y[k]`` of ``y`` ``(K, n)`` from
     ``x0[k]`` into ``out[k]``, with every column cut into blocks of
     ``length`` rows and all blocks of all columns run as one lane array.
@@ -269,11 +251,11 @@ def _lockstep_column(
     start of a column changes bit for bit, all its blocks are.  Each
     column keeps its own first block not yet exact; a sweep starts at
     the earliest of them over the batch, and the blocks it recomputes
-    that are already exact get the same bits.  After ``sweeps`` sweeps,
-    or once every column is exact, the scalar loop runs each column on
-    from its own first inexact block, as it would for that column
-    alone, and it always runs the ragged tail of fewer than ``length``
-    rows.
+    that are already exact get the same bits.  After `_MAX_SWEEPS`
+    sweeps, or once every column is exact, the scalar loop runs each
+    column on from its own first inexact block, as it would for that
+    column alone, and it always runs the ragged tail of fewer than
+    ``length`` rows.
     """
     k_cols, n = y.shape
     blocks = n // length
@@ -281,7 +263,6 @@ def _lockstep_column(
     # (length, K, blocks) views: row i of every block of every column
     y_lanes = y[:, :rows].reshape(k_cols, blocks, length).transpose(2, 0, 1)
     out_lanes = out[:, :rows].reshape(k_cols, blocks, length).transpose(2, 0, 1)
-    step = _lane_step(x0, y)
     starts = np.full((k_cols, blocks), -np.inf)
     starts[:, :1] = x0[:, None]
     # per column, the blocks whose start moved in the last sweep, and a
@@ -289,9 +270,9 @@ def _lockstep_column(
     # block or `blocks` when there is none
     moved = np.ones((k_cols, blocks + 1), dtype=bool)
     first = np.zeros(k_cols, dtype=np.intp)  # per column: blocks before it are exact
-    for sweep in range(sweeps):
+    for sweep in range(_MAX_SWEEPS):
         lo = first.min()
-        _sweep(c, step, starts[:, lo:], y_lanes[:, :, lo:], out_lanes[:, :, lo:], sweep > 0)
+        _sweep(c, starts[:, lo:], y_lanes[:, :, lo:], out_lanes[:, :, lo:], sweep > 0)
         ends = np.concatenate((starts[:, :1], out_lanes[-1, :, :-1]), axis=1)
         np.not_equal(ends.view(np.int64), starts.view(np.int64), out=moved[:, :-1])
         first = moved.argmax(axis=1)
@@ -306,14 +287,24 @@ def _lockstep_column(
 def _recurse(c, x0: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
     """The recursion of column ``j`` of each replicate ``k`` of ``y``
     ``(K, n, d)`` with coefficient ``c[j]`` from ``x0[k, j]``, written
-    into ``out``; the lane sweeps of a column serve all K replicates."""
+    into ``out``.  Column ``j`` of all K replicates runs as one lane
+    array where `_block_length` is nonzero, no start is nan and no start
+    or innovation has a sign bit; every lane state is then ``>= +0`` or
+    ``-inf`` (a block start), so ``d = c * prev`` is never nan or
+    ``-0.0``, the only cases where ``fmax(d, y)`` parts from the scalar
+    loop.  Margin quantiles are ``>= +0``, so simulated columns always
+    pass; other columns run on the scalar loop.
+    """
     for j in range(y.shape[2]):
+        x0_j, y_j, out_j = x0[:, j], y[:, :, j], out[:, :, j]
         length = _block_length(c[j], y.shape[1])
-        if length:
-            _lockstep_column(c[j], x0[:, j], y[:, :, j], out[:, :, j], length)
+        if length and not (
+            np.isnan(x0_j).any() or np.signbit(x0_j).any() or np.signbit(y_j).any()
+        ):
+            _lockstep_column(c[j], x0_j, y_j, out_j, length)
         else:
             for k in range(len(y)):
-                _recurse_column(c[j], x0[k, j], y[k, :, j], out[k, :, j])
+                _recurse_column(c[j], x0_j[k], y_j[k], out_j[k])
 
 
 def apply_recursion(c, x0, innovations) -> np.ndarray:
@@ -428,7 +419,7 @@ def _simulate_batch(config: ProcessConfig, n: int, seeds) -> tuple[np.ndarray, n
         rng = np.random.default_rng(seed)
         # the start value keeps its scalar transform: a scalar and an
         # array log or power can part by an ulp, which a burn-in hides
-        u0 = np.atleast_1d(copula_sample(config.copula, d, rng))
+        u0 = copula_sample(config.copula, d, rng)
         for j, m in enumerate(config.margins):
             if exact:
                 x0[k, j] = _stationary_frechet_quantile(m.alpha, config.c[j], u0[j])
@@ -511,13 +502,12 @@ def check_stationarity(config: ProcessConfig) -> StationarityResult:
 
     The process admits a stationary law exactly when this series is
     positive and finite.  Terms are nonincreasing in ``i``; summation
-    stops once a term drops below 1e-14 or after 10 000 terms,
-    whichever comes first.  The probe is ``c_j`` times the marginal
-    median, so the first term is bounded away from both zero and
-    infinity for any valid margin.
+    stops once a term drops below 1e-14 or after `_SERIES_TERMS` terms.
+    The probe is ``c_j`` times the marginal median, so the first term is
+    bounded away from both zero and infinity for any valid margin.
     """
     probe = np.array([c * margin_quantile(m, 0.5) for c, m in zip(config.c, config.margins)])
-    log_total, n_terms, converged = _log_product(config, probe[None, :], 1, 10_000, 1e-14)
+    log_total, n_terms, converged = _log_product(config, probe[None, :], 1, _SERIES_TERMS, 1e-14)
     total = 0.0 - float(log_total[0])  # +0.0, not -0.0, for a zero series
     converged = bool(converged[0])
     stationary = converged and 0.0 < total < math.inf
@@ -684,11 +674,11 @@ def stationary_joint_logcdf(config: ProcessConfig, x) -> float | np.ndarray:
     ``x`` is one point of shape ``(d,)``, giving a float, or a batch of
     shape ``(m, d)``, giving an ``(m,)`` array whose entries equal the
     one-point values of its rows exactly.  Factors are accumulated until
-    the next one would exceed ``1 - 1e-12``; the neglected tail then
-    contributes at most about ``1e-12 / (1 - max c)`` to ``-log F``.
-    Raises `ConfigurationError` when the product fails to converge
-    within 10 000 factors at any point, which is the non-stationary
-    case, and ``ValueError`` for a nan entry.
+    the next one would exceed ``1 - _PRODUCT_TOL``; the neglected tail
+    then contributes at most about ``_PRODUCT_TOL / (1 - max c)`` to
+    ``-log F``.  Raises `ConfigurationError` when the product fails to
+    converge within `_SERIES_TERMS` factors at any point, which is the
+    non-stationary case, and ``ValueError`` for a nan entry.
 
     An entry ``x_j = inf`` marginalizes component ``j`` out: its margin
     contributes ``G_j = 1`` to every factor, and the exchangeable
@@ -705,11 +695,11 @@ def stationary_joint_logcdf(config: ProcessConfig, x) -> float | np.ndarray:
 
 
 def _stationary_logcdf(config: ProcessConfig, x: np.ndarray) -> np.ndarray:
-    total, _, converged = _log_product(config, x, 0, 10_000, -math.log1p(-1e-12))
+    total, _, converged = _log_product(config, x, 0, _SERIES_TERMS, -math.log1p(-_PRODUCT_TOL))
     if np.all(converged | (total == -math.inf)):
         return total
     raise ConfigurationError(
-        "stationary product did not converge within 10000 factors; "
+        f"stationary product did not converge within {_SERIES_TERMS} factors; "
         "the configuration is non-stationary at the requested point"
     )
 

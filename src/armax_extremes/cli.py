@@ -571,7 +571,7 @@ _HANDLERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute a resolved `RunConfig`; returns the process exit status."""
+    """Resolve and execute a `RunConfig`; returns the process exit status."""
     config = resolve_run_config(config)
     if config.output_path is None:
         raise ConfigurationError("an output path is required (--out or output_path)")
@@ -625,7 +625,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             f"config command {data['command']!r} does not match the {args.subcommand} "
             f"subcommand, which takes {spellings}"
         )
-    return resolve_run_config(config)
+    return config
 
 
 def main(argv=None) -> None:
@@ -634,7 +634,7 @@ def main(argv=None) -> None:
     try:
         config = _load_config(args)
         if args.print_config:
-            print(canonical_json(to_json(config)))
+            print(canonical_json(to_json(resolve_run_config(config))))
             raise SystemExit(0)
         status = run(config)
     except (NumericLimitError, UndefinedResultError) as exc:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .armax import (
+    _PRODUCT_TOL,
     ProcessConfig,
     stationary_joint_logcdf,
     stationary_marginal_logcdf,
@@ -87,9 +88,9 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
     out at ``inf``), evaluated at the whole grid in one batch.  Raises
     `NumericLimitError` when the last grid increment exceeds 10 times
     the previous one plus a noise floor.  The floor is
-    ``1e-12 / ((1 - max(c_j, c_j')) * t_last)``: the truncated product
-    leaves up to about ``1e-12 / (1 - c)`` in ``log F``, and the limit
-    expression divides it by ``t``.
+    ``armax._PRODUCT_TOL / ((1 - max(c_j, c_j')) * t_last)``: the
+    truncated product leaves up to about ``_PRODUCT_TOL / (1 - c)`` in
+    ``log F``, and the limit expression divides it by ``t``.
     """
     d = config.d
     _check_components(d, (j, jp))
@@ -141,7 +142,7 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
         lams.append(2.0 - middle)
 
     diffs = np.diff(lams)
-    floor = 1e-12 / ((1.0 - max(config.c[j], c_jp)) * t_last)
+    floor = _PRODUCT_TOL / ((1.0 - max(config.c[j], c_jp)) * t_last)
     if abs(diffs[-1]) > 10.0 * abs(diffs[-2]) + floor:
         raise NumericLimitError(
             "lag TDC grid did not converge: last increment "

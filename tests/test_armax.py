@@ -204,7 +204,8 @@ def _bits(x):
 
 def _lockstep(c, x0, y, length, sweeps=armax._MAX_SWEEPS):
     """`armax._lockstep_column` on the columns ``y`` ``(K, n)`` from
-    ``x0``, into strided columns as `_simulate_batch` passes them.
+    ``x0``, into strided columns as `_simulate_batch` passes them, with
+    at most ``sweeps`` sweeps.
 
     Returns the output and, per column, the rows the scalar loop ran
     after the sweeps (its first inexact block and ragged tail).
@@ -217,8 +218,9 @@ def _lockstep(c, x0, y, length, sweeps=armax._MAX_SWEEPS):
         recurse(c, x0, innovations, out)
 
     out = np.empty((*y.shape, 2))[..., 0]
-    with mock.patch.object(armax, "_recurse_column", spy):
-        armax._lockstep_column(c, np.array(x0, dtype=float), y, out, length, sweeps)
+    with mock.patch.object(armax, "_recurse_column", spy), \
+            mock.patch.object(armax, "_MAX_SWEEPS", sweeps):
+        armax._lockstep_column(c, np.array(x0, dtype=float), y, out, length)
     return out, tails
 
 
@@ -228,44 +230,32 @@ def _scalar_loop(c, x0, y):
     return expected
 
 
-@given(st.data())
-def test_lockstep_column_equals_scalar_loop_bit_for_bit(data):
-    n = data.draw(st.integers(1, 3000), label="n")
-    c = data.draw(_C, label="c")
-    # a batch of columns, each with a clean start and innovations (no
-    # sign bit, as simulated columns have) or with nan, -0.0 or negative
-    # values anywhere, which make the whole batch take the select step
-    clean = data.draw(st.lists(st.booleans(), min_size=1, max_size=9), label="clean columns")
-    x0 = [data.draw(_UNSIGNED.filter(lambda v: not math.isnan(v)) if ok else _VALUES, label="x0")
-          for ok in clean]
-    # one block or more, exact multiples or a ragged tail, and columns
-    # shorter than one block
-    length = data.draw(st.integers(1, n + 2), label="block length")
-    sweeps = data.draw(st.integers(1, armax._MAX_SWEEPS), label="sweeps")
-    # strided columns, as simulate_path passes them
-    y = np.empty((len(clean), n, 2))[..., 0]
-    for k, ok in enumerate(clean):
-        y[k] = data.draw(_unsigned_innovations(n) if ok else _innovations(n), label="innovations")
-    out, tails = _lockstep(c, x0, y, length, sweeps)
-    for k in range(len(clean)):
-        assert np.array_equal(_bits(out[k]), _bits(_scalar_loop(c, x0[k], y[k])))
-        # each column's scalar loop starts where it would for that column alone
-        assert _lockstep(c, x0[k : k + 1], y[k : k + 1], length, sweeps)[1] == [tails[k]]
+def _spy_lanes(monkeypatch):
+    """Record, per call `armax._recurse` makes, whether the lane sweeps
+    (``"lanes"``, once for all replicates of a column) or the scalar
+    loop (``"scalar"``, once per replicate) ran a column; both still
+    compute, and the scalar tails of the lane sweeps are not recorded."""
+    ran = []
+    lockstep, recurse = armax._lockstep_column, armax._recurse_column
 
+    def lanes(*args):
+        ran.append("lanes")
+        with mock.patch.object(armax, "_recurse_column", recurse):
+            lockstep(*args)
 
-@pytest.mark.parametrize("length", [1, 2, 3, 7, 20])
-def test_lockstep_column_keeps_the_sign_of_zero(length):
-    # 0.0 > -0.0 is false, so the scalar loop keeps x0 = -0.0 all along;
-    # a block started from -inf takes 0.0 instead, and only a bitwise
-    # comparison of the block starts sees that it must be swept again;
-    # a +0.0 column beside it keeps +0.0
-    out, _ = _lockstep(0.5, [-0.0, 0.0], np.zeros((2, 20)), length)
-    assert np.array_equal(_bits(out), _bits(np.array([[-0.0] * 20, [0.0] * 20])))
+    def scalar(*args):
+        ran.append("scalar")
+        recurse(*args)
+
+    monkeypatch.setattr(armax, "_lockstep_column", lanes)
+    monkeypatch.setattr(armax, "_recurse_column", scalar)
+    return ran
 
 
 @given(st.data())
 def test_apply_recursion_equals_scalar_loop_bit_for_bit(data):
-    # the longer columns run as lanes for small c
+    # the longer columns run as lanes for small c, unless a start or an
+    # innovation is signed or a start is nan
     n = data.draw(st.integers(1, 3000) | st.sampled_from([4000, 6000]), label="n")
     d = data.draw(st.integers(1, 3), label="d")
     c = [data.draw(_C, label="c") for _ in range(d)]
@@ -276,6 +266,17 @@ def test_apply_recursion_equals_scalar_loop_bit_for_bit(data):
         expected = np.empty(n)
         armax._recurse_column(c[j], x0[j], y[:, j], expected)
         assert np.array_equal(_bits(out[:, j]), _bits(expected))
+
+
+def test_apply_recursion_keeps_the_sign_of_zero(monkeypatch):
+    # 0.0 > -0.0 is false, so the scalar loop keeps x0 = -0.0 all along,
+    # where fmax could take 0.0: the -0.0 column runs on the scalar loop,
+    # and the +0.0 column beside it takes the lanes and keeps +0.0
+    ran = _spy_lanes(monkeypatch)
+    n = 20_000
+    out = apply_recursion(0.5, [-0.0, 0.0], np.zeros((n, 2)))
+    assert ran == ["scalar", "lanes"]
+    assert np.array_equal(_bits(out), _bits(np.array([[-0.0, 0.0]] * n)))
 
 
 _C_GRID = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999)
@@ -319,53 +320,48 @@ def _unsigned_innovations(draw, n):
 
 
 @given(st.data())
-def test_lockstep_column_fmax_step_equals_scalar_loop_bit_for_bit(data):
+def test_lockstep_column_equals_scalar_loop_bit_for_bit(data):
+    # a batch of columns as `_recurse` gives the lanes: starts that are
+    # not nan and, like the innovations, carry no sign bit; signed and
+    # nan columns run on the scalar loop (see the apply_recursion test)
     n = data.draw(st.integers(1, 3000), label="n")
-    c = data.draw(st.sampled_from([0.5, 0.25]), label="c")
+    c = data.draw(_C, label="c")
     x0 = data.draw(st.lists(_UNSIGNED.filter(lambda v: not math.isnan(v)), min_size=1,
                             max_size=9), label="x0")
+    # one block or more, exact multiples or a ragged tail, and columns
+    # shorter than one block
     length = data.draw(st.integers(1, n + 2), label="block length")
     sweeps = data.draw(st.integers(1, armax._MAX_SWEEPS), label="sweeps")
+    # strided columns, as simulate_path passes them
     y = np.empty((len(x0), n, 2))[..., 0]
     for k in range(len(x0)):
         y[k] = data.draw(_unsigned_innovations(n), label="innovations")
-    assert armax._lane_step(np.array(x0), y) is np.fmax
-    out, _ = _lockstep(c, x0, y, length, sweeps)
+    out, tails = _lockstep(c, x0, y, length, sweeps)
     for k in range(len(x0)):
         assert np.array_equal(_bits(out[k]), _bits(_scalar_loop(c, x0[k], y[k])))
-
-
-def _spy_steps(monkeypatch):
-    steps = []
-    sweep = armax._sweep
-
-    def spy(c, step, *args):
-        steps.append(step)
-        sweep(c, step, *args)
-
-    monkeypatch.setattr(armax, "_sweep", spy)
-    return steps
+        # each column's scalar loop starts where it would for that column alone
+        assert _lockstep(c, x0[k : k + 1], y[k : k + 1], length, sweeps)[1] == [tails[k]]
 
 
 _NEG_NAN = float(np.copysign(math.nan, -1.0))
 
 
 @pytest.mark.parametrize(
-    "x0, special, step",
+    "x0, special, lanes",
     [
-        (1.0, None, np.fmax),
-        (0.0, 0.0, np.fmax),
-        (math.inf, math.nan, np.fmax),
-        (1.0, math.inf, np.fmax),
-        (math.nan, None, armax._select_step),
-        (_NEG_NAN, None, armax._select_step),
-        (-0.0, None, armax._select_step),
-        (-1.0, None, armax._select_step),
-        (-math.inf, None, armax._select_step),
-        (1.0, -0.0, armax._select_step),
-        (1.0, -1.0, armax._select_step),
-        (1.0, _NEG_NAN, armax._select_step),
-        (1.0, -math.inf, armax._select_step),
+        (1.0, None, True),
+        (0.0, 0.0, True),
+        (math.inf, math.nan, True),
+        (1.0, math.inf, True),
+        (math.nan, None, False),
+        (_NEG_NAN, None, False),
+        (-0.0, None, False),
+        (-1.0, None, False),
+        (-math.inf, None, False),
+        (1.0, -0.0, False),
+        (1.0, -1.0, False),
+        (1.0, _NEG_NAN, False),
+        (1.0, -math.inf, False),
     ],
     ids=[
         "unsigned", "zeros", "inf-start-nan-innovation", "inf-innovation",
@@ -374,22 +370,26 @@ _NEG_NAN = float(np.copysign(math.nan, -1.0))
         "negative-nan-innovation", "negative-inf-innovation",
     ],
 )
-def test_lane_step_is_pinned(monkeypatch, x0, special, step):
-    # fmax only where no lane can meet a nan state or zeros of opposite
+def test_lanes_or_scalar_is_pinned(monkeypatch, x0, special, lanes):
+    # lanes only where no lane can meet a nan state or zeros of opposite
     # sign: no sign bit on x0 or on any innovation, and x0 not nan, in
-    # any column of the batch; the column is run alone and between two
-    # clean columns
-    y = 1.0 / -np.log(np.random.default_rng(4).random((3, 200)))
+    # any replicate of the column; the column is run alone and between
+    # two clean ones, long enough for lanes
+    n = 2000
+    assert armax._block_length(0.5, n)
+    y = 1.0 / -np.log(np.random.default_rng(4).random((3, n, 1)))
     if special is not None:
-        y[1, 57] = special
-    steps = _spy_steps(monkeypatch)
+        y[1, 1057] = special
+    ran = _spy_lanes(monkeypatch)
     for batch in ([1], [0, 1, 2]):
-        steps.clear()
-        starts = [x0 if k == 1 else 1.0 for k in batch]
-        out, _ = _lockstep(0.5, starts, y[batch], 10)
-        assert steps and all(s is step for s in steps)
-        for k, start in enumerate(starts):
-            assert np.array_equal(_bits(out[k]), _bits(_scalar_loop(0.5, start, y[batch[k]])))
+        ran.clear()
+        starts = np.array([[x0 if k == 1 else 1.0] for k in batch])
+        out = np.empty((len(batch), n, 1))
+        armax._recurse([0.5], starts, y[batch], out)
+        assert ran == (["lanes"] if lanes else ["scalar"] * len(batch))
+        for k in range(len(batch)):
+            expected = _scalar_loop(0.5, starts[k, 0], y[batch[k], :, 0])
+            assert np.array_equal(_bits(out[k, :, 0]), _bits(expected))
 
 
 _ALL_MARGINS = [
@@ -418,11 +418,12 @@ def test_margin_quantiles_carry_no_sign_bit(margin):
 
 @pytest.mark.parametrize("init", [None, InitPolicy.exact_marginal()], ids=["burn_in", "exact"])
 @pytest.mark.parametrize("margin", _ALL_MARGINS, ids=_MARGIN_IDS)
-def test_simulated_columns_take_the_fmax_step(monkeypatch, margin, init):
-    steps = _spy_steps(monkeypatch)
+def test_simulated_columns_take_the_lanes(monkeypatch, margin, init):
+    # the lanes serve every simulated column long enough for them
+    ran = _spy_lanes(monkeypatch)
     cfg = ProcessConfig(2, (0.5, 0.3), (margin, margin), CopulaSpec.gumbel(2.0), init)
     simulate_path(cfg, 10_000, 5)
-    assert steps and all(s is np.fmax for s in steps)
+    assert ran == ["lanes", "lanes"]
 
 
 def _reference_path(cfg, n, seed):
