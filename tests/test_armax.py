@@ -268,14 +268,18 @@ def test_apply_recursion_equals_scalar_loop_bit_for_bit(data):
         assert np.array_equal(_bits(out[:, j]), _bits(expected))
 
 
-def test_apply_recursion_keeps_the_sign_of_zero(monkeypatch):
+@pytest.mark.parametrize(
+    "n, route",
+    [(1, "scalar"), (2, "scalar"), (3, "scalar"), (7, "scalar"), (20, "scalar"), (20_000, "lanes")],
+)
+def test_apply_recursion_keeps_the_sign_of_zero(monkeypatch, n, route):
     # 0.0 > -0.0 is false, so the scalar loop keeps x0 = -0.0 all along,
-    # where fmax could take 0.0: the -0.0 column runs on the scalar loop,
-    # and the +0.0 column beside it takes the lanes and keeps +0.0
+    # where fmax could take 0.0: the -0.0 column runs on the scalar loop
+    # at every length, and the +0.0 column beside it keeps +0.0 on the
+    # scalar loop of a short column and on the lanes of a long one
     ran = _spy_lanes(monkeypatch)
-    n = 20_000
     out = apply_recursion(0.5, [-0.0, 0.0], np.zeros((n, 2)))
-    assert ran == ["scalar", "lanes"]
+    assert ran == ["scalar", route]
     assert np.array_equal(_bits(out), _bits(np.array([[-0.0, 0.0]] * n)))
 
 
