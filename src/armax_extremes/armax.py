@@ -89,9 +89,10 @@ class InitPolicy:
 
     ``burn_in`` starts from a single innovation draw and discards
     ``length`` warm-up steps; ``exact_marginal`` draws the initial state
-    from the closed-form stationary marginals directly (available for
-    Frechet margins, where the stationary marginal is again Frechet up
-    to scale).
+    from the stationary law directly where that is exact: Frechet
+    margins, and d = 1, independent innovations or the same
+    ``c_j**alpha_j`` in every component.  Elsewhere it falls back to a
+    burn-in of `DEFAULT_BURN_IN` steps.
     """
 
     kind: str
@@ -182,9 +183,9 @@ _PROCESS_FIELDS = {
 class SamplePath:
     """A simulated path: ``data`` has shape ``(n, d)``.
 
-    ``init_used`` records the initialization actually applied, which may
-    differ from the requested policy when ``exact_marginal`` is not
-    available for the configured margins.
+    ``init_used`` records the initialization actually applied:
+    ``"exact_marginal"``, or ``"burn_in:<length>"``, also where an
+    ``exact_marginal`` request falls back (see `InitPolicy`).
     """
 
     data: np.ndarray
@@ -343,30 +344,29 @@ def _finite_quantile(value):
     return value
 
 
-def _stationary_frechet_quantile(alpha: float, c: float, p: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        return _finite_quantile(_frechet_scale(alpha, c) * np.power(-np.log(p), -1.0 / alpha))
+def _start(config: ProcessConfig) -> tuple[int, list[float] | None]:
+    """The burn-in length of a path of ``config`` and, for an exact
+    start, the per-component stationary scales (else None).
 
-
-def _exact_start(config: ProcessConfig) -> bool:
-    # without closed-form stationary quantiles, exact_marginal falls
-    # back to a burn-in long enough for the recursion memory to fade
-    return config.init.kind == "exact_marginal" and all(
-        m.kind == "frechet" for m in config.margins
-    )
-
-
-def _burn_in(config: ProcessConfig) -> int:
-    if _exact_start(config):
-        return 0
-    return DEFAULT_BURN_IN if config.init.length is None else config.init.length
+    A Frechet margin's stationary marginal is the margin times
+    `_frechet_scale`.  With a max-stable innovation copula of tail
+    function ``l``, the stationary copula has ``l_F(y) = sum_k
+    l(q**k (1 - q) y)``, ``q_j = c_j**alpha_j``: the innovation copula
+    when d = 1, under independence, or when every ``q_j`` is equal.
+    """
+    init, copula = config.init, config.copula
+    if init.kind == "exact_marginal" and all(m.kind == "frechet" for m in config.margins):
+        q = {c**m.alpha for c, m in zip(config.c, config.margins)}
+        if len(q) == 1 or copula.kind == "independence" or copula.gamma == 1.0:
+            return 0, [_frechet_scale(m.alpha, c) for c, m in zip(config.c, config.margins)]
+    return (DEFAULT_BURN_IN if init.length is None else init.length), None
 
 
 def _batch_size(config: ProcessConfig, n: int) -> int:
     """Replicates of ``n`` rows that `_simulate_batch` should take at
     once: `_MAX_BATCH`, or fewer where their ``16 * rows * d`` bytes of
     innovations and path would pass `_BATCH_BYTES`."""
-    each = 16 * (_burn_in(config) + n) * config.d
+    each = 16 * (_start(config)[0] + n) * config.d
     return max(1, min(_MAX_BATCH, _BATCH_BYTES // each))
 
 
@@ -382,8 +382,8 @@ def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
     """
     seed = tuple(map(int, seed)) if isinstance(seed, (list, tuple)) else int(seed)
     _, data = _simulate_batch(config, n, [seed])
-    burn = _burn_in(config)
-    init_used = "exact_marginal" if _exact_start(config) else f"burn_in:{burn}"
+    burn, scales = _start(config)
+    init_used = f"burn_in:{burn}" if scales is None else "exact_marginal"
     return SamplePath(data=data[0, burn:], seed=seed, config_digest=config.digest(), init_used=init_used)
 
 
@@ -392,18 +392,18 @@ def _simulate_batch(config: ProcessConfig, n: int, seeds) -> tuple[np.ndarray, n
     ``seeds``, as two ``(K, burn + n, d)`` arrays, burn-in rows first.
 
     Each seed draws from its own generator, in `simulate_path`'s order,
-    its start value and then its uniforms into row k of the innovation
-    buffer.  Each margin's quantiles then overwrite the uniforms of its
-    column over all K rows at once, and `_recurse` runs the K replicates
-    side by side, so every path equals the one
+    its start uniforms into row k of ``x0`` and its innovation uniforms
+    into row k of the innovation buffer.  Each margin's quantiles then
+    overwrite its column of both over all K rows at once, an exact start
+    takes its stationary scale (see `_start`), and `_recurse` runs the K
+    replicates side by side, so every path equals the one
     ``simulate_path(config, n, seeds[k])`` returns alone.  The two arrays
     cost ``16 * K * (burn + n) * d`` bytes; see `_batch_size`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     d = config.d
-    exact = _exact_start(config)
-    burn = _burn_in(config)
+    burn, scales = _start(config)
     x0 = np.empty((len(seeds), d))
     shape = (len(seeds), burn + n, d)
     if len(seeds) > 1:
@@ -417,18 +417,16 @@ def _simulate_batch(config: ProcessConfig, n: int, seeds) -> tuple[np.ndarray, n
         innovations, data = np.empty(shape), np.empty(shape)
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        # the start value keeps its scalar transform: a scalar and an
-        # array log or power can part by an ulp, which a burn-in hides
-        u0 = copula_sample(config.copula, d, rng)
-        for j, m in enumerate(config.margins):
-            if exact:
-                x0[k, j] = _stationary_frechet_quantile(m.alpha, config.c[j], u0[j])
-            else:
-                x0[k, j] = margin_quantile(m, u0[j])
+        copula_sample(config.copula, d, rng, out=x0[k])
         copula_sample(config.copula, d, rng, size=burn + n, out=innovations[k])
     for j, m in enumerate(config.margins):
-        column = innovations[:, :, j]
-        margin_quantile(m, column, out=column)
+        for values in (x0[:, j], innovations[:, :, j]):
+            margin_quantile(m, values, out=values)
+    if scales is not None:
+        # a small alpha gives an inf scale or quantile, or inf * 0 = nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(x0, scales, out=x0)
+        _finite_quantile(x0)
     _recurse(config.c, x0, innovations, data)
     return innovations, data
 

@@ -423,9 +423,10 @@ def test_margin_quantiles_carry_no_sign_bit(margin):
 @pytest.mark.parametrize("init", [None, InitPolicy.exact_marginal()], ids=["burn_in", "exact"])
 @pytest.mark.parametrize("margin", _ALL_MARGINS, ids=_MARGIN_IDS)
 def test_simulated_columns_take_the_lanes(monkeypatch, margin, init):
-    # the lanes serve every simulated column long enough for them
+    # the lanes serve every simulated column long enough for them; equal
+    # c keeps the exact start of Frechet margins exact
     ran = _spy_lanes(monkeypatch)
-    cfg = ProcessConfig(2, (0.5, 0.3), (margin, margin), CopulaSpec.gumbel(2.0), init)
+    cfg = ProcessConfig(2, (0.5, 0.5), (margin, margin), CopulaSpec.gumbel(2.0), init)
     simulate_path(cfg, 10_000, 5)
     assert ran == ["lanes", "lanes"]
 
@@ -435,15 +436,14 @@ def _reference_path(cfg, n, seed):
     the innovations of each column transformed apart, on contiguous
     arrays, and the scalar loop."""
     rng = np.random.default_rng(seed)
-    burn = armax._burn_in(cfg)
-    u0 = np.atleast_1d(copula_sample(cfg.copula, cfg.d, rng))
+    burn, scales = armax._start(cfg)
+    u0 = copula_sample(cfg.copula, cfg.d, rng)
     u = copula_sample(cfg.copula, cfg.d, rng, size=burn + n)
     path = np.empty_like(u)
     for j, (c, m) in enumerate(zip(cfg.c, cfg.margins)):
-        if armax._exact_start(cfg):
-            x0 = armax._stationary_frechet_quantile(m.alpha, c, u0[j])
-        else:
-            x0 = margin_quantile(m, u0[j])
+        x0 = margin_quantile(m, u0[j])
+        if scales is not None:
+            x0 = armax._frechet_scale(m.alpha, c) * x0
         armax._recurse_column(c, x0, margin_quantile(m, np.ascontiguousarray(u[:, j])), path[:, j])
     return path[burn:]
 
@@ -559,6 +559,48 @@ def test_burn_in_matches_exact_marginal():
     assert burn.init_used == "burn_in:1000"
     assert exact.init_used == "exact_marginal"
     assert ks_2samp(burn.data[:, 0], exact.data[:, 0]).statistic < 0.02
+
+
+_EXACT = InitPolicy.exact_marginal()
+# d = 2 processes and the start their paths take: exact where the
+# stationary copula is the innovation copula (independence, or the same
+# q_j = c_j**alpha_j, here 0.5**2 = 0.25), else the burn-in fallback
+# (unequal q_j under Gumbel or comonotone innovations) or a burn-in
+# that lighter tails forget within 100 steps
+_BLOCK_MAX_CASES = [
+    (ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0), _EXACT), "burn_in:1000"),
+    (ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.comonotone(), _EXACT), "burn_in:1000"),
+    (ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), INDEP, _EXACT), "exact_marginal"),
+    (ProcessConfig(2, (0.25, 0.5), (FRECHET1, MarginSpec.frechet(2.0)), CopulaSpec.comonotone(), _EXACT),
+     "exact_marginal"),
+    (ProcessConfig(2, (0.5, 0.8), (MarginSpec.exponential(1.0), MarginSpec.uniform01()),
+                   CopulaSpec.gumbel(2.0), InitPolicy.burn_in(100)), "burn_in:100"),
+    (ProcessConfig(2, (0.6, 0.3), (MarginSpec.gpd(0.2, 1.0), MarginSpec.weibull_min(2.0)),
+                   CopulaSpec.comonotone(), InitPolicy.burn_in(100)), "burn_in:100"),
+    (ProcessConfig(2, (0.4, 0.7), (MarginSpec.gpd(-0.5, 1.0), FRECHET1), INDEP,
+                   InitPolicy.burn_in(100)), "burn_in:100"),
+]
+
+
+@pytest.mark.parametrize("cfg, init_used", _BLOCK_MAX_CASES)
+def test_block_maximum_has_the_exact_law(cfg, init_used):
+    # X_1 <= x and Y_2..Y_n <= x give M_n <= x for x > 0, as c X <= x, so
+    # P(M_n <= x) = F(x) G(x)**(n - 1) on a stationary path; the
+    # replicates are independent, so their share of M_n <= x is binomial
+    start = simulate_path(cfg, 1, 0).init_used
+    replicates = 20_000 if start == "exact_marginal" else 1_000
+    x = np.array([stationary_marginal_quantile(m, c, 0.8) for c, m in zip(cfg.c, cfg.margins)])
+    log_f = stationary_joint_logcdf(cfg, x)
+    log_g = copula_logcdf(cfg.copula, [math.log(margin_cdf(m, v)) for m, v in zip(cfg.margins, x)])
+    below = np.empty((replicates, 5), dtype=bool)
+    for lo in range(0, replicates, 1000):
+        _, data = armax._simulate_batch(cfg, 5, [(21, k) for k in range(lo, lo + 1000)])
+        below[lo:lo + 1000] = (data[:, -5:] <= x).all(axis=2)
+    for n in (1, 5):
+        p = math.exp(log_f + (n - 1) * log_g)
+        share = below[:, :n].all(axis=1).mean()
+        assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / replicates), (n, share, p)
+    assert start == init_used
 
 
 def test_exact_marginal_falls_back_for_non_frechet():

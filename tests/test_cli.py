@@ -1214,7 +1214,9 @@ _JSON = st.recursive(
 
 _PROCESSES = [
     D1_INDEP,
+    # unequal c_j**alpha_j: exact_marginal falls back to a burn-in
     {**D2_GUMBEL, "c": [0.5, 0.9], "init": {"kind": "exact_marginal"}},
+    {**D2_GUMBEL, "c": [0.7, 0.7], "init": {"kind": "exact_marginal"}},
     {**D1_INDEP, "margins": [{"kind": "gpd", "shape": 0.2, "scale": 1.0}],
      "init": {"kind": "burn_in", "length": 10}},
 ]
