@@ -77,9 +77,11 @@ _BATCH_BYTES = 1 << 22
 _FIRST_CHUNK_TERMS = 64
 
 # the most terms summed of the stationarity series, the stationary
-# product and the variance series, and the product's per-factor bound:
-# it stops before its first factor above ``1 - _PRODUCT_TOL``
+# product and the variance series, the term below which both series
+# stop, and the product's per-factor bound: it stops before its first
+# factor above ``1 - _PRODUCT_TOL``
 _SERIES_TERMS = 10_000
+_SERIES_STOP = 1e-14
 _PRODUCT_TOL = 1e-12
 
 
@@ -433,7 +435,8 @@ def _simulate_batch(config: ProcessConfig, n: int, seeds) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class StationarityResult:
-    """Outcome of the stationarity series check at a probe point."""
+    """The paper's stationarity condition, and its series at a probe
+    point as a diagnostic (see `check_stationarity`)."""
 
     stationary: bool
     series_value: float
@@ -496,24 +499,24 @@ def _check_points(x: np.ndarray) -> None:
 
 
 def check_stationarity(config: ProcessConfig) -> StationarityResult:
-    """Evaluate ``sum_{i >= 1} -log G(probe / c**i)`` and test it.
+    """The paper's condition, and ``sum_{i >= 1} -log G(probe / c**i)``.
 
-    The process admits a stationary law exactly when this series is
-    positive and finite.  Terms are nonincreasing in ``i``; summation
-    stops once a term drops below 1e-14 or after `_SERIES_TERMS` terms.
-    The probe is ``c_j`` times the marginal median, so the first term is
-    bounded away from both zero and infinity for any valid margin.
+    The process is stationary when every ``0 < c_j < 1`` and every
+    margin is supported, which `ProcessConfig` enforces, so
+    ``stationary`` is ``True``.  The series, positive and finite, is a
+    diagnostic: its terms are nonincreasing in ``i``, and summation
+    stops once a term drops below `_SERIES_STOP` (``converged``) or
+    after `_SERIES_TERMS` terms, as at c near 1.  The probe is ``c_j``
+    times the marginal median, so the first term is bounded away from
+    both zero and infinity for any valid margin.
     """
     probe = np.array([c * margin_quantile(m, 0.5) for c, m in zip(config.c, config.margins)])
-    log_total, n_terms, converged = _log_product(config, probe[None, :], 1, _SERIES_TERMS, 1e-14)
-    total = 0.0 - float(log_total[0])  # +0.0, not -0.0, for a zero series
-    converged = bool(converged[0])
-    stationary = converged and 0.0 < total < math.inf
+    total, n_terms, converged = _log_product(config, probe[None, :], 1, _SERIES_TERMS, _SERIES_STOP)
     return StationarityResult(
-        stationary=stationary,
-        series_value=total,
+        stationary=True,
+        series_value=0.0 - float(total[0]),  # +0.0, not -0.0, for a zero series
         n_terms=int(n_terms[0]),
-        converged=converged,
+        converged=bool(converged[0]),
         probe=tuple(float(v) for v in probe),
     )
 
@@ -674,9 +677,9 @@ def stationary_joint_logcdf(config: ProcessConfig, x) -> float | np.ndarray:
     one-point values of its rows exactly.  Factors are accumulated until
     the next one would exceed ``1 - _PRODUCT_TOL``; the neglected tail
     then contributes at most about ``_PRODUCT_TOL / (1 - max c)`` to
-    ``-log F``.  Raises `ConfigurationError` when the product fails to
-    converge within `_SERIES_TERMS` factors at any point, which is the
-    non-stationary case, and ``ValueError`` for a nan entry.
+    ``-log F``.  Raises `NumericLimitError` when the product needs more
+    than `_SERIES_TERMS` factors at any point, as it can at c near 1,
+    and ``ValueError`` for a nan entry.
 
     An entry ``x_j = inf`` marginalizes component ``j`` out: its margin
     contributes ``G_j = 1`` to every factor, and the exchangeable
@@ -696,10 +699,7 @@ def _stationary_logcdf(config: ProcessConfig, x: np.ndarray) -> np.ndarray:
     total, _, converged = _log_product(config, x, 0, _SERIES_TERMS, -math.log1p(-_PRODUCT_TOL))
     if np.all(converged | (total == -math.inf)):
         return total
-    raise ConfigurationError(
-        f"stationary product did not converge within {_SERIES_TERMS} factors; "
-        "the configuration is non-stationary at the requested point"
-    )
+    raise NumericLimitError(f"stationary product did not converge within {_SERIES_TERMS} factors")
 
 
 def stationary_joint_cdf(config: ProcessConfig, x) -> float | np.ndarray:

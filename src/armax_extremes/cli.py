@@ -54,8 +54,8 @@ from .copulas import (
 )
 from .errors import ConfigurationError, NumericLimitError, UndefinedResultError, _check_top_k
 from .estimation import (
-    VARIANCE_CONVENTIONS,
     _c_estimates,
+    _check_interval,
     _study_statistics,
     build_estimate_report,
 )
@@ -186,10 +186,7 @@ def resolve_run_config(config: RunConfig) -> RunConfig:
             )
     updates: dict = {}
     if cmd == "estimate":
-        if config.convention not in VARIANCE_CONVENTIONS:
-            raise ConfigurationError(f"convention must be one of {VARIANCE_CONVENTIONS}")
-        if not (0.0 <= config.level < 1.0):
-            raise ConfigurationError("level must lie in [0, 1)")
+        _check_interval(config.convention, config.level, ConfigurationError)
         # a k outside (0, n) is a config error, refused here before the
         # path is drawn; hill_unavailable stays for what the data decide
         if not reads_file and config.k is not None:

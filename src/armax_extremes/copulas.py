@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericLimitError
+from .margins import _UNIFORM_CLIP
 
 __all__ = [
     "CopulaSpec",
@@ -86,13 +87,12 @@ class DerivedCopula:
     def __post_init__(self) -> None:
         if not isinstance(self.base, CopulaSpec):
             raise ValueError("derived copulas cannot be nested: base must be a CopulaSpec")
-        theta = tuple(float(t) for t in self.theta)
-        object.__setattr__(self, "theta", theta)
-        if len(theta) == 0:
-            raise ValueError("theta must be non-empty")
-        for t in theta:
-            if not (0.0 < t <= 1.0):
-                raise ValueError("theta entries must lie in (0, 1]")
+        theta = np.asarray(self.theta, dtype=float)
+        if theta.ndim != 1 or theta.size == 0:
+            raise ValueError("theta must be a non-empty 1-d array")
+        if not np.all((theta > 0.0) & (theta <= 1.0)):  # a nan is refused too
+            raise ValueError("theta entries must lie in (0, 1]")
+        object.__setattr__(self, "theta", tuple(theta.tolist()))
 
     @property
     def dim(self) -> int:
@@ -221,9 +221,7 @@ def copula_sample(
         u = rng.random((n, d))
     else:
         u = _gumbel_sample(spec.gamma, rng, n, d)
-    # keep draws away from the exact endpoints so that quantile
-    # transforms never produce 0/inf innovations
-    return np.clip(u[0] if squeeze else u, 1e-300, 1.0 - 1e-16, out=out)
+    return np.clip(u[0] if squeeze else u, *_UNIFORM_CLIP, out=out)
 
 
 def _derived_logcdf(dc: DerivedCopula, log_u: np.ndarray) -> np.ndarray:
@@ -261,9 +259,7 @@ def extremal_coefficient(gamma: float, m: int) -> float:
     """Extremal coefficient ``m**(1/gamma)`` of an m-variate Gumbel copula."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not gamma >= 1.0:
-        raise ValueError("gamma must be >= 1")
-    return float(m) ** (1.0 / gamma)
+    return float(m) ** (1.0 / CopulaSpec.gumbel(gamma).gamma)
 
 
 def extremal_coefficient_derived(gamma: float, theta) -> float:
@@ -272,14 +268,9 @@ def extremal_coefficient_derived(gamma: float, theta) -> float:
     Equals ``||1/theta||_gamma - ||1/theta - 1||_gamma`` where the norm
     is the ``gamma``-norm over components.
     """
-    if not gamma >= 1.0:
-        raise ValueError("gamma must be >= 1")
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size == 0:
-        raise ValueError("theta must be a non-empty 1-d array")
-    if np.any(theta <= 0) or np.any(theta > 1):
-        raise ValueError("theta entries must lie in (0, 1]")
-    norms = _gamma_norm(np.stack([1.0 / theta, 1.0 / theta - 1.0]), gamma)
+    dc = DerivedCopula(CopulaSpec.gumbel(gamma), theta)
+    theta = np.array(dc.theta)
+    norms = _gamma_norm(np.stack([1.0 / theta, 1.0 / theta - 1.0]), dc.base.gamma)
     return float(norms[0] - norms[1])
 
 

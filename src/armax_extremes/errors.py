@@ -9,7 +9,7 @@ class ArmaxError(Exception):
 
 
 class ConfigurationError(ArmaxError, ValueError):
-    """A process or run configuration is invalid or non-stationary.
+    """A process or run configuration is invalid.
 
     Also a ``ValueError`` so generic validation handlers catch it.
     """

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .armax import _SERIES_TERMS
+from .armax import _SERIES_STOP, _SERIES_TERMS
 from .errors import UndefinedResultError, _check_open_unit, _check_top_k
 
 __all__ = [
@@ -258,14 +258,14 @@ def asymptotic_variance_exact(c: float) -> float:
 def _covariance_series(c: float, cross) -> float:
     """``Var U + 2 sum_{r>=1} (cross(c, r) - mu**2)`` with ``mu = 1/(2-c)``
     and ``Var U = a/((a+1)**2 (a+2)) = 1/(3-2c) - mu**2``, stopped once
-    a term falls below 1e-14 in absolute value or after `_SERIES_TERMS` terms."""
+    a term falls below `_SERIES_STOP` in absolute value or after `_SERIES_TERMS` terms."""
     _check_open_unit(c)
     independent = 1.0 / (2.0 - c) ** 2
     total = 1.0 / (3.0 - 2.0 * c) - independent
     for r in range(1, _SERIES_TERMS + 1):
         term = cross(c, r) - independent
         total += 2.0 * term
-        if abs(term) < 1e-14:
+        if abs(term) < _SERIES_STOP:
             break
     return total
 
@@ -357,10 +357,7 @@ def _half_width(c: float, sigma2: float, n: int, convention: str, level: float) 
     ``convention`` at ``c``."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not (0.0 <= level < 1.0):
-        raise ValueError("level must lie in [0, 1)")
-    if convention not in VARIANCE_CONVENTIONS:
-        raise ValueError(f"convention must be one of {VARIANCE_CONVENTIONS}")
+    _check_interval(convention, level)
     variance = sigma2 * _convention_factor(c, convention)
     if variance < 0.0:
         # the covariance series dips below zero on parts of (0,1) --
@@ -372,6 +369,20 @@ def _half_width(c: float, sigma2: float, n: int, convention: str, level: float) 
     return NormalDist().inv_cdf(0.5 * (1.0 + level)) * math.sqrt(variance / n)
 
 
+def _check_interval(convention: str, level: float, error: type[ValueError] = ValueError) -> None:
+    # the interval arguments of `confidence_interval` and the estimate command
+    if convention not in VARIANCE_CONVENTIONS:
+        raise error(f"convention must be one of {VARIANCE_CONVENTIONS}")
+    if not (0.0 <= level < 1.0):
+        raise error("level must lie in [0, 1)")
+
+
+def _top_order_statistics(x: np.ndarray, k: int) -> np.ndarray:
+    """The top ``k + 1`` order statistics of the 1-d ``x``, ascending
+    (nan last, as `np.sort` puts it), without sorting the rest."""
+    return np.sort(np.partition(x, -k - 1)[-k - 1 :])
+
+
 def hill_tail_index(series, k: int) -> float:
     """Hill estimator ``k / sum log(X_(n-i+1) / X_(n-k))`` over the top
     ``k`` order statistics.
@@ -381,11 +392,9 @@ def hill_tail_index(series, k: int) -> float:
     past the float range), where no index can be read off.
     """
     x = _series(series)
-    n = x.size
-    _check_top_k(k, n)
-    x_sorted = np.sort(x)
-    pivot = x_sorted[n - k - 1]
-    top = x_sorted[n - k :]
+    _check_top_k(k, x.size)
+    order = _top_order_statistics(x, k)
+    pivot, top = order[0], order[1:]
     if pivot <= 0:
         raise ValueError("the top k+1 order statistics must be positive")
     # inf / inf and a nan entry give nan, a ratio past the float range inf

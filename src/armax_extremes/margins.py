@@ -32,6 +32,11 @@ _KINDS = ("frechet", "exponential", "uniform01", "gpd", "weibull_min")
 # that the xi -> 0 limit is continuous instead of a 0/0 evaluation.
 GPD_SHAPE_TOL = 1e-12
 
+# the range innovation uniforms are clipped to before a quantile
+# transform, keeping the endpoints 0 and 1, whose quantiles may be
+# -inf or inf, out of every draw
+_UNIFORM_CLIP = (1e-300, 1.0 - 1e-16)
+
 
 @dataclass(frozen=True)
 class MarginSpec:
@@ -216,11 +221,7 @@ def margin_sample(spec: MarginSpec, rng: np.random.Generator, size=None):
     A single stream of ``rng.random`` calls is consumed so that sampling
     is reproducible for a fixed generator state.
     """
-    u = rng.random(size)
-    # avoid the degenerate endpoints 0 and 1 that a closed interval draw
-    # could otherwise map to -inf/inf quantiles
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return margin_quantile(spec, u)
+    return margin_quantile(spec, np.clip(rng.random(size), *_UNIFORM_CLIP))
 
 
 def attraction_domain(spec: MarginSpec) -> DomainTag:

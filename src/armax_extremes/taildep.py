@@ -9,8 +9,8 @@ where ``C`` is the common (same-time) copula of the pair, ``F`` the
 stationary marginal of ``j'`` and ``z_t = c_j'**(-r) * w_t`` the level
 ``w_t = F^{-1}(1-t)`` pushed ``r`` steps up the recursion.  The limit is
 evaluated numerically on the fixed decreasing grid `DEFAULT_T_GRID` with
-one Richardson extrapolation step and clamped to its Frechet-Hoeffding
-envelope.
+one Richardson extrapolation step and clamped to `tdc_bounds` when ``j'``
+is in the Frechet domain, to ``[0, 1]`` otherwise.
 
 When lambda vanishes the residual association is measured by the
 Ledford-Tawn coefficient ``eta``, estimated by a Hill statistic on the
@@ -33,6 +33,7 @@ from .armax import (
     stationary_marginal_quantile,
 )
 from .errors import NumericLimitError, UndefinedResultError, _check_open_unit
+from .estimation import _top_order_statistics
 from .margins import MarginSpec, attraction_domain, right_endpoint
 
 __all__ = [
@@ -80,12 +81,13 @@ class LagTdcDiagnostics:
 def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTdcDiagnostics:
     """Evaluate the lag-r TDC limit expression along `DEFAULT_T_GRID`.
 
-    Frechet-domain margins use the tail substitution
-    ``F(c**(-r) w_t) ~ 1 - t * c**(r * alpha)``; all other margins use
-    the truncated stationary product directly.  The same-time pair
-    copula is the comonotone diagonal when ``j == j'`` and the
-    stationary pair law otherwise (the other components marginalized
-    out at ``inf``), evaluated at the whole grid in one batch.  Raises
+    Frechet margins use the tail substitution
+    ``F(c**(-r) w_t) ~ 1 - t * c**(r * alpha)``; all other margins, a
+    Frechet-domain GPD included, use the truncated stationary product
+    directly.  The same-time pair copula is the comonotone diagonal
+    when ``j == j'`` and the stationary pair law otherwise (the other
+    components marginalized out at ``inf``), evaluated at the whole
+    grid in one batch.  Raises
     `NumericLimitError` when the last grid increment exceeds 10 times
     the previous one plus a noise floor.  The floor is
     ``armax._PRODUCT_TOL / ((1 - max(c_j, c_j')) * t_last)``: the
@@ -303,8 +305,7 @@ def _rank_eta(head: np.ndarray, tail: np.ndarray, k: int | None) -> float:
     u_head = head / (m + 1.0)
     u_tail = tail / (m + 1.0)
     t_var = np.minimum(1.0 / (1.0 - u_head), 1.0 / (1.0 - u_tail))
-    # the top k + 1 order statistics, sorted, without sorting the rest
-    t_sorted = np.sort(np.partition(t_var, m - k - 1)[m - k - 1 :])
+    t_sorted = _top_order_statistics(t_var, k)
     pivot, top = t_sorted[0], t_sorted[1:]
     eta = float(np.mean(np.log(top)) - math.log(pivot))
     if eta <= 0.0:

@@ -652,6 +652,25 @@ def test_stationarity_uniform_margin():
     assert res.series_value == pytest.approx(math.log(2.0), abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "c, margin",
+    [
+        (0.999, FRECHET1),
+        (0.99, MarginSpec.frechet(0.05)),
+        (0.9999, MarginSpec.exponential(1.0)),
+        (0.99999, MarginSpec.uniform01()),
+    ],
+)
+def test_stationarity_is_the_condition_near_one(c, margin):
+    # the series reaches its cap here, which does not make the process
+    # non-stationary: the verdict is the paper's condition on c
+    res = check_stationarity(d1_config(c=c, margin=margin))
+    assert res.stationary
+    assert not res.converged
+    assert res.n_terms == armax._SERIES_TERMS == 10_000
+    assert 0.0 < res.series_value < math.inf
+
+
 # ------------------------------------------------- stationary distributions
 
 
@@ -827,8 +846,9 @@ def test_stationary_joint_validation():
         stationary_joint_logcdf(cfg, [1.0, 2.0])  # wrong shape
     with pytest.raises(ValueError):
         stationary_joint_logcdf(cfg, [[[1.0]]])
-    with pytest.raises(ConfigurationError):
-        # about 27 600 factors are needed here, more than the 10 000 taken
+    # about 27 600 factors are needed here, more than the 10 000 taken;
+    # the config is stationary, so the cap is a numeric limit
+    with pytest.raises(NumericLimitError, match="did not converge within 10000 factors"):
         stationary_joint_cdf(d1_config(c=0.999), [1.0])
 
 

@@ -1194,6 +1194,22 @@ def test_print_config_resolves_defaults_and_round_trips(tmp_path, capsys):
         assert json.loads(proc.stdout).items() >= defaults.items()
 
 
+@pytest.mark.parametrize(
+    "convention, level", [("bogus", 0.95), ("delta_pow4", 1.0), ("paper_3m2c", -0.5)]
+)
+def test_estimate_refuses_the_interval_arguments_confidence_interval_refuses(
+    tmp_path, capsys, convention, level
+):
+    with pytest.raises(ValueError) as refused:
+        estimation.confidence_interval(0.5, 100, convention, level)
+    cfg = write_config(tmp_path, "est.json", {
+        "command": "estimate", "process": D1_INDEP, "n": 100, "seed": 1,
+        "convention": convention, "level": level, "output_path": str(tmp_path / "x.csv"),
+    })
+    assert main_exit(["estimate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {refused.value}\n"
+
+
 # any JSON value, with the numbers most likely to slip through a coercion
 # values a coercing parser lets through, or turns into a crash later on
 _MALFORMED = [
@@ -1403,6 +1419,9 @@ _GUMBEL_2 = {"kind": "gumbel", "gamma": 2.0}
 _SMALL_ALPHA = {"d": 2, "c": [0.5, 0.5], "margins": [_frechet(0.001), _frechet(1.0)],
                 "copula": _GUMBEL_2}
 _UNIT_FRECHET = {**_SMALL_ALPHA, "margins": [_frechet(1.0), _frechet(1.0)]}
+# stationary, but the pair law's product needs more than its 10 000 factors
+_NEAR_ONE = {**_UNIT_FRECHET, "c": [0.999, 0.5]}
+_PRODUCT_CAP = "stationary product did not converge within 10000 factors"
 
 
 @pytest.mark.parametrize(
@@ -1431,10 +1450,16 @@ _UNIT_FRECHET = {**_SMALL_ALPHA, "margins": [_frechet(1.0), _frechet(1.0)]}
          3, "numeric failure: every denominator level rounds to argument one", None),
         ("extremal_index", {"process": _UNIT_FRECHET, "n": 400, "seed": 1, "tau_grid": [[1e300, 1]]},
          3, "numeric failure: exp(-level) underflows to 0 at level 1.0000000000000001e+300", None),
+        # only the cross cells need the pair law
+        ("tail_dep", {"process": _NEAR_ONE, "n": 2000, "seed": 3},
+         0, f"warning: pair (0,1) lag 0: {_PRODUCT_CAP}",
+         ["ok"] * 3 + ["theoretical_undefined"] * 6 + ["ok"] * 3),
+        ("extremal_index", {"process": _NEAR_ONE, "n": 2000, "seed": 3},
+         3, f"numeric failure: {_PRODUCT_CAP}", None),
     ],
     ids=["simulate-small-alpha", "extremal-index-small-alpha", "tail-dep-small-alpha",
          "tail-dep-lag-level-inf", "extremal-index-alpha-1000", "tau-rounds-to-one",
-         "tau-rounds-to-zero"],
+         "tau-rounds-to-zero", "tail-dep-c-near-one", "extremal-index-c-near-one"],
 )
 def test_float_edges_exit_without_traceback(tmp_path, capsys, command, body, code, fragment, flags):
     out = tmp_path / "out.csv"

@@ -428,6 +428,44 @@ def test_hill_validation():
         hill_tail_index(np.concatenate([np.zeros(50), -np.ones(50)]), 10)
 
 
+def _hill_by_full_sort(x, k):
+    # the Hill index read off a full sort of the series
+    x_sorted = np.sort(np.asarray(x, dtype=float))
+    pivot, top = x_sorted[-k - 1], x_sorted[-k:]
+    if pivot <= 0:
+        raise ValueError("the top k+1 order statistics must be positive")
+    with np.errstate(invalid="ignore", over="ignore"):
+        denom = float(np.sum(np.log(top / pivot)))
+    if denom == 0.0 or not math.isfinite(denom):
+        raise UndefinedResultError
+    return k / denom
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([1.0, 2.0, 0.5, 0.0, -1.0, math.inf, math.nan]),
+            st.floats(1e-300, 1e300),
+        ),
+        min_size=2,
+        max_size=60,
+    ),
+    st.data(),
+)
+def test_hill_selection_matches_a_full_sort(values, data):
+    # the partial selection of the top k + 1 order statistics gives the
+    # full sort's index bit for bit, or refuses the series alike
+    k = data.draw(st.integers(1, len(values) - 1))
+    try:
+        expected = _hill_by_full_sort(values, k)
+    except (ValueError, UndefinedResultError) as exc:
+        with pytest.raises(type(exc)):
+            hill_tail_index(values, k)
+    else:
+        assert hill_tail_index(values, k) == expected
+
+
 @pytest.mark.parametrize(
     "series", [[1.0, math.nan, 2.0], [1.0, math.inf, math.inf, 2.0]], ids=["nan", "inf"]
 )
