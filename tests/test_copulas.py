@@ -465,9 +465,6 @@ def test_extremal_coefficient_validation():
         extremal_coefficient_derived(2.0, ())
     with pytest.raises(ValueError):
         extremal_coefficient_derived(2.0, (0.5, 1.5))
-
-
-def test_extremal_coefficients_share_the_copula_checks():
     # the parameters CopulaSpec and DerivedCopula refuse, with their messages
     for gamma in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="gumbel copula requires finite gamma >= 1"):
