@@ -464,32 +464,48 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
     n_terms = np.full(m, last - first + 1)
     converged = np.zeros(m, dtype=bool)
     rows = np.arange(m)  # rows still summing
+    # a component at inf in every row, marginalized out, has the
+    # argument inf and the factor G_j = 1 exactly, whatever its margin
+    at_inf = (x == np.inf).all(axis=0).tolist()
     start, size = first, _FIRST_CHUNK_TERMS
-    while start <= last and rows.size:
-        idx = np.arange(start, min(start + size, last + 1))
-        g = np.empty((rows.size * idx.size, d))
-        # c**i may underflow to 0 for small components while larger ones
-        # still need factors; x / 0 -> inf is then the right argument
-        # (that margin's factor is exactly 1); 0 / 0 needs x_j = 0, whose
-        # first factor already ends the product at -inf, so the nan terms
-        # after it are never summed; log 0 = -inf encodes G_j = 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            scaled = (x[rows, None, :] / c ** idx[:, None]).reshape(-1, d)
+    # c**i may underflow to 0 for small components while larger ones
+    # still need factors; x / 0 -> inf is then the right argument (that
+    # margin's factor is exactly 1); 0 / 0 needs x_j = 0, whose first
+    # factor already ends the product at -inf, so the nan terms after
+    # it are never summed; log 0 = -inf encodes G_j = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while start <= last:
+            idx = np.arange(start, min(start + size, last + 1))
+            # the first chunk takes every row, whose sums start at 0
+            head = start == first
+            points = x if head else x[rows]
+            g = (points[:, None, :] / c ** idx[:, None]).reshape(-1, d)
             for j, margin in enumerate(config.margins):
-                g[:, j] = margin_cdf(margin, scaled[:, j])
+                if at_inf[j]:
+                    g[:, j] = 1.0
+                else:
+                    margin_cdf(margin, g[:, j], out=g[:, j])
             np.log(g, out=g)
-        terms = _base_logcdf(config.copula, g).reshape(rows.size, idx.size)
-        partial = np.cumsum(np.concatenate((total[rows, None], terms), axis=1), axis=1)[:, 1:]
-        stop = (partial == -np.inf) | ((idx >= 1) & (-terms < threshold))
-        hit = stop.any(axis=1)
-        k = np.argmax(stop[hit], axis=1)
-        done = rows[hit]
-        total[done] = partial[hit, k]
-        n_terms[done] = idx[k] - first + 1
-        converged[done] = total[done] != -np.inf
-        rows = rows[~hit]
-        total[rows] = partial[~hit, -1]
-        start, size = start + size, 2 * size
+            terms = _base_logcdf(config.copula, g).reshape(rows.size, idx.size)
+            if head:
+                # 0.0 + t0 is the first step of a sum from 0 (it turns
+                # a -0.0 into 0.0), and the cumsum makes the rest
+                terms[:, 0] += 0.0
+                partial = np.cumsum(terms, axis=1)
+            else:
+                partial = np.cumsum(np.concatenate((total[rows, None], terms), axis=1), axis=1)[:, 1:]
+            stop = (partial == -np.inf) | ((idx >= 1) & (-terms < threshold))
+            hit = stop.any(axis=1)
+            k = np.argmax(stop[hit], axis=1)
+            done = rows[hit]
+            total[done] = partial[hit, k]
+            n_terms[done] = idx[k] - first + 1
+            converged[done] = total[done] != -np.inf
+            if done.size == rows.size:
+                break
+            rows = rows[~hit]
+            total[rows] = partial[~hit, -1]
+            start, size = start + size, 2 * size
     return total, n_terms, converged
 
 

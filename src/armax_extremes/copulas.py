@@ -102,11 +102,17 @@ class DerivedCopula:
 def _gamma_norm(s: np.ndarray, gamma: float) -> np.ndarray:
     """Row-wise ``(sum_j s_j**gamma)**(1/gamma)`` for nonnegative ``s`` of
     shape ``(m, d)``, overflow-safe."""
-    m = np.max(s, axis=1)
+    # the row max as a chain of np.maximum over the few columns: exact,
+    # and several times faster than np.max(s, axis=1)
+    m = s[:, 0].copy()
+    for j in range(1, s.shape[1]):
+        np.maximum(m, s[:, j], out=m)
     # rows with max 0 or inf give 0/0 or inf/inf here; both are replaced
+    # by m + 0.0, which is 0.0 (never -0.0) or inf
     with np.errstate(invalid="ignore"):
         norm = m * np.sum((s / m[:, None]) ** gamma, axis=1) ** (1.0 / gamma)
-    return np.where(m == 0.0, 0.0, np.where(np.isinf(m), np.inf, norm))
+    np.add(m, 0.0, out=norm, where=(m == 0.0) | (m == np.inf))
+    return norm
 
 
 def _check_log_u(log_u: np.ndarray, d: int | None = None) -> None:

@@ -483,8 +483,10 @@ def build_estimate_report(
     ``hill_k`` defaults to ``ceil(sqrt(n))``.  Estimators whose domain
     requirements fail (nonpositive values, out-of-range point estimate)
     are reported as ``nan`` with a flag instead of raising, so batch
-    runs always complete.
+    runs always complete.  A bad ``convention`` or ``level`` raises
+    ``ValueError`` whatever the estimate.
     """
+    _check_interval(convention, level)
     x = _series(series)
     n = x.size
     estimates = _c_estimates(x[None])[0]

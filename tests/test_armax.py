@@ -966,6 +966,54 @@ def test_log_product_equals_term_by_term_loop(case):
     assert converged.tolist() == expected[2] * copies
 
 
+@st.composite
+def _marginal_row_cases(draw):
+    d = draw(st.sampled_from([2, 3]), label="d")
+    c = draw(st.lists(st.floats(0.05, 0.95), min_size=d, max_size=d), label="c")
+    margins = draw(st.lists(_KERNEL_MARGINS, min_size=d, max_size=d), label="margins")
+    config = ProcessConfig(d, c, margins, draw(_KERNEL_COPULAS, label="copula"))
+    j = draw(st.integers(0, d - 1), label="j")
+    values = draw(st.lists(st.floats(0.01, 100.0) | _KERNEL_SPECIAL, min_size=1, max_size=6))
+    return config, j, values
+
+
+@settings(max_examples=200)
+@given(_marginal_row_cases())
+@example(  # x_j = inf, 0 and a negative value beside a finite one
+    (
+        ProcessConfig(2, (0.5, 0.9), (FRECHET1, MarginSpec.gpd(-0.5, 1.0)), CopulaSpec.gumbel(2.5)),
+        1,
+        [math.inf, 0.0, -1.0, 2.0],
+    )
+)
+def test_stationary_joint_rows_at_inf_equal_the_marginal_bit_for_bit(case):
+    # a row with every component but j at inf gives each factor a
+    # copula argument log u = 0 in the others, so its log F is the one-
+    # component product of `stationary_marginal_logcdf` bit for bit (the
+    # lag-TDC batch relies on it)
+    config, j, values = case
+    margin, c = config.margins[j], config.c[j]
+    x = np.full((len(values), config.d), math.inf)
+    x[:, j] = values
+    joint = stationary_joint_logcdf(config, x)
+    marginal = stationary_marginal_logcdf(margin, c, np.array(values))
+    assert np.array_equal(joint.view(np.int64), marginal.view(np.int64))
+    one = stationary_joint_logcdf(config, x[0])
+    assert one.hex() == stationary_marginal_logcdf(margin, c, values[0]).hex()
+
+
+@pytest.mark.parametrize("copula", [INDEP, CopulaSpec.comonotone(), CopulaSpec.gumbel(2.5)])
+def test_stationary_joint_rows_at_inf_fail_as_the_marginal_near_unit_c(copula):
+    # unit Frechet at c = 0.999 needs about 27 600 factors at x = 1
+    config = ProcessConfig(2, (0.5, 0.999), (MarginSpec.exponential(1.0), FRECHET1), copula)
+    with pytest.raises(NumericLimitError) as joint:
+        stationary_joint_logcdf(config, [[math.inf, 1.0], [math.inf, 2.0]])
+    with pytest.raises(NumericLimitError) as marginal:
+        stationary_marginal_logcdf(FRECHET1, 0.999, np.array([1.0, 2.0]))
+    assert str(joint.value) == str(marginal.value)
+    assert str(joint.value) == "stationary product did not converge within 10000 factors"
+
+
 def test_stationary_marginal_quantile_round_trip():
     cases = [
         (FRECHET1, 0.5),

@@ -548,6 +548,24 @@ def test_report_validation():
         build_estimate_report([1.0])
 
 
+@pytest.mark.parametrize(
+    "series", [[-1.0, -2.0, -3.0, 1.0], [1.0, 2.0, 1.5, 1.2, 3.0, 2.5]], ids=["no-ci", "ci"]
+)
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"convention": "bogus"}, "convention must be one of"),
+        ({"level": 5.0}, "level must lie in"),
+        ({"convention": "bogus", "level": 5.0}, "convention must be one of"),
+    ],
+)
+def test_report_refuses_bad_interval_arguments_whatever_the_estimate(series, kwargs, match):
+    # a series whose moment estimate lies outside (0, 1) forms no
+    # interval, and its bad arguments were once written into the report
+    with pytest.raises(ValueError, match=match):
+        build_estimate_report(series, **kwargs)
+
+
 # ------------------------------------------------------------- monte carlo
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from armax_extremes import extremal
+from armax_extremes import armax, extremal
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec, DerivedCopula
 from armax_extremes.errors import UndefinedResultError
@@ -371,3 +371,40 @@ def test_empirical_mv_result_in_unit_interval():
             path, [FRE_DOM] * 2, [0.5, 0.7], None, tau
         )
         assert 0.0 <= theta <= 1.0
+
+
+# a d = 4 process with one margin of each tail type: Frechet(1),
+# exponential(1), GPD(0.2, 1) and Weibull-min(2), Gumbel(2) innovations
+MIXED4 = ProcessConfig(
+    4,
+    (0.5, 0.7, 0.3, 0.9),
+    (
+        FRECHET1,
+        MarginSpec.exponential(1.0),
+        MarginSpec.gpd(0.2, 1.0),
+        MarginSpec.weibull_min(2.0),
+    ),
+    CopulaSpec.gumbel(2.0),
+)
+
+
+@pytest.mark.parametrize(
+    "tau, theta",
+    [
+        ((0.5, 2.0, 0.5, 2.0), "0x1.d5d51ac5d39d3p-1"),
+        ((2.0, 0.0, 0.5, 0.0), "0x1.0ba9a3d0260f4p-1"),
+    ],
+)
+def test_process_index_pinned_bit_for_bit_in_one_product_call(monkeypatch, tau, theta):
+    process_mv_extremal_index(MIXED4, tau)  # solves and caches the quantiles
+    calls = []
+    kernel = armax._log_product
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(armax, "_log_product", counted)
+    assert process_mv_extremal_index(MIXED4, tau).theta.hex() == theta
+    # the denominator and numerator rows in one evaluation
+    assert calls == [(2, 4)]

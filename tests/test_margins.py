@@ -68,6 +68,76 @@ def test_cdf_outside_support():
     assert margin_cdf(spec, 5.0) == 1.0
 
 
+def _where_cdf(spec, arr):
+    """`margin_cdf` as the np.where expressions it was first written as;
+    the in-place chains must keep these bits."""
+    if spec.kind == "frechet":
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(arr <= 0, 0.0, np.exp(-np.power(np.maximum(arr, 1e-300), -spec.alpha)))
+    if spec.kind == "exponential":
+        return np.where(arr <= 0, 0.0, -np.expm1(-spec.rate * np.maximum(arr, 0.0)))
+    if spec.kind == "uniform01":
+        return np.clip(arr, 0.0, 1.0)
+    if spec.kind == "weibull_min":
+        return np.where(arr <= 0, 0.0, -np.expm1(-np.power(np.maximum(arr, 0.0), spec.k)))
+    shape, scale = spec.shape, spec.scale
+    if abs(shape) < 1e-12:
+        return np.where(arr <= 0, 0.0, -np.expm1(-np.maximum(arr, 0.0) / scale))
+    z = np.maximum(arr, 0.0) / scale
+    inner = np.maximum(1.0 + shape * z, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.where(arr <= 0, 0.0, -np.expm1(np.log(np.maximum(inner, 1e-300)) * (-1.0 / shape)))
+    if shape < 0:
+        out = np.where(arr >= -scale / shape, 1.0, out)
+    return out
+
+
+# 0 of both signs, negatives, infinities, nan, subnormals, values around
+# the GPD(-0.25, 1) and GPD(-2, 0.5) endpoints 4 and 0.25, and values
+# whose Frechet or Weibull powers overflow or underflow
+_CDF_EDGES = np.concatenate(
+    [
+        [0.0, -0.0, -1.0, -1e300, -math.inf, math.inf, math.nan, 5e-324, 1e-310, -1e-310],
+        [4.0, np.nextafter(4.0, 0.0), 4.5, 0.25, 0.3, 1e-300, 1e-200, 1e200, 1e300],
+        np.geomspace(1e-6, 1e6, 41),
+        np.linspace(0.0, 1.0, 11),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ALL_SPECS + [MarginSpec.gpd(-2.0, 0.5), MarginSpec.gpd(1e-13, 1.5), MarginSpec.frechet(0.05)],
+    ids=str,
+)
+def test_cdf_keeps_the_bits_of_the_where_expressions(spec):
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.int64)
+
+    with np.errstate(over="ignore"):  # the Weibull power overflows at 1e300
+        expected = _where_cdf(spec, _CDF_EDGES)
+        assert np.array_equal(bits(margin_cdf(spec, _CDF_EDGES)), bits(expected))
+        # 0-d inputs give floats
+        for v, e in zip(_CDF_EDGES.tolist(), expected.tolist()):
+            value = margin_cdf(spec, v)
+            assert isinstance(value, float) and value.hex() == e.hex()
+            assert bits(margin_cdf(spec, np.array(v))) == bits(e)
+        # into a given array, a strided column as the product kernel
+        # passes, and over the input itself
+        block = np.full((_CDF_EDGES.size, 3), 7.0)
+        column = block[:, 1]
+        assert margin_cdf(spec, _CDF_EDGES, out=column) is column
+        assert np.array_equal(bits(block[:, 1]), bits(expected))
+        assert np.array_equal(block[:, [0, 2]], np.full((_CDF_EDGES.size, 2), 7.0))
+        block[:, 2] = _CDF_EDGES
+        column = block[:, 2]
+        assert margin_cdf(spec, column, out=column) is column
+        assert np.array_equal(bits(block[:, 2]), bits(expected))
+        scalar_out = np.empty(())
+        assert margin_cdf(spec, 2.0, out=scalar_out) is scalar_out
+        assert bits(scalar_out) == bits(_where_cdf(spec, np.array(2.0)))
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_cdf_keeps_nan(spec):
     # nan is not a point below the support, so it must not read as 0

@@ -1,5 +1,6 @@
 """Tests for lag-r tail dependence and tail independence coefficients."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from armax_extremes import armax
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec
 from armax_extremes.errors import NumericLimitError, UndefinedResultError
@@ -118,6 +120,62 @@ def test_tdc_lam_grid_pinned_non_frechet_cell():
     )
     lam_grid = lag_tdc_diagnostics(cfg, 0, 1, 1).lam_grid
     assert lam_grid == pytest.approx(pinned, rel=1e-15, abs=0.0)
+
+
+# a d = 4 process with one margin of each tail type: Frechet(1),
+# exponential(1), GPD(0.2, 1) and Weibull-min(2), Gumbel(2) innovations
+MIXED4 = ProcessConfig(
+    4,
+    (0.5, 0.7, 0.3, 0.9),
+    (
+        FRECHET1,
+        MarginSpec.exponential(1.0),
+        MarginSpec.gpd(0.2, 1.0),
+        MarginSpec.weibull_min(2.0),
+    ),
+    CopulaSpec.gumbel(2.0),
+)
+
+
+@pytest.mark.parametrize(
+    "cell, extrapolated, lam",
+    [
+        # clamped to the Frechet-domain envelope 0.3**(5 * 3)
+        ((1, 2, 3), "0x1.894efedc71bc9p-26", "0x1.ed06521bf3accp-27"),
+        ((2, 1, 1), "0x1.7d55f013e143ap-8", "0x1.7d55f013e143ap-8"),
+        ((3, 0, 2), "0x1.3b3c1ec312045p-3", "0x1.3b3c1ec312045p-3"),
+        # a within-series cell, clamped to 0
+        ((1, 1, 2), "-0x1.09c8464671c70p-21", "0x0.0p+0"),
+    ],
+)
+def test_tdc_mixed_cells_pinned_bit_for_bit(cell, extrapolated, lam):
+    # the bits of the evaluation that took F(z_t) in a call of its own;
+    # a cross cell now takes it in its pair-law batch
+    diag = lag_tdc_diagnostics(MIXED4, *cell)
+    assert (diag.lam_extrapolated.hex(), diag.lam.hex()) == (extrapolated, lam)
+    assert theoretical_lag_tdc(MIXED4, *cell).hex() == lam
+
+
+def test_tdc_cell_runs_the_product_kernel_at_most_once(monkeypatch):
+    # F(z_t) of a cross cell rides in the pair-law batch, so no cell
+    # evaluates the truncated product twice once its quantiles are cached
+    calls = []
+    kernel = armax._log_product
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return kernel(*args)
+
+    for j, jp, r in itertools.product(range(4), range(4), range(6)):
+        theoretical_lag_tdc(MIXED4, j, jp, r)  # solves and caches the quantiles
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(armax, "_log_product", counted)
+            theoretical_lag_tdc(MIXED4, j, jp, r)
+        assert len(calls) <= 1, (j, jp, r, calls)
+        # a cross cell with a product F(z_t) takes it as 4 more rows
+        if j != jp and jp != 0 and r > 0:
+            assert calls == [(8, 4)]
 
 
 # a cell whose grid diverges: its last increment, -1.09e-3, is far above
