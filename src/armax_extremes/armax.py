@@ -341,7 +341,8 @@ def _frechet_scale(alpha: float, c: float) -> float:
 
 
 def _finite_quantile(value):
-    if not np.isfinite(value).all():
+    """``value``, a float or an array, when every entry of it is finite."""
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
         raise NumericLimitError("the stationary Frechet quantile is outside the float range")
     return value
 
@@ -484,7 +485,7 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
                 if at_inf[j]:
                     g[:, j] = 1.0
                 else:
-                    margin_cdf(margin, g[:, j], out=g[:, j])
+                    g[:, j] = margin_cdf(margin, g[:, j])
             np.log(g, out=g)
             terms = _base_logcdf(config.copula, g).reshape(rows.size, idx.size)
             if head:

@@ -127,71 +127,36 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
-def margin_cdf(spec: MarginSpec, x, out=None):
-    """CDF of ``spec`` at ``x`` (scalar or array); a nan entry gives nan.
-
-    ``out``, a float array of ``x``'s shape (``x`` itself included),
-    receives the values and is returned; by default a new array is, or
-    a float for a scalar ``x``.
-    """
+def margin_cdf(spec: MarginSpec, x):
+    """CDF of ``spec`` at ``x`` (scalar or array); a nan entry gives nan."""
+    # nan <= 0 is false, so in np.where(arr <= 0, 0.0, ...) a nan entry
+    # takes the formula's nan rather than reading as a point below 0; a
+    # power or product that overflows to inf gives the right 0 or 1
     arr, scalar = _as_array(x)
-    given = out is not None
-    if not given:
-        out = np.empty_like(arr)
-    if spec.kind == "uniform01":
-        np.clip(arr, 0.0, 1.0, out=out)
-        return out if given else _maybe_scalar(out, scalar)
-    # nan <= 0 is false, so a nan entry keeps the formula's nan rather
-    # than reading as a point below 0; both masks are taken before
-    # ``out``, which may be ``arr``, is written
-    below = arr <= 0
-    beyond = None
-    if spec.kind == "gpd" and spec.shape < -GPD_SHAPE_TOL:
-        beyond = arr >= -spec.scale / spec.shape
-    # each formula is a chain of in-place steps, in the order of its
-    # written form, e.g. exp(-max(x, 1e-300) ** (-alpha)) for the
-    # Frechet margin; every entry at or below 0 is then set to 0
-    if spec.kind == "frechet":
-        with np.errstate(divide="ignore", over="ignore"):
-            np.maximum(arr, 1e-300, out=out)
-            np.power(out, -spec.alpha, out=out)
-            np.negative(out, out=out)
-            np.exp(out, out=out)
-    else:
-        np.maximum(arr, 0.0, out=out)
-        if spec.kind == "exponential":
-            # -expm1(-rate * x)
-            np.multiply(out, -spec.rate, out=out)
+    with np.errstate(divide="ignore", over="ignore"):
+        if spec.kind == "frechet":
+            out = np.where(arr <= 0, 0.0, np.exp(-np.power(np.maximum(arr, 1e-300), -spec.alpha)))
+        elif spec.kind == "exponential":
+            out = np.where(arr <= 0, 0.0, -np.expm1(-spec.rate * np.maximum(arr, 0.0)))
+        elif spec.kind == "uniform01":
+            out = np.clip(arr, 0.0, 1.0)
         elif spec.kind == "gpd":
-            _gpd_log_sf(spec.shape, spec.scale, out)
-        else:  # weibull_min: -expm1(-x ** k)
-            np.power(out, spec.k, out=out)
-            np.negative(out, out=out)
-        np.expm1(out, out=out)
-        np.negative(out, out=out)
-    np.copyto(out, 0.0, where=below)
-    if beyond is not None:
-        # beyond the finite endpoint -scale/shape the CDF is exactly one
-        np.copyto(out, 1.0, where=beyond)
-    return out if given else _maybe_scalar(out, scalar)
+            out = _gpd_cdf(spec.shape, spec.scale, arr)
+        else:  # weibull_min
+            out = np.where(arr <= 0, 0.0, -np.expm1(-np.power(np.maximum(arr, 0.0), spec.k)))
+    return _maybe_scalar(out, scalar)
 
 
-def _gpd_log_sf(shape: float, scale: float, z: np.ndarray) -> None:
-    """The GPD's log survival ``-z / scale``, or away from ``shape = 0``
-    ``log(max(1 + shape * z / scale, 1e-300)) / -shape``, written over
-    ``z = max(x, 0)``; the CDF is ``-expm1`` of it."""
+def _gpd_cdf(shape: float, scale: float, arr: np.ndarray) -> np.ndarray:
     if abs(shape) < GPD_SHAPE_TOL:
-        np.negative(z, out=z)
-        np.divide(z, scale, out=z)
-        return
-    np.divide(z, scale, out=z)
-    np.multiply(z, shape, out=z)
-    np.add(z, 1.0, out=z)
-    np.maximum(z, 0.0, out=z)
-    np.maximum(z, 1e-300, out=z)
-    with np.errstate(divide="ignore"):
-        np.log(z, out=z)
-    np.multiply(z, -1.0 / shape, out=z)
+        return np.where(arr <= 0, 0.0, -np.expm1(-np.maximum(arr, 0.0) / scale))
+    z = np.maximum(arr, 0.0) / scale
+    inner = np.maximum(1.0 + shape * z, 0.0)
+    out = np.where(arr <= 0, 0.0, -np.expm1(np.log(np.maximum(inner, 1e-300)) * (-1.0 / shape)))
+    if shape < 0:
+        # beyond the finite endpoint -scale/shape the CDF is exactly one
+        out = np.where(arr >= -scale / shape, 1.0, out)
+    return out
 
 
 def margin_quantile(spec: MarginSpec, p, out=None):

@@ -321,7 +321,8 @@ def _rank_eta(head: np.ndarray, tail: np.ndarray, k: int | None) -> float:
     t_sorted = _top_order_statistics(t_var, k)
     pivot, top = t_sorted[0], t_sorted[1:]
     eta = float(np.mean(np.log(top)) - math.log(pivot))
-    if eta <= 0.0:
+    # a nan path entry makes eta nan, which is refused as a 0 is
+    if not eta > 0.0:
         raise UndefinedResultError("degenerate structure-variable sample")
     return min(eta, 1.0)
 
@@ -354,6 +355,8 @@ def empirical_eta(path, j: int, jp: int, r: int, k: int | None = None) -> float:
     variation, so its Hill tail index over the ``k`` upper order
     statistics estimates ``eta``.  ``k`` defaults to ``ceil(2 sqrt(n-r))``;
     the estimate is clamped to ``(0, 1]``.  Requires ``0 <= j, jp < d``.
+    A sample whose estimate is not positive, as a nan entry in either
+    column makes it nan, raises `UndefinedResultError`.
     """
     data = _path_data(path)
     return _rank_eta(*_lagged_ranks(data, _column_orders(data, {j, jp}), j, jp, r), k)

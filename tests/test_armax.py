@@ -609,7 +609,7 @@ def test_exact_marginal_falls_back_for_non_frechet():
     assert path.init_used == "burn_in:1000"
 
 
-def test_default_init_is_burn_in():
+def test_default_init_simulates_a_burn_in():
     path = simulate_path(d1_config(), 100, 3)
     assert path.init_used == "burn_in:1000"
 
@@ -1120,6 +1120,13 @@ def test_brentq_port_matches_scipy():
     assert solves == 60
     with pytest.raises(NumericLimitError):
         armax._brentq(lambda v: math.exp(v) - 2.0, 0.0, 5.0, xtol=1e-30, rtol=1e-15, maxiter=3)
+    # a nan value at either end is refused; a root at the upper end is
+    # returned as it is
+    args = dict(xtol=1e-30, rtol=1e-15, maxiter=200)
+    for f in (lambda v: math.nan if v == 0.0 else v - 2.0, lambda v: math.nan if v == 5.0 else v - 2.0):
+        with pytest.raises(ValueError, match="function value is nan"):
+            armax._brentq(f, 0.0, 5.0, **args)
+    assert armax._brentq(lambda v: v - 5.0, 0.0, 5.0, **args) == 5.0
 
 
 # ----------------------------------------------------------- normalized levels

@@ -150,6 +150,8 @@ def test_eval_input_validation():
         copula_eval(GUMBEL2, [0.5, float("nan")])
     with pytest.raises(ValueError):
         copula_logcdf(GUMBEL2, [0.1, -0.5])  # positive log_u entry
+    with pytest.raises(ValueError, match=r"non-empty \(d,\) or \(m, d\) array"):
+        copula_logcdf(GUMBEL2, np.zeros((2, 2, 2)))
 
 
 def test_spec_validation():
@@ -356,6 +358,8 @@ def test_derived_validation():
     dc = DerivedCopula(GUMBEL2, (1.0, 0.5))
     with pytest.raises(ValueError):
         derived_copula_eval(dc, [0.5, 0.5, 0.5])  # length mismatch
+    with pytest.raises(ValueError, match="^log_u must have 2 columns$"):
+        derived_copula_logcdf(dc, np.zeros((4, 3)))
     # a short point is refused, also where a zero entry would give C = 0
     dc3 = DerivedCopula(GUMBEL2, (0.5, 0.7, 0.9))
     for u in ([0.0, 0.5], [0.5, 0.5]):

@@ -33,6 +33,13 @@ def test_cdf_point_values():
     assert margin_cdf(MarginSpec.frechet(1.0), 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
     assert margin_cdf(MarginSpec.uniform01(), 0.5) == 0.5
     assert margin_cdf(MarginSpec.exponential(1.0), math.log(2.0)) == pytest.approx(0.5, abs=1e-15)
+    # an overflow to inf in the power or the product gives the right
+    # value, with no RuntimeWarning, which the suite makes an error
+    assert margin_cdf(MarginSpec.weibull_min(2.5), 1e300) == 1.0
+    assert margin_cdf(MarginSpec.exponential(2.0), 1e308) == 1.0
+    assert margin_cdf(MarginSpec.gpd(0.5, 0.5), 1e308) == 1.0
+    assert margin_cdf(MarginSpec.gpd(0.0, 0.5), 1e308) == 1.0
+    assert margin_cdf(MarginSpec.frechet(0.05), 1e-300) == 0.0
 
 
 def test_quantile_point_values():
@@ -69,8 +76,8 @@ def test_cdf_outside_support():
 
 
 def _where_cdf(spec, arr):
-    """`margin_cdf` as the np.where expressions it was first written as;
-    the in-place chains must keep these bits."""
+    """`margin_cdf` as the np.where expressions it was first written as,
+    whose bits it keeps."""
     if spec.kind == "frechet":
         with np.errstate(divide="ignore", over="ignore"):
             return np.where(arr <= 0, 0.0, np.exp(-np.power(np.maximum(arr, 1e-300), -spec.alpha)))
@@ -122,20 +129,10 @@ def test_cdf_keeps_the_bits_of_the_where_expressions(spec):
             value = margin_cdf(spec, v)
             assert isinstance(value, float) and value.hex() == e.hex()
             assert bits(margin_cdf(spec, np.array(v))) == bits(e)
-        # into a given array, a strided column as the product kernel
-        # passes, and over the input itself
+        # a strided column, as the product kernel passes
         block = np.full((_CDF_EDGES.size, 3), 7.0)
-        column = block[:, 1]
-        assert margin_cdf(spec, _CDF_EDGES, out=column) is column
-        assert np.array_equal(bits(block[:, 1]), bits(expected))
-        assert np.array_equal(block[:, [0, 2]], np.full((_CDF_EDGES.size, 2), 7.0))
-        block[:, 2] = _CDF_EDGES
-        column = block[:, 2]
-        assert margin_cdf(spec, column, out=column) is column
-        assert np.array_equal(bits(block[:, 2]), bits(expected))
-        scalar_out = np.empty(())
-        assert margin_cdf(spec, 2.0, out=scalar_out) is scalar_out
-        assert bits(scalar_out) == bits(_where_cdf(spec, np.array(2.0)))
+        block[:, 1] = _CDF_EDGES
+        assert np.array_equal(bits(margin_cdf(spec, block[:, 1])), bits(expected))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)

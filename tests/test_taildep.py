@@ -392,6 +392,15 @@ def test_empirical_eta_validation():
     with pytest.raises(UndefinedResultError):
         # both structure-variable values tie, so the Hill slope is zero
         empirical_eta(np.array([[1.0, 2.0], [2.0, 1.0]]), 0, 1, 0, k=1)
+    # a nan entry makes the Hill slope nan, which is refused too
+    x = np.random.default_rng(3).random((500, 2))
+    x[200, 1] = math.nan
+    for j, jp in ((0, 1), (1, 0)):
+        with pytest.raises(UndefinedResultError, match="degenerate structure-variable sample"):
+            empirical_eta(x, j, jp, 0)
+    (cell,) = empirical_cells(x, [(0, 1, 0)], 0.1)
+    assert isinstance(cell, UndefinedResultError)
+    assert str(cell) == "degenerate structure-variable sample"
 
 
 # ------------------------------------------------------- eta bounds / regimes
