@@ -49,6 +49,7 @@ from .armax import ProcessConfig, _batch_size, _simulate_batch, simulate_path
 from .copulas import (
     CopulaSpec,
     DerivedCopula,
+    _ROW_BLOCK,
     copula_logcdf,
     derived_copula_validity,
 )
@@ -84,10 +85,6 @@ from .taildep import (
 )
 
 __all__ = ["RunConfig", "run", "main"]
-
-# rows of the simulated path formatted per write; a bounded chunk keeps
-# peak memory flat where one tolist() of the whole path would not
-_PATH_CHUNK_ROWS = 65536
 
 
 def _pair(value) -> tuple[int, int]:
@@ -259,13 +256,15 @@ def _write_path_csv(path: str, data: np.ndarray) -> None:
     # "%.17g" renders every float (nan, inf and -0.0 included) as _fmt
     # does; a chunk of k rows is one % of the row format repeated k times
     # over the flat tuple (t, x1, ..., xd, t + 1, ...), filled column by
-    # column, far faster than one % per row
+    # column, far faster than one % per row.  A chunk of `_ROW_BLOCK`
+    # rows holds about 65 bytes per value in Python objects and text, one
+    # chunk at a time, so the writer's peak does not grow with the path
     d = data.shape[1]
     row = "%d" + ",%.17g" * d + "\n"
     with open(path, "w", newline="") as f:
         f.write(",".join(["t"] + [f"x{j + 1}" for j in range(d)]) + "\n")
-        for start in range(0, len(data), _PATH_CHUNK_ROWS):
-            chunk = data[start : start + _PATH_CHUNK_ROWS]
+        for start in range(0, len(data), _ROW_BLOCK):
+            chunk = data[start : start + _ROW_BLOCK]
             k = len(chunk)
             flat = [0] * (k * (d + 1))
             flat[:: d + 1] = range(start, start + k)

@@ -42,6 +42,11 @@ __all__ = [
 
 _COPULA_KINDS = ("gumbel", "independence", "comonotone")
 
+# rows per block in the layers that walk a sample path (the Gumbel draw,
+# the rank windows, the path CSV writer): each holds a few blocks of
+# temporaries besides the path, not several path-sized arrays
+_ROW_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class CopulaSpec:
@@ -168,11 +173,18 @@ def copula_eval(spec: CopulaSpec | DerivedCopula, u) -> float:
         return math.exp(copula_logcdf(spec, np.log(u)))
 
 
-def _gumbel_sample(gamma: float, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """``(n, d)`` Gumbel(gamma) uniforms ``U_j = exp(-(E_j / S)**alpha)``,
-    ``alpha = 1/gamma``, from a positive alpha-stable frailty ``S`` with
-    Laplace transform ``exp(-t**alpha)`` (Kanter's representation from
-    a uniform angle ``v`` and a unit exponential ``w``).
+def _gumbel_sample(gamma: float, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write Gumbel(gamma) uniforms ``U_j = exp(-(E_j / S)**alpha)``,
+    ``alpha = 1/gamma``, into the ``(n, d)`` array ``out``, from a
+    positive alpha-stable frailty ``S`` with Laplace transform
+    ``exp(-t**alpha)`` (Kanter's representation from a uniform angle
+    ``v`` and a unit exponential ``w``).
+
+    ``v`` and ``w`` are drawn whole; the exponentials ``E`` and the
+    transform then run in blocks of `_ROW_BLOCK` rows, so the
+    temporaries are a block's, not the path's.  Consecutive blocks draw
+    the stream as one call does, and the ufuncs give each row the bits
+    they give it in one whole-array pass.
 
     The direct form of ``S`` is 0/0 for ``alpha`` near 1, and for small
     ``alpha`` it or ``E_j / S`` leaves the float range.  Rows where some
@@ -180,30 +192,34 @@ def _gumbel_sample(gamma: float, rng: np.random.Generator, n: int, d: int) -> np
     log space; the other rows keep the direct form's bits.  Raises
     `NumericLimitError` when a log-space ``S`` is not finite either.
     """
+    n, d = out.shape
     alpha = 1.0 / gamma
     v = rng.random(n) * math.pi
     w = rng.exponential(size=n)
     ratio = alpha / (1.0 - alpha)
-    e = rng.exponential(size=(n, d))
-    with np.errstate(all="ignore"):
-        a = (np.sin(alpha * v) ** ratio) * np.sin((1.0 - alpha) * v) / np.sin(v) ** (1.0 + ratio)
-        q = e / ((a / w) ** (1.0 / ratio))[:, None]
-        out = np.exp(-(q**alpha))
-    # a nan fails both tests, so the row mask is built only when needed
-    if not (q.min() > 0.0 and q.max() < math.inf):
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        v_b, w_b, out_b = v[rows], w[rows], out[rows]
+        e = rng.exponential(size=out_b.shape)
+        with np.errstate(all="ignore"):
+            a = (np.sin(alpha * v_b) ** ratio) * np.sin((1.0 - alpha) * v_b) / np.sin(v_b) ** (1.0 + ratio)
+            q = e / ((a / w_b) ** (1.0 / ratio))[:, None]
+            np.exp(-(q**alpha), out=out_b)
+        # a nan fails both tests, so the row mask is built only when needed
+        if q.min() > 0.0 and q.max() < math.inf:
+            continue
         bad = ~((q > 0.0) & (q < math.inf)).all(axis=1)
-        v, w = v[bad], w[bad]
+        v_bad, w_bad = v_b[bad], w_b[bad]
         with np.errstate(all="ignore"):
             log_a = (
-                ratio * np.log(np.sin(alpha * v))
-                + np.log(np.sin((1.0 - alpha) * v))
-                - (1.0 + ratio) * np.log(np.sin(v))
+                ratio * np.log(np.sin(alpha * v_bad))
+                + np.log(np.sin((1.0 - alpha) * v_bad))
+                - (1.0 + ratio) * np.log(np.sin(v_bad))
             )
-            log_s = (log_a - np.log(w)) / ratio
+            log_s = (log_a - np.log(w_bad)) / ratio
         if not np.isfinite(log_s).all():
             raise NumericLimitError(f"the Gumbel({gamma!r}) frailty is outside the float range")
-        out[bad] = np.exp(-np.exp(alpha * (np.log(e[bad]) - log_s[:, None])))
-    return out
+        out_b[bad] = np.exp(-np.exp(alpha * (np.log(e[bad]) - log_s[:, None])))
 
 
 def copula_sample(
@@ -211,23 +227,30 @@ def copula_sample(
 ) -> np.ndarray:
     """Draw uniforms with copula ``spec``; shape ``(size, d)`` or ``(d,)``.
 
-    ``out``, a float array of that shape, receives the draws and is
-    returned; by default a new array is.  Gumbel draws use the
-    positive-stable frailty representation: with ``S`` alpha-stable for
-    ``alpha = 1/gamma`` and ``E_j`` i.i.d. unit exponentials,
-    ``U_j = exp(-(E_j / S)**alpha)`` has the Gumbel copula.
+    ``out``, a C-contiguous float64 array of that shape, receives the
+    draws and is returned; by default a new array is.  Every family
+    draws straight into it (a Gumbel one in row blocks, see
+    `_gumbel_sample`) and one in-place pass clips it, so no draw-sized
+    temporary is made.  Gumbel draws use the positive-stable frailty
+    representation: with ``S`` alpha-stable for ``alpha = 1/gamma`` and
+    ``E_j`` i.i.d. unit exponentials, ``U_j = exp(-(E_j / S)**alpha)``
+    has the Gumbel copula.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    squeeze = size is None
-    n = 1 if squeeze else int(size)
+    shape = (d,) if size is None else (int(size), d)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out must have shape {shape}")
+    rows = out.reshape(-1, d)  # a view of out: one row for a single draw
     if spec.kind == "comonotone":
-        u = np.repeat(rng.random(n)[:, None], d, axis=1)
+        rows[...] = rng.random(len(rows))[:, None]
     elif spec.kind == "independence" or spec.gamma == 1.0 or d == 1:
-        u = rng.random((n, d))
+        rng.random(out=rows)
     else:
-        u = _gumbel_sample(spec.gamma, rng, n, d)
-    return np.clip(u[0] if squeeze else u, *_UNIFORM_CLIP, out=out)
+        _gumbel_sample(spec.gamma, rng, rows)
+    return np.clip(out, *_UNIFORM_CLIP, out=out)
 
 
 def _derived_logcdf(dc: DerivedCopula, log_u: np.ndarray) -> np.ndarray:

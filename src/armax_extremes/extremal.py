@@ -26,7 +26,7 @@ from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import NumericLimitError, UndefinedResultError
 from .errors import _check_coefficients, _check_open_unit, _check_top_k
 from .margins import DomainTag, attraction_domain
-from .taildep import _column_order, _ordinal_ranks
+from .taildep import _column_order, _order_ranks, _ordinal_ranks
 
 __all__ = [
     "ExtremalIndexResult",
@@ -232,10 +232,12 @@ def empirical_mv_extremal_index(
         theta = np.ones(levels.shape[:-2])
     else:
         # one row of ranks per column: the union over columns is then an
-        # OR of contiguous rows, not a reduction along a short axis
-        ranks = np.stack(
-            [_ordinal_ranks(data[:, j], _column_order(data[:, j])) for j in range(d)]
-        )
+        # OR of contiguous rows, not a reduction along a short axis; a
+        # column holding a nan is all nan, as `_ordinal_ranks` makes it
+        ranks = np.empty((d, n))
+        for j in range(d):
+            _order_ranks(_column_order(data[:, j]), out=ranks[j])
+            ranks[j] = _ordinal_ranks(data[:, j], ranks[j])
         # numerator levels are 0 off the index set, and no rank exceeds n
         counts = np.array(
             [

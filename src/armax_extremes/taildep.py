@@ -19,7 +19,6 @@ min-structure variable of rank-transformed margins.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +31,8 @@ from .armax import (
     stationary_marginal_logcdf,
     stationary_marginal_quantile,
 )
+from .copulas import _ROW_BLOCK
 from .errors import NumericLimitError, UndefinedResultError, _check_open_unit
-from .estimation import _top_order_statistics
 from .margins import MarginSpec, attraction_domain, right_endpoint
 
 __all__ = [
@@ -197,53 +196,69 @@ def tdc_bounds(c_jp: float, alpha_jp: float, r: int) -> tuple[float, float]:
     return (0.0, c_jp ** (alpha_jp * r))
 
 
-def _ordinal_ranks(x: np.ndarray, order: np.ndarray, start: int = 0, stop: int | None = None):
+def _order_ranks(order: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The ranks ``1..n`` as floats that ``order``, a permutation of the
+    rows, gives them: ``out[order[i]] = i + 1``, written in blocks of
+    `_ROW_BLOCK` rows."""
+    if out is None:
+        out = np.empty(order.size)
+    for start in range(0, order.size, _ROW_BLOCK):
+        block = order[start : start + _ROW_BLOCK]
+        out[block] = np.arange(start + 1.0, start + block.size + 1.0)
+    return out
+
+
+def _ordinal_ranks(x: np.ndarray, ranks: np.ndarray, start: int = 0, stop: int | None = None):
     """Ordinal ranks ``1..m`` of the window ``x[start:stop]`` as floats.
 
-    ``order`` is `_column_order` of the whole column, which sorts equal
-    values by position; keeping its entries inside the window is an
-    O(n) filter that leaves the window's own order, so the result equals
+    ``ranks`` is `_order_ranks` of `_column_order` of the whole column,
+    which sorts equal values by position.  A row's rank in the window
+    is its column rank less the number of rows outside the window
+    ranked below it, so the result equals
     ``scipy.stats.rankdata(x[start:stop], method="ordinal")``: ties take
     ranks in order of position, and a window holding a nan is all nan.
-    One sort then serves every window of the column.
+    The full column is its own window and is returned as ``ranks``; a
+    lagged window leaves out a few rows, whose sorted ranks each row of
+    the window is searched in, block by block.
     """
     stop = len(x) if stop is None else stop
-    window = order[(order >= start) & (order < stop)]
-    ranks = np.empty(window.size)
-    if window.size and np.isnan(x[window[-1]]):
-        # argsort puts nan last
-        ranks.fill(math.nan)
-    else:
-        ranks[window - start] = np.arange(1.0, window.size + 1.0)
-    return ranks
+    window = ranks[start:stop]
+    # max carries a nan through; `initial` passes an empty window
+    if math.isnan(x[start:stop].max(initial=-math.inf)):
+        return np.full(window.size, math.nan)
+    left_out = np.sort(np.concatenate((ranks[:start], ranks[stop:])))
+    if not left_out.size:
+        return window
+    out = np.empty(window.size)
+    for i in range(0, window.size, _ROW_BLOCK):
+        block = window[i : i + _ROW_BLOCK]
+        np.subtract(block, np.searchsorted(left_out, block), out=out[i : i + _ROW_BLOCK])
+    return out
 
 
 def _column_order(x: np.ndarray) -> np.ndarray:
-    """An order of ``x`` that `_ordinal_ranks` reads as it reads
-    ``np.argsort(x, kind="stable")``.  numpy's faster default sort is
-    kept when no two values of ``x`` are equal (``-0.0 == 0.0`` counts):
-    the ascending order is then unique but for the nans, which both
-    sorts put last and whose order `_ordinal_ranks` never reads.  A
-    column with ties is sorted again by the stable sort."""
+    """An order of ``x`` whose `_order_ranks` `_ordinal_ranks` reads as
+    it reads those of ``np.argsort(x, kind="stable")``.  numpy's faster
+    default sort is kept when no two values of ``x`` are equal (``-0.0
+    == 0.0`` counts): the ascending order is then unique but for the
+    nans, which both sorts put last and which no window without a nan
+    ranks below its own rows.  A column with ties is sorted again by the
+    stable sort.  The check for ties reads the sorted column in row
+    blocks."""
     order = np.argsort(x)
-    ordered = x[order]
-    if np.any(ordered[1:] == ordered[:-1]):
-        order = np.argsort(x, kind="stable")
+    for start in range(0, x.size - 1, _ROW_BLOCK):
+        # one row of overlap, so a tie across two blocks is seen
+        ordered = x[order[start : start + _ROW_BLOCK + 1]]
+        if np.any(ordered[1:] == ordered[:-1]):
+            return np.argsort(x, kind="stable")
     return order
 
 
-def _column_orders(data: np.ndarray, columns):
-    """``ranks(j, start, stop)``: the `_ordinal_ranks` of the window
-    ``data[start:stop, j]`` of a listed column.  Each column is sorted
-    once and each window ranked once, however many cells share it."""
+def _column_ranks(data: np.ndarray, columns) -> dict:
+    """The `_order_ranks` of each listed column of ``data``, each column
+    sorted once."""
     _check_components(data.shape[1], columns)
-    orders = {j: _column_order(data[:, j]) for j in columns}
-
-    @functools.cache
-    def ranks(j: int, start: int, stop: int) -> np.ndarray:
-        return _ordinal_ranks(data[:, j], orders[j], start, stop)
-
-    return ranks
+    return {j: _order_ranks(_column_order(data[:, j])) for j in columns}
 
 
 def _check_components(d: int, components) -> None:
@@ -293,11 +308,15 @@ def check_tail_dep_parameters(n: int, d: int, pairs, r_list, t: float, k: int | 
         _check_k(m, k)
 
 
-def _lagged_ranks(data: np.ndarray, ranks, j: int, jp: int, r: int):
-    """Ranks of ``X_j`` over ``[0, n-r)`` and of ``X_j'`` over ``[r, n)``."""
+def _lagged_ranks(data: np.ndarray, ranks: dict, j: int, jp: int, r: int):
+    """Ranks of ``X_j`` over ``[0, n-r)`` and of ``X_j'`` over ``[r, n)``,
+    from the `_column_ranks` ``ranks``."""
     n = data.shape[0]
     m = _check_lag(n, r)
-    return ranks(j, 0, m), ranks(jp, r, n)
+    return (
+        _ordinal_ranks(data[:, j], ranks[j], 0, m),
+        _ordinal_ranks(data[:, jp], ranks[jp], r, n),
+    )
 
 
 def _rank_tdc(head: np.ndarray, tail: np.ndarray, t: float) -> float:
@@ -315,10 +334,17 @@ def _rank_tdc(head: np.ndarray, tail: np.ndarray, t: float) -> float:
 def _rank_eta(head: np.ndarray, tail: np.ndarray, k: int | None) -> float:
     m = head.size
     k = _check_k(m, k)
-    u_head = head / (m + 1.0)
-    u_tail = tail / (m + 1.0)
-    t_var = np.minimum(1.0 / (1.0 - u_head), 1.0 / (1.0 - u_tail))
-    t_sorted = _top_order_statistics(t_var, k)
+    # T = min(1/(1 - head/(m+1)), 1/(1 - tail/(m+1))) in one buffer: each
+    # rounded step is nondecreasing, so taking the min of the ranks first
+    # gives the same bits, a nan included
+    t_var = np.minimum(head, tail)
+    np.divide(t_var, m + 1.0, out=t_var)
+    np.subtract(1.0, t_var, out=t_var)
+    np.divide(1.0, t_var, out=t_var)
+    # the top k + 1 order statistics, as `_top_order_statistics` takes
+    # them, but partitioned in the buffer itself
+    t_var.partition(-k - 1)
+    t_sorted = np.sort(t_var[-k - 1 :])
     pivot, top = t_sorted[0], t_sorted[1:]
     eta = float(np.mean(np.log(top)) - math.log(pivot))
     # a nan path entry makes eta nan, which is refused as a 0 is
@@ -344,7 +370,7 @@ def empirical_tdc(path, j: int, jp: int, r: int, t: float) -> float:
     ``t * (n-r) >= 10`` so the tail counts are meaningful.
     """
     data = _path_data(path)
-    return _rank_tdc(*_lagged_ranks(data, _column_orders(data, {j, jp}), j, jp, r), t)
+    return _rank_tdc(*_lagged_ranks(data, _column_ranks(data, {j, jp}), j, jp, r), t)
 
 
 def empirical_eta(path, j: int, jp: int, r: int, k: int | None = None) -> float:
@@ -359,7 +385,7 @@ def empirical_eta(path, j: int, jp: int, r: int, k: int | None = None) -> float:
     column makes it nan, raises `UndefinedResultError`.
     """
     data = _path_data(path)
-    return _rank_eta(*_lagged_ranks(data, _column_orders(data, {j, jp}), j, jp, r), k)
+    return _rank_eta(*_lagged_ranks(data, _column_ranks(data, {j, jp}), j, jp, r), k)
 
 
 def empirical_cells(path, cells, t: float, k: int | None = None) -> list:
@@ -368,25 +394,23 @@ def empirical_cells(path, cells, t: float, k: int | None = None) -> list:
     Returns, per cell in the order given, ``(lam, eta)`` or the
     `UndefinedResultError` that cell raised; a column index outside
     ``[0, d)``, a bad lag, ``t`` or ``k`` raises its ``ValueError``.
-    Each column is sorted once and each (column, window) ranked once.
-    Cells are taken lag by lag and a lag's windows are dropped after it,
-    so one lag's ranks are held at a time.
+    Each column is sorted once; a cell derives its two lagged windows'
+    ranks from the column ranks (see `_ordinal_ranks`), so besides the
+    path the cells hold the column ranks and one cell's windows.
     """
     data = _path_data(path)
     cells = list(cells)
-    ranks = _column_orders(data, {col for j, jp, _ in cells for col in (j, jp)})
-    out: list = [None] * len(cells)
-    for lag in dict.fromkeys(r for _, _, r in cells):
-        for i, (j, jp, r) in enumerate(cells):
-            if r != lag:
-                continue
-            head, tail = _lagged_ranks(data, ranks, j, jp, r)
-            try:
-                out[i] = _rank_tdc(head, tail, t), _rank_eta(head, tail, k)
-            except UndefinedResultError as exc:
-                out[i] = exc
-        ranks.cache_clear()
-    return out
+    ranks = _column_ranks(data, dict.fromkeys(col for j, jp, _ in cells for col in (j, jp)))
+    return [_rank_cell(*_lagged_ranks(data, ranks, j, jp, r), t, k) for j, jp, r in cells]
+
+
+def _rank_cell(head: np.ndarray, tail: np.ndarray, t: float, k: int | None):
+    """``(lam, eta)`` of one cell's window ranks, or the
+    `UndefinedResultError` it raises; the windows are freed on return."""
+    try:
+        return _rank_tdc(head, tail, t), _rank_eta(head, tail, k)
+    except UndefinedResultError as exc:
+        return exc
 
 
 def eta_bounds_within_series(margin: MarginSpec, c: float, r: int) -> tuple[float, float]:

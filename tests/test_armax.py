@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -517,6 +518,21 @@ def test_simulated_path_is_the_recursion_exactly(monkeypatch, margin):
     decayed = c * np.vstack((seen["x0"], x[:-1]))
     assert np.array_equal(_bits(x), _bits(np.where(y > decayed, y, decayed)))
     assert np.all(path.data[1:] >= c * path.data[:-1])
+
+
+def test_simulate_path_draws_without_path_sized_temporaries():
+    # the Gumbel uniforms go into the innovation buffer in row blocks:
+    # besides the innovations and the path, the draw holds its angles
+    # and frailty exponentials whole and a few blocks of temporaries
+    cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
+    simulate_path(cfg, 100, 1)
+    tracemalloc.start()
+    try:
+        path = simulate_path(cfg, 200_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.data.nbytes
 
 
 def test_determinism_and_seed_separation():

@@ -12,6 +12,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,6 +172,32 @@ def test_simulate_csv_bytes_pinned(tmp_path, capsys):
     )
 
 
+D3_MIXED = {
+    "d": 3,
+    "c": [0.5, 0.7, 0.9],
+    "margins": [{"kind": "frechet", "alpha": 1.0}, {"kind": "frechet", "alpha": 2.0},
+                {"kind": "exponential", "rate": 1.0}],
+    "copula": {"kind": "gumbel", "gamma": 2.0},
+}
+
+
+def test_simulate_csv_bytes_pinned_across_row_blocks(tmp_path, capsys):
+    # 30 000 rows written and 31 000 drawn (with the burn-in) span three
+    # blocks of 8192 rows and a ragged tail in the Gumbel draw and in the
+    # path writer; sha256 of the CSV written when both took the path whole
+    out = tmp_path / "pin.csv"
+    cfg = write_config(
+        tmp_path,
+        "sim.json",
+        {"command": "simulate", "process": D3_MIXED, "n": 30_000, "seed": 7,
+         "output_path": str(out)},
+    )
+    assert run_main(capsys, "simulate", "--config", cfg).returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ec64ecf0cc87f94be3df13549dbd58031206527e4f9bd3cc7c1f4087db62892b"
+    )
+
+
 @pytest.mark.parametrize("gamma", [1.0000001, 1e6])
 def test_simulate_gumbel_near_one_and_at_large_gamma(tmp_path, gamma):
     # the frailty sampler once wrote nan paths near gamma = 1 and paths
@@ -196,7 +223,7 @@ def test_simulate_gumbel_near_one_and_at_large_gamma(tmp_path, gamma):
 def test_path_writer_chunks_render_like_fmt(tmp_path, monkeypatch):
     # a chunk size that splits the rows unevenly, and the float values
     # whose text is easiest to get wrong
-    monkeypatch.setattr(cli, "_PATH_CHUNK_ROWS", 3)
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
     data = np.array(
         [
             [math.nan, math.inf],
@@ -214,6 +241,21 @@ def test_path_writer_chunks_render_like_fmt(tmp_path, monkeypatch):
     cli._write_path_csv(str(written), data)
     assert written.read_bytes() == expected.read_bytes()
     assert "nan,inf" in expected.read_text() and "-inf,-0\n" in expected.read_text()
+
+
+def test_path_writer_peak_does_not_grow_with_the_path(tmp_path):
+    # the writer holds one block of rows as Python floats and text at a
+    # time, so a path of four blocks peaks no higher than a path of one
+    peaks = []
+    for n in (cli._ROW_BLOCK, 4 * cli._ROW_BLOCK + 1):
+        data = np.random.default_rng(0).random((n, 1))
+        tracemalloc.start()
+        try:
+            cli._write_path_csv(str(tmp_path / "path.csv"), data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 # nan, infinities, signed zeros, subnormals and values near 1e+-300,
@@ -244,7 +286,7 @@ def test_path_writer_matches_the_fmt_writer(tmp_path_factory, data):
     )
     written = folder / "written.csv"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_PATH_CHUNK_ROWS", chunk)
+        mp.setattr(cli, "_ROW_BLOCK", chunk)
         cli._write_path_csv(str(written), path)
     assert written.read_bytes() == expected.read_bytes()
 
@@ -713,23 +755,24 @@ def test_tail_dep_csv_bytes_pinned(tmp_path, capsys):
     )
 
 
-def test_tail_dep_ranks_each_window_once(tmp_path, monkeypatch):
-    windows = []
-    ordinal_ranks = taildep._ordinal_ranks
+def test_tail_dep_sorts_each_column_once(tmp_path, monkeypatch):
+    sorted_columns = []
+    column_order = taildep._column_order
 
-    def counting(x, order, start, stop):
-        windows.append((start, stop))
-        return ordinal_ranks(x, order, start, stop)
+    def counting(x):
+        sorted_columns.append(x)
+        return column_order(x)
 
-    monkeypatch.setattr(taildep, "_ordinal_ranks", counting)
+    monkeypatch.setattr(taildep, "_column_order", counting)
     config = cli.resolve_run_config(cli.run_config_from_dict(
         {"command": "tail_dep", "process": D2_UNEQUAL, "n": 4000, "seed": 7,
          "output_path": str(tmp_path / "tdc.csv")}
     ))
     assert cli.run(config) == 0
-    # 12 default cells read 10 distinct (column, window) rank vectors:
-    # the two full columns at lag 0, then two heads and two tails per lag
-    assert len(windows) == 10
+    # the 12 default cells derive all 20 of their windows' ranks from
+    # one sort of each of the two columns
+    assert len(sorted_columns) == 2
+    assert not np.shares_memory(sorted_columns[0], sorted_columns[1])
 
 
 def test_tail_dep_flags_undefined_cells_in_row_order(tmp_path, monkeypatch, capsys):

@@ -263,6 +263,36 @@ def test_gumbel_sample_keeps_the_direct_form_where_it_is_finite(gamma):
     assert np.isfinite(s).all()
 
 
+def test_gumbel_sample_keeps_the_whole_draw_bits_with_fallback_rows_in_later_blocks():
+    # 30 000 rows span several row blocks of the draw; at gamma = 100
+    # the direct form fails on a few rows spread over all of them, which
+    # take the log-space form; every row has the bits of the whole-array
+    # computation
+    n, gamma = 30_000, 100.0
+    rng = np.random.default_rng(6)
+    alpha = 1.0 / gamma
+    v = rng.random(n) * math.pi
+    w = rng.exponential(size=n)
+    e = rng.exponential(size=(n, 3))
+    ratio = alpha / (1.0 - alpha)
+    with np.errstate(all="ignore"):
+        a = (np.sin(alpha * v) ** ratio) * np.sin((1.0 - alpha) * v) / np.sin(v) ** (1.0 + ratio)
+        q = e / ((a / w) ** (1.0 / ratio))[:, None]
+        expected = np.exp(-(q**alpha))
+        bad = ~((q > 0.0) & (q < math.inf)).all(axis=1)
+        log_a = (
+            ratio * np.log(np.sin(alpha * v[bad]))
+            + np.log(np.sin((1.0 - alpha) * v[bad]))
+            - (1.0 + ratio) * np.log(np.sin(v[bad]))
+        )
+        log_s = (log_a - np.log(w[bad])) / ratio
+        expected[bad] = np.exp(-np.exp(alpha * (np.log(e[bad]) - log_s[:, None])))
+    rows = np.flatnonzero(bad)
+    assert 0 < rows.size < 100 and rows[0] < n // 4 and rows[-1] > n - n // 8
+    s = copula_sample(CopulaSpec.gumbel(gamma), 3, np.random.default_rng(6), size=n)
+    assert s.tobytes() == np.clip(expected, 1e-300, 1.0 - 1e-16).tobytes()
+
+
 class _ZeroAngles:
     """A generator whose uniforms are all 0: the frailty angle is then 0
     and ``S`` is nan in both the direct and the log form."""

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armax_extremes import armax
+from armax_extremes import armax, taildep
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec
 from armax_extremes.errors import NumericLimitError, UndefinedResultError
@@ -17,6 +18,7 @@ from armax_extremes.taildep import (
     DEFAULT_T_GRID,
     REGIME_BAND,
     _column_order,
+    _order_ranks,
     _ordinal_ranks,
     check_tail_dep_parameters,
     classify_tail_regime,
@@ -328,20 +330,20 @@ def test_ordinal_ranks_match_rankdata():
     x = rng.integers(0, 20, 500).astype(float)  # heavy ties
     x[::37] = -0.0  # ties with 0.0
     n = x.size
-    order = np.argsort(x, kind="stable")
-    assert np.array_equal(_ordinal_ranks(x, order), rankdata(x, method="ordinal"))
-    # every lagged window is ranked from the one order of the column
+    ranks = _order_ranks(np.argsort(x, kind="stable"))
+    assert np.array_equal(_ordinal_ranks(x, ranks), rankdata(x, method="ordinal"))
+    # every lagged window is ranked from the one sort of the column
     for r in (0, 1, 7, 250, 498):
-        head = _ordinal_ranks(x, order, 0, n - r)
-        tail = _ordinal_ranks(x, order, r, n)
+        head = _ordinal_ranks(x, ranks, 0, n - r)
+        tail = _ordinal_ranks(x, ranks, r, n)
         assert np.array_equal(head, rankdata(x[: n - r], method="ordinal"))
         assert np.array_equal(tail, rankdata(x[r:], method="ordinal"))
     # a window holding a nan is all nan, as rankdata propagates it
     x[10] = math.nan
-    order = np.argsort(x, kind="stable")
-    assert np.isnan(_ordinal_ranks(x, order, 0, 100)).all()
+    ranks = _order_ranks(np.argsort(x, kind="stable"))
+    assert np.isnan(_ordinal_ranks(x, ranks, 0, 100)).all()
     assert np.isnan(rankdata(x[:100], method="ordinal")).all()
-    assert np.array_equal(_ordinal_ranks(x, order, 11, n), rankdata(x[11:], method="ordinal"))
+    assert np.array_equal(_ordinal_ranks(x, ranks, 11, n), rankdata(x[11:], method="ordinal"))
 
 
 _TIES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0]
@@ -365,14 +367,54 @@ def _columns(draw):
 def test_column_order_ranks_like_the_stable_sort(values, data):
     x = np.array(values)
     n = x.size
-    order = _column_order(x)
-    stable = np.argsort(x, kind="stable")
+    ranks = _order_ranks(_column_order(x))
+    stable = _order_ranks(np.argsort(x, kind="stable"))
     windows = data.draw(
         st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), min_size=1, max_size=5)
     )
     for start, stop in [(0, n), *(sorted(w) for w in windows)]:
-        ranks = _ordinal_ranks(x, order, start, stop)
-        assert ranks.tobytes() == _ordinal_ranks(x, stable, start, stop).tobytes()
+        window = _ordinal_ranks(x, ranks, start, stop)
+        assert window.tobytes() == _ordinal_ranks(x, stable, start, stop).tobytes()
+
+
+@settings(max_examples=200, database=None)
+@given(_columns(), st.integers(1, 9), st.data())
+def test_ranks_in_small_row_blocks_match_rankdata(values, block, data):
+    from scipy.stats import rankdata
+
+    x = np.array(values)
+    n = x.size
+    windows = data.draw(
+        st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), min_size=1, max_size=5)
+    )
+    ordered = np.sort(x)
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of a few rows put ties and window edges across blocks
+        mp.setattr(taildep, "_ROW_BLOCK", block)
+        order = _column_order(x)
+        if np.any(ordered[1:] == ordered[:-1]):
+            assert np.array_equal(order, np.argsort(x, kind="stable"))
+        ranks = _order_ranks(order)
+        for start, stop in [(0, n), *(sorted(w) for w in windows)]:
+            got = _ordinal_ranks(x, ranks, start, stop)
+            expected = rankdata(x[start:stop], method="ordinal")
+            assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_empirical_cells_hold_the_column_ranks_and_one_cells_windows():
+    # besides the path: each column's ranks, one cell's two lagged
+    # windows and its structure variable
+    cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
+    data = simulate_path(cfg, 100_000, 3).data
+    cells = [(j, jp, r) for j in range(2) for jp in range(2) for r in (0, 1, 2)]
+    tracemalloc.start()
+    try:
+        out = empirical_cells(data, cells, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 12
+    assert peak < 3 * data.nbytes
 
 
 def test_empirical_cell_matches_public_estimators():
