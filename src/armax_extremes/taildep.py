@@ -237,14 +237,14 @@ def _ordinal_ranks(x: np.ndarray, ranks: np.ndarray, start: int = 0, stop: int |
 
 
 def _column_order(x: np.ndarray) -> np.ndarray:
-    """An order of ``x`` whose `_order_ranks` `_ordinal_ranks` reads as
-    it reads those of ``np.argsort(x, kind="stable")``.  numpy's faster
-    default sort is kept when no two values of ``x`` are equal (``-0.0
-    == 0.0`` counts): the ascending order is then unique but for the
-    nans, which both sorts put last and which no window without a nan
-    ranks below its own rows.  A column with ties is sorted again by the
-    stable sort.  The check for ties reads the sorted column in row
-    blocks."""
+    """An order of ``x`` whose ranks (`_order_ranks`) give every window
+    the `_ordinal_ranks` that ``np.argsort(x, kind="stable")`` gives it.
+    numpy's faster default sort is kept when no two values of ``x`` are
+    equal (``-0.0 == 0.0`` counts): the ascending order is then unique
+    but for the nans, which both sorts put last and which no window
+    without a nan ranks below its own rows.  A column with ties is
+    sorted again by the stable sort.  The check for ties reads the
+    sorted column in row blocks."""
     order = np.argsort(x)
     for start in range(0, x.size - 1, _ROW_BLOCK):
         # one row of overlap, so a tie across two blocks is seen
