@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -366,6 +365,9 @@ def _half_width(c: float, sigma2: float, n: int, convention: str, level: float) 
             f"variance series is negative at c_hat={c!r}; "
             "no confidence interval can be formed"
         )
+    # imported here, as `statistics` adds about 6 ms to a cold start
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf(0.5 * (1.0 + level)) * math.sqrt(variance / n)
 
 

@@ -26,7 +26,7 @@ from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import NumericLimitError, UndefinedResultError
 from .errors import _check_coefficients, _check_open_unit, _check_top_k
 from .margins import DomainTag, attraction_domain
-from .taildep import _column_order, _order_ranks, _ordinal_ranks
+from .taildep import _top_rows
 
 __all__ = [
     "ExtremalIndexResult",
@@ -214,9 +214,10 @@ def empirical_mv_extremal_index(
     ``x_j = tau_j * c_j**alpha_j`` on the Frechet-domain components only
     (numerator).  ``k`` defaults to ``ceil(sqrt(n))``.  The ratio is
     clamped to ``[0, 1]``.  A ``(d,)`` direction ``tau`` gives a float;
-    an ``(m, d)`` grid gives an ``(m,)`` array, ranking each column once
-    for the whole grid.  Raises `UndefinedResultError` when no
-    observation exceeds the levels of some direction.
+    an ``(m, d)`` grid gives an ``(m,)`` array, partitioning each column
+    once for the whole grid.  Ties rank in order of position, and a
+    column holding a nan exceeds no level.  Raises `UndefinedResultError`
+    when no observation exceeds the levels of some direction.
     """
     data = np.asarray(getattr(path, "data", path), dtype=float)
     if data.ndim != 2:
@@ -231,20 +232,28 @@ def empirical_mv_extremal_index(
     if not index_set:
         theta = np.ones(levels.shape[:-2])
     else:
-        # one row of ranks per column: the union over columns is then an
-        # OR of contiguous rows, not a reduction along a short axis; a
-        # column holding a nan is all nan, as `_ordinal_ranks` makes it
-        ranks = np.empty((d, n))
+        # component j exceeds level x_j when its rank is above n - k x_j,
+        # that is above q_j = floor(n - k x_j): every row when q_j = 0,
+        # none when q_j = n, as at the numerator's 0 off the index set
+        q = np.floor(np.clip(n - k * levels.reshape(-1, d), 0, n)).astype(np.intp)
+        # the value of rank q_j, from one partition of each column for the
+        # whole grid; -inf where every row exceeds
+        value = np.full(q.shape, -math.inf)
         for j in range(d):
-            _order_ranks(_column_order(data[:, j]), out=ranks[j])
-            ranks[j] = _ordinal_ranks(data[:, j], ranks[j])
-        # numerator levels are 0 off the index set, and no rank exceeds n
-        counts = np.array(
-            [
-                np.count_nonzero((ranks > (n - k * x)[:, None]).any(axis=0))
-                for x in levels.reshape(-1, d)
-            ]
-        ).reshape(levels.shape[:-1])
+            inner = (q[:, j] > 0) & (q[:, j] < n)
+            if math.isnan(data[:, j].max()):
+                # a column holding a nan ranks every row nan: none exceeds
+                q[:, j] = n
+            elif inner.any():
+                kth = q[inner, j] - 1
+                value[inner, j] = np.partition(data[:, j], kth)[kth]
+        counts = np.empty(len(q), dtype=np.intp)
+        for i, (q_i, value_i) in enumerate(zip(q, value)):
+            exceeds = np.zeros(n, dtype=bool)
+            for j in np.flatnonzero(q_i < n):
+                exceeds |= _top_rows(data[:, j], value_i[j], n - q_i[j])
+            counts[i] = np.count_nonzero(exceeds)
+        counts = counts.reshape(levels.shape[:-1])
         denominator, numerator = counts[..., 0], counts[..., 1]
         if np.any(denominator == 0):
             raise UndefinedResultError("no observation exceeds the tau levels")

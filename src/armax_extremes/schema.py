@@ -8,7 +8,6 @@ digests of equal configurations byte-identical across runs and platforms.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -151,4 +150,8 @@ def canonical_json(data: Any) -> str:
 
 def config_digest(data: Any) -> str:
     """Hex SHA-256 of the canonical JSON form of ``data``."""
+    # imported here: `hashlib` loads OpenSSL, about 3.5 MB resident that a
+    # process computing no digest need not hold
+    import hashlib
+
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .armax import (
     stationary_marginal_logcdf,
     stationary_marginal_quantile,
 )
-from .copulas import _ROW_BLOCK
 from .errors import NumericLimitError, UndefinedResultError, _check_open_unit
 from .margins import MarginSpec, attraction_domain, right_endpoint
 
@@ -196,69 +196,93 @@ def tdc_bounds(c_jp: float, alpha_jp: float, r: int) -> tuple[float, float]:
     return (0.0, c_jp ** (alpha_jp * r))
 
 
-def _order_ranks(order: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The ranks ``1..n`` as floats that ``order``, a permutation of the
-    rows, gives them: ``out[order[i]] = i + 1``, written in blocks of
-    `_ROW_BLOCK` rows."""
-    if out is None:
-        out = np.empty(order.size)
-    for start in range(0, order.size, _ROW_BLOCK):
-        block = order[start : start + _ROW_BLOCK]
-        out[block] = np.arange(start + 1.0, start + block.size + 1.0)
-    return out
+class _Window(NamedTuple):
+    """A column less a set of left-out rows, ranked ordinally.
 
-
-def _ordinal_ranks(x: np.ndarray, ranks: np.ndarray, start: int = 0, stop: int | None = None):
-    """Ordinal ranks ``1..m`` of the window ``x[start:stop]`` as floats.
-
-    ``ranks`` is `_order_ranks` of `_column_order` of the whole column,
-    which sorts equal values by position.  A row's rank in the window
-    is its column rank less the number of rows outside the window
-    ranked below it, so the result equals
-    ``scipy.stats.rankdata(x[start:stop], method="ordinal")``: ties take
-    ranks in order of position, and a window holding a nan is all nan.
-    The full column is its own window and is returned as ``ranks``; a
-    lagged window leaves out a few rows, whose sorted ranks each row of
-    the window is searched in, block by block.
+    ``values`` are the window's rows in row order, ``left_out`` the
+    sorted values of the rows left out (a prefix, a suffix or a middle
+    block) and ``column`` the whole column sorted (`np.sort`, nans
+    last).  A row's rank is its place in the window's stable order:
+    equal values (``-0.0 == 0.0`` included) rank in order of position,
+    as ``scipy.stats.rankdata(method="ordinal")`` ranks them, and a
+    window holding a nan ranks every row nan.  No rank is stored: the
+    estimators count the rows whose rank passes a threshold, and a
+    threshold is an order statistic of ``column``.
     """
-    stop = len(x) if stop is None else stop
-    window = ranks[start:stop]
-    # max carries a nan through; `initial` passes an empty window
-    if math.isnan(x[start:stop].max(initial=-math.inf)):
-        return np.full(window.size, math.nan)
-    left_out = np.sort(np.concatenate((ranks[:start], ranks[stop:])))
-    if not left_out.size:
-        return window
-    out = np.empty(window.size)
-    for i in range(0, window.size, _ROW_BLOCK):
-        block = window[i : i + _ROW_BLOCK]
-        np.subtract(block, np.searchsorted(left_out, block), out=out[i : i + _ROW_BLOCK])
-    return out
+
+    values: np.ndarray
+    left_out: np.ndarray
+    column: np.ndarray
 
 
-def _column_order(x: np.ndarray) -> np.ndarray:
-    """An order of ``x`` whose ranks (`_order_ranks`) give every window
-    the `_ordinal_ranks` that ``np.argsort(x, kind="stable")`` gives it.
-    numpy's faster default sort is kept when no two values of ``x`` are
-    equal (``-0.0 == 0.0`` counts): the ascending order is then unique
-    but for the nans, which both sorts put last and which no window
-    without a nan ranks below its own rows.  A column with ties is
-    sorted again by the stable sort.  The check for ties reads the
-    sorted column in row blocks."""
-    order = np.argsort(x)
-    for start in range(0, x.size - 1, _ROW_BLOCK):
-        # one row of overlap, so a tie across two blocks is seen
-        ordered = x[order[start : start + _ROW_BLOCK + 1]]
-        if np.any(ordered[1:] == ordered[:-1]):
-            return np.argsort(x, kind="stable")
-    return order
+def _window(x: np.ndarray, column: np.ndarray, start: int, stop: int) -> _Window:
+    """The window ``x[start:stop]`` of the column ``x``, sorted as ``column``."""
+    return _Window(x[start:stop], np.sort(np.concatenate((x[:start], x[stop:]))), column)
 
 
-def _column_ranks(data: np.ndarray, columns) -> dict:
-    """The `_order_ranks` of each listed column of ``data``, each column
-    sorted once."""
+def _has_nan(window: _Window) -> bool:
+    """Whether the window holds a nan: the column holds more nans than
+    its left-out rows (`np.sort` and `np.searchsorted` both put nan last)."""
+    column, left_out = window.column, window.left_out
+    column_nans = column.size - np.searchsorted(column, math.nan)
+    return column_nans > left_out.size - np.searchsorted(left_out, math.nan)
+
+
+def _order_statistic(column: np.ndarray, left_out: np.ndarray, q: int) -> float:
+    """The ``q``-th smallest value (``q >= 1``) of the sorted ``column``
+    less the sorted values ``left_out``.
+
+    It is the column's ``q``-th value shifted past the left-out values
+    ranked below it: a left-out value ``v`` has
+    ``searchsorted(column, v) - searchsorted(left_out, v)`` kept values
+    below it, and each left-out value with fewer than ``q`` kept values
+    below it moves the place in ``column`` up by one.
+    """
+    below = np.searchsorted(column, left_out) - np.searchsorted(left_out, left_out)
+    return column[q - 1 + np.searchsorted(below, q)]
+
+
+def _top_rows(values: np.ndarray, v: float, count: int) -> np.ndarray:
+    """Mask of the ``count`` rows of the nan-free ``values`` ranked
+    highest, where ``v`` is the value of rank ``values.size - count``:
+    every row above ``v``, and the last rows equal to it, as ties rank
+    in order of position."""
+    mask = values > v
+    ties = count - np.count_nonzero(mask)
+    if ties:
+        equal = np.flatnonzero(values == v)
+        mask[equal[equal.size - ties :]] = True
+    return mask
+
+
+def _top(window: _Window, count: int) -> np.ndarray:
+    """Mask of the window's rows ranked above ``m - count``; none when
+    the window holds a nan, as no nan rank passes a threshold."""
+    m = window.values.size
+    if count <= 0 or _has_nan(window):
+        return np.zeros(m, dtype=bool)
+    if count >= m:
+        return np.ones(m, dtype=bool)
+    v = _order_statistic(window.column, window.left_out, m - count)
+    return _top_rows(window.values, v, count)
+
+
+def _top_ranks(window: _Window, above: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The ranks, as floats, of the window rows ``rows``, all among the
+    ascending rows ``above`` that hold the window's highest ranks: those
+    are the ranks above ``m - above.size``, in their stable order."""
+    m = window.values.size
+    ranks = np.empty(above.size)
+    ranks[np.argsort(window.values[above], kind="stable")] = np.arange(
+        m - above.size + 1.0, m + 1.0
+    )
+    return ranks[np.searchsorted(above, rows)]
+
+
+def _sorted_columns(data: np.ndarray, columns) -> dict:
+    """Each listed column of ``data`` sorted, one `np.sort` copy each."""
     _check_components(data.shape[1], columns)
-    return {j: _order_ranks(_column_order(data[:, j])) for j in columns}
+    return {j: np.sort(data[:, j]) for j in columns}
 
 
 def _check_components(d: int, components) -> None:
@@ -308,36 +332,53 @@ def check_tail_dep_parameters(n: int, d: int, pairs, r_list, t: float, k: int | 
         _check_k(m, k)
 
 
-def _lagged_ranks(data: np.ndarray, ranks: dict, j: int, jp: int, r: int):
-    """Ranks of ``X_j`` over ``[0, n-r)`` and of ``X_j'`` over ``[r, n)``,
-    from the `_column_ranks` ``ranks``."""
+def _lagged_windows(data: np.ndarray, columns: dict, j: int, jp: int, r: int):
+    """The windows of ``X_j`` over ``[0, n-r)`` and of ``X_j'`` over
+    ``[r, n)``, from the `_sorted_columns` ``columns``."""
     n = data.shape[0]
     m = _check_lag(n, r)
-    return (
-        _ordinal_ranks(data[:, j], ranks[j], 0, m),
-        _ordinal_ranks(data[:, jp], ranks[jp], r, n),
-    )
+    return _window(data[:, j], columns[j], 0, m), _window(data[:, jp], columns[jp], r, n)
 
 
-def _rank_tdc(head: np.ndarray, tail: np.ndarray, t: float) -> float:
-    m = head.size
+def _rank_tdc(head: _Window, tail: _Window, t: float) -> float:
+    m = head.values.size
     _check_t(m, t)
-    cutoff = (1.0 - t) * m
-    head_exceeds = head > cutoff
+    # ranks are integers, so those above (1 - t) m are those above its floor
+    count = m - math.floor((1.0 - t) * m)
+    head_exceeds = _top(head, count)
     denom = int(np.count_nonzero(head_exceeds))
     if denom == 0:
         raise UndefinedResultError("empty conditioning set")
-    num = int(np.count_nonzero(head_exceeds & (tail > cutoff)))
-    return num / denom
+    head_exceeds &= _top(tail, count)
+    return int(np.count_nonzero(head_exceeds)) / denom
 
 
-def _rank_eta(head: np.ndarray, tail: np.ndarray, k: int | None) -> float:
-    m = head.size
+def _rank_eta(head: _Window, tail: _Window, k: int | None) -> float:
+    m = head.values.size
     k = _check_k(m, k)
+    # a nan ranks its whole window nan, and the Hill slope with it
+    if _has_nan(head) or _has_nan(tail):
+        raise UndefinedResultError("degenerate structure-variable sample")
+    # T grows with the smaller of a row's two ranks, so its top k + 1
+    # values lie among the rows whose two ranks both exceed m - count
+    # once there are k + 1 of them; at count = m every row is one
+    count = k + 1
+    while True:
+        head_above = np.flatnonzero(_top(head, count))
+        tail_above = np.flatnonzero(_top(tail, count))
+        rows = np.intersect1d(head_above, tail_above, assume_unique=True)
+        if rows.size > k:
+            break
+        # the pairs grow about linearly in count where the windows are
+        # tail dependent, and as its square where they are independent:
+        # aim a quarter past the linear guess, but at most 4 times further
+        count = min(m, 4 * count, math.ceil(1.25 * count * (k + 1) / max(rows.size, 1)))
+    head_ranks = _top_ranks(head, head_above, rows)
+    tail_ranks = _top_ranks(tail, tail_above, rows)
     # T = min(1/(1 - head/(m+1)), 1/(1 - tail/(m+1))) in one buffer: each
     # rounded step is nondecreasing, so taking the min of the ranks first
-    # gives the same bits, a nan included
-    t_var = np.minimum(head, tail)
+    # gives the same bits
+    t_var = np.minimum(head_ranks, tail_ranks)
     np.divide(t_var, m + 1.0, out=t_var)
     np.subtract(1.0, t_var, out=t_var)
     np.divide(1.0, t_var, out=t_var)
@@ -347,7 +388,6 @@ def _rank_eta(head: np.ndarray, tail: np.ndarray, k: int | None) -> float:
     t_sorted = np.sort(t_var[-k - 1 :])
     pivot, top = t_sorted[0], t_sorted[1:]
     eta = float(np.mean(np.log(top)) - math.log(pivot))
-    # a nan path entry makes eta nan, which is refused as a 0 is
     if not eta > 0.0:
         raise UndefinedResultError("degenerate structure-variable sample")
     return min(eta, 1.0)
@@ -370,7 +410,7 @@ def empirical_tdc(path, j: int, jp: int, r: int, t: float) -> float:
     ``t * (n-r) >= 10`` so the tail counts are meaningful.
     """
     data = _path_data(path)
-    return _rank_tdc(*_lagged_ranks(data, _column_ranks(data, {j, jp}), j, jp, r), t)
+    return _rank_tdc(*_lagged_windows(data, _sorted_columns(data, {j, jp}), j, jp, r), t)
 
 
 def empirical_eta(path, j: int, jp: int, r: int, k: int | None = None) -> float:
@@ -385,7 +425,7 @@ def empirical_eta(path, j: int, jp: int, r: int, k: int | None = None) -> float:
     column makes it nan, raises `UndefinedResultError`.
     """
     data = _path_data(path)
-    return _rank_eta(*_lagged_ranks(data, _column_ranks(data, {j, jp}), j, jp, r), k)
+    return _rank_eta(*_lagged_windows(data, _sorted_columns(data, {j, jp}), j, jp, r), k)
 
 
 def empirical_cells(path, cells, t: float, k: int | None = None) -> list:
@@ -394,19 +434,20 @@ def empirical_cells(path, cells, t: float, k: int | None = None) -> list:
     Returns, per cell in the order given, ``(lam, eta)`` or the
     `UndefinedResultError` that cell raised; a column index outside
     ``[0, d)``, a bad lag, ``t`` or ``k`` raises its ``ValueError``.
-    Each column is sorted once; a cell derives its two lagged windows'
-    ranks from the column ranks (see `_ordinal_ranks`), so besides the
-    path the cells hold the column ranks and one cell's windows.
+    Each column is sorted once; a cell counts the rows of its two
+    lagged windows whose ranks pass a threshold, read off the sorted
+    column (see `_Window`), so besides the path the cells hold the
+    sorted columns and one cell's boolean row masks.
     """
     data = _path_data(path)
     cells = list(cells)
-    ranks = _column_ranks(data, dict.fromkeys(col for j, jp, _ in cells for col in (j, jp)))
-    return [_rank_cell(*_lagged_ranks(data, ranks, j, jp, r), t, k) for j, jp, r in cells]
+    columns = _sorted_columns(data, dict.fromkeys(col for j, jp, _ in cells for col in (j, jp)))
+    return [_rank_cell(*_lagged_windows(data, columns, j, jp, r), t, k) for j, jp, r in cells]
 
 
-def _rank_cell(head: np.ndarray, tail: np.ndarray, t: float, k: int | None):
-    """``(lam, eta)`` of one cell's window ranks, or the
-    `UndefinedResultError` it raises; the windows are freed on return."""
+def _rank_cell(head: _Window, tail: _Window, t: float, k: int | None):
+    """``(lam, eta)`` of one cell's windows, or the
+    `UndefinedResultError` it raises; the masks are freed on return."""
     try:
         return _rank_tdc(head, tail, t), _rank_eta(head, tail, k)
     except UndefinedResultError as exc:

@@ -291,9 +291,11 @@ def test_path_writer_matches_the_fmt_writer(tmp_path_factory, data):
     assert written.read_bytes() == expected.read_bytes()
 
 
-@pytest.mark.parametrize("package", ["scipy", "concurrent.futures"])
+@pytest.mark.parametrize("package", ["scipy", "concurrent.futures", "_hashlib", "statistics"])
 def test_cli_import_leaves_scipy_unloaded(package):
-    # montecarlo imports concurrent.futures only when it asks for a pool
+    # montecarlo imports concurrent.futures only when it asks for a pool;
+    # `config_digest` imports hashlib (OpenSSL's `_hashlib`, about 3.5 MB
+    # resident) and the estimate interval `statistics` when they run
     proc = subprocess.run(
         [
             sys.executable,
@@ -756,23 +758,25 @@ def test_tail_dep_csv_bytes_pinned(tmp_path, capsys):
 
 
 def test_tail_dep_sorts_each_column_once(tmp_path, monkeypatch):
-    sorted_columns = []
-    column_order = taildep._column_order
+    # the 12 default cells read all 20 of their windows' thresholds off
+    # one sorted copy of each of the two columns, and no whole window or
+    # column is ranked by an argsort
+    n = 4000
+    calls = []
+    for name in ("sort", "argsort"):
+        def counting(a, *args, _name=name, _func=getattr(np, name), **kwargs):
+            if np.size(a) >= n - 2:
+                calls.append((_name, a))
+            return _func(a, *args, **kwargs)
 
-    def counting(x):
-        sorted_columns.append(x)
-        return column_order(x)
-
-    monkeypatch.setattr(taildep, "_column_order", counting)
+        monkeypatch.setattr(np, name, counting)
     config = cli.resolve_run_config(cli.run_config_from_dict(
-        {"command": "tail_dep", "process": D2_UNEQUAL, "n": 4000, "seed": 7,
+        {"command": "tail_dep", "process": D2_UNEQUAL, "n": n, "seed": 7,
          "output_path": str(tmp_path / "tdc.csv")}
     ))
     assert cli.run(config) == 0
-    # the 12 default cells derive all 20 of their windows' ranks from
-    # one sort of each of the two columns
-    assert len(sorted_columns) == 2
-    assert not np.shares_memory(sorted_columns[0], sorted_columns[1])
+    assert [name for name, _ in calls] == ["sort", "sort"]
+    assert not np.shares_memory(calls[0][1], calls[1][1])
 
 
 def test_tail_dep_flags_undefined_cells_in_row_order(tmp_path, monkeypatch, capsys):
@@ -781,16 +785,13 @@ def test_tail_dep_flags_undefined_cells_in_row_order(tmp_path, monkeypatch, caps
     n, undefined = 1000, {(0, 0, 1): "no head", (0, 1, 0): "no tail"}
     data = simulate_path(ProcessConfig.from_dict(D2_GUMBEL), n, 3).data
 
-    def ranks(j, start, stop):
-        return np.argsort(np.argsort(data[start:stop, j])) + 1.0
-
-    windows = {cell: (ranks(cell[0], 0, n - cell[2]), ranks(cell[1], cell[2], n))
+    windows = {cell: (data[: n - cell[2], cell[0]], data[cell[2] :, cell[1]])
                for cell in undefined}
     rank_eta = taildep._rank_eta
 
     def undefined_eta(head, tail, k):
         for cell, (h, tl) in windows.items():
-            if np.array_equal(head, h) and np.array_equal(tail, tl):
+            if np.array_equal(head.values, h) and np.array_equal(tail.values, tl):
                 raise UndefinedResultError(undefined[cell])
         return rank_eta(head, tail, k)
 

@@ -1,9 +1,12 @@
 """Tests for theoretical and empirical extremal indices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from armax_extremes import armax, extremal
 from armax_extremes.armax import ProcessConfig, simulate_path
@@ -343,9 +346,35 @@ def test_empirical_mv_grid_matches_rows():
             empirical_mv_extremal_index(cont, domains, [0.5, 0.9, 0.3], None, bad)
 
 
-def test_empirical_mv_ranks_ties_as_the_stable_sort(monkeypatch):
+def _reference_mv_index(data, domains, c, k, grid):
+    """The rank θ(τ) estimate of each row of ``grid``, from
+    ``scipy.stats.rankdata(method="ordinal")`` of each column (all nan
+    for a column holding a nan) and the estimator's formula."""
+    from scipy.stats import rankdata
+
+    n, d = data.shape
+    k = math.ceil(math.sqrt(n)) if k is None else k
+    ranks = np.array([rankdata(data[:, j], method="ordinal") for j in range(d)], dtype=float)
+    thetas = []
+    for tau in np.asarray(grid, dtype=float):
+        # the numerator levels tau_j c_j**alpha_j, on Frechet-domain columns only
+        num = [t * cj**dom.alpha if dom.is_frechet else 0.0 for t, cj, dom in zip(tau, c, domains)]
+        if not any(dom.is_frechet for dom in domains):
+            thetas.append(1.0)
+            continue
+        den_count, num_count = (
+            np.count_nonzero((ranks > (n - k * np.array(x))[:, None]).any(axis=0))
+            for x in (tau, num)
+        )
+        if den_count == 0:
+            raise UndefinedResultError("no observation exceeds the tau levels")
+        thetas.append(min(max(1.0 - num_count / den_count, 0.0), 1.0))
+    return np.array(thetas)
+
+
+def test_empirical_mv_ranks_ties_as_the_stable_sort():
     # column 0 ties throughout, its top ranks included; column 1 has no
-    # ties, so its order comes from the unstable sort
+    # ties; ties take ranks in order of position
     cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
     data = simulate_path(cfg, 3_000, 5).data
     data[:, 0] = np.floor(4.0 * np.log(data[:, 0]))
@@ -355,8 +384,54 @@ def test_empirical_mv_ranks_ties_as_the_stable_sort(monkeypatch):
     grid = [[1.0, 1.0], [0.5, 2.0], [3.0, 0.25], [1.0, 0.0]]
     args = (data, [FRE_DOM] * 2, [0.5, 0.9], None, grid)
     got = empirical_mv_extremal_index(*args)
-    monkeypatch.setattr(extremal, "_column_order", lambda x: np.argsort(x, kind="stable"))
-    assert got.tobytes() == empirical_mv_extremal_index(*args).tobytes()
+    assert got.tobytes() == _reference_mv_index(*args).tobytes()
+
+
+_VALUES = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, math.inf]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _mv_cases(draw):
+    n = draw(st.integers(3, 40))
+    d = draw(st.integers(1, 3))
+    data = np.array(draw(st.lists(st.lists(_VALUES, min_size=d, max_size=d), min_size=n, max_size=n)))
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        data[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = math.nan
+    domains = draw(st.lists(st.sampled_from([FRE_DOM, GUM_DOM]), min_size=d, max_size=d))
+    c = draw(st.lists(st.floats(0.05, 0.95), min_size=d, max_size=d))
+    k = draw(st.none() | st.integers(1, n - 1))
+    # levels from none to every row exceeding, rows with zero levels included
+    level = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 1e3]) | st.floats(0.0, 5.0)
+    grid = draw(st.lists(st.lists(level, min_size=d, max_size=d), min_size=1, max_size=4))
+    grid = [row if any(row) else [1.0] * d for row in grid]
+    return data, domains, c, k, grid
+
+
+@settings(max_examples=400, database=None)
+@given(_mv_cases())
+def test_empirical_mv_matches_rankdata_reference(case):
+    try:
+        expected = _reference_mv_index(*case)
+    except UndefinedResultError:
+        with pytest.raises(UndefinedResultError, match="no observation exceeds the tau levels"):
+            empirical_mv_extremal_index(*case)
+        return
+    assert empirical_mv_extremal_index(*case).tobytes() == expected.tobytes()
+
+
+def test_empirical_mv_holds_one_column_partition():
+    # besides the path: one column's partitioned copy and a few row masks
+    cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
+    data = simulate_path(cfg, 100_000, 3).data
+    grid = [[1.0, 1.0], [0.5, 2.0], [2.0, 0.5]]
+    tracemalloc.start()
+    try:
+        theta = empirical_mv_extremal_index(data, [FRE_DOM] * 2, [0.5, 0.9], None, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert theta.shape == (3,)
+    assert peak < 0.75 * data.nbytes
 
 
 def test_empirical_mv_result_in_unit_interval():

@@ -17,9 +17,9 @@ from armax_extremes.margins import MarginSpec
 from armax_extremes.taildep import (
     DEFAULT_T_GRID,
     REGIME_BAND,
-    _column_order,
-    _order_ranks,
-    _ordinal_ranks,
+    _order_statistic,
+    _top,
+    _Window,
     check_tail_dep_parameters,
     classify_tail_regime,
     empirical_cells,
@@ -323,87 +323,136 @@ def test_empirical_eta_never_exceeds_one():
         assert 0.9 < eta <= 1.0
 
 
-def test_ordinal_ranks_match_rankdata():
+def _rankdata(values):
+    """Ordinal ranks as floats, all nan for a window holding a nan."""
     from scipy.stats import rankdata
 
+    return np.asarray(rankdata(values, method="ordinal"), dtype=float)
+
+
+def _middle_window(x, a, b):
+    """The column ``x`` less the middle block ``x[a:b]``."""
+    return _Window(np.concatenate((x[:a], x[b:])), np.sort(x[a:b]), np.sort(x))
+
+
+def _assert_tops_match_rankdata(window):
+    m = window.values.size
+    ranks = _rankdata(window.values)
+    for count in range(-1, m + 2):
+        assert np.array_equal(_top(window, count), ranks > m - count)
+
+
+def test_window_tops_match_rankdata():
     rng = np.random.default_rng(5)
     x = rng.integers(0, 20, 500).astype(float)  # heavy ties
     x[::37] = -0.0  # ties with 0.0
     n = x.size
-    ranks = _order_ranks(np.argsort(x, kind="stable"))
-    assert np.array_equal(_ordinal_ranks(x, ranks), rankdata(x, method="ordinal"))
-    # every lagged window is ranked from the one sort of the column
+    column = np.sort(x)
+    window = taildep._window(x, column, 0, n)
+    assert np.array_equal(np.sort(window.values), column)
+    for q in range(1, n + 1):
+        assert _order_statistic(column, window.left_out, q) == column[q - 1]
+    # every window's thresholds are read off the one sorted column: a
+    # lagged head or tail, or the column less a middle block
     for r in (0, 1, 7, 250, 498):
-        head = _ordinal_ranks(x, ranks, 0, n - r)
-        tail = _ordinal_ranks(x, ranks, r, n)
-        assert np.array_equal(head, rankdata(x[: n - r], method="ordinal"))
-        assert np.array_equal(tail, rankdata(x[r:], method="ordinal"))
-    # a window holding a nan is all nan, as rankdata propagates it
+        for window in (taildep._window(x, column, 0, n - r), taildep._window(x, column, r, n)):
+            _assert_tops_match_rankdata(window)
+    _assert_tops_match_rankdata(_middle_window(x, 100, 300))
+    # a window holding a nan has no row above any threshold
     x[10] = math.nan
-    ranks = _order_ranks(np.argsort(x, kind="stable"))
-    assert np.isnan(_ordinal_ranks(x, ranks, 0, 100)).all()
-    assert np.isnan(rankdata(x[:100], method="ordinal")).all()
-    assert np.array_equal(_ordinal_ranks(x, ranks, 11, n), rankdata(x[11:], method="ordinal"))
+    column = np.sort(x)
+    assert not _top(taildep._window(x, column, 0, 100), 50).any()
+    assert not _top(_middle_window(x, 200, 300), 50).any()
+    _assert_tops_match_rankdata(taildep._window(x, column, 11, n))
+    _assert_tops_match_rankdata(_middle_window(x, 5, 11))
 
 
 _TIES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0]
 
 
+@settings(max_examples=300, database=None)
+@given(st.lists(st.sampled_from(_TIES) | st.floats(), min_size=1, max_size=80), st.data())
+def test_window_tops_match_rankdata_on_any_window(values, data):
+    # forced ties, signed zeros, nan and infinities among any floats
+    x = np.array(values)
+    n = x.size
+    column = np.sort(x)
+    a, b = sorted(data.draw(st.tuples(st.integers(0, n), st.integers(0, n))))
+    for window in (taildep._window(x, column, a, b), _middle_window(x, a, b)):
+        if window.values.size and np.isnan(window.values).any():
+            assert not _top(window, window.values.size // 2).any()
+        else:
+            _assert_tops_match_rankdata(window)
+
+
+def _reference_cell(data, j, jp, r, t, k):
+    """``lam`` and ``eta`` of one cell, each a value or the error it
+    raises, from ``rankdata`` of the two lagged windows through the
+    estimators' formulas."""
+    n = len(data)
+    m = n - r
+    head, tail = _rankdata(data[:m, j]), _rankdata(data[r:, jp])
+    cutoff = (1.0 - t) * m
+    head_exceeds = head > cutoff
+    lam = UndefinedResultError("empty conditioning set")
+    if head_exceeds.any():
+        lam = np.count_nonzero(head_exceeds & (tail > cutoff)) / np.count_nonzero(head_exceeds)
+    k = math.ceil(2.0 * math.sqrt(m)) if k is None else k
+    t_var = np.minimum(1.0 / (1.0 - head / (m + 1.0)), 1.0 / (1.0 - tail / (m + 1.0)))
+    top = np.sort(t_var)[-k - 1 :]
+    eta = float(np.mean(np.log(top[1:])) - math.log(top[0]))
+    eta = min(eta, 1.0) if eta > 0.0 else UndefinedResultError("degenerate structure-variable sample")
+    return lam, eta
+
+
+def _assert_same(got, expected):
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+    else:
+        assert got == expected
+
+
+def _outcome(call):
+    try:
+        return call()
+    except UndefinedResultError as exc:
+        return exc
+
+
 @st.composite
-def _columns(draw):
-    if draw(st.booleans()):
-        # forced ties, signed zeros, nan and infinities among any floats
-        return draw(st.lists(st.sampled_from(_TIES) | st.floats(), min_size=1, max_size=80))
-    # distinct values and nans: the unstable sort's order is used
-    values = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=80, unique=True))
-    nans = draw(st.lists(st.integers(0, len(values)), max_size=5))
-    for i in nans:
-        values.insert(i, math.nan)
-    return values
+def _tail_dep_cases(draw):
+    n = draw(st.integers(15, 60))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, math.inf]) | st.floats(-3.0, 3.0)
+    data = np.array(draw(st.lists(values, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+    r = draw(st.integers(0, 3))
+    # a nan in the head window only, the tail window only, or both
+    spot = st.integers(0, 3) | st.integers(n - 4, n - 1) | st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        data[draw(spot), draw(st.integers(0, 1))] = math.nan
+    m = n - r
+    # t * m >= 10; a t of a / m puts the cutoff on or next to a rank
+    t = draw(st.floats(11.0 / m, 0.99) | st.integers(11, m - 1).map(lambda a: a / m))
+    k = draw(st.none() | st.integers(1, m - 1))
+    return data, r, t, k
 
 
 @settings(max_examples=300, database=None)
-@given(_columns(), st.data())
-def test_column_order_ranks_like_the_stable_sort(values, data):
-    x = np.array(values)
-    n = x.size
-    ranks = _order_ranks(_column_order(x))
-    stable = _order_ranks(np.argsort(x, kind="stable"))
-    windows = data.draw(
-        st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), min_size=1, max_size=5)
-    )
-    for start, stop in [(0, n), *(sorted(w) for w in windows)]:
-        window = _ordinal_ranks(x, ranks, start, stop)
-        assert window.tobytes() == _ordinal_ranks(x, stable, start, stop).tobytes()
+@given(_tail_dep_cases())
+def test_rank_estimators_match_rankdata_reference(case):
+    data, r, t, k = case
+    cells = [(j, jp, r) for j in (0, 1) for jp in (0, 1)]
+    for (j, jp, _), cell in zip(cells, empirical_cells(data, cells, t, k), strict=True):
+        lam, eta = _reference_cell(data, j, jp, r, t, k)
+        _assert_same(_outcome(lambda: empirical_tdc(data, j, jp, r, t)), lam)
+        _assert_same(_outcome(lambda: empirical_eta(data, j, jp, r, k)), eta)
+        # a cell is its lam's error, else its eta's, else the pair
+        expected = next((v for v in (lam, eta) if isinstance(v, Exception)), (lam, eta))
+        _assert_same(cell, expected)
 
 
-@settings(max_examples=200, database=None)
-@given(_columns(), st.integers(1, 9), st.data())
-def test_ranks_in_small_row_blocks_match_rankdata(values, block, data):
-    from scipy.stats import rankdata
-
-    x = np.array(values)
-    n = x.size
-    windows = data.draw(
-        st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), min_size=1, max_size=5)
-    )
-    ordered = np.sort(x)
-    with pytest.MonkeyPatch.context() as mp:
-        # blocks of a few rows put ties and window edges across blocks
-        mp.setattr(taildep, "_ROW_BLOCK", block)
-        order = _column_order(x)
-        if np.any(ordered[1:] == ordered[:-1]):
-            assert np.array_equal(order, np.argsort(x, kind="stable"))
-        ranks = _order_ranks(order)
-        for start, stop in [(0, n), *(sorted(w) for w in windows)]:
-            got = _ordinal_ranks(x, ranks, start, stop)
-            expected = rankdata(x[start:stop], method="ordinal")
-            assert np.array_equal(got, expected, equal_nan=True)
-
-
-def test_empirical_cells_hold_the_column_ranks_and_one_cells_windows():
-    # besides the path: each column's ranks, one cell's two lagged
-    # windows and its structure variable
+def test_empirical_cells_hold_the_sorted_columns_and_one_cells_masks():
+    # besides the path: each column's sorted copy, and one cell's row
+    # masks and the few rows ranked near the top
     cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
     data = simulate_path(cfg, 100_000, 3).data
     cells = [(j, jp, r) for j in range(2) for jp in range(2) for r in (0, 1, 2)]
@@ -414,7 +463,7 @@ def test_empirical_cells_hold_the_column_ranks_and_one_cells_windows():
     finally:
         tracemalloc.stop()
     assert len(out) == 12
-    assert peak < 3 * data.nbytes
+    assert peak < 1.25 * data.nbytes
 
 
 def test_empirical_cell_matches_public_estimators():
