@@ -267,16 +267,29 @@ def _top(window: _Window, count: int) -> np.ndarray:
     return _top_rows(window.values, v, count)
 
 
-def _top_ranks(window: _Window, above: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The ranks, as floats, of the window rows ``rows``, all among the
-    ascending rows ``above`` that hold the window's highest ranks: those
-    are the ranks above ``m - above.size``, in their stable order."""
-    m = window.values.size
-    ranks = np.empty(above.size)
-    ranks[np.argsort(window.values[above], kind="stable")] = np.arange(
-        m - above.size + 1.0, m + 1.0
-    )
-    return ranks[np.searchsorted(above, rows)]
+def _ranks(window: _Window, rows: np.ndarray) -> np.ndarray:
+    """The ranks, as floats, of the ascending rows ``rows`` of a nan-free
+    window: one plus the number of window rows below each row's value,
+    read off the sorted column less the left-out values, plus the number
+    of window rows equal to it and before it."""
+    column, left_out, values = window.column, window.left_out, window.values
+    x = values[rows]
+    below = np.searchsorted(column, x) - np.searchsorted(left_out, x)
+    equal = np.searchsorted(column, x, "right") - np.searchsorted(left_out, x, "right") - below
+    ranks = below + 1.0
+    tied = np.flatnonzero(equal > 1)
+    if tied.size:
+        # the window rows that share a tied value, in row order; a stable
+        # sort groups them by value and keeps each group in row order
+        shared = np.sort(x[tied])
+        at = np.minimum(np.searchsorted(shared, values), shared.size - 1)
+        peers = np.flatnonzero(shared[at] == values)
+        order = np.argsort(values[peers], kind="stable")
+        grouped = values[peers[order]]
+        before = np.empty(peers.size)
+        before[order] = np.arange(peers.size) - np.searchsorted(grouped, grouped)
+        ranks[tied] += before[np.searchsorted(peers, rows[tied])]
+    return ranks
 
 
 def _sorted_columns(data: np.ndarray, columns) -> dict:
@@ -361,24 +374,32 @@ def _rank_eta(head: _Window, tail: _Window, k: int | None) -> float:
         raise UndefinedResultError("degenerate structure-variable sample")
     # T grows with the smaller of a row's two ranks, so its top k + 1
     # values lie among the rows whose two ranks both exceed m - count
-    # once there are k + 1 of them; at count = m every row is one
-    count = k + 1
+    # once k + 1 rows pass.  Double count until they do; while more than
+    # 4 (k + 1) pass, bisect between the last count that let at most k
+    # pass (`low`) and the least that let too many (`high`), so that few
+    # rows are ranked
+    low, high, count = k, None, k + 1
     while True:
-        head_above = np.flatnonzero(_top(head, count))
-        tail_above = np.flatnonzero(_top(tail, count))
-        rows = np.intersect1d(head_above, tail_above, assume_unique=True)
-        if rows.size > k:
+        both = _top(head, count)
+        both &= _top(tail, count)
+        passing = np.count_nonzero(both)
+        if passing <= k:
+            low = count
+        elif passing <= 4 * (k + 1) or count - low <= 1:
             break
-        # the pairs grow about linearly in count where the windows are
-        # tail dependent, and as its square where they are independent:
-        # aim a quarter past the linear guess, but at most 4 times further
-        count = min(m, 4 * count, math.ceil(1.25 * count * (k + 1) / max(rows.size, 1)))
-    head_ranks = _top_ranks(head, head_above, rows)
-    tail_ranks = _top_ranks(tail, tail_above, rows)
+        else:
+            high = count
+        del both  # before the next pass builds its masks
+        if high is None:
+            count = min(2 * count, m)
+        else:
+            count = max((low + high) // 2, low + 1)
+    rows = np.flatnonzero(both)
     # T = min(1/(1 - head/(m+1)), 1/(1 - tail/(m+1))) in one buffer: each
     # rounded step is nondecreasing, so taking the min of the ranks first
     # gives the same bits
-    t_var = np.minimum(head_ranks, tail_ranks)
+    t_var = _ranks(head, rows)
+    np.minimum(t_var, _ranks(tail, rows), out=t_var)
     np.divide(t_var, m + 1.0, out=t_var)
     np.subtract(1.0, t_var, out=t_var)
     np.divide(1.0, t_var, out=t_var)

@@ -348,10 +348,12 @@ def test_window_tops_match_rankdata():
     x[::37] = -0.0  # ties with 0.0
     n = x.size
     column = np.sort(x)
-    window = taildep._window(x, column, 0, n)
-    assert np.array_equal(np.sort(window.values), column)
-    for q in range(1, n + 1):
-        assert _order_statistic(column, window.left_out, q) == column[q - 1]
+    # a window's order statistics are the column's, shifted past the
+    # left-out rows below them
+    for window in (taildep._window(x, column, 7, n), _middle_window(x, 100, 300)):
+        ordered = np.sort(window.values)
+        for q in range(1, ordered.size + 1):
+            assert _order_statistic(column, window.left_out, q) == ordered[q - 1]
     # every window's thresholds are read off the one sorted column: a
     # lagged head or tail, or the column less a middle block
     for r in (0, 1, 7, 250, 498):
@@ -452,18 +454,21 @@ def test_rank_estimators_match_rankdata_reference(case):
 
 def test_empirical_cells_hold_the_sorted_columns_and_one_cells_masks():
     # besides the path: each column's sorted copy, and one cell's row
-    # masks and the few rows ranked near the top
+    # masks and the few rows ranked near the top; a counter-monotone
+    # pair, whose top k + 1 T values lie near the middle ranks, too
     cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
     data = simulate_path(cfg, 100_000, 3).data
+    counter = np.column_stack([data[:, 0], -data[:, 0]])
     cells = [(j, jp, r) for j in range(2) for jp in range(2) for r in (0, 1, 2)]
-    tracemalloc.start()
-    try:
-        out = empirical_cells(data, cells, 0.02)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(out) == 12
-    assert peak < 1.25 * data.nbytes
+    for path in (data, counter):
+        tracemalloc.start()
+        try:
+            out = empirical_cells(path, cells, 0.02)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 12
+        assert peak < 1.25 * path.nbytes
 
 
 def test_empirical_cell_matches_public_estimators():
