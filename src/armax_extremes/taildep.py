@@ -259,7 +259,7 @@ def _top(window: _Window, count: int) -> np.ndarray:
     """Mask of the window's rows ranked above ``m - count``; none when
     the window holds a nan, as no nan rank passes a threshold."""
     m = window.values.size
-    if count <= 0 or _has_nan(window):
+    if _has_nan(window):
         return np.zeros(m, dtype=bool)
     if count >= m:
         return np.ones(m, dtype=bool)
@@ -282,8 +282,10 @@ def _ranks(window: _Window, rows: np.ndarray) -> np.ndarray:
         # the window rows that share a tied value, in row order; a stable
         # sort groups them by value and keeps each group in row order
         shared = np.sort(x[tied])
-        at = np.minimum(np.searchsorted(shared, values), shared.size - 1)
-        peers = np.flatnonzero(shared[at] == values)
+        # only rows at or above the least tied value can share one
+        near = np.flatnonzero(values >= shared[0])
+        at = np.minimum(np.searchsorted(shared, values[near]), shared.size - 1)
+        peers = near[shared[at] == values[near]]
         order = np.argsort(values[peers], kind="stable")
         grouped = values[peers[order]]
         before = np.empty(peers.size)

@@ -338,7 +338,7 @@ def _middle_window(x, a, b):
 def _assert_tops_match_rankdata(window):
     m = window.values.size
     ranks = _rankdata(window.values)
-    for count in range(-1, m + 2):
+    for count in range(m + 2):
         assert np.array_equal(_top(window, count), ranks > m - count)
 
 
