@@ -65,9 +65,8 @@ _MAX_SWEEPS = 8
 
 # replicates whose recursion `_simulate_batch` runs as one lane array:
 # up to `_MAX_BATCH` (the fastest of K = 1 to 16 at 11 000 rows), fewer
-# where their innovations and paths, 16 bytes a value, would pass
-# `_BATCH_BYTES`, so a study of long paths holds no more than one path
-# or a few MiB at a time
+# where their paths, 8 bytes a value, would pass `_BATCH_BYTES`, so a
+# study of long paths holds no more than one path or a few MiB at a time
 _MAX_BATCH = 8
 _BATCH_BYTES = 1 << 22
 
@@ -196,15 +195,15 @@ class SamplePath:
     init_used: str
 
 
-def _recurse_column(c: float, x0: float, innovations: np.ndarray, out: np.ndarray) -> None:
+def _recurse_column(c: float, x0: float, path: np.ndarray) -> None:
     # scalar loop on python floats: keeps X[i] >= c * X[i-1] exact, which
     # ratio-based estimators rely on; the lane sweeps must equal it bit
-    # for bit
+    # for bit.  It overwrites the innovations in ``path`` with the path
     prev = float(x0)
-    for i, y in enumerate(innovations.tolist()):
+    for i, y in enumerate(path.tolist()):
         decayed = c * prev
         prev = y if y > decayed else decayed
-        out[i] = prev
+        path[i] = prev
 
 
 def _block_length(c: float, n: int) -> int:
@@ -222,30 +221,30 @@ def _block_length(c: float, n: int) -> int:
     return length if n // length >= _MIN_BLOCKS else 0
 
 
-def _sweep(c: float, start: np.ndarray, y: np.ndarray, out: np.ndarray, again: bool) -> None:
-    """One lockstep pass of the recursion down the rows of ``y``, whose
-    other axes are independent lanes starting from ``start``, into
-    ``out``.
+def _sweep(c: float, start: np.ndarray, lanes: np.ndarray, again: bool) -> None:
+    """One lockstep pass of the recursion down the rows of ``lanes``,
+    whose other axes are independent lanes starting from ``start``,
+    overwriting each row with the states.
 
     Each row multiplies the lanes by ``c`` in place, as the scalar loop
-    does, and ``np.fmax`` (see `_recurse`) takes the innovation where it
-    wins.  A repeated sweep (``again``) stops at the first row where
-    every lane already holds its value in ``out``: each lane of ``out``
-    is a run of the recursion, so the rest would repeat it.
+    does, and ``np.fmax`` (see `_recurse`) takes the row's value where
+    it wins.  A repeated sweep (``again``) stops at the first row where
+    every lane already holds its new state: each lane is a run of the
+    recursion, so the rest would repeat it.
     """
     buf = start.copy()
-    lanes = buf.view(np.int64)
-    for y_row, out_row in zip(y, out):
+    bits = buf.view(np.int64)
+    for row in lanes:
         np.multiply(buf, c, out=buf)
-        np.fmax(buf, y_row, out=buf)
-        if again and (lanes == out_row.view(np.int64)).all():
+        np.fmax(buf, row, out=buf)
+        if again and (bits == row.view(np.int64)).all():
             return
-        out_row[...] = buf
+        row[...] = buf
 
 
-def _lockstep_column(c: float, x0: np.ndarray, y: np.ndarray, out: np.ndarray, length: int) -> None:
-    """The recursion of each column ``y[k]`` of ``y`` ``(K, n)`` from
-    ``x0[k]`` into ``out[k]``, with every column cut into blocks of
+def _lockstep_column(c: float, x0: np.ndarray, path: np.ndarray, length: int) -> None:
+    """The recursion of each column ``path[k]`` of ``path`` ``(K, n)``
+    from ``x0[k]``, in place, with every column cut into blocks of
     ``length`` rows and all blocks of all columns run as one lane array.
 
     Block 0 of a column starts from its ``x0`` and the others from
@@ -258,14 +257,16 @@ def _lockstep_column(c: float, x0: np.ndarray, y: np.ndarray, out: np.ndarray, l
     sweeps, or once every column is exact, the scalar loop runs each
     column on from its own first inexact block, as it would for that
     column alone, and it always runs the ragged tail of fewer than
-    ``length`` rows.
+    ``length`` rows.  Both read the states ``X'`` of earlier sweeps
+    where the innovations ``Y`` were; block starts are at most the true
+    states, so ``max(c X[i-1], X'[i]) = max(c X[i-1], c X'[i-1], Y[i])``
+    is the true ``X[i]`` bit for bit, as rounding of ``c * x`` is monotone.
     """
-    k_cols, n = y.shape
+    k_cols, n = path.shape
     blocks = n // length
     rows = blocks * length
-    # (length, K, blocks) views: row i of every block of every column
-    y_lanes = y[:, :rows].reshape(k_cols, blocks, length).transpose(2, 0, 1)
-    out_lanes = out[:, :rows].reshape(k_cols, blocks, length).transpose(2, 0, 1)
+    # (length, K, blocks) view: row i of every block of every column
+    lanes = path[:, :rows].reshape(k_cols, blocks, length).transpose(2, 0, 1)
     starts = np.full((k_cols, blocks), -np.inf)
     starts[:, :1] = x0[:, None]
     # per column, the blocks whose start moved in the last sweep, and a
@@ -275,8 +276,8 @@ def _lockstep_column(c: float, x0: np.ndarray, y: np.ndarray, out: np.ndarray, l
     first = np.zeros(k_cols, dtype=np.intp)  # per column: blocks before it are exact
     for sweep in range(_MAX_SWEEPS):
         lo = first.min()
-        _sweep(c, starts[:, lo:], y_lanes[:, :, lo:], out_lanes[:, :, lo:], sweep > 0)
-        ends = np.concatenate((starts[:, :1], out_lanes[-1, :, :-1]), axis=1)
+        _sweep(c, starts[:, lo:], lanes[:, :, lo:], sweep > 0)
+        ends = np.concatenate((starts[:, :1], lanes[-1, :, :-1]), axis=1)
         np.not_equal(ends.view(np.int64), starts.view(np.int64), out=moved[:, :-1])
         first = moved.argmax(axis=1)
         if (first == blocks).all():
@@ -284,50 +285,49 @@ def _lockstep_column(c: float, x0: np.ndarray, y: np.ndarray, out: np.ndarray, l
         starts = ends
     for k, block in enumerate(first.tolist()):
         tail = block * length
-        _recurse_column(c, out[k, tail - 1] if tail else x0[k], y[k, tail:], out[k, tail:])
+        _recurse_column(c, path[k, tail - 1] if tail else x0[k], path[k, tail:])
 
 
-def _recurse(c, x0: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """The recursion of column ``j`` of each replicate ``k`` of ``y``
-    ``(K, n, d)`` with coefficient ``c[j]`` from ``x0[k, j]``, written
-    into ``out``.  Column ``j`` of all K replicates runs as one lane
-    array where `_block_length` is nonzero, no start is nan and no start
-    or innovation has a sign bit; every lane state is then ``>= +0`` or
+def _recurse(c, x0: np.ndarray, path: np.ndarray) -> None:
+    """The recursion of column ``j`` of each replicate ``k`` of ``path``
+    ``(K, n, d)`` with coefficient ``c[j]`` from ``x0[k, j]``, in place:
+    ``path`` holds the innovations on entry and the paths on return.
+    Column ``j`` of all K replicates runs as one lane array where
+    `_block_length` is nonzero, no start is nan and no start or
+    innovation has a sign bit; every lane state is then ``>= +0`` or
     ``-inf`` (a block start), so ``d = c * prev`` is never nan or
     ``-0.0``, the only cases where ``fmax(d, y)`` parts from the scalar
     loop.  Margin quantiles are ``>= +0``, so simulated columns always
     pass; other columns run on the scalar loop.
     """
-    for j in range(y.shape[2]):
-        x0_j, y_j, out_j = x0[:, j], y[:, :, j], out[:, :, j]
-        length = _block_length(c[j], y.shape[1])
+    for j in range(path.shape[2]):
+        x0_j, column = x0[:, j], path[:, :, j]
+        length = _block_length(c[j], path.shape[1])
         if length and not (
-            np.isnan(x0_j).any() or np.signbit(x0_j).any() or np.signbit(y_j).any()
+            np.isnan(x0_j).any() or np.signbit(x0_j).any() or np.signbit(column).any()
         ):
-            _lockstep_column(c[j], x0_j, y_j, out_j, length)
+            _lockstep_column(c[j], x0_j, column, length)
         else:
-            for k in range(len(y)):
-                _recurse_column(c[j], x0_j[k], y_j[k], out_j[k])
+            for k in range(len(path)):
+                _recurse_column(c[j], x0_j[k], column[k])
 
 
 def apply_recursion(c, x0, innovations) -> np.ndarray:
     """Run the ARMAX recursion on explicitly supplied innovations.
 
     ``innovations`` is ``(n, d)`` (or ``(n,)`` for d = 1), ``c`` and
-    ``x0`` are scalars or length-d vectors.  Returns an array of the
-    same shape as ``innovations``.
+    ``x0`` are scalars or length-d vectors.  Returns a new array of the
+    same shape as ``innovations``, which is left as it is.
     """
-    y = np.asarray(innovations, dtype=float)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
-    d = y.shape[1]
-    c_vec = np.broadcast_to(np.asarray(c, dtype=float), (d,))
-    x0_vec = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
+    path = np.array(innovations, dtype=float)
+    if path.ndim not in (1, 2):
+        raise ValueError("innovations must be a 1-d or 2-d array")
+    columns = path[:, None] if path.ndim == 1 else path
+    c_vec = np.broadcast_to(np.asarray(c, dtype=float), columns.shape[1:])
+    x0_vec = np.broadcast_to(np.asarray(x0, dtype=float), columns.shape[1:])
     _check_coefficients(c_vec)
-    out = np.empty_like(y)
-    _recurse([float(v) for v in c_vec], x0_vec[None], y[None], out[None])
-    return out[:, 0] if squeeze else out
+    _recurse([float(v) for v in c_vec], x0_vec[None], columns[None])
+    return path
 
 
 def _frechet_scale(alpha: float, c: float) -> float:
@@ -367,9 +367,9 @@ def _start(config: ProcessConfig) -> tuple[int, list[float] | None]:
 
 def _batch_size(config: ProcessConfig, n: int) -> int:
     """Replicates of ``n`` rows that `_simulate_batch` should take at
-    once: `_MAX_BATCH`, or fewer where their ``16 * rows * d`` bytes of
-    innovations and path would pass `_BATCH_BYTES`."""
-    each = 16 * (_start(config)[0] + n) * config.d
+    once: `_MAX_BATCH`, or fewer where their paths, ``8 * rows * d``
+    bytes each, would pass `_BATCH_BYTES`."""
+    each = 8 * (_start(config)[0] + n) * config.d
     return max(1, min(_MAX_BATCH, _BATCH_BYTES // each))
 
 
@@ -378,60 +378,54 @@ def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
 
     ``seed`` is an integer or a tuple of integers (the latter is how a
     master seed and a replicate index are combined into one independent
-    stream).  The generator is ``np.random.default_rng(seed)``;
-    consumption order is fixed (initial state first, then one copula row
-    per step), so a given ``(config, n, seed)`` triple always returns
-    identical output.
+    stream), where an integral float counts as its integer.  The
+    generator is ``np.random.default_rng(seed)``; consumption order is
+    fixed (initial state first, then one copula row per step), so a
+    given ``(config, n, seed)`` triple always returns identical output.
     """
-    seed = tuple(map(int, seed)) if isinstance(seed, (list, tuple)) else int(seed)
-    _, data = _simulate_batch(config, n, [seed])
+    entries = tuple(seed) if isinstance(seed, (list, tuple)) else seed
+    seed = tuple(map(int, entries)) if isinstance(entries, tuple) else int(entries)
+    if seed != entries:
+        raise ValueError(f"a seed must be an integer or a tuple of integers, got {entries!r}")
+    data = _simulate_batch(config, n, [seed])
     burn, scales = _start(config)
     init_used = f"burn_in:{burn}" if scales is None else "exact_marginal"
     return SamplePath(data=data[0, burn:], seed=seed, config_digest=config.digest(), init_used=init_used)
 
 
-def _simulate_batch(config: ProcessConfig, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """The innovations and the paths of `simulate_path` for each of
-    ``seeds``, as two ``(K, burn + n, d)`` arrays, burn-in rows first.
+def _simulate_batch(config: ProcessConfig, n: int, seeds) -> np.ndarray:
+    """The paths of `simulate_path` for each of ``seeds``, as one
+    ``(K, burn + n, d)`` array, burn-in rows first.
 
     Each seed draws from its own generator, in `simulate_path`'s order,
     its start uniforms into row k of ``x0`` and its innovation uniforms
-    into row k of the innovation buffer.  Each margin's quantiles then
-    overwrite its column of both over all K rows at once, an exact start
-    takes its stationary scale (see `_start`), and `_recurse` runs the K
-    replicates side by side, so every path equals the one
-    ``simulate_path(config, n, seeds[k])`` returns alone.  The two arrays
-    cost ``16 * K * (burn + n) * d`` bytes; see `_batch_size`.
+    into row k of the array.  Each margin's quantiles then overwrite its
+    column of both over all K rows at once, an exact start takes its
+    stationary scale (see `_start`), and `_recurse` overwrites the
+    innovations with the K paths side by side, so every path equals the
+    one ``simulate_path(config, n, seeds[k])`` returns alone.  The array
+    costs ``8 * K * (burn + n) * d`` bytes; see `_batch_size`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     d = config.d
     burn, scales = _start(config)
     x0 = np.empty((len(seeds), d))
-    shape = (len(seeds), burn + n, d)
-    if len(seeds) > 1:
-        # one block for a batch: two of this size, freed batch after
-        # batch, make malloc hand the memory back to the system and fault
-        # it in again (46 000 page faults against 6 000 for 1000
-        # replicates of n = 10^4)
-        innovations, data = np.empty((2, *shape))
-    else:
-        # a lone path does not keep its innovations alive
-        innovations, data = np.empty(shape), np.empty(shape)
+    data = np.empty((len(seeds), burn + n, d))
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         copula_sample(config.copula, d, rng, out=x0[k])
-        copula_sample(config.copula, d, rng, size=burn + n, out=innovations[k])
+        copula_sample(config.copula, d, rng, size=burn + n, out=data[k])
     for j, m in enumerate(config.margins):
-        for values in (x0[:, j], innovations[:, :, j]):
+        for values in (x0[:, j], data[:, :, j]):
             margin_quantile(m, values, out=values)
     if scales is not None:
         # a small alpha gives an inf scale or quantile, or inf * 0 = nan
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(x0, scales, out=x0)
         _finite_quantile(x0)
-    _recurse(config.c, x0, innovations, data)
-    return innovations, data
+    _recurse(config.c, x0, data)
+    return data
 
 
 @dataclass(frozen=True)

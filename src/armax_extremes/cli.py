@@ -21,8 +21,10 @@ flagged in its row instead.
 ``montecarlo`` draws replicate ``i`` from ``default_rng((seed, i))``.
 Up to 8 replicates form one batch: `armax._simulate_batch` transforms
 each margin's column of the batch's innovations in one in-place pass and
-recurses the paths side by side, and `estimation._c_estimates` estimates
-all of them in one pass with the spent innovations as scratch;
+overwrites them with the paths, recursed side by side, and
+`estimation._c_estimates` estimates all of them in one pass into a
+scratch array that a serial run reuses for every batch, where a fresh
+one would be faulted in anew each time;
 ``workers > 1`` maps the batches over a process pool.  Its CSV and
 summary do not depend on the batch size or on ``workers``.  Both
 commands take their estimator codes from `estimation._c_estimates`
@@ -501,13 +503,13 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-def _mc_batch(args) -> list:
+def _mc_batch(args, scratch: np.ndarray | None = None) -> list:
     """The `estimation._CEstimates` of each replicate in ``indices``,
     whose paths are drawn as one batch (see `armax._simulate_batch`) and
-    estimated in one pass, with the spent innovations as its scratch."""
+    estimated in one pass into ``scratch`` (see `estimation._c_estimates`)."""
     process, n, master_seed, indices = args
-    innovations, data = _simulate_batch(process, n, [(master_seed, index) for index in indices])
-    return _c_estimates(data[:, -n:, 0], innovations.reshape(-1))
+    data = _simulate_batch(process, n, [(master_seed, index) for index in indices])
+    return _c_estimates(data[:, -n:, 0], scratch)
 
 
 def _run_montecarlo(config: RunConfig) -> int:
@@ -528,7 +530,8 @@ def _run_montecarlo(config: RunConfig) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_mc_batch, payloads, chunksize=chunk))
     else:
-        batches = [_mc_batch(p) for p in payloads]
+        scratch = np.empty(size * n)
+        batches = [_mc_batch(p, scratch) for p in payloads]
     estimates = [e for batch in batches for e in batch]
 
     header = ["replicate", "n", "c_true", "c_moment", "c_lebedev", "c_dr", "flag"]

@@ -178,6 +178,23 @@ def test_apply_recursion_rejects_bad_c():
         apply_recursion(0.0, 1.0, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("innovations", [np.ones((2, 2, 2)), 3.0], ids=["3-d", "scalar"])
+def test_apply_recursion_rejects_other_shapes(innovations):
+    with pytest.raises(ValueError, match="1-d or 2-d"):
+        apply_recursion(0.5, 1.0, innovations)
+
+
+def test_apply_recursion_leaves_its_input_unchanged():
+    # the recursion runs in place on a copy: the caller's float64 array,
+    # which np.asarray would not copy, keeps its innovations
+    y = 1.0 / -np.log(np.random.default_rng(8).random((20_000, 2)))
+    before = y.copy()
+    out = apply_recursion([0.5, 0.9], [1.0, 2.0], y)
+    assert not np.shares_memory(out, y)
+    assert np.array_equal(_bits(y), _bits(before))
+    assert not np.array_equal(out, y)
+
+
 # values where a lane could part from the scalar loop: nan, infinities,
 # signed zeros, and powers of two, whose products with c = 1/2 or 1/4
 # tie with the next innovation exactly
@@ -204,30 +221,31 @@ def _bits(x):
 
 
 def _lockstep(c, x0, y, length, sweeps=armax._MAX_SWEEPS):
-    """`armax._lockstep_column` on the columns ``y`` ``(K, n)`` from
-    ``x0``, into strided columns as `_simulate_batch` passes them, with
-    at most ``sweeps`` sweeps.
+    """`armax._lockstep_column` on a copy of the columns ``y`` ``(K, n)``
+    from ``x0``, strided as `_simulate_batch` passes them, with at most
+    ``sweeps`` sweeps.
 
-    Returns the output and, per column, the rows the scalar loop ran
+    Returns the paths and, per column, the rows the scalar loop ran
     after the sweeps (its first inexact block and ragged tail).
     """
     tails = []
     recurse = armax._recurse_column
 
-    def spy(c, x0, innovations, out):
-        tails.append(len(innovations))
-        recurse(c, x0, innovations, out)
+    def spy(c, x0, path):
+        tails.append(len(path))
+        recurse(c, x0, path)
 
-    out = np.empty((*y.shape, 2))[..., 0]
+    path = np.empty((*y.shape, 2))[..., 0]
+    path[...] = y
     with mock.patch.object(armax, "_recurse_column", spy), \
             mock.patch.object(armax, "_MAX_SWEEPS", sweeps):
-        armax._lockstep_column(c, np.array(x0, dtype=float), y, out, length)
-    return out, tails
+        armax._lockstep_column(c, np.array(x0, dtype=float), path, length)
+    return path, tails
 
 
 def _scalar_loop(c, x0, y):
-    expected = np.empty(len(y))
-    armax._recurse_column(c, x0, y, expected)
+    expected = np.array(y, dtype=float)
+    armax._recurse_column(c, x0, expected)
     return expected
 
 
@@ -264,9 +282,7 @@ def test_apply_recursion_equals_scalar_loop_bit_for_bit(data):
     y = np.column_stack([data.draw(_innovations(n), label="innovations") for _ in range(d)])
     out = apply_recursion(c, x0, y)
     for j in range(d):
-        expected = np.empty(n)
-        armax._recurse_column(c[j], x0[j], y[:, j], expected)
-        assert np.array_equal(_bits(out[:, j]), _bits(expected))
+        assert np.array_equal(_bits(out[:, j]), _bits(_scalar_loop(c[j], x0[j], y[:, j])))
 
 
 @pytest.mark.parametrize(
@@ -294,8 +310,7 @@ def test_lane_rule_is_pinned(monkeypatch, n, lanes_up_to):
     ran = []
     monkeypatch.setattr(armax, "_lockstep_column", lambda c, *args: ran.append((c, "lanes")))
     monkeypatch.setattr(armax, "_recurse_column", lambda c, *args: ran.append((c, "scalar")))
-    y = np.zeros((1, n, len(_C_GRID)))
-    armax._recurse(_C_GRID, np.zeros((1, len(_C_GRID))), y, np.empty_like(y))
+    armax._recurse(_C_GRID, np.zeros((1, len(_C_GRID))), np.zeros((1, n, len(_C_GRID))))
     assert ran == [(c, "lanes" if c <= lanes_up_to else "scalar") for c in _C_GRID]
 
 
@@ -348,6 +363,35 @@ def test_lockstep_column_equals_scalar_loop_bit_for_bit(data):
         assert _lockstep(c, x0[k : k + 1], y[k : k + 1], length, sweeps)[1] == [tails[k]]
 
 
+@pytest.mark.parametrize("share", [0.01, 0.3])
+@pytest.mark.parametrize("sweeps", [1, 2])
+def test_scalar_finish_over_swept_rows_equals_scalar_loop(monkeypatch, sweeps, share):
+    # after one or two sweeps most blocks are not yet exact, so the
+    # scalar loop finishes each column over rows a sweep overwrote with
+    # its states, not over the innovations; nan, inf and zero
+    # innovations and an inf start keep their bits there too
+    n = 20_000
+    c, x0 = [0.3, 0.5, 0.9], [1.0, 0.0, math.inf]
+    rng = np.random.default_rng(sweeps)
+    y = 1.0 / -np.log(rng.random((n, len(c))))
+    special = rng.random(y.shape) < share
+    y[special] = rng.choice([math.nan, math.inf, 0.0], size=int(special.sum()))
+    over_swept_rows = []
+    for j in range(len(c)):
+        length = armax._block_length(c[j], n)
+        path, tails = _lockstep(c[j], [x0[j]], y[None, :, j], length, sweeps)
+        expected = _scalar_loop(c[j], x0[j], y[:, j])
+        assert np.array_equal(_bits(path[0]), _bits(expected))
+        over_swept_rows.append(tails[0] > n % length)
+    assert any(over_swept_rows)
+    monkeypatch.setattr(armax, "_MAX_SWEEPS", sweeps)
+    ran = _spy_lanes(monkeypatch)
+    out = apply_recursion(c, x0, y)
+    assert ran == ["lanes"] * len(c)
+    for j in range(len(c)):
+        assert np.array_equal(_bits(out[:, j]), _bits(_scalar_loop(c[j], x0[j], y[:, j])))
+
+
 _NEG_NAN = float(np.copysign(math.nan, -1.0))
 
 
@@ -389,8 +433,8 @@ def test_lanes_or_scalar_is_pinned(monkeypatch, x0, special, lanes):
     for batch in ([1], [0, 1, 2]):
         ran.clear()
         starts = np.array([[x0 if k == 1 else 1.0] for k in batch])
-        out = np.empty((len(batch), n, 1))
-        armax._recurse([0.5], starts, y[batch], out)
+        out = y[batch]
+        armax._recurse([0.5], starts, out)
         assert ran == (["lanes"] if lanes else ["scalar"] * len(batch))
         for k in range(len(batch)):
             expected = _scalar_loop(0.5, starts[k, 0], y[batch[k], :, 0])
@@ -445,7 +489,7 @@ def _reference_path(cfg, n, seed):
         x0 = margin_quantile(m, u0[j])
         if scales is not None:
             x0 = armax._frechet_scale(m.alpha, c) * x0
-        armax._recurse_column(c, x0, margin_quantile(m, np.ascontiguousarray(u[:, j])), path[:, j])
+        path[:, j] = _scalar_loop(c, x0, margin_quantile(m, np.ascontiguousarray(u[:, j])))
     return path[burn:]
 
 
@@ -467,7 +511,7 @@ def test_batch_equals_simulate_path_seed_by_seed(data):
     n = data.draw(st.just(2500) | st.integers(1, 2500), label="n")
     seeds = [(data.draw(st.integers(0, 2**32), label="master"), k)
              for k in range(data.draw(st.integers(2, 6), label="K"))]
-    _, block = armax._simulate_batch(cfg, n, seeds)
+    block = armax._simulate_batch(cfg, n, seeds)
     for k, seed in enumerate(seeds):
         alone = simulate_path(cfg, n, seed).data
         assert np.array_equal(_bits(block[k, -n:]), _bits(alone))
@@ -500,10 +544,10 @@ def test_simulated_path_is_the_recursion_exactly(monkeypatch, margin):
     seen = {}
     recurse = armax._recurse
 
-    def spy(c, x0, y, out):
-        recurse(c, x0, y, out)
-        # the one replicate of the batch
-        seen.update(x0=np.array(x0[0]), y=y[0].copy(), x=out[0])
+    def spy(c, x0, path):
+        # the one replicate of the batch, before and after the recursion
+        seen.update(x0=np.array(x0[0]), y=path[0].copy(), x=path[0])
+        recurse(c, x0, path)
 
     monkeypatch.setattr(armax, "_recurse", spy)
     cfg = ProcessConfig(2, (0.5, 0.98), (margin, margin), CopulaSpec.gumbel(2.0))
@@ -520,11 +564,15 @@ def test_simulated_path_is_the_recursion_exactly(monkeypatch, margin):
     assert np.all(path.data[1:] >= c * path.data[:-1])
 
 
-def test_simulate_path_draws_without_path_sized_temporaries():
-    # the Gumbel uniforms go into the innovation buffer in row blocks:
-    # besides the innovations and the path, the draw holds its angles
-    # and frailty exponentials whole and a few blocks of temporaries
-    cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
+@pytest.mark.parametrize(
+    "copula, bound", [(CopulaSpec.gumbel(2.0), 2.5), (INDEP, 1.5)], ids=["gumbel", "independence"]
+)
+def test_simulate_path_draws_without_path_sized_temporaries(copula, bound):
+    # the uniforms go into the path's one buffer in row blocks and the
+    # recursion overwrites them in place: besides the path, a Gumbel
+    # draw holds its angles and frailty exponentials whole, and either
+    # draw a few blocks of temporaries
+    cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), copula)
     simulate_path(cfg, 100, 1)
     tracemalloc.start()
     try:
@@ -532,7 +580,7 @@ def test_simulate_path_draws_without_path_sized_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * path.data.nbytes
+    assert peak < bound * path.data.nbytes
 
 
 def test_determinism_and_seed_separation():
@@ -543,6 +591,18 @@ def test_determinism_and_seed_separation():
     assert a.config_digest == b.config_digest
     c = simulate_path(cfg, 100, 43)
     assert not np.array_equal(a.data, c.data)
+
+
+def test_simulate_path_refuses_a_non_integral_seed():
+    cfg = d1_config()
+    for seed in (1.5, np.float64(0.5), (20240817, 2.5), [1.5, 3]):
+        with pytest.raises(ValueError, match="integer"):
+            simulate_path(cfg, 5, seed)
+    # integers, numpy integers and integral floats name the same stream
+    for seed, same in ((np.int64(3), 3), (3.0, 3), ((np.int32(7), 2.0), (7, 2))):
+        path = simulate_path(cfg, 5, seed)
+        assert path.seed == same and type(path.seed) is type(same)
+        assert np.array_equal(path.data, simulate_path(cfg, 5, same).data)
 
 
 def test_tuple_seeds_give_independent_streams():
@@ -610,7 +670,7 @@ def test_block_maximum_has_the_exact_law(cfg, init_used):
     log_g = copula_logcdf(cfg.copula, [math.log(margin_cdf(m, v)) for m, v in zip(cfg.margins, x)])
     below = np.empty((replicates, 5), dtype=bool)
     for lo in range(0, replicates, 1000):
-        _, data = armax._simulate_batch(cfg, 5, [(21, k) for k in range(lo, lo + 1000)])
+        data = armax._simulate_batch(cfg, 5, [(21, k) for k in range(lo, lo + 1000)])
         below[lo:lo + 1000] = (data[:, -5:] <= x).all(axis=2)
     for n in (1, 5):
         p = math.exp(log_f + (n - 1) * log_g)

@@ -1117,6 +1117,26 @@ def test_montecarlo_pool_is_bounded(tmp_path, monkeypatch, workers, replicates, 
     assert outputs[0] == outputs[1]
 
 
+def test_serial_montecarlo_reuses_one_scratch(tmp_path, monkeypatch):
+    # a fresh estimator scratch per batch would be handed back to the
+    # system and faulted in again each time; 20 replicates are 3 batches
+    scratches = []
+    estimates = cli._c_estimates
+
+    def spy(x, scratch=None):
+        scratches.append(scratch)
+        return estimates(x, scratch)
+
+    monkeypatch.setattr(cli, "_c_estimates", spy)
+    config = cli.resolve_run_config(cli.run_config_from_dict(
+        {"command": "montecarlo", "process": D1_INDEP, "n": 200, "seed": 42,
+         "replicates": 20, "workers": 1, "output_path": str(tmp_path / "mc.csv")}
+    ))
+    assert cli.run(config) == 0
+    assert len(scratches) == 3 and isinstance(scratches[0], np.ndarray)
+    assert all(scratch is scratches[0] for scratch in scratches)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("replicates", [2, 7, 8, 9, 17])
 def test_montecarlo_batches_equal_the_scalar_loop(tmp_path, monkeypatch, replicates, workers):
