@@ -22,7 +22,7 @@ import numpy as np
 
 from .copulas import CopulaSpec, _base_logcdf, copula_sample
 from .errors import ConfigurationError, NumericLimitError
-from .errors import _check_coefficients, _check_open_unit
+from .errors import _check_coefficients, _check_integer, _check_open_unit
 from .margins import MarginSpec, margin_cdf, margin_quantile, right_endpoint
 from .schema import (
     config_digest,
@@ -103,14 +103,16 @@ class InitPolicy:
         if self.kind not in ("burn_in", "exact_marginal"):
             raise ValueError(f"unknown init kind {self.kind!r}")
         if self.kind == "burn_in":
-            if self.length is None or self.length < 0:
+            _check_integer(self.length, "a burn_in length")
+            if self.length < 0:
                 raise ValueError("burn_in requires a nonnegative length")
+            object.__setattr__(self, "length", int(self.length))  # a python int, from a numpy one too
         elif self.length is not None:
             raise ValueError("exact_marginal does not take a length")
 
     @classmethod
     def burn_in(cls, length: int = DEFAULT_BURN_IN) -> "InitPolicy":
-        return cls("burn_in", length=int(length))
+        return cls("burn_in", length=length)
 
     @classmethod
     def exact_marginal(cls) -> "InitPolicy":
@@ -195,12 +197,12 @@ class SamplePath:
     init_used: str
 
 
-def _recurse_column(c: float, x0: float, path: np.ndarray) -> None:
+def _recurse_column(c: float, path: np.ndarray) -> None:
     # scalar loop on python floats: keeps X[i] >= c * X[i-1] exact, which
-    # ratio-based estimators rely on; the lane sweeps must equal it bit
-    # for bit.  It overwrites the innovations in ``path`` with the path
-    prev = float(x0)
-    for i, y in enumerate(path.tolist()):
+    # ratio-based estimators rely on; the lane sweeps must equal it bit for
+    # bit.  It overwrites the innovations after the start ``path[0]``
+    prev = float(path[0])
+    for i, y in enumerate(path[1:].tolist(), 1):
         decayed = c * prev
         prev = y if y > decayed else decayed
         path[i] = prev
@@ -221,95 +223,75 @@ def _block_length(c: float, n: int) -> int:
     return length if n // length >= _MIN_BLOCKS else 0
 
 
-def _sweep(c: float, start: np.ndarray, lanes: np.ndarray, again: bool) -> None:
-    """One lockstep pass of the recursion down the rows of ``lanes``,
-    whose other axes are independent lanes starting from ``start``,
-    overwriting each row with the states.
+def _lockstep_column(c: float, path: np.ndarray, length: int) -> None:
+    """The recursion of each column ``path[k]`` of ``path`` ``(K, 1 + n)``
+    from its start ``path[k, 0]``, in place, with the rows after it cut
+    into blocks of ``length`` rows and all blocks run as one lane array.
 
-    Each row multiplies the lanes by ``c`` in place, as the scalar loop
-    does, and ``np.fmax`` (see `_recurse`) takes the row's value where
-    it wins.  A repeated sweep (``again``) stops at the first row where
-    every lane already holds its new state: each lane is a run of the
-    recursion, so the rest would repeat it.
+    Every block starts from the row before it: block 0 from the start,
+    the others from the innovation there in the first sweep and from
+    the end of the block before it in each next one.  A sweep steps
+    down the rows of the blocks in lockstep: it multiplies the lanes by
+    ``c`` in place, as the scalar loop does, and ``np.fmax`` (see
+    `_recurse`) takes the row's value where it wins.  A repeated sweep
+    stops at the first row where every lane already holds its new
+    state: each lane is a run of the recursion, so the rest would
+    repeat it.  Sweep k makes blocks 0..k-1 exact, so once no block
+    start changes bit for bit, all blocks are.  One frontier, the first
+    block not yet exact in some column, is where each sweep starts
+    (blocks it recomputes that are already exact get the same bits)
+    and where, after `_MAX_SWEEPS` sweeps or once every block is exact,
+    the scalar loop finishes every column; it always runs the ragged
+    tail of fewer than ``length`` rows.  Both read the states ``X'`` of
+    earlier sweeps where the innovations ``Y`` were; block starts are
+    at most the true states, so ``max(c X[i-1], X'[i]) = max(c X[i-1],
+    c X'[i-1], Y[i])`` is the true ``X[i]`` bit for bit, as rounding of
+    ``c * x`` is monotone.
     """
-    buf = start.copy()
-    bits = buf.view(np.int64)
-    for row in lanes:
-        np.multiply(buf, c, out=buf)
-        np.fmax(buf, row, out=buf)
-        if again and (bits == row.view(np.int64)).all():
-            return
-        row[...] = buf
-
-
-def _lockstep_column(c: float, x0: np.ndarray, path: np.ndarray, length: int) -> None:
-    """The recursion of each column ``path[k]`` of ``path`` ``(K, n)``
-    from ``x0[k]``, in place, with every column cut into blocks of
-    ``length`` rows and all blocks of all columns run as one lane array.
-
-    Block 0 of a column starts from its ``x0`` and the others from
-    ``-inf``.  Each next sweep starts every block from the end of the
-    block before it: sweep k makes blocks 0..k-1 exact, so once no
-    start of a column changes bit for bit, all its blocks are.  Each
-    column keeps its own first block not yet exact; a sweep starts at
-    the earliest of them over the batch, and the blocks it recomputes
-    that are already exact get the same bits.  After `_MAX_SWEEPS`
-    sweeps, or once every column is exact, the scalar loop runs each
-    column on from its own first inexact block, as it would for that
-    column alone, and it always runs the ragged tail of fewer than
-    ``length`` rows.  Both read the states ``X'`` of earlier sweeps
-    where the innovations ``Y`` were; block starts are at most the true
-    states, so ``max(c X[i-1], X'[i]) = max(c X[i-1], c X'[i-1], Y[i])``
-    is the true ``X[i]`` bit for bit, as rounding of ``c * x`` is monotone.
-    """
-    k_cols, n = path.shape
-    blocks = n // length
+    blocks = (path.shape[1] - 1) // length
     rows = blocks * length
     # (length, K, blocks) view: row i of every block of every column
-    lanes = path[:, :rows].reshape(k_cols, blocks, length).transpose(2, 0, 1)
-    starts = np.full((k_cols, blocks), -np.inf)
-    starts[:, :1] = x0[:, None]
-    # per column, the blocks whose start moved in the last sweep, and a
-    # last entry that is always set, so argmax finds the first inexact
-    # block or `blocks` when there is none
-    moved = np.ones((k_cols, blocks + 1), dtype=bool)
-    first = np.zeros(k_cols, dtype=np.intp)  # per column: blocks before it are exact
+    lanes = path[:, 1 : rows + 1].reshape(len(path), blocks, length).transpose(2, 0, 1)
+    starts = path[:, :rows:length]  # (K, blocks) view: the row before each block
+    lo = 0  # the frontier: blocks before it are exact in every column
     for sweep in range(_MAX_SWEEPS):
-        lo = first.min()
-        _sweep(c, starts[:, lo:], lanes[:, :, lo:], sweep > 0)
-        ends = np.concatenate((starts[:, :1], lanes[-1, :, :-1]), axis=1)
-        np.not_equal(ends.view(np.int64), starts.view(np.int64), out=moved[:, :-1])
-        first = moved.argmax(axis=1)
-        if (first == blocks).all():
+        start = starts[:, lo:].copy()
+        state = start.copy()
+        bits = state.view(np.int64)
+        for row in lanes[:, :, lo:]:
+            np.multiply(state, c, out=state)
+            np.fmax(state, row, out=state)
+            if sweep and (bits == row.view(np.int64)).all():
+                break
+            row[...] = state
+        moved = (starts[:, lo + 1 :].view(np.int64) != start[:, 1:].view(np.int64)).any(axis=0)
+        lo = lo + 1 + int(moved.argmax()) if moved.any() else blocks
+        if lo == blocks:
             break
-        starts = ends
-    for k, block in enumerate(first.tolist()):
-        tail = block * length
-        _recurse_column(c, path[k, tail - 1] if tail else x0[k], path[k, tail:])
+    for column in path:
+        _recurse_column(c, column[lo * length :])
 
 
-def _recurse(c, x0: np.ndarray, path: np.ndarray) -> None:
+def _recurse(c, path: np.ndarray) -> None:
     """The recursion of column ``j`` of each replicate ``k`` of ``path``
-    ``(K, n, d)`` with coefficient ``c[j]`` from ``x0[k, j]``, in place:
-    ``path`` holds the innovations on entry and the paths on return.
-    Column ``j`` of all K replicates runs as one lane array where
-    `_block_length` is nonzero, no start is nan and no start or
-    innovation has a sign bit; every lane state is then ``>= +0`` or
-    ``-inf`` (a block start), so ``d = c * prev`` is never nan or
+    ``(K, 1 + n, d)`` with coefficient ``c[j]``, in place: row 0 holds
+    the starts, and the rows after it the innovations on entry and the
+    paths on return.  Column ``j`` of all K replicates runs as one lane
+    array where `_block_length` is nonzero, no start is nan and no start
+    or innovation has a sign bit; every state of a lane from an exact
+    start is then ``>= +0``, so ``d = c * prev`` is never nan or
     ``-0.0``, the only cases where ``fmax(d, y)`` parts from the scalar
     loop.  Margin quantiles are ``>= +0``, so simulated columns always
     pass; other columns run on the scalar loop.
     """
     for j in range(path.shape[2]):
-        x0_j, column = x0[:, j], path[:, :, j]
-        length = _block_length(c[j], path.shape[1])
-        if length and not (
-            np.isnan(x0_j).any() or np.signbit(x0_j).any() or np.signbit(column).any()
-        ):
-            _lockstep_column(c[j], x0_j, column, length)
+        column = path[:, :, j]
+        length = _block_length(c[j], path.shape[1] - 1)
+        if length and not (np.isnan(column[:, 0]).any() or np.signbit(column).any()):
+            _lockstep_column(c[j], column, length)
         else:
-            for k in range(len(path)):
-                _recurse_column(c[j], x0_j[k], column[k])
+            for row in column:
+                _recurse_column(c[j], row)
 
 
 def apply_recursion(c, x0, innovations) -> np.ndarray:
@@ -319,15 +301,16 @@ def apply_recursion(c, x0, innovations) -> np.ndarray:
     ``x0`` are scalars or length-d vectors.  Returns a new array of the
     same shape as ``innovations``, which is left as it is.
     """
-    path = np.array(innovations, dtype=float)
-    if path.ndim not in (1, 2):
+    y = np.asarray(innovations, dtype=float)
+    if y.ndim not in (1, 2):
         raise ValueError("innovations must be a 1-d or 2-d array")
-    columns = path[:, None] if path.ndim == 1 else path
+    columns = y[:, None] if y.ndim == 1 else y
     c_vec = np.broadcast_to(np.asarray(c, dtype=float), columns.shape[1:])
-    x0_vec = np.broadcast_to(np.asarray(x0, dtype=float), columns.shape[1:])
     _check_coefficients(c_vec)
-    _recurse([float(v) for v in c_vec], x0_vec[None], columns[None])
-    return path
+    # one row longer: the start in row 0, the innovations after it
+    path = np.insert(columns, 0, x0, axis=0)[None]
+    _recurse([float(v) for v in c_vec], path)
+    return path[0, 1:].reshape(y.shape)
 
 
 def _frechet_scale(alpha: float, c: float) -> float:
@@ -367,9 +350,9 @@ def _start(config: ProcessConfig) -> tuple[int, list[float] | None]:
 
 def _batch_size(config: ProcessConfig, n: int) -> int:
     """Replicates of ``n`` rows that `_simulate_batch` should take at
-    once: `_MAX_BATCH`, or fewer where their paths, ``8 * rows * d``
-    bytes each, would pass `_BATCH_BYTES`."""
-    each = 8 * (_start(config)[0] + n) * config.d
+    once: `_MAX_BATCH`, or fewer where their buffers, ``8 * (1 + burn +
+    n) * d`` bytes each, would pass `_BATCH_BYTES`."""
+    each = 8 * (1 + _start(config)[0] + n) * config.d
     return max(1, min(_MAX_BATCH, _BATCH_BYTES // each))
 
 
@@ -384,7 +367,10 @@ def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
     given ``(config, n, seed)`` triple always returns identical output.
     """
     entries = tuple(seed) if isinstance(seed, (list, tuple)) else seed
-    seed = tuple(map(int, entries)) if isinstance(entries, tuple) else int(entries)
+    try:
+        seed = tuple(map(int, entries)) if isinstance(entries, tuple) else int(entries)
+    except (OverflowError, ValueError):  # int(inf) overflows, int(nan) is refused
+        seed = None
     if seed != entries:
         raise ValueError(f"a seed must be an integer or a tuple of integers, got {entries!r}")
     data = _simulate_batch(config, n, [seed])
@@ -394,38 +380,38 @@ def simulate_path(config: ProcessConfig, n: int, seed) -> SamplePath:
 
 
 def _simulate_batch(config: ProcessConfig, n: int, seeds) -> np.ndarray:
-    """The paths of `simulate_path` for each of ``seeds``, as one
-    ``(K, burn + n, d)`` array, burn-in rows first.
+    """The paths of `simulate_path` for each of ``seeds``, as a
+    ``(K, burn + n, d)`` view, burn-in rows first.
 
     Each seed draws from its own generator, in `simulate_path`'s order,
-    its start uniforms into row k of ``x0`` and its innovation uniforms
-    into row k of the array.  Each margin's quantiles then overwrite its
-    column of both over all K rows at once, an exact start takes its
-    stationary scale (see `_start`), and `_recurse` overwrites the
+    its start uniforms into row 0 and its innovation uniforms into the
+    rows after it of replicate k of one ``(K, 1 + burn + n, d)`` buffer.
+    Each margin's quantiles then overwrite its column, starts and
+    innovations, over all K replicates in one call, an exact start takes
+    its stationary scale (see `_start`), and `_recurse` overwrites the
     innovations with the K paths side by side, so every path equals the
-    one ``simulate_path(config, n, seeds[k])`` returns alone.  The array
-    costs ``8 * K * (burn + n) * d`` bytes; see `_batch_size`.
+    one ``simulate_path(config, n, seeds[k])`` returns alone.  The
+    buffer costs ``8 * K * (1 + burn + n) * d`` bytes; see `_batch_size`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     d = config.d
     burn, scales = _start(config)
-    x0 = np.empty((len(seeds), d))
-    data = np.empty((len(seeds), burn + n, d))
+    data = np.empty((len(seeds), 1 + burn + n, d))
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        copula_sample(config.copula, d, rng, out=x0[k])
-        copula_sample(config.copula, d, rng, size=burn + n, out=data[k])
+        copula_sample(config.copula, d, rng, out=data[k, 0])
+        copula_sample(config.copula, d, rng, size=burn + n, out=data[k, 1:])
     for j, m in enumerate(config.margins):
-        for values in (x0[:, j], data[:, :, j]):
-            margin_quantile(m, values, out=values)
+        margin_quantile(m, data[:, :, j], out=data[:, :, j])
     if scales is not None:
+        starts = data[:, 0]
         # a small alpha gives an inf scale or quantile, or inf * 0 = nan
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(x0, scales, out=x0)
-        _finite_quantile(x0)
-    _recurse(config.c, x0, data)
-    return data
+            np.multiply(starts, scales, out=starts)
+        _finite_quantile(starts)
+    _recurse(config.c, data)
+    return data[:, 1:]
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ flagged in its row instead.
 ``sigma2`` and interval come from `estimation.asymptotic_variance_exact`.
 ``montecarlo`` draws replicate ``i`` from ``default_rng((seed, i))``.
 Up to 8 replicates form one batch: `armax._simulate_batch` transforms
-each margin's column of the batch's innovations in one in-place pass and
-overwrites them with the paths, recursed side by side, and
+each margin's column of the batch's starts and innovations in one
+in-place pass and overwrites the innovations with the paths, recursed
+side by side, and
 `estimation._c_estimates` estimates all of them in one pass into a
 scratch array that a serial run reuses for every batch, where a fresh
 one would be faulted in anew each time;

@@ -335,8 +335,10 @@ def derived_copula_validity(
     Points and rectangles are drawn from a dedicated generator with
     seed 0, so reports are reproducible.  A report with ``valid`` set
     is evidence, not proof: it certifies the construction on the sampled
-    grid only.
+    grid only, and so needs at least one point and one rectangle.
     """
+    if n_points < 1 or n_rectangles < 1:
+        raise ValueError("n_points and n_rectangles must be at least 1")
     rng = np.random.default_rng(0)
     tol = 1e-9
     d = dc.dim

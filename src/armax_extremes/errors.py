@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the argument checks
 that several modules raise with one message."""
 
+import numbers
+
 __all__ = ["ArmaxError", "ConfigurationError", "NumericLimitError", "UndefinedResultError"]
 
 
@@ -37,7 +39,14 @@ def _check_coefficients(c, error: type[ValueError] = ValueError) -> None:
         raise error("autoregression coefficients must lie in (0, 1)")
 
 
-def _check_top_k(k: int, n: int, error: type[ValueError] = ValueError) -> None:
+def _check_integer(value, name: str, error: type[ValueError] = ValueError) -> None:
+    # an int or a numpy integer, not a bool or a float (integral or not)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _check_top_k(k: int, n: int, error: type[ValueError] = ValueError, n_name: str = "n") -> None:
     # k upper order statistics of n values
+    _check_integer(k, "k", error)
     if not 0 < k < n:
-        raise error("k must lie strictly between 0 and n")
+        raise error(f"k must lie strictly between 0 and {n_name}")

@@ -32,7 +32,8 @@ from .armax import (
     stationary_marginal_logcdf,
     stationary_marginal_quantile,
 )
-from .errors import NumericLimitError, UndefinedResultError, _check_open_unit
+from .errors import NumericLimitError, UndefinedResultError
+from .errors import _check_integer, _check_open_unit, _check_top_k
 from .margins import MarginSpec, attraction_domain, right_endpoint
 
 __all__ = [
@@ -306,6 +307,7 @@ def _check_components(d: int, components) -> None:
 
 
 def _check_r(r: int) -> None:
+    _check_integer(r, "lag r")
     if r < 0:
         raise ValueError("lag r must be nonnegative")
 
@@ -328,8 +330,7 @@ def _check_k(m: int, k: int | None) -> int:
     """``k``, or its default ``ceil(2 sqrt(m))``, for ``m`` pairs."""
     if k is None:
         k = math.ceil(2.0 * math.sqrt(m))
-    if not 0 < k < m:
-        raise ValueError("k must lie strictly between 0 and n - r")
+    _check_top_k(k, m, n_name="n - r")
     return k
 
 

@@ -72,6 +72,18 @@ def test_init_policy_validation():
     with pytest.raises(ValueError):
         InitPolicy("exact_marginal", length=10)
     assert InitPolicy.burn_in().length == 1000
+    # a length is an integer: not a fraction, which was truncated or
+    # failed only once a path was drawn, not a boolean and not a float
+    for length in (1.5, 2.5, 3.0, True, False, "3", math.inf, math.nan):
+        with pytest.raises(ValueError, match="burn_in length must be an integer"):
+            InitPolicy("burn_in", length)
+        with pytest.raises(ValueError, match="burn_in length must be an integer"):
+            InitPolicy.burn_in(length)
+    # a numpy integer counts as its integer
+    for length in (np.int64(3), np.int32(3)):
+        policy = InitPolicy.burn_in(length)
+        assert policy == InitPolicy.burn_in(3) and type(policy.length) is int
+        assert simulate_path(d1_config(init=policy), 5, 1).init_used == "burn_in:3"
 
 
 def test_config_digest_tracks_content():
@@ -222,31 +234,32 @@ def _bits(x):
 
 def _lockstep(c, x0, y, length, sweeps=armax._MAX_SWEEPS):
     """`armax._lockstep_column` on a copy of the columns ``y`` ``(K, n)``
-    from ``x0``, strided as `_simulate_batch` passes them, with at most
-    ``sweeps`` sweeps.
+    started from ``x0``, the start in row 0 and strided as
+    `_simulate_batch` passes them, with at most ``sweeps`` sweeps.
 
     Returns the paths and, per column, the rows the scalar loop ran
-    after the sweeps (its first inexact block and ragged tail).
+    after the sweeps (from the frontier block on, ragged tail included).
     """
     tails = []
     recurse = armax._recurse_column
 
-    def spy(c, x0, path):
-        tails.append(len(path))
-        recurse(c, x0, path)
+    def spy(c, path):
+        tails.append(len(path) - 1)
+        recurse(c, path)
 
-    path = np.empty((*y.shape, 2))[..., 0]
-    path[...] = y
+    path = np.empty((len(y), y.shape[1] + 1, 2))[..., 0]
+    path[:, 0] = x0
+    path[:, 1:] = y
     with mock.patch.object(armax, "_recurse_column", spy), \
             mock.patch.object(armax, "_MAX_SWEEPS", sweeps):
-        armax._lockstep_column(c, np.array(x0, dtype=float), path, length)
-    return path, tails
+        armax._lockstep_column(c, path, length)
+    return path[:, 1:], tails
 
 
 def _scalar_loop(c, x0, y):
-    expected = np.array(y, dtype=float)
-    armax._recurse_column(c, x0, expected)
-    return expected
+    path = np.concatenate(([x0], y)).astype(float)
+    armax._recurse_column(c, path)
+    return path[1:]
 
 
 def _spy_lanes(monkeypatch):
@@ -310,7 +323,7 @@ def test_lane_rule_is_pinned(monkeypatch, n, lanes_up_to):
     ran = []
     monkeypatch.setattr(armax, "_lockstep_column", lambda c, *args: ran.append((c, "lanes")))
     monkeypatch.setattr(armax, "_recurse_column", lambda c, *args: ran.append((c, "scalar")))
-    armax._recurse(_C_GRID, np.zeros((1, len(_C_GRID))), np.zeros((1, n, len(_C_GRID))))
+    armax._recurse(_C_GRID, np.zeros((1, 1 + n, len(_C_GRID))))
     assert ran == [(c, "lanes" if c <= lanes_up_to else "scalar") for c in _C_GRID]
 
 
@@ -359,8 +372,8 @@ def test_lockstep_column_equals_scalar_loop_bit_for_bit(data):
     out, tails = _lockstep(c, x0, y, length, sweeps)
     for k in range(len(x0)):
         assert np.array_equal(_bits(out[k]), _bits(_scalar_loop(c, x0[k], y[k])))
-        # each column's scalar loop starts where it would for that column alone
-        assert _lockstep(c, x0[k : k + 1], y[k : k + 1], length, sweeps)[1] == [tails[k]]
+    # one frontier for the lane array: every column's scalar loop starts there
+    assert len(set(tails)) == 1
 
 
 @pytest.mark.parametrize("share", [0.01, 0.3])
@@ -433,8 +446,9 @@ def test_lanes_or_scalar_is_pinned(monkeypatch, x0, special, lanes):
     for batch in ([1], [0, 1, 2]):
         ran.clear()
         starts = np.array([[x0 if k == 1 else 1.0] for k in batch])
-        out = y[batch]
-        armax._recurse([0.5], starts, out)
+        path = np.concatenate((starts[:, None], y[batch]), axis=1)
+        armax._recurse([0.5], path)
+        out = path[:, 1:]
         assert ran == (["lanes"] if lanes else ["scalar"] * len(batch))
         for k in range(len(batch)):
             expected = _scalar_loop(0.5, starts[k, 0], y[batch[k], :, 0])
@@ -544,10 +558,10 @@ def test_simulated_path_is_the_recursion_exactly(monkeypatch, margin):
     seen = {}
     recurse = armax._recurse
 
-    def spy(c, x0, path):
+    def spy(c, path):
         # the one replicate of the batch, before and after the recursion
-        seen.update(x0=np.array(x0[0]), y=path[0].copy(), x=path[0])
-        recurse(c, x0, path)
+        seen.update(x0=path[0, 0].copy(), y=path[0, 1:].copy(), x=path[0, 1:])
+        recurse(c, path)
 
     monkeypatch.setattr(armax, "_recurse", spy)
     cfg = ProcessConfig(2, (0.5, 0.98), (margin, margin), CopulaSpec.gumbel(2.0))
@@ -595,7 +609,8 @@ def test_determinism_and_seed_separation():
 
 def test_simulate_path_refuses_a_non_integral_seed():
     cfg = d1_config()
-    for seed in (1.5, np.float64(0.5), (20240817, 2.5), [1.5, 3]):
+    for seed in (1.5, np.float64(0.5), (20240817, 2.5), [1.5, 3], math.inf, (1, math.inf),
+                 math.nan):
         with pytest.raises(ValueError, match="integer"):
             simulate_path(cfg, 5, seed)
     # integers, numpy integers and integral floats name the same stream

@@ -458,6 +458,16 @@ def test_validity_report_is_reproducible():
     assert derived_copula_validity(dc) == derived_copula_validity(dc)
 
 
+@pytest.mark.parametrize("n_points, n_rectangles", [(0, 0), (0, 16), (16, 0), (-1, 16)])
+def test_validity_screen_refuses_an_empty_sample(n_points, n_rectangles):
+    # a screen of no point or no rectangle checks nothing, so it cannot
+    # report a valid copula
+    dc = DerivedCopula(GUMBEL2, (1.0, 0.5))
+    with pytest.raises(ValueError, match="n_points and n_rectangles must be at least 1"):
+        derived_copula_validity(dc, n_points, n_rectangles)
+    assert derived_copula_validity(dc, 1, 1).min_rectangle_mass < math.inf
+
+
 # -------------------------------------------------------- extremal coefficients
 
 

@@ -419,6 +419,15 @@ def test_hill_on_armax_stationary_margin():
     assert hill_tail_index(path, 1_000) == pytest.approx(1.0, abs=0.2)
 
 
+def test_hill_refuses_a_non_integral_k():
+    # k counts order statistics: a fraction failed in a slice
+    x = np.arange(1.0, 101.0)
+    for k in (1.5, 10.0, True, math.nan):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            hill_tail_index(x, k)
+    assert hill_tail_index(x, np.int64(10)) == hill_tail_index(x, 10)
+
+
 def test_hill_validation():
     with pytest.raises(ValueError):
         hill_tail_index([1.0, 2.0], 2)

@@ -295,6 +295,22 @@ def test_empirical_mv_validation():
         empirical_mv_extremal_index(path, [FRE_DOM, FRE_DOM], [0.5], None, [1.0])
 
 
+@pytest.mark.parametrize("entry", ["empirical_mv_extremal_index", "check_extremal_index_parameters"])
+def test_non_integral_order_is_refused(entry):
+    # k counts order statistics: a fraction was read as a rank scale
+    path = simulate_path(ProcessConfig(1, (0.5,), (FRECHET1,), INDEP), 100, 1)
+    call = {
+        "empirical_mv_extremal_index": lambda k: empirical_mv_extremal_index(
+            path, [FRE_DOM], [0.5], k, (1.0,)),
+        "check_extremal_index_parameters": lambda k: check_extremal_index_parameters(
+            100, k, [1.0]),
+    }[entry]
+    for k in (1.5, 10.0, True, math.nan):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            call(k)
+    assert call(np.int64(10)) == call(10)
+
+
 def test_nan_tau_entry_is_refused():
     # nan is neither negative nor positive, so sign tests alone read it as 0
     cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))

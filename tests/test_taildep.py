@@ -285,6 +285,49 @@ def test_column_indices_out_of_range_are_refused(j, jp):
             call()
 
 
+_PAIR = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
+_PAIR_DATA = simulate_path(_PAIR, 1_000, 5).data
+# each public entry that takes a lag r, as a function of r
+_LAG_ENTRIES = {
+    "theoretical_lag_tdc": lambda r: theoretical_lag_tdc(_PAIR, 0, 1, r),
+    "lag_tdc_diagnostics": lambda r: lag_tdc_diagnostics(_PAIR, 0, 1, r).lam,
+    "tdc_bounds": lambda r: tdc_bounds(0.5, 1.0, r),
+    "empirical_tdc": lambda r: empirical_tdc(_PAIR_DATA, 0, 1, r, 0.02),
+    "empirical_eta": lambda r: empirical_eta(_PAIR_DATA, 0, 1, r),
+    "empirical_cells": lambda r: empirical_cells(_PAIR_DATA, [(0, 1, 0), (0, 1, r)], 0.02),
+    "eta_bounds_within_series": lambda r: eta_bounds_within_series(FRECHET1, 0.5, r),
+    "check_tail_dep_parameters": lambda r: check_tail_dep_parameters(
+        1_000, 2, [(0, 1)], [0, r], 0.02, None),
+}
+
+
+@pytest.mark.parametrize("entry", _LAG_ENTRIES.values(), ids=_LAG_ENTRIES)
+def test_non_integral_lags_are_refused(entry):
+    # a lag is a count of rows: a fraction was read as a lag by the
+    # theoretical entries and failed in a slice in the empirical ones
+    for r in (1.5, 0.5, 1.0, True, math.nan):
+        with pytest.raises(ValueError, match="lag r must be an integer"):
+            entry(r)
+    assert entry(np.int64(1)) == entry(1)
+
+
+# each public entry that takes a Hill count k, as a function of k
+_K_ENTRIES = {
+    "empirical_eta": lambda k: empirical_eta(_PAIR_DATA, 0, 1, 1, k),
+    "empirical_cells": lambda k: empirical_cells(_PAIR_DATA, [(0, 1, 1)], 0.02, k),
+    "check_tail_dep_parameters": lambda k: check_tail_dep_parameters(
+        1_000, 2, [(0, 1)], [0, 1], 0.02, k),
+}
+
+
+@pytest.mark.parametrize("entry", _K_ENTRIES.values(), ids=_K_ENTRIES)
+def test_non_integral_hill_counts_are_refused(entry):
+    for k in (10.5, 10.0, True, math.nan):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            entry(k)
+    assert entry(np.int32(10)) == entry(10)
+
+
 def test_empirical_rank_invariance():
     # strictly increasing transforms leave ranks, and hence both
     # estimators, exactly unchanged
