@@ -393,6 +393,7 @@ def _simulate_batch(config: ProcessConfig, n: int, seeds) -> np.ndarray:
     one ``simulate_path(config, n, seeds[k])`` returns alone.  The
     buffer costs ``8 * K * (1 + burn + n) * d`` bytes; see `_batch_size`.
     """
+    _check_integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     d = config.d
@@ -435,19 +436,23 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
     ``-log G < threshold`` (converged), once its sum reaches ``-inf``,
     or after term ``last``.  Terms are evaluated in chunks that double
     in size, for all unfinished rows at once, and summed in order along
-    each row by `np.cumsum`, so every row's total equals that of a
-    term-by-term loop over that row alone, whatever the chunk lengths.
+    each row by `np.cumsum` from its running total, so every row's total
+    equals that of a term-by-term loop over that row alone, whatever the
+    chunk lengths.  Components at ``inf`` in every row are left out:
+    their factors are 1, and their copula arguments ``log u_j = 0``
+    would change nothing (see `copulas._fold`).
     Returns ``(total, n_terms, converged)``, arrays of shape ``(m,)``.
     """
-    c = np.asarray(config.c)
+    # a point at inf in every component keeps one, whose factors are 1
+    keep = [j for j, out in enumerate((x == np.inf).all(axis=0).tolist()) if not out] or [0]
+    x, c = x.take(keep, axis=1), np.array([config.c[j] for j in keep])
+    margins = [config.margins[j] for j in keep]
     m, d = x.shape
     total = np.zeros(m)
     n_terms = np.full(m, last - first + 1)
     converged = np.zeros(m, dtype=bool)
-    rows = np.arange(m)  # rows still summing
-    # a component at inf in every row, marginalized out, has the
-    # argument inf and the factor G_j = 1 exactly, whatever its margin
-    at_inf = (x == np.inf).all(axis=0).tolist()
+    # the rows still summing, with their points and their sums so far
+    rows, running = np.arange(m), np.zeros(m)
     start, size = first, _FIRST_CHUNK_TERMS
     # c**i may underflow to 0 for small components while larger ones
     # still need factors; x / 0 -> inf is then the right argument (that
@@ -457,24 +462,12 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while start <= last:
             idx = np.arange(start, min(start + size, last + 1))
-            # the first chunk takes every row, whose sums start at 0
-            head = start == first
-            points = x if head else x[rows]
-            g = (points[:, None, :] / c ** idx[:, None]).reshape(-1, d)
-            for j, margin in enumerate(config.margins):
-                if at_inf[j]:
-                    g[:, j] = 1.0
-                else:
-                    g[:, j] = margin_cdf(margin, g[:, j])
+            g = (x[:, None, :] / c ** idx[:, None]).reshape(-1, d)
+            for j, margin in enumerate(margins):
+                g[:, j] = margin_cdf(margin, g[:, j])
             np.log(g, out=g)
             terms = _base_logcdf(config.copula, g).reshape(rows.size, idx.size)
-            if head:
-                # 0.0 + t0 is the first step of a sum from 0 (it turns
-                # a -0.0 into 0.0), and the cumsum makes the rest
-                terms[:, 0] += 0.0
-                partial = np.cumsum(terms, axis=1)
-            else:
-                partial = np.cumsum(np.concatenate((total[rows, None], terms), axis=1), axis=1)[:, 1:]
+            partial = np.cumsum(np.concatenate((running[:, None], terms), axis=1), axis=1)[:, 1:]
             stop = (partial == -np.inf) | ((idx >= 1) & (-terms < threshold))
             hit = stop.any(axis=1)
             k = np.argmax(stop[hit], axis=1)
@@ -484,8 +477,8 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
             converged[done] = total[done] != -np.inf
             if done.size == rows.size:
                 break
-            rows = rows[~hit]
-            total[rows] = partial[~hit, -1]
+            rows, x, running = rows[~hit], x[~hit], partial[~hit, -1]
+            total[rows] = running
             start, size = start + size, 2 * size
     return total, n_terms, converged
 
@@ -681,7 +674,8 @@ def stationary_joint_logcdf(config: ProcessConfig, x) -> float | np.ndarray:
     An entry ``x_j = inf`` marginalizes component ``j`` out: its margin
     contributes ``G_j = 1`` to every factor, and the exchangeable
     copulas ignore an argument ``log u_j = 0``, so the result equals the
-    log CDF of the process restricted to the remaining components.
+    log CDF of the process restricted to the remaining components, bit
+    for bit, for every d.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != config.d:
@@ -715,6 +709,7 @@ def normalized_level(c: float, n: int, tau: float) -> float:
     a nan ``tau``.
     """
     _check_open_unit(c)
+    _check_integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     if not tau >= 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericLimitError
+from .errors import NumericLimitError, _check_integer
 from .margins import _UNIFORM_CLIP
 
 __all__ = [
@@ -104,18 +104,24 @@ class DerivedCopula:
         return len(self.theta)
 
 
+def _fold(op, a: np.ndarray) -> np.ndarray:
+    """The ufunc ``op`` over the columns of ``a`` ``(m, d)``, left to
+    right from ``0.0 + a[:, 0]``: with ``np.add``, ``np.sum``'s bits for
+    d <= 7, and a column of zeros changes nothing, for every d."""
+    out = a[:, 0] + 0.0
+    for j in range(1, a.shape[1]):
+        op(out, a[:, j], out=out)
+    return out
+
+
 def _gamma_norm(s: np.ndarray, gamma: float) -> np.ndarray:
     """Row-wise ``(sum_j s_j**gamma)**(1/gamma)`` for nonnegative ``s`` of
-    shape ``(m, d)``, overflow-safe."""
-    # the row max as a chain of np.maximum over the few columns: exact,
-    # and several times faster than np.max(s, axis=1)
-    m = s[:, 0].copy()
-    for j in range(1, s.shape[1]):
-        np.maximum(m, s[:, j], out=m)
+    shape ``(m, d)``, overflow-safe; a column of zeros changes nothing."""
+    m = _fold(np.maximum, s)
     # rows with max 0 or inf give 0/0 or inf/inf here; both are replaced
     # by m + 0.0, which is 0.0 (never -0.0) or inf
     with np.errstate(invalid="ignore"):
-        norm = m * np.sum((s / m[:, None]) ** gamma, axis=1) ** (1.0 / gamma)
+        norm = m * _fold(np.add, (s / m[:, None]) ** gamma) ** (1.0 / gamma)
     np.add(m, 0.0, out=norm, where=(m == 0.0) | (m == np.inf))
     return norm
 
@@ -135,7 +141,7 @@ def _base_logcdf(spec: CopulaSpec, log_u: np.ndarray) -> np.ndarray:
         return np.min(log_u, axis=1)
     if spec.kind == "independence" or spec.gamma == 1.0:
         # gamma == 1 is exactly the independence copula
-        return np.sum(log_u, axis=1)
+        return _fold(np.add, log_u)
     return -_gamma_norm(-log_u, spec.gamma)
 
 
@@ -286,6 +292,7 @@ def derived_copula_eval(dc: DerivedCopula, u) -> float:
 
 def extremal_coefficient(gamma: float, m: int) -> float:
     """Extremal coefficient ``m**(1/gamma)`` of an m-variate Gumbel copula."""
+    _check_integer(m, "m")
     if m < 1:
         raise ValueError("m must be at least 1")
     return float(m) ** (1.0 / CopulaSpec.gumbel(gamma).gamma)
@@ -337,6 +344,8 @@ def derived_copula_validity(
     is evidence, not proof: it certifies the construction on the sampled
     grid only, and so needs at least one point and one rectangle.
     """
+    _check_integer(n_points, "n_points")
+    _check_integer(n_rectangles, "n_rectangles")
     if n_points < 1 or n_rectangles < 1:
         raise ValueError("n_points and n_rectangles must be at least 1")
     rng = np.random.default_rng(0)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .armax import _SERIES_STOP, _SERIES_TERMS
-from .errors import UndefinedResultError, _check_open_unit, _check_top_k
+from .errors import UndefinedResultError, _check_integer, _check_open_unit, _check_top_k
 
 __all__ = [
     "MomentEstimate",
@@ -221,6 +221,7 @@ def cross_moment_exact(c: float, r: int) -> float:
 
 def _check_lag_args(c: float, r: int) -> None:
     _check_open_unit(c)
+    _check_integer(r, "r")
     if r < 1:
         raise ValueError("r must be a positive integer")
 

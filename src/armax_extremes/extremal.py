@@ -24,7 +24,7 @@ import numpy as np
 from .armax import ProcessConfig, stationary_joint_logcdf, stationary_marginal_quantile
 from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import NumericLimitError, UndefinedResultError
-from .errors import _check_coefficients, _check_open_unit, _check_top_k
+from .errors import _check_coefficients, _check_integer, _check_open_unit, _check_top_k
 from .margins import DomainTag, attraction_domain
 from .taildep import _top_rows
 
@@ -189,6 +189,7 @@ def empirical_extremal_index_runs(series, threshold: float, run_gap: int = 1) ->
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("series must be a non-empty 1-d array")
+    _check_integer(run_gap, "run_gap")
     if run_gap < 1:
         raise ValueError("run_gap must be at least 1")
     idx = np.flatnonzero(x > threshold)

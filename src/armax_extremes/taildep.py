@@ -29,7 +29,6 @@ from .armax import (
     _PRODUCT_TOL,
     ProcessConfig,
     stationary_joint_logcdf,
-    stationary_marginal_logcdf,
     stationary_marginal_quantile,
 )
 from .errors import NumericLimitError, UndefinedResultError
@@ -87,11 +86,11 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
     directly (``F(z_t) = 1 - t`` exactly at ``r = 0``).  The same-time
     pair copula is the comonotone diagonal when ``j == j'`` and the
     stationary pair law otherwise (the other components marginalized
-    out at ``inf``), evaluated at the whole grid in one batch.  That
-    batch carries ``F(z_t)`` too when it needs the product: rows with
+    out at ``inf``).  A cell evaluates the product at most once, in one
+    batch over the whole grid: the pair law's rows for a cross cell,
+    then, for every cell whose ``F(z_t)`` needs the product, rows with
     ``z_t`` at ``j'`` and every other component at ``inf``, equal to
-    `stationary_marginal_logcdf` bit for bit, so a cell evaluates the
-    product at most once.  Raises
+    `stationary_marginal_logcdf` bit for bit.  Raises
     `NumericLimitError` when the last grid increment exceeds 10 times
     the previous one plus a noise floor.  The floor is
     ``armax._PRODUCT_TOL / ((1 - max(c_j, c_j')) * t_last)``: the
@@ -110,43 +109,35 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
     frechet_sub = domain_jp.is_frechet and margin_jp.kind == "frechet"
 
     log_1mt = [math.log1p(-t) for t in t_grid]
-    n_t = len(t_grid)
-    # F(z_t) takes the truncated product unless the tail substitution or
-    # r = 0 gives it; a cross cell takes it in its pair-law batch
-    product_fval = not frechet_sub and r > 0
-    if not frechet_sub or j != jp:
-        # the levels z_t, needed by F(z_t) and by the pair law; where
-        # c**r underflows to 0 the level c**(-r) w_t is +inf
+    # F(z) = 1 - t holds exactly at r = 0, where evaluating it at the
+    # root-found z would only add the root finder's error; the pair
+    # (X_j, X_j) is comonotone and F(z) >= 1 - t, so its copula value is
+    # exactly 1 - t
+    log_fval = log_c = log_1mt
+    if frechet_sub:
+        log_fval = [math.log1p(-t * c_jp ** (r * margin_jp.alpha)) for t in t_grid]
+    # one evaluation of the stationary law: a cross cell's pair law at
+    # (w_t, z_t), then the rows of any product F(z_t), z_t at j' and inf
+    # elsewhere
+    pair, product_fval = j != jp, not frechet_sub and r > 0
+    if pair or product_fval:
+        # where c**r underflows to 0 the level c**(-r) w_t is +inf
         c_r = c_jp**r
-        z = [
+        x = np.full((2, len(t_grid), d), math.inf)
+        x[:, :, jp] = [
             stationary_marginal_quantile(margin_jp, c_jp, 1.0 - t) / c_r if c_r else math.inf
             for t in t_grid
         ]
-    if frechet_sub:
-        log_fval = [math.log1p(-t * c_jp ** (r * margin_jp.alpha)) for t in t_grid]
-    elif r == 0:
-        # F(z) = 1 - t holds exactly at r = 0; evaluating it at the
-        # root-found z would only add the root finder's error
-        log_fval = log_1mt
-    elif j == jp:
-        log_fval = stationary_marginal_logcdf(margin_jp, c_jp, np.array(z)).tolist()
-    if j == jp:
-        # the pair (X_j, X_j) is comonotone and F(z) >= 1 - t, so the
-        # copula value is exactly 1 - t
-        log_c = log_1mt
-    else:
-        # the pair law at (w_t, z_t) over the whole grid, then any rows
-        # of F(z_t), in one evaluation of the stationary law
-        x = np.full((2, n_t, d), math.inf)
-        x[0, :, j] = [
-            stationary_marginal_quantile(config.margins[j], config.c[j], 1.0 - t) for t in t_grid
-        ]
-        x[:, :, jp] = z
-        batch = x if product_fval else x[:1]
-        values = stationary_joint_logcdf(config, batch.reshape(-1, d)).tolist()
-        log_c = values[:n_t]
+        if pair:
+            x[0, :, j] = [
+                stationary_marginal_quantile(config.margins[j], config.c[j], 1.0 - t) for t in t_grid
+            ]
+        batch = x[0 if pair else 1 : 2 if product_fval else 1].reshape(-1, d)
+        values = stationary_joint_logcdf(config, batch).tolist()
+        if pair:
+            log_c = values[: len(t_grid)]
         if product_fval:
-            log_fval = values[n_t:]
+            log_fval = values[-len(t_grid) :]
 
     middles, lowers, uppers, lams = [], [], [], []
     for t, l_1mt, l_f, l_c in zip(t_grid, log_1mt, log_fval, log_c):

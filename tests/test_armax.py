@@ -708,6 +708,12 @@ def test_default_init_simulates_a_burn_in():
 def test_simulate_rejects_bad_n():
     with pytest.raises(ValueError):
         simulate_path(d1_config(), 0, 1)
+    for n in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            simulate_path(d1_config(), n, 1)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            armax._simulate_batch(d1_config(), n, [1])
+    assert simulate_path(d1_config(), np.int64(3), 1).data.shape == (3, 1)
 
 
 # -------------------------------------------------------------- stationarity
@@ -1093,6 +1099,43 @@ def test_stationary_joint_rows_at_inf_equal_the_marginal_bit_for_bit(case):
     assert one.hex() == stationary_marginal_logcdf(margin, c, values[0]).hex()
 
 
+@st.composite
+def _restricted_cases(draw):
+    d = draw(st.integers(1, 10), label="d")
+    c = draw(st.lists(st.floats(0.05, 0.9), min_size=d, max_size=d), label="c")
+    margins = draw(st.lists(_KERNEL_MARGINS, min_size=d, max_size=d), label="margins")
+    config = ProcessConfig(d, c, margins, draw(_KERNEL_COPULAS, label="copula"))
+    m = draw(st.integers(1, 6), label="m")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.uniform(0.05, 50.0, size=(m, d))
+    # each row keeps its own components, at least one; a column may be
+    # at inf in every row
+    out = rng.random((m, d)) < rng.random()
+    out[np.arange(m), rng.integers(0, d, size=m)] = False
+    x[out] = math.inf
+    special = st.sampled_from([0.0, -1.0, 1e-3])
+    for k, v in draw(st.lists(st.tuples(st.integers(0, m * d - 1), special), max_size=2)):
+        x.flat[k] = v
+    return config, x
+
+
+@settings(max_examples=200)
+@given(_restricted_cases())
+def test_stationary_joint_components_at_inf_give_the_restricted_law_bit_for_bit(case):
+    # each row's log F equals that of the process restricted to its
+    # finite components, for every d; a pairwise sum of the copula's 8
+    # or more columns would not give it
+    config, x = case
+    joint = stationary_joint_logcdf(config, x)
+    for row, value in zip(x, joint.tolist()):
+        kept = np.flatnonzero(row != math.inf).tolist()
+        restricted = ProcessConfig(
+            len(kept), [config.c[j] for j in kept], [config.margins[j] for j in kept], config.copula
+        )
+        assert value.hex() == stationary_joint_logcdf(restricted, row[kept]).hex()
+    assert stationary_joint_logcdf(config, x[0]).hex() == joint[0].hex()
+
+
 @pytest.mark.parametrize("copula", [INDEP, CopulaSpec.comonotone(), CopulaSpec.gumbel(2.5)])
 def test_stationary_joint_rows_at_inf_fail_as_the_marginal_near_unit_c(copula):
     # unit Frechet at c = 0.999 needs about 27 600 factors at x = 1
@@ -1246,5 +1289,9 @@ def test_normalized_level_validation():
         normalized_level(0.5, 100, -1.0)
     with pytest.raises(ValueError):
         normalized_level(0.5, 0, 1.0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        normalized_level(0.5, 1.5, 1.0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        normalized_level(0.5, True, 0.5)
     with pytest.raises(ValueError):
         normalized_level(1.2, 100, 1.0)

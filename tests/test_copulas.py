@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kendalltau, kstest
 
+from armax_extremes import copulas
 from armax_extremes.copulas import (
     CopulaSpec,
     DerivedCopula,
@@ -137,6 +140,76 @@ def test_logcdf_batch_matches_rows():
 def test_logcdf_comonotone_is_min():
     log_u = np.log([0.2, 0.9, 0.4])
     assert copula_logcdf(COMONO, log_u) == float(np.min(log_u))
+
+
+def _np_sum_logcdf(spec, log_u):
+    """`copulas._base_logcdf` with its row sums and maxima taken by
+    ``np.sum`` and ``np.max``."""
+    if spec.kind == "comonotone":
+        return np.min(log_u, axis=1)
+    if spec.kind == "independence" or spec.gamma == 1.0:
+        return np.sum(log_u, axis=1)
+    s = -log_u
+    m = np.max(s, axis=1)
+    with np.errstate(invalid="ignore"):
+        norm = m * np.sum((s / m[:, None]) ** spec.gamma, axis=1) ** (1.0 / spec.gamma)
+    return -np.where((m == 0.0) | (m == np.inf), m + 0.0, norm)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_base_logcdf_keeps_the_bits_of_np_sum_up_to_d7(d):
+    # the left-to-right sums start at 0.0 + column 0, as np.sum's do for
+    # d <= 7: a row of -0.0 sums to 0.0, not -0.0
+    rng = np.random.default_rng(d)
+    special = [0.0, -0.0, -math.inf, -5e-324, -1e-310, -1.0, -0.3, -1e16, -1e-16]
+    log_u = np.concatenate(
+        (
+            rng.choice(special, size=(4000, d)),
+            -rng.random((1000, d)) * 10.0 ** rng.integers(-20, 20, size=(1000, d)),
+            np.full((1, d), -0.0),
+        )
+    )
+    for spec in BASE_SPECS + [CopulaSpec.gumbel(3.0)]:
+        got = copulas._base_logcdf(spec, log_u)
+        assert np.array_equal(got.view(np.int64), _np_sum_logcdf(spec, log_u).view(np.int64)), spec
+        one = copula_logcdf(spec, log_u[-1])
+        assert one.hex() == _np_sum_logcdf(spec, log_u[-1:])[0].hex(), spec
+    assert math.copysign(1.0, copula_logcdf(INDEP, [-0.0, -0.0])) == 1.0
+
+
+# gamma 3 makes (-0.0)**gamma = -0.0 in the Gumbel norm
+_MARGINALIZED_SPECS = st.sampled_from(
+    [CopulaSpec.gumbel(1.5), GUMBEL2, CopulaSpec.gumbel(3.0), INDEP, COMONO]
+)
+
+
+@st.composite
+def _marginalized_batches(draw):
+    d = draw(st.integers(1, 12), label="d")
+    kept = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(any), label="kept"))
+    m = draw(st.integers(1, 20), label="m")
+    # the arguments left in are logs of uniforms, whose sums round, and
+    # a few -inf, subnormal or huge ones
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = np.log(rng.random((m, d))) * 10.0 ** rng.integers(-3, 4, size=(m, d))
+    special = st.sampled_from([-math.inf, -5e-324, -1e-310, -1e300])
+    for k, v in draw(st.lists(st.tuples(st.integers(0, m * d - 1), special), max_size=3)):
+        values.flat[k] = v
+    zeros = rng.choice([0.0, -0.0], size=(m, d))
+    return draw(_MARGINALIZED_SPECS, label="spec"), np.where(kept, values, zeros), kept
+
+
+@settings(max_examples=300)
+@given(_marginalized_batches())
+def test_logcdf_arguments_at_one_are_marginalized_exactly(case):
+    # log u_j = +-0.0 leaves the copula of the other arguments as it is,
+    # bit for bit, for every d; a pairwise sum of 8 or more columns
+    # would not
+    spec, log_u, kept = case
+    full = copula_logcdf(spec, log_u)
+    restricted = copula_logcdf(spec, log_u[:, kept])
+    assert np.array_equal(full.view(np.int64), restricted.view(np.int64))
+    assert copula_logcdf(spec, log_u[0]).hex() == copula_logcdf(spec, log_u[0, kept]).hex()
 
 
 def test_eval_input_validation():
@@ -468,6 +541,14 @@ def test_validity_screen_refuses_an_empty_sample(n_points, n_rectangles):
     assert derived_copula_validity(dc, 1, 1).min_rectangle_mass < math.inf
 
 
+@pytest.mark.parametrize("n_points, n_rectangles", [(1.5, 16), (True, True), (16, 16.0)])
+def test_validity_screen_refuses_a_non_integer_size(n_points, n_rectangles):
+    dc = DerivedCopula(GUMBEL2, (1.0, 0.5))
+    with pytest.raises(ValueError, match="must be an integer"):
+        derived_copula_validity(dc, n_points, n_rectangles)
+    assert derived_copula_validity(dc, np.int64(16), np.int32(16)).n_points == 16
+
+
 # -------------------------------------------------------- extremal coefficients
 
 
@@ -505,6 +586,8 @@ def test_extremal_coefficient_validation():
         extremal_coefficient(0.5, 2)
     with pytest.raises(ValueError):
         extremal_coefficient(2.0, 0)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        extremal_coefficient(2.0, 2.5)
     with pytest.raises(ValueError):
         extremal_coefficient_derived(2.0, ())
     with pytest.raises(ValueError):

@@ -244,6 +244,8 @@ def test_cross_moment_values():
         cross_moment(0.0, 1)
     with pytest.raises(ValueError):
         cross_moment(0.5, 0)
+    with pytest.raises(ValueError, match="r must be an integer"):
+        cross_moment(0.5, 1.5)
 
 
 @pytest.mark.xfail(
@@ -335,6 +337,8 @@ def test_asymptotic_variance_exact_positive_on_grid():
             asymptotic_variance_exact(bad)
     with pytest.raises(ValueError, match="r must be a positive integer"):
         cross_moment_exact(0.5, 0)
+    with pytest.raises(ValueError, match="r must be an integer"):
+        cross_moment_exact(0.5, True)
 
 
 # ------------------------------------------------------- confidence intervals

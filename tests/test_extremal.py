@@ -235,6 +235,8 @@ def test_runs_validation():
         empirical_extremal_index_runs([], 1.0)
     with pytest.raises(ValueError):
         empirical_extremal_index_runs([1.0, 2.0], 1.0, run_gap=0)
+    with pytest.raises(ValueError, match="run_gap must be an integer"):
+        empirical_extremal_index_runs([1, 2, 3, 4], 2.5, run_gap=1.5)
 
 
 def test_runs_on_simulated_path():

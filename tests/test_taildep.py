@@ -152,15 +152,16 @@ MIXED4 = ProcessConfig(
 )
 def test_tdc_mixed_cells_pinned_bit_for_bit(cell, extrapolated, lam):
     # the bits of the evaluation that took F(z_t) in a call of its own;
-    # a cross cell now takes it in its pair-law batch
+    # every cell now takes it in its one stationary-law batch
     diag = lag_tdc_diagnostics(MIXED4, *cell)
     assert (diag.lam_extrapolated.hex(), diag.lam.hex()) == (extrapolated, lam)
     assert theoretical_lag_tdc(MIXED4, *cell).hex() == lam
 
 
 def test_tdc_cell_runs_the_product_kernel_at_most_once(monkeypatch):
-    # F(z_t) of a cross cell rides in the pair-law batch, so no cell
-    # evaluates the truncated product twice once its quantiles are cached
+    # F(z_t) rides in the cell's one stationary-law batch, after the pair
+    # law of a cross cell, so no cell evaluates the truncated product
+    # twice once its quantiles are cached
     calls = []
     kernel = armax._log_product
 
@@ -175,9 +176,10 @@ def test_tdc_cell_runs_the_product_kernel_at_most_once(monkeypatch):
             patch.setattr(armax, "_log_product", counted)
             theoretical_lag_tdc(MIXED4, j, jp, r)
         assert len(calls) <= 1, (j, jp, r, calls)
-        # a cross cell with a product F(z_t) takes it as 4 more rows
-        if j != jp and jp != 0 and r > 0:
-            assert calls == [(8, 4)]
+        # a cell with a product F(z_t) takes it as 4 rows, after the 4
+        # of a cross cell's pair law
+        if jp != 0 and r > 0:
+            assert calls == [(8 if j != jp else 4, 4)]
 
 
 # a cell whose grid diverges: its last increment, -1.09e-3, is far above
