@@ -29,6 +29,7 @@ import numpy as np
 
 from .armax import _SERIES_STOP, _SERIES_TERMS
 from .errors import UndefinedResultError, _check_integer, _check_open_unit, _check_top_k
+from .ranks import _top_order_statistics
 
 __all__ = [
     "MomentEstimate",
@@ -378,12 +379,6 @@ def _check_interval(convention: str, level: float, error: type[ValueError] = Val
         raise error(f"convention must be one of {VARIANCE_CONVENTIONS}")
     if not (0.0 <= level < 1.0):
         raise error("level must lie in [0, 1)")
-
-
-def _top_order_statistics(x: np.ndarray, k: int) -> np.ndarray:
-    """The top ``k + 1`` order statistics of the 1-d ``x``, ascending
-    (nan last, as `np.sort` puts it), without sorting the rest."""
-    return np.sort(np.partition(x, -k - 1)[-k - 1 :])
 
 
 def hill_tail_index(series, k: int) -> float:

@@ -26,7 +26,7 @@ from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import NumericLimitError, UndefinedResultError
 from .errors import _check_coefficients, _check_integer, _check_open_unit, _check_top_k
 from .margins import DomainTag, attraction_domain
-from .taildep import _top_rows
+from .ranks import _has_nan, _order_statistic, _sorted_columns, _top_rows, _window
 
 __all__ = [
     "ExtremalIndexResult",
@@ -215,10 +215,11 @@ def empirical_mv_extremal_index(
     ``x_j = tau_j * c_j**alpha_j`` on the Frechet-domain components only
     (numerator).  ``k`` defaults to ``ceil(sqrt(n))``.  The ratio is
     clamped to ``[0, 1]``.  A ``(d,)`` direction ``tau`` gives a float;
-    an ``(m, d)`` grid gives an ``(m,)`` array, partitioning each column
-    once for the whole grid.  Ties rank in order of position, and a
-    column holding a nan exceeds no level.  Raises `UndefinedResultError`
-    when no observation exceeds the levels of some direction.
+    an ``(m, d)`` grid gives an ``(m,)`` array, reading every level of
+    the grid off one sorted copy of each column (`ranks`), one column at
+    a time.  Ties rank in order of position, and a column holding a nan
+    exceeds no level.  Raises `UndefinedResultError` when no observation
+    exceeds the levels of some direction.
     """
     data = np.asarray(getattr(path, "data", path), dtype=float)
     if data.ndim != 2:
@@ -237,17 +238,18 @@ def empirical_mv_extremal_index(
         # that is above q_j = floor(n - k x_j): every row when q_j = 0,
         # none when q_j = n, as at the numerator's 0 off the index set
         q = np.floor(np.clip(n - k * levels.reshape(-1, d), 0, n)).astype(np.intp)
-        # the value of rank q_j, from one partition of each column for the
-        # whole grid; -inf where every row exceeds
+        # the value of rank q_j, from one sorted copy of one column at a
+        # time for the whole grid; -inf where every row exceeds
         value = np.full(q.shape, -math.inf)
         for j in range(d):
+            window = _window(data[:, j], _sorted_columns(data, (j,))[j], 0, n)
             inner = (q[:, j] > 0) & (q[:, j] < n)
-            if math.isnan(data[:, j].max()):
+            if _has_nan(window):
                 # a column holding a nan ranks every row nan: none exceeds
                 q[:, j] = n
             elif inner.any():
-                kth = q[inner, j] - 1
-                value[inner, j] = np.partition(data[:, j], kth)[kth]
+                value[inner, j] = _order_statistic(window.column, window.left_out, q[inner, j])
+            del window  # before the next column's sort
         counts = np.empty(len(q), dtype=np.intp)
         for i, (q_i, value_i) in enumerate(zip(q, value)):
             exceeds = np.zeros(n, dtype=bool)

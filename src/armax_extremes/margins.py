@@ -228,17 +228,13 @@ def attraction_domain(spec: MarginSpec) -> DomainTag:
     """Max-domain of attraction of ``spec``.
 
     Frechet margins and heavy-tailed GPDs (``shape > 0``) are in the
-    Frechet domain with regular-variation index ``alpha``; exponential
-    and light-tailed GPD (``shape == 0``) margins are Gumbel; margins
-    with a finite right endpoint are Weibull.  The Weibull-minimum
-    family carries the ``"weibull"`` tag as well; every numerical
-    routine in the package branches only on ``is_frechet``, so the
-    label has no computational consequence.
+    Frechet domain with regular-variation index ``alpha``; exponential,
+    Weibull-minimum and light-tailed GPD (``shape == 0``) margins, with
+    an infinite endpoint and an exponential-type tail, are Gumbel;
+    margins with a finite right endpoint are Weibull.
     """
     if spec.kind == "frechet":
         return DomainTag("frechet", alpha=spec.alpha)
-    if spec.kind == "exponential":
-        return DomainTag("gumbel")
     if spec.kind == "uniform01":
         return DomainTag("weibull")
     if spec.kind == "gpd":
@@ -247,7 +243,7 @@ def attraction_domain(spec: MarginSpec) -> DomainTag:
         if spec.shape < -GPD_SHAPE_TOL:
             return DomainTag("weibull")
         return DomainTag("gumbel")
-    return DomainTag("weibull")  # weibull_min
+    return DomainTag("gumbel")  # exponential, weibull_min
 
 
 def right_endpoint(spec: MarginSpec) -> float:

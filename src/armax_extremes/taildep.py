@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .armax import (
 from .errors import NumericLimitError, UndefinedResultError
 from .errors import _check_integer, _check_open_unit, _check_top_k
 from .margins import MarginSpec, attraction_domain, right_endpoint
+from .ranks import _has_nan, _ranks, _sorted_columns, _top, _top_order_statistics, _window, _Window
 
 __all__ = [
     "LagTdcDiagnostics",
@@ -188,110 +188,6 @@ def tdc_bounds(c_jp: float, alpha_jp: float, r: int) -> tuple[float, float]:
     return (0.0, c_jp ** (alpha_jp * r))
 
 
-class _Window(NamedTuple):
-    """A column less a set of left-out rows, ranked ordinally.
-
-    ``values`` are the window's rows in row order, ``left_out`` the
-    sorted values of the rows left out (a prefix, a suffix or a middle
-    block) and ``column`` the whole column sorted (`np.sort`, nans
-    last).  A row's rank is its place in the window's stable order:
-    equal values (``-0.0 == 0.0`` included) rank in order of position,
-    as ``scipy.stats.rankdata(method="ordinal")`` ranks them, and a
-    window holding a nan ranks every row nan.  No rank is stored: the
-    estimators count the rows whose rank passes a threshold, and a
-    threshold is an order statistic of ``column``.
-    """
-
-    values: np.ndarray
-    left_out: np.ndarray
-    column: np.ndarray
-
-
-def _window(x: np.ndarray, column: np.ndarray, start: int, stop: int) -> _Window:
-    """The window ``x[start:stop]`` of the column ``x``, sorted as ``column``."""
-    return _Window(x[start:stop], np.sort(np.concatenate((x[:start], x[stop:]))), column)
-
-
-def _has_nan(window: _Window) -> bool:
-    """Whether the window holds a nan: the column holds more nans than
-    its left-out rows (`np.sort` and `np.searchsorted` both put nan last)."""
-    column, left_out = window.column, window.left_out
-    column_nans = column.size - np.searchsorted(column, math.nan)
-    return column_nans > left_out.size - np.searchsorted(left_out, math.nan)
-
-
-def _order_statistic(column: np.ndarray, left_out: np.ndarray, q: int) -> float:
-    """The ``q``-th smallest value (``q >= 1``) of the sorted ``column``
-    less the sorted values ``left_out``.
-
-    It is the column's ``q``-th value shifted past the left-out values
-    ranked below it: a left-out value ``v`` has
-    ``searchsorted(column, v) - searchsorted(left_out, v)`` kept values
-    below it, and each left-out value with fewer than ``q`` kept values
-    below it moves the place in ``column`` up by one.
-    """
-    below = np.searchsorted(column, left_out) - np.searchsorted(left_out, left_out)
-    return column[q - 1 + np.searchsorted(below, q)]
-
-
-def _top_rows(values: np.ndarray, v: float, count: int) -> np.ndarray:
-    """Mask of the ``count`` rows of the nan-free ``values`` ranked
-    highest, where ``v`` is the value of rank ``values.size - count``:
-    every row above ``v``, and the last rows equal to it, as ties rank
-    in order of position."""
-    mask = values > v
-    ties = count - np.count_nonzero(mask)
-    if ties:
-        equal = np.flatnonzero(values == v)
-        mask[equal[equal.size - ties :]] = True
-    return mask
-
-
-def _top(window: _Window, count: int) -> np.ndarray:
-    """Mask of the window's rows ranked above ``m - count``; none when
-    the window holds a nan, as no nan rank passes a threshold."""
-    m = window.values.size
-    if _has_nan(window):
-        return np.zeros(m, dtype=bool)
-    if count >= m:
-        return np.ones(m, dtype=bool)
-    v = _order_statistic(window.column, window.left_out, m - count)
-    return _top_rows(window.values, v, count)
-
-
-def _ranks(window: _Window, rows: np.ndarray) -> np.ndarray:
-    """The ranks, as floats, of the ascending rows ``rows`` of a nan-free
-    window: one plus the number of window rows below each row's value,
-    read off the sorted column less the left-out values, plus the number
-    of window rows equal to it and before it."""
-    column, left_out, values = window.column, window.left_out, window.values
-    x = values[rows]
-    below = np.searchsorted(column, x) - np.searchsorted(left_out, x)
-    equal = np.searchsorted(column, x, "right") - np.searchsorted(left_out, x, "right") - below
-    ranks = below + 1.0
-    tied = np.flatnonzero(equal > 1)
-    if tied.size:
-        # the window rows that share a tied value, in row order; a stable
-        # sort groups them by value and keeps each group in row order
-        shared = np.sort(x[tied])
-        # only rows at or above the least tied value can share one
-        near = np.flatnonzero(values >= shared[0])
-        at = np.minimum(np.searchsorted(shared, values[near]), shared.size - 1)
-        peers = near[shared[at] == values[near]]
-        order = np.argsort(values[peers], kind="stable")
-        grouped = values[peers[order]]
-        before = np.empty(peers.size)
-        before[order] = np.arange(peers.size) - np.searchsorted(grouped, grouped)
-        ranks[tied] += before[np.searchsorted(peers, rows[tied])]
-    return ranks
-
-
-def _sorted_columns(data: np.ndarray, columns) -> dict:
-    """Each listed column of ``data`` sorted, one `np.sort` copy each."""
-    _check_components(data.shape[1], columns)
-    return {j: np.sort(data[:, j]) for j in columns}
-
-
 def _check_components(d: int, components) -> None:
     if not all(0 <= j < d for j in components):
         raise ValueError("component indices out of range")
@@ -397,10 +293,7 @@ def _rank_eta(head: _Window, tail: _Window, k: int | None) -> float:
     np.divide(t_var, m + 1.0, out=t_var)
     np.subtract(1.0, t_var, out=t_var)
     np.divide(1.0, t_var, out=t_var)
-    # the top k + 1 order statistics, as `_top_order_statistics` takes
-    # them, but partitioned in the buffer itself
-    t_var.partition(-k - 1)
-    t_sorted = np.sort(t_var[-k - 1 :])
+    t_sorted = _top_order_statistics(t_var, k)
     pivot, top = t_sorted[0], t_sorted[1:]
     eta = float(np.mean(np.log(top)) - math.log(pivot))
     if not eta > 0.0:
@@ -417,6 +310,13 @@ def _path_data(path) -> np.ndarray:
     return data
 
 
+def _pair_windows(path, j: int, jp: int, r: int):
+    """The `_lagged_windows` of the cell ``(j, jp, r)`` of ``path``."""
+    data = _path_data(path)
+    _check_components(data.shape[1], (j, jp))
+    return _lagged_windows(data, _sorted_columns(data, {j, jp}), j, jp, r)
+
+
 def empirical_tdc(path, j: int, jp: int, r: int, t: float) -> float:
     """Finite-t rank estimate of the lag-r TDC.
 
@@ -424,8 +324,7 @@ def empirical_tdc(path, j: int, jp: int, r: int, t: float) -> float:
     exceedances alone.  Requires ``0 <= j, jp < d`` and
     ``t * (n-r) >= 10`` so the tail counts are meaningful.
     """
-    data = _path_data(path)
-    return _rank_tdc(*_lagged_windows(data, _sorted_columns(data, {j, jp}), j, jp, r), t)
+    return _rank_tdc(*_pair_windows(path, j, jp, r), t)
 
 
 def empirical_eta(path, j: int, jp: int, r: int, k: int | None = None) -> float:
@@ -439,8 +338,7 @@ def empirical_eta(path, j: int, jp: int, r: int, k: int | None = None) -> float:
     A sample whose estimate is not positive, as a nan entry in either
     column makes it nan, raises `UndefinedResultError`.
     """
-    data = _path_data(path)
-    return _rank_eta(*_lagged_windows(data, _sorted_columns(data, {j, jp}), j, jp, r), k)
+    return _rank_eta(*_pair_windows(path, j, jp, r), k)
 
 
 def empirical_cells(path, cells, t: float, k: int | None = None) -> list:
@@ -451,12 +349,14 @@ def empirical_cells(path, cells, t: float, k: int | None = None) -> list:
     ``[0, d)``, a bad lag, ``t`` or ``k`` raises its ``ValueError``.
     Each column is sorted once; a cell counts the rows of its two
     lagged windows whose ranks pass a threshold, read off the sorted
-    column (see `_Window`), so besides the path the cells hold the
+    column (see `ranks._Window`), so besides the path the cells hold the
     sorted columns and one cell's boolean row masks.
     """
     data = _path_data(path)
     cells = list(cells)
-    columns = _sorted_columns(data, dict.fromkeys(col for j, jp, _ in cells for col in (j, jp)))
+    columns = dict.fromkeys(col for j, jp, _ in cells for col in (j, jp))
+    _check_components(data.shape[1], columns)
+    columns = _sorted_columns(data, columns)
     return [_rank_cell(*_lagged_windows(data, columns, j, jp, r), t, k) for j, jp, r in cells]
 
 

@@ -405,7 +405,7 @@ def test_empirical_mv_ranks_ties_as_the_stable_sort():
     assert got.tobytes() == _reference_mv_index(*args).tobytes()
 
 
-_VALUES = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, math.inf]) | st.floats(-3.0, 3.0)
+_VALUES = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, math.inf, -math.inf]) | st.floats(-3.0, 3.0)
 
 
 @st.composite
@@ -438,7 +438,7 @@ def test_empirical_mv_matches_rankdata_reference(case):
 
 
 def test_empirical_mv_holds_one_column_partition():
-    # besides the path: one column's partitioned copy and a few row masks
+    # besides the path: one column's sorted copy and a few row masks
     cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, FRECHET1), CopulaSpec.gumbel(2.0))
     data = simulate_path(cfg, 100_000, 3).data
     grid = [[1.0, 1.0], [0.5, 2.0], [2.0, 0.5]]

@@ -150,7 +150,7 @@ def test_attraction_domains():
     assert attraction_domain(MarginSpec.frechet(2.0)).alpha == 2.0
     assert attraction_domain(MarginSpec.exponential(1.0)).kind == "gumbel"
     assert attraction_domain(MarginSpec.uniform01()).kind == "weibull"
-    assert attraction_domain(MarginSpec.weibull_min(1.7)).kind == "weibull"
+    assert attraction_domain(MarginSpec.weibull_min(1.7)).kind == "gumbel"
     # GPD splits on the sign of the shape, with alpha = 1/shape on the heavy side
     dom = attraction_domain(MarginSpec.gpd(0.25, 1.0))
     assert dom.kind == "frechet" and dom.alpha == pytest.approx(4.0, rel=1e-15)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armax_extremes import armax, taildep
+from armax_extremes import armax
 from armax_extremes.armax import ProcessConfig, simulate_path
 from armax_extremes.copulas import CopulaSpec
 from armax_extremes.errors import NumericLimitError, UndefinedResultError
@@ -17,9 +17,6 @@ from armax_extremes.margins import MarginSpec
 from armax_extremes.taildep import (
     DEFAULT_T_GRID,
     REGIME_BAND,
-    _order_statistic,
-    _top,
-    _Window,
     check_tail_dep_parameters,
     classify_tail_regime,
     empirical_cells,
@@ -30,6 +27,7 @@ from armax_extremes.taildep import (
     tdc_bounds,
     theoretical_lag_tdc,
 )
+from test_ranks import _rankdata
 
 FRECHET1 = MarginSpec.frechet(1.0)
 INDEP = CopulaSpec.independence()
@@ -366,70 +364,6 @@ def test_empirical_eta_never_exceeds_one():
         pair = np.column_stack([x, x])
         eta = empirical_eta(pair, 0, 1, 0)
         assert 0.9 < eta <= 1.0
-
-
-def _rankdata(values):
-    """Ordinal ranks as floats, all nan for a window holding a nan."""
-    from scipy.stats import rankdata
-
-    return np.asarray(rankdata(values, method="ordinal"), dtype=float)
-
-
-def _middle_window(x, a, b):
-    """The column ``x`` less the middle block ``x[a:b]``."""
-    return _Window(np.concatenate((x[:a], x[b:])), np.sort(x[a:b]), np.sort(x))
-
-
-def _assert_tops_match_rankdata(window):
-    m = window.values.size
-    ranks = _rankdata(window.values)
-    for count in range(m + 2):
-        assert np.array_equal(_top(window, count), ranks > m - count)
-
-
-def test_window_tops_match_rankdata():
-    rng = np.random.default_rng(5)
-    x = rng.integers(0, 20, 500).astype(float)  # heavy ties
-    x[::37] = -0.0  # ties with 0.0
-    n = x.size
-    column = np.sort(x)
-    # a window's order statistics are the column's, shifted past the
-    # left-out rows below them
-    for window in (taildep._window(x, column, 7, n), _middle_window(x, 100, 300)):
-        ordered = np.sort(window.values)
-        for q in range(1, ordered.size + 1):
-            assert _order_statistic(column, window.left_out, q) == ordered[q - 1]
-    # every window's thresholds are read off the one sorted column: a
-    # lagged head or tail, or the column less a middle block
-    for r in (0, 1, 7, 250, 498):
-        for window in (taildep._window(x, column, 0, n - r), taildep._window(x, column, r, n)):
-            _assert_tops_match_rankdata(window)
-    _assert_tops_match_rankdata(_middle_window(x, 100, 300))
-    # a window holding a nan has no row above any threshold
-    x[10] = math.nan
-    column = np.sort(x)
-    assert not _top(taildep._window(x, column, 0, 100), 50).any()
-    assert not _top(_middle_window(x, 200, 300), 50).any()
-    _assert_tops_match_rankdata(taildep._window(x, column, 11, n))
-    _assert_tops_match_rankdata(_middle_window(x, 5, 11))
-
-
-_TIES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0]
-
-
-@settings(max_examples=300, database=None)
-@given(st.lists(st.sampled_from(_TIES) | st.floats(), min_size=1, max_size=80), st.data())
-def test_window_tops_match_rankdata_on_any_window(values, data):
-    # forced ties, signed zeros, nan and infinities among any floats
-    x = np.array(values)
-    n = x.size
-    column = np.sort(x)
-    a, b = sorted(data.draw(st.tuples(st.integers(0, n), st.integers(0, n))))
-    for window in (taildep._window(x, column, a, b), _middle_window(x, a, b)):
-        if window.values.size and np.isnan(window.values).any():
-            assert not _top(window, window.values.size // 2).any()
-        else:
-            _assert_tops_match_rankdata(window)
 
 
 def _reference_cell(data, j, jp, r, t, k):
