@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,12 @@ _FIRST_CHUNK_TERMS = 64
 _SERIES_TERMS = 10_000
 _SERIES_STOP = 1e-14
 _PRODUCT_TOL = 1e-12
+_PRODUCT_STOP = -math.log1p(-_PRODUCT_TOL)
+
+# parts the stationary quantile's bit search cuts its interval into per
+# round: its 15 probes run as one batch, the lowest cold cost per solve
+# of 1, 15, 63 and 255 probes
+_QUANTILE_PARTS = 16
 
 
 @dataclass(frozen=True)
@@ -548,11 +555,16 @@ def stationary_marginal_quantile(margin: MarginSpec, c: float, p: float) -> floa
     """Quantile of the stationary marginal law of one component.
 
     Closed form for Frechet margins (the stationary marginal is again
-    Frechet up to the scale ``(1 - c**alpha)**(-1/alpha)``), a bracketed
-    root-find on the log product otherwise.  The root-find is memoised
-    on ``(margin, c, p)``, so a repeated request returns the
-    identical float without solving again.  Raises `NumericLimitError`
-    when the closed form leaves the float range (small ``alpha``).
+    Frechet up to the scale ``(1 - c**alpha)**(-1/alpha)``).  Otherwise
+    the least float ``v >= 0`` with ``log F(v) >= log p``, where ``F`` is
+    the truncated product of `stationary_marginal_logcdf`, or the
+    innovation quantile when ``F`` already reaches ``p`` there; a bit
+    search over the floats between that quantile and the right endpoint
+    finds it.  The search is memoised on ``(margin, c, p)``, so a
+    repeated request returns the identical float without solving again.
+    Raises `NumericLimitError` when the quantile leaves the float range
+    (small ``alpha``, or ``F`` below ``p`` at the largest float), or
+    when the product does not converge at a probe that reaches ``p``.
     """
     _check_open_unit(c)
     if not (0.0 < p < 1.0):
@@ -570,93 +582,35 @@ def stationary_marginal_quantile(margin: MarginSpec, c: float, p: float) -> floa
 def _stationary_quantile(margin: MarginSpec, c: float, p: float) -> float:
     log_p = math.log(p)
     # the one-component law of `stationary_marginal_logcdf`, built once
-    # per solve; the iterates are finite, so its checks are not repeated
+    # per solve; the probes are finite, so its checks are not repeated
     one = ProcessConfig(1, (c,), (margin,), CopulaSpec.independence())
 
-    def excess(v: float) -> float:
-        return float(_stationary_logcdf(one, np.array([[v]]))[0]) - log_p
+    def reaches(bits: list[int]) -> np.ndarray:
+        """Whether ``log F >= log p`` at the floats with these bit patterns."""
+        x = np.array(bits, dtype=np.int64).view(np.float64)[:, None]
+        total, _, converged = _log_product(one, x, 0, _SERIES_TERMS, _PRODUCT_STOP)
+        # a partial sum bounds log F from above, so a probe below log p
+        # is decided whether or not its product converged
+        _require_converged(converged | (total < log_p))
+        return total >= log_p
 
-    # F <= G factorwise, so the innovation quantile brackets from below
-    lo = float(margin_quantile(margin, p))
-    if excess(lo) >= 0.0:
-        return lo
-    hi = lo if lo > 0 else 1.0
-    for _ in range(400):
-        hi = hi / c
-        if excess(hi) >= 0.0:
-            break
-    else:
-        # 400 steps of 1/c widen the bracket only by c**-400 (1.49 at
-        # c = 0.999); keep doubling until F(hi) >= p or hi overflows
-        while True:
-            hi = 2.0 * hi
-            if hi == math.inf:
-                raise NumericLimitError("failed to bracket a stationary quantile")
-            if excess(hi) >= 0.0:
-                break
-    hi = min(hi, right_endpoint(margin))
-    return _brentq(excess, lo, hi, xtol=1e-30, rtol=1e-15, maxiter=200)
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of ``f`` in the sign-changing bracket ``[xa, xb]`` by Brent's
-    method (Brent 1973, *Algorithms for Minimization without
-    Derivatives*, ch. 4).
-
-    A line-for-line port of ``brentq.c`` in SciPy's ``optimize/Zeros``,
-    so it takes the same iterates and returns the same float as
-    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
-    maxiter=maxiter)``.  Raises ``ValueError`` when ``f(xa)`` and
-    ``f(xb)`` share a sign or ``f`` returns nan, and `NumericLimitError`
-    when ``maxiter`` iterations do not converge.
-    """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise ValueError("the function value is nan; the solver cannot continue")
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            raise ValueError("the function value is nan; the solver cannot continue")
-    raise NumericLimitError(f"root finder did not converge in {maxiter} iterations")
+    # nonnegative floats are ordered as their bit patterns are; F <= G
+    # factorwise, so the innovation quantile is the lower end
+    ends = [float(margin_quantile(margin, p)), min(right_endpoint(margin), sys.float_info.max)]
+    lo, hi = np.array(ends).view(np.int64).tolist()
+    at_lo, at_hi = reaches([lo, hi]).tolist()
+    if at_lo:
+        return ends[0]
+    if not at_hi:
+        raise NumericLimitError("the stationary quantile is outside the float range")
+    # F(lo) < p <= F(hi): cut the patterns between them into
+    # `_QUANTILE_PARTS` parts until the two ends are adjacent floats
+    while hi - lo > 1:
+        cuts = sorted({lo + (hi - lo) * k // _QUANTILE_PARTS for k in range(1, _QUANTILE_PARTS)} - {lo})
+        reached = reaches(cuts)
+        first = int(np.argmax(reached)) if reached.any() else len(cuts)
+        lo, hi = ([lo] + cuts)[first], (cuts + [hi])[first]
+    return float(np.array([hi]).view(np.float64)[0])
 
 
 def stationary_joint_logcdf(config: ProcessConfig, x) -> float | np.ndarray:
@@ -687,10 +641,14 @@ def stationary_joint_logcdf(config: ProcessConfig, x) -> float | np.ndarray:
 
 
 def _stationary_logcdf(config: ProcessConfig, x: np.ndarray) -> np.ndarray:
-    total, _, converged = _log_product(config, x, 0, _SERIES_TERMS, -math.log1p(-_PRODUCT_TOL))
-    if np.all(converged | (total == -math.inf)):
-        return total
-    raise NumericLimitError(f"stationary product did not converge within {_SERIES_TERMS} factors")
+    total, _, converged = _log_product(config, x, 0, _SERIES_TERMS, _PRODUCT_STOP)
+    _require_converged(converged | (total == -math.inf))
+    return total
+
+
+def _require_converged(decided: np.ndarray) -> None:
+    if not decided.all():
+        raise NumericLimitError(f"stationary product did not converge within {_SERIES_TERMS} factors")
 
 
 def stationary_joint_cdf(config: ProcessConfig, x) -> float | np.ndarray:

@@ -1486,6 +1486,10 @@ _UNIT_FRECHET = {**_SMALL_ALPHA, "margins": [_frechet(1.0), _frechet(1.0)]}
 # stationary, but the pair law's product needs more than its 10 000 factors
 _NEAR_ONE = {**_UNIT_FRECHET, "c": [0.999, 0.5]}
 _PRODUCT_CAP = "stationary product did not converge within 10000 factors"
+# a GPD(30, 1) margin, whose stationary quantiles on the default t grid
+# reach 4.8e190
+_HEAVY_GPD = {**_UNIT_FRECHET, "c": [0.5, 0.3],
+              "margins": [_frechet(1.0), {"kind": "gpd", "shape": 30.0, "scale": 1.0}]}
 
 
 @pytest.mark.parametrize(
@@ -1520,10 +1524,12 @@ _PRODUCT_CAP = "stationary product did not converge within 10000 factors"
          ["ok"] * 3 + ["theoretical_undefined"] * 6 + ["ok"] * 3),
         ("extremal_index", {"process": _NEAR_ONE, "n": 2000, "seed": 3},
          3, f"numeric failure: {_PRODUCT_CAP}", None),
+        ("tail_dep", {"process": _HEAVY_GPD, "n": 2000, "seed": 3}, 0, "", ["ok"] * 12),
     ],
     ids=["simulate-small-alpha", "extremal-index-small-alpha", "tail-dep-small-alpha",
          "tail-dep-lag-level-inf", "extremal-index-alpha-1000", "tau-rounds-to-one",
-         "tau-rounds-to-zero", "tail-dep-c-near-one", "extremal-index-c-near-one"],
+         "tau-rounds-to-zero", "tail-dep-c-near-one", "extremal-index-c-near-one",
+         "tail-dep-heavy-gpd"],
 )
 def test_float_edges_exit_without_traceback(tmp_path, capsys, command, body, code, fragment, flags):
     out = tmp_path / "out.csv"
