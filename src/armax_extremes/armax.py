@@ -24,7 +24,7 @@ import numpy as np
 from .copulas import CopulaSpec, _base_logcdf, copula_sample
 from .errors import ConfigurationError, NumericLimitError
 from .errors import _check_coefficients, _check_integer, _check_open_unit
-from .margins import MarginSpec, margin_cdf, margin_quantile, right_endpoint
+from .margins import MarginSpec, _cdf, margin_quantile, right_endpoint
 from .schema import (
     config_digest,
     copula_from_dict,
@@ -447,13 +447,18 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
     equals that of a term-by-term loop over that row alone, whatever the
     chunk lengths.  Components at ``inf`` in every row are left out:
     their factors are 1, and their copula arguments ``log u_j = 0``
-    would change nothing (see `copulas._fold`).
+    would change nothing (see `copulas._fold`).  The margins are read
+    through `margins._cdf` under the kernel's one error state.
     Returns ``(total, n_terms, converged)``, arrays of shape ``(m,)``.
     """
-    # a point at inf in every component keeps one, whose factors are 1
-    keep = [j for j, out in enumerate((x == np.inf).all(axis=0).tolist()) if not out] or [0]
-    x, c = x.take(keep, axis=1), np.array([config.c[j] for j in keep])
-    margins = [config.margins[j] for j in keep]
+    c, margins = config.c, config.margins
+    out = (x == np.inf).all(axis=0).tolist()
+    if any(out):
+        # a point at inf in every component keeps one, whose factors are 1
+        keep = [j for j, left_out in enumerate(out) if not left_out] or [0]
+        x = x.take(keep, axis=1)
+        c, margins = [c[j] for j in keep], [margins[j] for j in keep]
+    c = np.array(c)
     m, d = x.shape
     total = np.zeros(m)
     n_terms = np.full(m, last - first + 1)
@@ -471,19 +476,30 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
             idx = np.arange(start, min(start + size, last + 1))
             g = (x[:, None, :] / c ** idx[:, None]).reshape(-1, d)
             for j, margin in enumerate(margins):
-                g[:, j] = margin_cdf(margin, g[:, j])
+                g[:, j] = _cdf(margin, g[:, j])
             np.log(g, out=g)
             terms = _base_logcdf(config.copula, g).reshape(rows.size, idx.size)
-            partial = np.cumsum(np.concatenate((running[:, None], terms), axis=1), axis=1)[:, 1:]
-            stop = (partial == -np.inf) | ((idx >= 1) & (-terms < threshold))
-            hit = stop.any(axis=1)
-            k = np.argmax(stop[hit], axis=1)
-            done = rows[hit]
+            # -log G < threshold, for terms with i >= 1 only
+            stop = terms > -threshold
+            if start < 1:
+                stop[:, : 1 - start] = False
+            # the partial sums, from each row's running total, over terms
+            terms[:, 0] += running
+            partial = np.cumsum(terms, axis=1, out=terms)
+            stop |= partial == -np.inf
+            k = np.argmax(stop, axis=1)
+            each = np.arange(rows.size)
+            hit = stop[each, k]
+            if hit.all():
+                # every row left stops in this chunk
+                total[rows] = partial[each, k]
+                n_terms[rows] = idx[k] - first + 1
+                converged[rows] = total[rows] != -np.inf
+                break
+            done, k = rows[hit], k[hit]
             total[done] = partial[hit, k]
             n_terms[done] = idx[k] - first + 1
             converged[done] = total[done] != -np.inf
-            if done.size == rows.size:
-                break
             rows, x, running = rows[~hit], x[~hit], partial[~hit, -1]
             total[rows] = running
             start, size = start + size, 2 * size

@@ -136,12 +136,22 @@ def _check_log_u(log_u: np.ndarray, d: int | None = None) -> None:
 
 
 def _base_logcdf(spec: CopulaSpec, log_u: np.ndarray) -> np.ndarray:
-    """Row-wise ``log C(u)`` for validated ``log_u`` of shape ``(m, d)``."""
+    """Row-wise ``log C(u)`` for validated ``log_u`` of shape ``(m, d)``.
+
+    A zero row gives 0.0, never -0.0, except under a Gumbel copula with
+    ``gamma > 1``, whose norm of zeros is negated to -0.0.
+    """
     if spec.kind == "comonotone":
-        return np.min(log_u, axis=1)
+        # np.minimum keeps the sign of zero of one of its arguments, so
+        # the folded minimum of 0.0 and -0.0 is set to 0.0 at the end
+        return _fold(np.minimum, log_u) + 0.0
     if spec.kind == "independence" or spec.gamma == 1.0:
         # gamma == 1 is exactly the independence copula
         return _fold(np.add, log_u)
+    if log_u.shape[1] == 1:
+        # every copula is the identity on one column: the norm of one
+        # entry is its size, and a zero's is 0.0, negated to -0.0
+        return -np.abs(log_u[:, 0])
     return -_gamma_norm(-log_u, spec.gamma)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .armax import ProcessConfig, stationary_joint_logcdf, stationary_marginal_quantile
+from .armax import ProcessConfig, _stationary_logcdf, stationary_marginal_quantile
 from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import NumericLimitError, UndefinedResultError
 from .errors import _check_coefficients, _check_integer, _check_open_unit, _check_top_k
@@ -57,6 +57,11 @@ def marginal_extremal_index(c: float, domain: DomainTag) -> float:
     """Extremal index of one component: ``1 - c**alpha`` in the Frechet
     domain, one otherwise."""
     _check_open_unit(c)
+    return _marginal_theta(c, domain)
+
+
+def _marginal_theta(c: float, domain: DomainTag) -> float:
+    """`marginal_extremal_index` for a ``c`` already checked."""
     if domain.is_frechet:
         return 1.0 - c**domain.alpha
     return 1.0
@@ -107,14 +112,13 @@ def check_extremal_index_parameters(n: int, k: int | None, tau) -> int:
     return k
 
 
-def _index_result(theta: float, levels: np.ndarray, index_set, domains, c) -> ExtremalIndexResult:
+def _index_result(theta: float, tau: list[float], index_set, domains, c) -> ExtremalIndexResult:
+    # every caller has checked c
     return ExtremalIndexResult(
         theta=float(theta),
-        tau=tuple(levels[0].tolist()),
+        tau=tuple(tau),
         index_set=index_set,
-        marginal_thetas=tuple(
-            marginal_extremal_index(float(cj), dom) for cj, dom in zip(c, domains)
-        ),
+        marginal_thetas=tuple(_marginal_theta(float(cj), dom) for cj, dom in zip(c, domains)),
     )
 
 
@@ -140,7 +144,7 @@ def theoretical_mv_extremal_index(
     if index_set:
         log_den, log_num = copula_logcdf(copula, -levels).tolist()
         theta = 1.0 - log_num / log_den
-    return _index_result(theta, levels, index_set, domains, c)
+    return _index_result(theta, levels[0].tolist(), index_set, domains, c)
 
 
 def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult:
@@ -158,24 +162,32 @@ def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult
     """
     domains = [attraction_domain(m) for m in config.margins]
     index_set, levels = _index_levels(domains, config.c, tau)
+    levels = levels.tolist()
     theta = 1.0
     if index_set:
         # components without a positive level sit at x_j = inf, which
         # marginalizes them out of the stationary law (an all-inf row
-        # gives log F = 0)
-        x = np.full(levels.shape, math.inf)
-        for i, j in zip(*np.nonzero(levels > 0)):
-            # math.exp, not np.exp: the two can differ by an ulp
-            p = math.exp(-levels[i, j])
-            if p == 0.0:
-                raise NumericLimitError(f"exp(-level) underflows to 0 at level {levels[i, j]:.17g}")
-            if p < 1.0:
-                x[i, j] = stationary_marginal_quantile(config.margins[j], config.c[j], p)
-        log_den, log_num = stationary_joint_logcdf(config, x).tolist()
+        # gives log F = 0); the points are never nan
+        x = [[_level_point(config, j, level) for j, level in enumerate(row)] for row in levels]
+        log_den, log_num = _stationary_logcdf(config, np.array(x)).tolist()
         if log_den == 0.0:
             raise NumericLimitError("every denominator level rounds to argument one")
         theta = 1.0 - log_num / log_den
-    return _index_result(theta, levels, index_set, domains, config.c)
+    return _index_result(theta, levels[0], index_set, domains, config.c)
+
+
+def _level_point(config: ProcessConfig, j: int, level: float) -> float:
+    """The stationary quantile of component ``j`` at ``exp(-level)``,
+    or ``inf`` for a level of 0 or one whose ``exp(-level)`` rounds to 1."""
+    if level == 0.0:
+        return math.inf
+    # math.exp, not np.exp: the two can differ by an ulp
+    p = math.exp(-level)
+    if p == 0.0:
+        raise NumericLimitError(f"exp(-level) underflows to 0 at level {level:.17g}")
+    if p == 1.0:
+        return math.inf
+    return stationary_marginal_quantile(config.margins[j], config.c[j], p)
 
 
 def empirical_extremal_index_runs(series, threshold: float, run_gap: int = 1) -> float:

@@ -128,23 +128,38 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
 
 
 def margin_cdf(spec: MarginSpec, x):
-    """CDF of ``spec`` at ``x`` (scalar or array); a nan entry gives nan."""
+    """CDF of ``spec`` at ``x`` (scalar or array); a nan entry gives nan.
+
+    A scalar ``x`` gives a float, an array an array of its shape.  The
+    values are those of `_cdf`, under an error state that silences the
+    overflow and division warnings of a huge or tiny ``x``.
+    """
+    arr, scalar = _as_array(x)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = _cdf(spec, arr)
+    return _maybe_scalar(out, scalar)
+
+
+def _cdf(spec: MarginSpec, arr: np.ndarray) -> np.ndarray:
+    """CDF of ``spec`` at the float array ``arr``, as a new array.
+
+    Runs under the caller's error state: `margin_cdf` silences overflow
+    and division, and so does the product kernel (`armax._log_product`),
+    which calls this once per component and chunk.
+    """
     # nan <= 0 is false, so in np.where(arr <= 0, 0.0, ...) a nan entry
     # takes the formula's nan rather than reading as a point below 0; a
     # power or product that overflows to inf gives the right 0 or 1
-    arr, scalar = _as_array(x)
-    with np.errstate(divide="ignore", over="ignore"):
-        if spec.kind == "frechet":
-            out = np.where(arr <= 0, 0.0, np.exp(-np.power(np.maximum(arr, 1e-300), -spec.alpha)))
-        elif spec.kind == "exponential":
-            out = np.where(arr <= 0, 0.0, -np.expm1(-spec.rate * np.maximum(arr, 0.0)))
-        elif spec.kind == "uniform01":
-            out = np.clip(arr, 0.0, 1.0)
-        elif spec.kind == "gpd":
-            out = _gpd_cdf(spec.shape, spec.scale, arr)
-        else:  # weibull_min
-            out = np.where(arr <= 0, 0.0, -np.expm1(-np.power(np.maximum(arr, 0.0), spec.k)))
-    return _maybe_scalar(out, scalar)
+    if spec.kind == "frechet":
+        return np.where(arr <= 0, 0.0, np.exp(-np.power(np.maximum(arr, 1e-300), -spec.alpha)))
+    if spec.kind == "exponential":
+        return np.where(arr <= 0, 0.0, -np.expm1(-spec.rate * np.maximum(arr, 0.0)))
+    if spec.kind == "uniform01":
+        return np.clip(arr, 0.0, 1.0)
+    if spec.kind == "gpd":
+        return _gpd_cdf(spec.shape, spec.scale, arr)
+    # weibull_min
+    return np.where(arr <= 0, 0.0, -np.expm1(-np.power(np.maximum(arr, 0.0), spec.k)))
 
 
 def _gpd_cdf(shape: float, scale: float, arr: np.ndarray) -> np.ndarray:

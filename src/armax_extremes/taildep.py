@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .armax import (
-    _PRODUCT_TOL,
-    ProcessConfig,
-    stationary_joint_logcdf,
-    stationary_marginal_quantile,
-)
+from .armax import _PRODUCT_TOL, ProcessConfig, _stationary_logcdf, stationary_marginal_quantile
 from .errors import NumericLimitError, UndefinedResultError
 from .errors import _check_integer, _check_open_unit, _check_top_k
 from .margins import MarginSpec, attraction_domain, right_endpoint
@@ -132,8 +127,9 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
             x[0, :, j] = [
                 stationary_marginal_quantile(config.margins[j], config.c[j], 1.0 - t) for t in t_grid
             ]
+        # quantiles and inf: no point is nan
         batch = x[0 if pair else 1 : 2 if product_fval else 1].reshape(-1, d)
-        values = stationary_joint_logcdf(config, batch).tolist()
+        values = _stationary_logcdf(config, batch).tolist()
         if pair:
             log_c = values[: len(t_grid)]
         if product_fval:
@@ -147,12 +143,12 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
         uppers.append(1.0 + math.exp(l_1mt - l_f))
         lams.append(2.0 - middle)
 
-    diffs = np.diff(lams)
+    last_step, prev_step = lams[-1] - lams[-2], lams[-2] - lams[-3]
     floor = _PRODUCT_TOL / ((1.0 - max(config.c[j], c_jp)) * t_last)
-    if abs(diffs[-1]) > 10.0 * abs(diffs[-2]) + floor:
+    if abs(last_step) > 10.0 * abs(prev_step) + floor:
         raise NumericLimitError(
             "lag TDC grid did not converge: last increment "
-            f"{diffs[-1]:.3e} exceeds 10x the previous {diffs[-2]:.3e}"
+            f"{last_step:.3e} exceeds 10x the previous {prev_step:.3e}"
         )
     lam_extrapolated = (lams[-1] * t_prev - lams[-2] * t_last) / (t_prev - t_last)
 

@@ -1053,6 +1053,27 @@ def _kernel_cases(draw):
         30,
     )
 )
+@example(  # every term is -0.0 (G = 1 under a Gumbel norm); the total is +0.0
+    (
+        ProcessConfig(2, (0.5, 0.7), (MarginSpec.uniform01(),) * 2, CopulaSpec.gumbel(2.0)),
+        np.array([[1.0, 2.0], [1.5, 1.0]]),
+        0,
+        1000,
+        _KERNEL_TOL,
+        1,
+    )
+)
+@example(  # rows that stop in the first chunk beside a unit Frechet row
+    # at c = 0.99 that needs several chunks
+    (
+        ProcessConfig(2, (0.3, 0.99), (MarginSpec.exponential(2.0), FRECHET1), CopulaSpec.gumbel(2.5)),
+        np.array([[0.5, math.inf], [1.0, math.inf], [1.0, 2.0], [3.0, math.inf]]),
+        0,
+        1000,
+        1e-3,
+        5,
+    )
+)
 def test_log_product_equals_term_by_term_loop(case):
     config, x, first, last, threshold, copies = case
     expected = _reference_log_product(config, x, first, last, threshold)

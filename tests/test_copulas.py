@@ -142,11 +142,17 @@ def test_logcdf_comonotone_is_min():
     assert copula_logcdf(COMONO, log_u) == float(np.min(log_u))
 
 
+@pytest.mark.parametrize("log_u", [[-0.0, 0.0], [0.0, -0.0], [-0.0]])
+def test_logcdf_comonotone_zero_is_positive_in_any_argument_order(log_u):
+    # the minimum of 0.0 and -0.0 is 0.0 whichever comes first
+    assert math.copysign(1.0, copula_logcdf(COMONO, log_u)) == 1.0
+
+
 def _np_sum_logcdf(spec, log_u):
     """`copulas._base_logcdf` with its row sums and maxima taken by
     ``np.sum`` and ``np.max``."""
     if spec.kind == "comonotone":
-        return np.min(log_u, axis=1)
+        return np.min(log_u, axis=1) + 0.0
     if spec.kind == "independence" or spec.gamma == 1.0:
         return np.sum(log_u, axis=1)
     s = -log_u
