@@ -76,6 +76,12 @@ _BATCH_BYTES = 1 << 22
 # needs fewer than 64 factors, so it finishes in one chunk
 _FIRST_CHUNK_TERMS = 64
 
+# distinct (c, chunk) divisor tables kept by `_divisors`: a d-variate
+# law has at most 2**d - 1 sets of kept components, each with a table per
+# chunk and first term (0 for the product, 1 for the series); every
+# lag-TDC cell and theta row of one d = 4 law reads 16 tables in all
+_DIVISOR_CACHE_SIZE = 64
+
 # the most terms summed of the stationarity series, the stationary
 # product and the variance series, the term below which both series
 # stop, and the product's per-factor bound: it stops before its first
@@ -434,22 +440,44 @@ class StationarityResult:
     probe: tuple[float, ...]
 
 
-def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, threshold: float):
+@functools.lru_cache(maxsize=_DIVISOR_CACHE_SIZE)
+def _divisors(c: tuple[float, ...], start: int, stop: int) -> np.ndarray:
+    """The read-only ``(stop - start, d)`` table of ``c_j**i`` for
+    ``i = start, ..., stop - 1``: one chunk's divisors, computed once
+    per set of kept coefficients."""
+    powers = np.array(c) ** np.arange(start, stop)[:, None]
+    powers.flags.writeable = False
+    return powers
+
+
+def _log_product(
+    config: ProcessConfig, x: np.ndarray, first: int, last: int, threshold: float, floor: float = -math.inf
+):
     """Truncated sums ``sum_{i = first, first + 1, ...} log G(x_k / c**i)``,
     one per row ``x_k`` of the ``(m, d)`` array ``x``, which holds no nan
-    (the public entries refuse it; the kernel checks nothing).
+    (the public entries refuse it; the kernel checks nothing), for
+    ``first <= last``.
 
     Each row stops at its first term with ``i >= 1`` and
-    ``-log G < threshold`` (converged), once its sum reaches ``-inf``,
-    or after term ``last``.  Terms are evaluated in chunks that double
-    in size, for all unfinished rows at once, and summed in order along
-    each row by `np.cumsum` from its running total, so every row's total
-    equals that of a term-by-term loop over that row alone, whatever the
-    chunk lengths.  Components at ``inf`` in every row are left out:
+    ``-log G < threshold`` (converged, if its sum is above ``floor``),
+    once its sum falls to ``floor`` or below, or after term ``last``.
+    The terms are at most 0, so a sum never rises above ``floor`` again:
+    the default ``-inf`` stops a row whose sum reaches ``-inf``, and the
+    quantile search stops a probe once it is below ``log p``.  Terms are
+    evaluated in chunks that double in size, for all unfinished rows at
+    once, and summed in order along each row by `np.cumsum` from its
+    running total (``+0.0`` at the start), so every row's total equals
+    that of a term-by-term loop over that row alone, whatever the chunk
+    lengths.  When every row stops in the first chunk, as points with
+    light-tailed margins or moderate c do, the chunk's sums are returned
+    as they are; the per-row bookkeeping arrays are made only once some
+    row goes on.  Each chunk's divisors ``c**i`` come from the
+    `_divisors` cache.  Components at ``inf`` in every row are left out:
     their factors are 1, and their copula arguments ``log u_j = 0``
     would change nothing (see `copulas._fold`).  The margins are read
-    through `margins._cdf` under the kernel's one error state.
-    Returns ``(total, n_terms, converged)``, arrays of shape ``(m,)``.
+    through `margins._cdf` under the kernel's one error state.  Returns
+    ``(total, n_terms, converged)``, arrays of shape ``(m,)``;
+    ``n_terms`` is an integer array.
     """
     c, margins = config.c, config.margins
     out = (x == np.inf).all(axis=0).tolist()
@@ -457,14 +485,11 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
         # a point at inf in every component keeps one, whose factors are 1
         keep = [j for j, left_out in enumerate(out) if not left_out] or [0]
         x = x.take(keep, axis=1)
-        c, margins = [c[j] for j in keep], [margins[j] for j in keep]
-    c = np.array(c)
+        c, margins = tuple(c[j] for j in keep), [margins[j] for j in keep]
     m, d = x.shape
-    total = np.zeros(m)
-    n_terms = np.full(m, last - first + 1)
-    converged = np.zeros(m, dtype=bool)
-    # the rows still summing, with their points and their sums so far
-    rows, running = np.arange(m), np.zeros(m)
+    # the rows still summing (all of them until a chunk leaves some
+    # unfinished) and their sums so far
+    rows, running = None, 0.0
     start, size = first, _FIRST_CHUNK_TERMS
     # c**i may underflow to 0 for small components while larger ones
     # still need factors; x / 0 -> inf is then the right argument (that
@@ -473,33 +498,43 @@ def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, th
     # it are never summed; log 0 = -inf encodes G_j = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while start <= last:
-            idx = np.arange(start, min(start + size, last + 1))
-            g = (x[:, None, :] / c ** idx[:, None]).reshape(-1, d)
+            stop_at = min(start + size, last + 1)
+            g = (x[:, None, :] / _divisors(c, start, stop_at)).reshape(-1, d)
             for j, margin in enumerate(margins):
                 g[:, j] = _cdf(margin, g[:, j])
             np.log(g, out=g)
-            terms = _base_logcdf(config.copula, g).reshape(rows.size, idx.size)
+            terms = _base_logcdf(config.copula, g).reshape(len(x), stop_at - start)
             # -log G < threshold, for terms with i >= 1 only
             stop = terms > -threshold
             if start < 1:
                 stop[:, : 1 - start] = False
             # the partial sums, from each row's running total, over terms
             terms[:, 0] += running
-            partial = np.cumsum(terms, axis=1, out=terms)
-            stop |= partial == -np.inf
-            k = np.argmax(stop, axis=1)
-            each = np.arange(rows.size)
+            partial = terms.cumsum(axis=1, out=terms)
+            stop |= partial <= floor
+            k = stop.argmax(axis=1)
+            each = np.arange(len(x))
             hit = stop[each, k]
-            if hit.all():
+            every = hit.all()
+            if rows is None:
+                if every:
+                    # every row stops in the first chunk
+                    total = partial[each, k]
+                    return total, k + (start - first + 1), total > floor
+                total = np.zeros(m)
+                n_terms = np.full(m, last - first + 1)
+                converged = np.zeros(m, dtype=bool)
+                rows = np.arange(m)
+            if every:
                 # every row left stops in this chunk
                 total[rows] = partial[each, k]
-                n_terms[rows] = idx[k] - first + 1
-                converged[rows] = total[rows] != -np.inf
+                n_terms[rows] = k + (start - first + 1)
+                converged[rows] = total[rows] > floor
                 break
             done, k = rows[hit], k[hit]
             total[done] = partial[hit, k]
-            n_terms[done] = idx[k] - first + 1
-            converged[done] = total[done] != -np.inf
+            n_terms[done] = k + (start - first + 1)
+            converged[done] = total[done] > floor
             rows, x, running = rows[~hit], x[~hit], partial[~hit, -1]
             total[rows] = running
             start, size = start + size, 2 * size
@@ -574,9 +609,9 @@ def stationary_marginal_quantile(margin: MarginSpec, c: float, p: float) -> floa
     Frechet up to the scale ``(1 - c**alpha)**(-1/alpha)``).  Otherwise
     the least float ``v >= 0`` with ``log F(v) >= log p``, where ``F`` is
     the truncated product of `stationary_marginal_logcdf`, or the
-    innovation quantile when ``F`` already reaches ``p`` there; a bit
-    search over the floats between that quantile and the right endpoint
-    finds it.  The search is memoised on ``(margin, c, p)``, so a
+    innovation quantile when ``F`` already reaches ``p`` there.  One
+    batch of probes from that quantile upward brackets it, and a bit
+    search over the floats of the bracket finds it.  The search is memoised on ``(margin, c, p)``, so a
     repeated request returns the identical float without solving again.
     Raises `NumericLimitError` when the quantile leaves the float range
     (small ``alpha``, or ``F`` below ``p`` at the largest float), or
@@ -585,6 +620,13 @@ def stationary_marginal_quantile(margin: MarginSpec, c: float, p: float) -> floa
     _check_open_unit(c)
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie strictly inside (0, 1)")
+    return _marginal_quantile(margin, c, p)
+
+
+def _marginal_quantile(margin: MarginSpec, c: float, p: float) -> float:
+    """`stationary_marginal_quantile` for a ``c`` and ``p`` already
+    checked: the internal callers take their levels from a validated
+    config, so a cached solve costs one cache lookup."""
     if margin.kind == "frechet":
         try:
             value = _frechet_scale(margin.alpha, c) * (-math.log(p)) ** (-1.0 / margin.alpha)
@@ -597,6 +639,7 @@ def stationary_marginal_quantile(margin: MarginSpec, c: float, p: float) -> floa
 @functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
 def _stationary_quantile(margin: MarginSpec, c: float, p: float) -> float:
     log_p = math.log(p)
+    below_p = math.nextafter(log_p, -math.inf)
     # the one-component law of `stationary_marginal_logcdf`, built once
     # per solve; the probes are finite, so its checks are not repeated
     one = ProcessConfig(1, (c,), (margin,), CopulaSpec.independence())
@@ -604,21 +647,28 @@ def _stationary_quantile(margin: MarginSpec, c: float, p: float) -> float:
     def reaches(bits: list[int]) -> np.ndarray:
         """Whether ``log F >= log p`` at the floats with these bit patterns."""
         x = np.array(bits, dtype=np.int64).view(np.float64)[:, None]
-        total, _, converged = _log_product(one, x, 0, _SERIES_TERMS, _PRODUCT_STOP)
+        total, _, converged = _log_product(one, x, 0, _SERIES_TERMS, _PRODUCT_STOP, below_p)
         # a partial sum bounds log F from above, so a probe below log p
-        # is decided whether or not its product converged
+        # is decided whether or not its product converged, and its
+        # product stops there (at `below_p` or lower)
         _require_converged(converged | (total < log_p))
         return total >= log_p
 
     # nonnegative floats are ordered as their bit patterns are; F <= G
-    # factorwise, so the innovation quantile is the lower end
+    # factorwise, so the innovation quantile is the lower end.  One batch
+    # brackets the answer from there upward: the innovation quantile,
+    # the floats 16**k patterns above it (16**15 = 2**60 spans every
+    # exponent), and the upper end
     ends = [float(margin_quantile(margin, p)), min(right_endpoint(margin), sys.float_info.max)]
-    lo, hi = np.array(ends).view(np.int64).tolist()
-    at_lo, at_hi = reaches([lo, hi]).tolist()
-    if at_lo:
+    lo, top = np.array(ends).view(np.int64).tolist()
+    ladder = [lo] + [lo + 16**k for k in range(16) if lo + 16**k < top] + [top]
+    reached = reaches(ladder)
+    if reached[0]:
         return ends[0]
-    if not at_hi:
+    if not reached[-1]:
         raise NumericLimitError("the stationary quantile is outside the float range")
+    first = int(np.argmax(reached))
+    lo, hi = ladder[first - 1], ladder[first]
     # F(lo) < p <= F(hi): cut the patterns between them into
     # `_QUANTILE_PARTS` parts until the two ends are adjacent floats
     while hi - lo > 1:

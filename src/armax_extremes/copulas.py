@@ -47,6 +47,11 @@ _COPULA_KINDS = ("gumbel", "independence", "comonotone")
 # temporaries besides the path, not several path-sized arrays
 _ROW_BLOCK = 8192
 
+# corner rows per block of `derived_copula_validity`'s rectangle masses:
+# of 256 to 8192 rows, the largest block with no page faults in a d = 3
+# screen of 2048 rectangles, whatever ran before it in the process
+_CORNER_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class CopulaSpec:
@@ -118,11 +123,13 @@ def _gamma_norm(s: np.ndarray, gamma: float) -> np.ndarray:
     """Row-wise ``(sum_j s_j**gamma)**(1/gamma)`` for nonnegative ``s`` of
     shape ``(m, d)``, overflow-safe; a column of zeros changes nothing."""
     m = _fold(np.maximum, s)
-    # rows with max 0 or inf give 0/0 or inf/inf here; both are replaced
-    # by m + 0.0, which is 0.0 (never -0.0) or inf
+    # a row with max 0 or inf gives 0/0 or inf/inf here, and so a nan
+    # norm, which no other row without a nan gives; those rows take
+    # m + 0.0, which is 0.0 (never -0.0) or inf (a row with a nan stays
+    # nan either way)
     with np.errstate(invalid="ignore"):
         norm = m * _fold(np.add, (s / m[:, None]) ** gamma) ** (1.0 / gamma)
-    np.add(m, 0.0, out=norm, where=(m == 0.0) | (m == np.inf))
+    np.add(m, 0.0, out=norm, where=np.isnan(norm))
     return norm
 
 
@@ -353,6 +360,12 @@ def derived_copula_validity(
     seed 0, so reports are reproducible.  A report with ``valid`` set
     is evidence, not proof: it certifies the construction on the sampled
     grid only, and so needs at least one point and one rectangle.
+
+    The ``2**d`` corners of the rectangles are evaluated a block of
+    rectangles at a time, at most `_CORNER_BLOCK` corner rows (and at
+    least one rectangle) per block, so the temporaries are a block's,
+    not ``n_rectangles * 2**d`` rows; each rectangle's mass, and so the
+    least of them, has the bits of a whole-array evaluation.
     """
     _check_integer(n_points, "n_points")
     _check_integer(n_rectangles, "n_rectangles")
@@ -383,16 +396,21 @@ def derived_copula_validity(
     max_margin = float(np.max(np.abs(cdf(margin_pts) - p), initial=0.0))
 
     # one (a, r) pair of d-vectors per rectangle, b = a + r (1 - a); the
-    # corner masses are summed in `itertools.product` order
+    # corner masses are summed in `itertools.product` order, a block of
+    # rectangles at a time; np.minimum keeps a nan mass, as np.min does
     draws = rng.random((n_rectangles, 2, d))
-    a = draws[:, 0]
-    b = a + draws[:, 1] * (1.0 - a)
     corners = np.array(list(itertools.product((False, True), repeat=d)))
     signs = (-1.0) ** (d - corners.sum(axis=1))
-    corner_pts = np.where(corners, b[:, None, :], a[:, None, :])
-    vals = cdf(corner_pts.reshape(-1, d)).reshape(n_rectangles, len(corners))
-    masses = np.cumsum(signs * vals, axis=1)[:, -1]
-    min_mass = float(np.min(masses, initial=math.inf))
+    block = max(1, _CORNER_BLOCK // len(corners))
+    min_mass = math.inf
+    for start in range(0, n_rectangles, block):
+        a = draws[start : start + block, 0]
+        b = a + draws[start : start + block, 1] * (1.0 - a)
+        corner_pts = np.where(corners, b[:, None, :], a[:, None, :])
+        vals = cdf(corner_pts.reshape(-1, d)).reshape(len(a), len(corners))
+        masses = np.cumsum(signs * vals, axis=1)[:, -1]
+        min_mass = np.minimum(min_mass, masses.min())
+    min_mass = float(min_mass)
 
     valid = (
         max_lower <= tol

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .armax import ProcessConfig, _stationary_logcdf, stationary_marginal_quantile
+from .armax import ProcessConfig, _marginal_quantile, _stationary_logcdf
 from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import NumericLimitError, UndefinedResultError
 from .errors import _check_coefficients, _check_integer, _check_open_unit, _check_top_k
@@ -70,11 +70,12 @@ def _marginal_theta(c: float, domain: DomainTag) -> float:
 def _index_levels(domains, c, tau, batch: bool = False):
     """Validated levels of ``theta(tau)``: the index set and ``[tau, num]``.
 
-    Returns the Frechet-domain index set and the ``(..., 2, d)`` rows
-    ``[tau, num]``, with ``num_j = tau_j * c_j**alpha_j`` on the index
-    set and 0 elsewhere.  ``tau`` is one ``(d,)`` direction or, with
-    ``batch``, also an ``(m, d)`` grid of them; each must be nonnegative
-    with at least one positive entry.
+    Returns the Frechet-domain index set and the levels as lists of
+    floats: the pair of rows ``[tau, num]``, with
+    ``num_j = tau_j * c_j**alpha_j`` on the index set and 0 elsewhere,
+    for one ``(d,)`` direction ``tau`` or, with ``batch``, a list of
+    such pairs, one per row of an ``(m, d)`` grid.  Each direction must
+    be nonnegative with at least one positive entry (`_tau_rows`).
     """
     d = len(domains)
     c = np.asarray(c, dtype=float)
@@ -82,20 +83,31 @@ def _index_levels(domains, c, tau, batch: bool = False):
     if c.shape != (d,) or tau.ndim not in (1, 1 + batch) or tau.shape[-1] != d:
         grid = f" or (m, {d})" if batch else ""
         raise ValueError(f"c must have shape ({d},) and tau shape ({d},){grid}")
-    _check_tau(tau)
+    rows = _tau_rows(tau)
     index_set = tuple(j for j, dom in enumerate(domains) if dom.is_frechet)
-    levels = np.zeros(tau.shape[:-1] + (2, d))
-    levels[..., 0, :] = tau
-    for j in index_set:
-        # a scalar power: numpy's array power can differ from it by an ulp
-        levels[..., 1, j] = tau[..., j] * c[j] ** domains[j].alpha
-    return index_set, levels
+    # a scalar power: numpy's array power can differ from it by an ulp
+    scales = [(j, float(c[j] ** domains[j].alpha)) for j in index_set]
+    levels = []
+    for row in rows:
+        num = [0.0] * d
+        for j, scale in scales:
+            num[j] = row[j] * scale
+        levels.append([row, num])
+    return index_set, levels if tau.ndim == 2 else levels[0]
 
 
-def _check_tau(tau: np.ndarray) -> None:
-    # `>= 0` is false for nan, so a nan entry is refused too
-    if not (tau >= 0).all() or not (tau > 0).any(axis=-1).all():
-        raise ValueError("tau must be nonnegative with at least one positive entry")
+def _tau_rows(tau: np.ndarray) -> list[list[float]]:
+    """The directions of a ``(d,)`` or ``(m, d)`` float array ``tau`` as
+    lists of floats, after refusing one with a negative or nan entry or
+    without a positive one."""
+    if tau.ndim not in (1, 2):
+        raise ValueError("tau must be a (d,) direction or an (m, d) grid")
+    rows = tau.tolist() if tau.ndim == 2 else [tau.tolist()]
+    for row in rows:
+        # `>= 0` is false for nan, so a nan entry is refused too
+        if not (all(t >= 0.0 for t in row) and any(t > 0.0 for t in row)):
+            raise ValueError("tau must be nonnegative with at least one positive entry")
+    return rows
 
 
 def check_extremal_index_parameters(n: int, k: int | None, tau) -> int:
@@ -105,7 +117,7 @@ def check_extremal_index_parameters(n: int, k: int | None, tau) -> int:
     or nan entry or a row without a positive one, so a caller can refuse
     them before drawing a path.
     """
-    _check_tau(np.asarray(tau, dtype=float))
+    _tau_rows(np.asarray(tau, dtype=float))
     if k is None:
         k = math.ceil(math.sqrt(n))
     _check_top_k(k, n)
@@ -142,9 +154,9 @@ def theoretical_mv_extremal_index(
     _check_coefficients(c)
     theta = 1.0
     if index_set:
-        log_den, log_num = copula_logcdf(copula, -levels).tolist()
+        log_den, log_num = copula_logcdf(copula, -np.array(levels)).tolist()
         theta = 1.0 - log_num / log_den
-    return _index_result(theta, levels[0].tolist(), index_set, domains, c)
+    return _index_result(theta, levels[0], index_set, domains, c)
 
 
 def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult:
@@ -162,7 +174,6 @@ def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult
     """
     domains = [attraction_domain(m) for m in config.margins]
     index_set, levels = _index_levels(domains, config.c, tau)
-    levels = levels.tolist()
     theta = 1.0
     if index_set:
         # components without a positive level sit at x_j = inf, which
@@ -187,7 +198,7 @@ def _level_point(config: ProcessConfig, j: int, level: float) -> float:
         raise NumericLimitError(f"exp(-level) underflows to 0 at level {level:.17g}")
     if p == 1.0:
         return math.inf
-    return stationary_marginal_quantile(config.margins[j], config.c[j], p)
+    return _marginal_quantile(config.margins[j], config.c[j], p)
 
 
 def empirical_extremal_index_runs(series, threshold: float, run_gap: int = 1) -> float:
@@ -241,6 +252,7 @@ def empirical_mv_extremal_index(
     if len(domains) != d:
         raise ValueError("domains must match the number of columns")
     index_set, levels = _index_levels(domains, c_est, tau, batch=True)
+    levels = np.array(levels).reshape(np.shape(tau)[:-1] + (2, d))
     k = check_extremal_index_parameters(n, k, tau)
 
     if not index_set:

@@ -973,7 +973,7 @@ def test_unit_frechet_level_and_cdf_refuse_nan():
         normalized_level(0.5, 100, math.nan)
 
 
-def _reference_log_product(config, x, first, last, threshold):
+def _reference_log_product(config, x, first, last, threshold, floor=-math.inf):
     """`armax._log_product` as a term-by-term loop over each row alone,
     through the public, validating copula entry."""
     powers = np.asarray(config.c) ** np.arange(last + 1)[:, None]
@@ -986,8 +986,8 @@ def _reference_log_product(config, x, first, last, threshold):
                 log_u = np.log([margin_cdf(m, v) for m, v in zip(config.margins, point)])
             term = copula_logcdf(config.copula, log_u)
             total += term
-            if total == -math.inf or (i >= 1 and -term < threshold):
-                count, converged = i - first + 1, total != -math.inf
+            if total <= floor or (i >= 1 and -term < threshold):
+                count, converged = i - first + 1, total > floor
                 break
         totals.append(total)
         counts.append(count)
@@ -1035,6 +1035,15 @@ def _kernel_cases(draw):
     return config, x.reshape(m, d), first, last, threshold, copies
 
 
+# light-tailed rows whose products stop within a few factors
+_LIGHT_ROWS = (
+    ProcessConfig(
+        2, (0.5, 0.7), (MarginSpec.exponential(2.0), MarginSpec.weibull_min(2.0)), CopulaSpec.gumbel(2.5)
+    ),
+    np.array([[1.0, 2.0], [0.5, 3.0], [2.0, 0.7]]),
+)
+
+
 @settings(max_examples=200)
 @given(_kernel_cases())
 @example(  # unit Frechet at c = 0.99: 689 and 620 factors, then converged
@@ -1074,14 +1083,76 @@ def _kernel_cases(draw):
         5,
     )
 )
+@example(  # every row stops in the first chunk (5 to 7 terms from i = 0),
+    # where the kernel returns that chunk's sums as they are
+    (
+        *_LIGHT_ROWS,
+        0,
+        1000,
+        _KERNEL_TOL,
+        5,
+    )
+)
+@example(  # the same rows from i = 1: 4 to 6 terms, all in the first chunk
+    (
+        *_LIGHT_ROWS,
+        1,
+        1000,
+        _KERNEL_TOL,
+        5,
+    )
+)
+@example(  # one row goes on past the first chunk (518 terms from i = 1), the
+    # rows at inf in the unit Frechet component stop in it (4 and 5 terms)
+    (
+        ProcessConfig(2, (0.5, 0.95), (MarginSpec.exponential(2.0), FRECHET1), CopulaSpec.gumbel(2.5)),
+        np.array([[1.0, math.inf], [2.0, 3.0], [0.5, math.inf]]),
+        1,
+        1000,
+        _KERNEL_TOL,
+        1,
+    )
+)
 def test_log_product_equals_term_by_term_loop(case):
     config, x, first, last, threshold, copies = case
     expected = _reference_log_product(config, x, first, last, threshold)
     total, n_terms, converged = armax._log_product(config, np.tile(x, (copies, 1)), first, last, threshold)
     assert total.shape == n_terms.shape == converged.shape == (copies * len(x),)
     assert np.array_equal(total.view(np.int64), np.tile(np.array(expected[0]).view(np.int64), copies))
+    assert n_terms.dtype.kind == "i"
     assert n_terms.tolist() == expected[1] * copies
+    assert converged.dtype == bool
     assert converged.tolist() == expected[2] * copies
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_log_product_stops_a_row_at_its_floor(first):
+    # the quantile search passes the float below log p: a probe whose
+    # partial sum falls to it is decided, and stops there unconverged
+    config = ProcessConfig(2, (0.5, 0.99), (MarginSpec.exponential(2.0), FRECHET1), CopulaSpec.gumbel(2.5))
+    x = np.array([[1.0, 2.0], [0.5, 40.0], [3.0, math.inf], [0.2, 0.5]])
+    for floor in (-math.inf, -8.0, -1.0, -0.05):
+        expected = _reference_log_product(config, x, first, 1000, _KERNEL_TOL, floor)
+        total, n_terms, converged = armax._log_product(config, x, first, 1000, _KERNEL_TOL, floor)
+        assert total.tobytes() == np.array(expected[0]).tobytes()
+        assert n_terms.tolist() == expected[1]
+        assert converged.tolist() == expected[2]
+
+
+def test_log_product_divisor_cache_is_bounded():
+    # one table per set of kept coefficients and chunk, read-only, and
+    # no more than `_DIVISOR_CACHE_SIZE` of them
+    armax._divisors.cache_clear()
+    x = np.array([[1.0, 2.0]])
+    for k in range(2 * armax._DIVISOR_CACHE_SIZE):
+        config = ProcessConfig(2, (0.3 + k / 1000, 0.5), (MarginSpec.exponential(2.0),) * 2, INDEP)
+        armax._log_product(config, x, 0, 100, _KERNEL_TOL)
+    info = armax._divisors.cache_info()
+    assert info.maxsize == armax._DIVISOR_CACHE_SIZE
+    assert info.currsize == armax._DIVISOR_CACHE_SIZE
+    table = armax._divisors((0.5, 0.7), 0, 64)
+    assert table.shape == (64, 2) and not table.flags.writeable
+    assert table.tobytes() == (np.array([0.5, 0.7]) ** np.arange(64)[:, None]).tobytes()
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -553,6 +554,84 @@ def test_validity_screen_refuses_a_non_integer_size(n_points, n_rectangles):
     with pytest.raises(ValueError, match="must be an integer"):
         derived_copula_validity(dc, n_points, n_rectangles)
     assert derived_copula_validity(dc, np.int64(16), np.int32(16)).n_points == 16
+
+
+def _whole_array_validity(dc, n_points, n_rectangles):
+    """`derived_copula_validity`'s four measures with every rectangle
+    corner in one array: the screen before its corners went in blocks."""
+    rng = np.random.default_rng(0)
+    d = dc.dim
+    pts = rng.random((n_points, d))
+    pts[: n_points // 4] = pts[: n_points // 4] ** 4
+    pts[n_points // 4 : n_points // 2] = 1.0 - pts[n_points // 4 : n_points // 2] ** 4
+
+    def cdf(u):
+        with np.errstate(divide="ignore"):
+            return np.exp(copulas._derived_logcdf(dc, np.log(u)))
+
+    c = cdf(pts)
+    lower = np.maximum(np.sum(pts, axis=1) - (d - 1), 0.0)
+    p = np.repeat(np.linspace(0.05, 0.95, 19), d)
+    margin_pts = np.ones((p.size, d))
+    margin_pts[np.arange(p.size), np.tile(np.arange(d), 19)] = p
+    draws = rng.random((n_rectangles, 2, d))
+    a = draws[:, 0]
+    b = a + draws[:, 1] * (1.0 - a)
+    corners = np.array(list(itertools.product((False, True), repeat=d)))
+    signs = (-1.0) ** (d - corners.sum(axis=1))
+    corner_pts = np.where(corners, b[:, None, :], a[:, None, :])
+    vals = cdf(corner_pts.reshape(-1, d)).reshape(n_rectangles, len(corners))
+    masses = np.cumsum(signs * vals, axis=1)[:, -1]
+    return [
+        float(np.max(lower - c, initial=0.0)),
+        float(np.max(c - np.min(pts, axis=1), initial=0.0)),
+        float(np.max(np.abs(cdf(margin_pts) - p), initial=0.0)),
+        float(np.min(masses, initial=math.inf)),
+    ]
+
+
+@st.composite
+def _screen_cases(draw):
+    base = draw(st.sampled_from([INDEP, COMONO]) | st.floats(1.0, 6.0).map(CopulaSpec.gumbel), label="base")
+    d = draw(st.integers(2, 6), label="d")
+    theta = draw(st.lists(st.just(1.0) | st.floats(0.05, 1.0), min_size=d, max_size=d), label="theta")
+    # rectangles per block of `_CORNER_BLOCK` corner rows
+    block = max(1, copulas._CORNER_BLOCK // 2**d)
+    sizes = st.sampled_from([max(1, block - 1), block, block + 1, 1, 2048, 5000])
+    return DerivedCopula(base, theta), draw(sizes, label="n_points"), draw(sizes, label="n_rectangles")
+
+
+@settings(max_examples=25, deadline=None)
+@given(_screen_cases())
+def test_validity_screen_in_blocks_equals_the_whole_array_screen(case):
+    dc, n_points, n_rectangles = case
+    report = derived_copula_validity(dc, n_points, n_rectangles)
+    expected = _whole_array_validity(dc, n_points, n_rectangles)
+    measures = [
+        report.max_lower_violation,
+        report.max_upper_violation,
+        report.max_margin_violation,
+        report.min_rectangle_mass,
+    ]
+    assert [v.hex() for v in measures] == [v.hex() for v in expected]
+    lower, upper, margin, mass = expected
+    assert report.valid == (lower <= 1e-9 and upper <= 1e-9 and margin <= 1e-9 and mass >= -1e-9)
+
+
+@pytest.mark.parametrize("size, bound_mb", [(2048, 1.0), (8192, 2.0)])
+def test_validity_screen_memory_peak_is_bounded(size, bound_mb):
+    # with every rectangle corner in one array the peaks were 2.9 and
+    # 11.4 MB; the corner blocks leave 0.6 and 1.3 MB, most of it the
+    # points at 8192
+    dc = DerivedCopula(GUMBEL2, (0.5, 0.7, 0.9))
+    derived_copula_validity(dc, size, size)
+    tracemalloc.start()
+    try:
+        derived_copula_validity(dc, size, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
 
 
 # -------------------------------------------------------- extremal coefficients

@@ -501,3 +501,56 @@ def test_process_index_pinned_bit_for_bit_in_one_product_call(monkeypatch, tau, 
     assert process_mv_extremal_index(MIXED4, tau).theta.hex() == theta
     # the denominator and numerator rows in one evaluation
     assert calls == [(2, 4)]
+
+
+def _tau_forms(tau):
+    """``tau`` as a tuple, a list and an array, with float, ``int`` (where
+    integral) and ``np.float64`` entries."""
+    forms = [tuple(tau), list(tau), np.array(tau, dtype=float), [np.float64(t) for t in tau]]
+    if all(float(t).is_integer() for t in tau):
+        forms.append([int(t) for t in tau])
+    return forms
+
+
+def _theta_calls():
+    domains = [attraction_domain(m) for m in MIXED4.margins]
+    return [
+        lambda tau: process_mv_extremal_index(MIXED4, tau),
+        lambda tau: theoretical_mv_extremal_index(MIXED4.copula, domains, MIXED4.c, tau),
+    ]
+
+
+@pytest.mark.parametrize("tau", [(0.5, 2.0, 0.0, 0.5), (1.0, 0.0, 3.0, 0.0), (0.0, 0.0, 0.0, 2.0)])
+def test_theta_takes_every_form_of_tau_alike(tau):
+    # one tau rule: every form of the same direction gives the same bits
+    for call in _theta_calls():
+        results = [call(form) for form in _tau_forms(tau)]
+        assert {r.theta.hex() for r in results} == {results[0].theta.hex()}
+        assert all(r.tau == tuple(float(t) for t in tau) for r in results)
+        assert all(type(t) is float for r in results for t in r.tau)
+
+
+@pytest.mark.parametrize(
+    "tau, message",
+    [
+        ((math.nan, 1.0, 1.0, 1.0), r"^tau must be nonnegative with at least one positive entry$"),
+        ((1.0, -1.0, 1.0, 1.0), r"^tau must be nonnegative with at least one positive entry$"),
+        ((0.0, 0.0, 0.0, 0.0), r"^tau must be nonnegative with at least one positive entry$"),
+        ((1.0, 1.0, 1.0), r"^c must have shape \(4,\) and tau shape \(4,\)$"),
+        ((1.0, 1.0, 1.0, 1.0, 1.0), r"^c must have shape \(4,\) and tau shape \(4,\)$"),
+    ],
+)
+def test_theta_refuses_a_bad_tau_in_every_form(tau, message):
+    for call in _theta_calls():
+        for form in _tau_forms(tau):
+            with pytest.raises(ValueError, match=message):
+                call(form)
+        # a (1, d) grid is not a direction
+        with pytest.raises(ValueError, match=r"^c must have shape \(4,\) and tau shape \(4,\)$"):
+            call([tau])
+
+
+@pytest.mark.parametrize("tau", [1.0, [[[1.0, 1.0]]]])
+def test_check_parameters_refuses_a_tau_neither_direction_nor_grid(tau):
+    with pytest.raises(ValueError, match=r"^tau must be a \(d,\) direction or an \(m, d\) grid$"):
+        check_extremal_index_parameters(100, None, tau)
