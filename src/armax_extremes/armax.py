@@ -450,28 +450,24 @@ def _divisors(c: tuple[float, ...], start: int, stop: int) -> np.ndarray:
     return powers
 
 
-def _log_product(
-    config: ProcessConfig, x: np.ndarray, first: int, last: int, threshold: float, floor: float = -math.inf
-):
+def _log_product(config: ProcessConfig, x: np.ndarray, first: int, last: int, threshold: float):
     """Truncated sums ``sum_{i = first, first + 1, ...} log G(x_k / c**i)``,
     one per row ``x_k`` of the ``(m, d)`` array ``x``, which holds no nan
     (the public entries refuse it; the kernel checks nothing), for
     ``first <= last``.
 
     Each row stops at its first term with ``i >= 1`` and
-    ``-log G < threshold`` (converged, if its sum is above ``floor``),
-    once its sum falls to ``floor`` or below, or after term ``last``.
-    The terms are at most 0, so a sum never rises above ``floor`` again:
-    the default ``-inf`` stops a row whose sum reaches ``-inf``, and the
-    quantile search stops a probe once it is below ``log p``.  Terms are
-    evaluated in chunks that double in size, for all unfinished rows at
-    once, and summed in order along each row by `np.cumsum` from its
-    running total (``+0.0`` at the start), so every row's total equals
-    that of a term-by-term loop over that row alone, whatever the chunk
-    lengths.  When every row stops in the first chunk, as points with
-    light-tailed margins or moderate c do, the chunk's sums are returned
-    as they are; the per-row bookkeeping arrays are made only once some
-    row goes on.  Each chunk's divisors ``c**i`` come from the
+    ``-log G < threshold`` (converged), once its sum reaches ``-inf``
+    (not converged; the terms are at most 0, so it stays there), or
+    after term ``last``.  Terms are evaluated in chunks that double in
+    size, for all unfinished rows at once, and summed in order along
+    each row by `np.cumsum` from its running total (``+0.0`` at the
+    start), so every row's total equals that of a term-by-term loop
+    over that row alone, whatever the chunk lengths.  When every row
+    stops in the first chunk, as points with light-tailed margins or
+    moderate c do, the chunk's sums are returned as they are; otherwise
+    one set of per-row arrays books each row as it stops, in whichever
+    chunk that is.  Each chunk's divisors ``c**i`` come from the
     `_divisors` cache.  Components at ``inf`` in every row are left out:
     their factors are 1, and their copula arguments ``log u_j = 0``
     would change nothing (see `copulas._fold`).  The margins are read
@@ -511,31 +507,26 @@ def _log_product(
             # the partial sums, from each row's running total, over terms
             terms[:, 0] += running
             partial = terms.cumsum(axis=1, out=terms)
-            stop |= partial <= floor
+            stop |= partial == -math.inf
             k = stop.argmax(axis=1)
             each = np.arange(len(x))
             hit = stop[each, k]
-            every = hit.all()
             if rows is None:
-                if every:
+                if hit.all():
                     # every row stops in the first chunk
                     total = partial[each, k]
-                    return total, k + (start - first + 1), total > floor
+                    return total, k + (start - first + 1), total > -math.inf
                 total = np.zeros(m)
                 n_terms = np.full(m, last - first + 1)
                 converged = np.zeros(m, dtype=bool)
                 rows = np.arange(m)
-            if every:
-                # every row left stops in this chunk
-                total[rows] = partial[each, k]
-                n_terms[rows] = k + (start - first + 1)
-                converged[rows] = total[rows] > floor
-                break
             done, k = rows[hit], k[hit]
             total[done] = partial[hit, k]
             n_terms[done] = k + (start - first + 1)
-            converged[done] = total[done] > floor
+            converged[done] = total[done] > -math.inf
             rows, x, running = rows[~hit], x[~hit], partial[~hit, -1]
+            if not len(rows):
+                break
             total[rows] = running
             start, size = start + size, 2 * size
     return total, n_terms, converged
@@ -608,25 +599,19 @@ def stationary_marginal_quantile(margin: MarginSpec, c: float, p: float) -> floa
     Closed form for Frechet margins (the stationary marginal is again
     Frechet up to the scale ``(1 - c**alpha)**(-1/alpha)``).  Otherwise
     the least float ``v >= 0`` with ``log F(v) >= log p``, where ``F`` is
-    the truncated product of `stationary_marginal_logcdf`, or the
-    innovation quantile when ``F`` already reaches ``p`` there.  One
-    batch of probes from that quantile upward brackets it, and a bit
-    search over the floats of the bracket finds it.  The search is memoised on ``(margin, c, p)``, so a
-    repeated request returns the identical float without solving again.
-    Raises `NumericLimitError` when the quantile leaves the float range
-    (small ``alpha``, or ``F`` below ``p`` at the largest float), or
-    when the product does not converge at a probe that reaches ``p``.
+    the truncated product of `stationary_marginal_logcdf`: the
+    innovation quantile when ``F`` already reaches ``p`` there, else the
+    end of a bit search over the floats between that quantile and the
+    margin's upper end.  The search is memoised on ``(margin, c, p)``,
+    so a repeated request returns the identical float without solving
+    again.  Raises `NumericLimitError` when the quantile leaves the
+    float range (small ``alpha``, or ``F`` below ``p`` at the largest
+    float), or when the product does not converge at a probe that
+    reaches ``p``.
     """
     _check_open_unit(c)
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie strictly inside (0, 1)")
-    return _marginal_quantile(margin, c, p)
-
-
-def _marginal_quantile(margin: MarginSpec, c: float, p: float) -> float:
-    """`stationary_marginal_quantile` for a ``c`` and ``p`` already
-    checked: the internal callers take their levels from a validated
-    config, so a cached solve costs one cache lookup."""
     if margin.kind == "frechet":
         try:
             value = _frechet_scale(margin.alpha, c) * (-math.log(p)) ** (-1.0 / margin.alpha)
@@ -639,7 +624,6 @@ def _marginal_quantile(margin: MarginSpec, c: float, p: float) -> float:
 @functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
 def _stationary_quantile(margin: MarginSpec, c: float, p: float) -> float:
     log_p = math.log(p)
-    below_p = math.nextafter(log_p, -math.inf)
     # the one-component law of `stationary_marginal_logcdf`, built once
     # per solve; the probes are finite, so its checks are not repeated
     one = ProcessConfig(1, (c,), (margin,), CopulaSpec.independence())
@@ -647,28 +631,24 @@ def _stationary_quantile(margin: MarginSpec, c: float, p: float) -> float:
     def reaches(bits: list[int]) -> np.ndarray:
         """Whether ``log F >= log p`` at the floats with these bit patterns."""
         x = np.array(bits, dtype=np.int64).view(np.float64)[:, None]
-        total, _, converged = _log_product(one, x, 0, _SERIES_TERMS, _PRODUCT_STOP, below_p)
+        total, _, converged = _log_product(one, x, 0, _SERIES_TERMS, _PRODUCT_STOP)
         # a partial sum bounds log F from above, so a probe below log p
-        # is decided whether or not its product converged, and its
-        # product stops there (at `below_p` or lower)
+        # is decided whether or not its product converged
         _require_converged(converged | (total < log_p))
         return total >= log_p
 
-    # nonnegative floats are ordered as their bit patterns are; F <= G
-    # factorwise, so the innovation quantile is the lower end.  One batch
-    # brackets the answer from there upward: the innovation quantile,
-    # the floats 16**k patterns above it (16**15 = 2**60 spans every
-    # exponent), and the upper end
+    # nonnegative floats are ordered as their bit patterns are, and the
+    # computed log F is monotone in v, so the least float reaching p
+    # does not depend on the probes; F <= G factorwise, so the
+    # innovation quantile is the lower end, and the first batch is the
+    # two ends
     ends = [float(margin_quantile(margin, p)), min(right_endpoint(margin), sys.float_info.max)]
-    lo, top = np.array(ends).view(np.int64).tolist()
-    ladder = [lo] + [lo + 16**k for k in range(16) if lo + 16**k < top] + [top]
-    reached = reaches(ladder)
-    if reached[0]:
+    lo, hi = np.array(ends).view(np.int64).tolist()
+    reached_lo, reached_hi = reaches([lo, hi]).tolist()
+    if reached_lo:
         return ends[0]
-    if not reached[-1]:
+    if not reached_hi:
         raise NumericLimitError("the stationary quantile is outside the float range")
-    first = int(np.argmax(reached))
-    lo, hi = ladder[first - 1], ladder[first]
     # F(lo) < p <= F(hi): cut the patterns between them into
     # `_QUANTILE_PARTS` parts until the two ends are adjacent floats
     while hi - lo > 1:

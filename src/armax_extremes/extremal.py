@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .armax import ProcessConfig, _marginal_quantile, _stationary_logcdf
+from .armax import ProcessConfig, _stationary_logcdf, stationary_marginal_quantile
 from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import NumericLimitError, UndefinedResultError
 from .errors import _check_coefficients, _check_integer, _check_open_unit, _check_top_k
@@ -57,11 +57,6 @@ def marginal_extremal_index(c: float, domain: DomainTag) -> float:
     """Extremal index of one component: ``1 - c**alpha`` in the Frechet
     domain, one otherwise."""
     _check_open_unit(c)
-    return _marginal_theta(c, domain)
-
-
-def _marginal_theta(c: float, domain: DomainTag) -> float:
-    """`marginal_extremal_index` for a ``c`` already checked."""
     if domain.is_frechet:
         return 1.0 - c**domain.alpha
     return 1.0
@@ -111,26 +106,25 @@ def _tau_rows(tau: np.ndarray) -> list[list[float]]:
 
 
 def check_extremal_index_parameters(n: int, k: int | None, tau) -> int:
-    """``k``, or its default ``ceil(sqrt(n))``, for `empirical_mv_extremal_index`
-    on an ``n``-row path, after raising the ``ValueError`` that estimator
+    """``k``, or its default ``min(ceil(sqrt(n)), n - 1)``, for
+    `empirical_mv_extremal_index` on an ``n``-row path, after raising the ``ValueError`` that estimator
     raises for ``k`` or for a direction or grid ``tau`` with a negative
     or nan entry or a row without a positive one, so a caller can refuse
     them before drawing a path.
     """
     _tau_rows(np.asarray(tau, dtype=float))
     if k is None:
-        k = math.ceil(math.sqrt(n))
+        k = min(math.ceil(math.sqrt(n)), n - 1)
     _check_top_k(k, n)
     return k
 
 
 def _index_result(theta: float, tau: list[float], index_set, domains, c) -> ExtremalIndexResult:
-    # every caller has checked c
     return ExtremalIndexResult(
         theta=float(theta),
         tau=tuple(tau),
         index_set=index_set,
-        marginal_thetas=tuple(_marginal_theta(float(cj), dom) for cj, dom in zip(c, domains)),
+        marginal_thetas=tuple(marginal_extremal_index(float(cj), dom) for cj, dom in zip(c, domains)),
     )
 
 
@@ -198,7 +192,7 @@ def _level_point(config: ProcessConfig, j: int, level: float) -> float:
         raise NumericLimitError(f"exp(-level) underflows to 0 at level {level:.17g}")
     if p == 1.0:
         return math.inf
-    return _marginal_quantile(config.margins[j], config.c[j], p)
+    return stationary_marginal_quantile(config.margins[j], config.c[j], p)
 
 
 def empirical_extremal_index_runs(series, threshold: float, run_gap: int = 1) -> float:

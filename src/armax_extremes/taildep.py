@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .armax import _PRODUCT_TOL, ProcessConfig, _marginal_quantile, _stationary_logcdf
+from .armax import _PRODUCT_TOL, ProcessConfig, _stationary_logcdf, stationary_marginal_quantile
 from .errors import NumericLimitError, UndefinedResultError
 from .errors import _check_integer, _check_open_unit, _check_top_k
 from .margins import MarginSpec, attraction_domain, right_endpoint
@@ -120,12 +120,12 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
         c_r = c_jp**r
         x = np.full((2, len(t_grid), d), math.inf)
         x[:, :, jp] = [
-            _marginal_quantile(margin_jp, c_jp, 1.0 - t) / c_r if c_r else math.inf
+            stationary_marginal_quantile(margin_jp, c_jp, 1.0 - t) / c_r if c_r else math.inf
             for t in t_grid
         ]
         if pair:
             x[0, :, j] = [
-                _marginal_quantile(config.margins[j], config.c[j], 1.0 - t) for t in t_grid
+                stationary_marginal_quantile(config.margins[j], config.c[j], 1.0 - t) for t in t_grid
             ]
         # quantiles and inf: no point is nan
         batch = x[0 if pair else 1 : 2 if product_fval else 1].reshape(-1, d)

@@ -973,7 +973,7 @@ def test_unit_frechet_level_and_cdf_refuse_nan():
         normalized_level(0.5, 100, math.nan)
 
 
-def _reference_log_product(config, x, first, last, threshold, floor=-math.inf):
+def _reference_log_product(config, x, first, last, threshold):
     """`armax._log_product` as a term-by-term loop over each row alone,
     through the public, validating copula entry."""
     powers = np.asarray(config.c) ** np.arange(last + 1)[:, None]
@@ -986,8 +986,8 @@ def _reference_log_product(config, x, first, last, threshold, floor=-math.inf):
                 log_u = np.log([margin_cdf(m, v) for m, v in zip(config.margins, point)])
             term = copula_logcdf(config.copula, log_u)
             total += term
-            if total <= floor or (i >= 1 and -term < threshold):
-                count, converged = i - first + 1, total > floor
+            if total == -math.inf or (i >= 1 and -term < threshold):
+                count, converged = i - first + 1, total > -math.inf
                 break
         totals.append(total)
         counts.append(count)
@@ -1123,20 +1123,6 @@ def test_log_product_equals_term_by_term_loop(case):
     assert n_terms.tolist() == expected[1] * copies
     assert converged.dtype == bool
     assert converged.tolist() == expected[2] * copies
-
-
-@pytest.mark.parametrize("first", [0, 1])
-def test_log_product_stops_a_row_at_its_floor(first):
-    # the quantile search passes the float below log p: a probe whose
-    # partial sum falls to it is decided, and stops there unconverged
-    config = ProcessConfig(2, (0.5, 0.99), (MarginSpec.exponential(2.0), FRECHET1), CopulaSpec.gumbel(2.5))
-    x = np.array([[1.0, 2.0], [0.5, 40.0], [3.0, math.inf], [0.2, 0.5]])
-    for floor in (-math.inf, -8.0, -1.0, -0.05):
-        expected = _reference_log_product(config, x, first, 1000, _KERNEL_TOL, floor)
-        total, n_terms, converged = armax._log_product(config, x, first, 1000, _KERNEL_TOL, floor)
-        assert total.tobytes() == np.array(expected[0]).tobytes()
-        assert n_terms.tolist() == expected[1]
-        assert converged.tolist() == expected[2]
 
 
 def test_log_product_divisor_cache_is_bounded():

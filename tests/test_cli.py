@@ -617,6 +617,22 @@ def test_extremal_index_defaults_and_theory(tmp_path, capsys):
     assert row[6] == "ok"
 
 
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2)])
+def test_extremal_index_default_k_lies_below_n(tmp_path, capsys, n, k):
+    # ceil(sqrt(2)) is 2, which is not below n = 2; the default is
+    # clamped to n - 1 as estimate's Hill k is, and moves nothing at n >= 3
+    out = tmp_path / "theta.csv"
+    cfg = write_config(
+        tmp_path,
+        "idx.json",
+        {"command": "extremal_index", "process": D2_GUMBEL, "n": n, "seed": 7, "output_path": str(out)},
+    )
+    assert run_main(capsys, "extremal-index", "--config", cfg).returncode == 0
+    header, rows = read_rows(out)
+    assert [int(row[header.index("k")]) for row in rows] == [k]
+    assert [int(row[header.index("n")]) for row in rows] == [n]
+
+
 def test_extremal_index_csv_bytes_pinned(tmp_path, capsys):
     # sha256 of the CSV written when each tau row ranked the path anew
     out = tmp_path / "pin.csv"
@@ -660,7 +676,8 @@ def test_extremal_index_undefined_flags_every_row(tmp_path, monkeypatch, capsys)
         ({"tau_grid": []}, "tau must be nonnegative with at least one positive entry"),
         ({"k": 0}, "k must lie strictly between 0 and n"),
         ({"k": 1000}, "k must lie strictly between 0 and n"),
-        ({"n": 2}, "k must lie strictly between 0 and n"),  # default k = ceil(sqrt 2) = 2
+        # n = 2 takes the default k = n - 1 = 1; n = 1 has no k to take
+        ({"n": 1}, "extremal_index requires n >= 2"),
         # the command field may spell the command as the subcommand does
         ({"command": "extremal-index", "k": 0}, "k must lie strictly between 0 and n"),
         ({"command": "tail-dep"}, "config command 'tail-dep' does not match the extremal-index "

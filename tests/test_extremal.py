@@ -1,5 +1,6 @@
 """Tests for theoretical and empirical extremal indices."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -21,6 +22,7 @@ from armax_extremes.extremal import (
     theoretical_mv_extremal_index,
 )
 from armax_extremes.margins import MarginSpec, attraction_domain
+from armax_extremes.taildep import theoretical_lag_tdc
 
 FRECHET1 = MarginSpec.frechet(1.0)
 FRE_DOM = attraction_domain(FRECHET1)
@@ -501,6 +503,27 @@ def test_process_index_pinned_bit_for_bit_in_one_product_call(monkeypatch, tau, 
     assert process_mv_extremal_index(MIXED4, tau).theta.hex() == theta
     # the denominator and numerator rows in one evaluation
     assert calls == [(2, 4)]
+
+
+def test_repeated_theta_and_lambda_solve_no_quantile_again():
+    # every theta row and lag-TDC cell of a d = 4 law with three
+    # non-Frechet margins, run twice: the second run, with tau as arrays
+    # of np.float64, finds every stationary quantile in the cache
+    tau_rows = [row for row in itertools.product((0.0, 0.5, 2.0), repeat=4) if any(row)]
+    cells = [(j, jp, r) for j in range(4) for jp in range(4) for r in range(6)]
+
+    def sweep(form):
+        for tau in tau_rows:
+            process_mv_extremal_index(MIXED4, form(tau))
+        for cell in cells:
+            theoretical_lag_tdc(MIXED4, *cell)
+
+    sweep(tuple)
+    before = armax._stationary_quantile.cache_info()
+    sweep(np.array)
+    after = armax._stationary_quantile.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 def _tau_forms(tau):
