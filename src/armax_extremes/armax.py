@@ -24,7 +24,7 @@ import numpy as np
 from .copulas import CopulaSpec, _base_logcdf, copula_sample
 from .errors import ConfigurationError, NumericLimitError
 from .errors import _check_coefficients, _check_integer, _check_open_unit
-from .margins import MarginSpec, _cdf, margin_quantile, right_endpoint
+from .margins import MarginSpec, TailFacts, _cdf, attraction_domain, margin_quantile, right_endpoint
 from .schema import (
     config_digest,
     copula_from_dict,
@@ -182,6 +182,12 @@ class ProcessConfig:
         # hashed on first use, once per instance: montecarlo simulates
         # one config per replicate
         return self._digest
+
+    @functools.cached_property
+    def _tail(self) -> TailFacts:
+        # built on first use, once per instance, as the digest is: every
+        # theta and lag-TDC call of a config reads the same facts
+        return TailFacts.of([attraction_domain(m) for m in self.margins], self.c)
 
 
 _PROCESS_FIELDS = {
@@ -350,13 +356,13 @@ def _start(config: ProcessConfig) -> tuple[int, list[float] | None]:
     A Frechet margin's stationary marginal is the margin times
     `_frechet_scale`.  With a max-stable innovation copula of tail
     function ``l``, the stationary copula has ``l_F(y) = sum_k
-    l(q**k (1 - q) y)``, ``q_j = c_j**alpha_j``: the innovation copula
-    when d = 1, under independence, or when every ``q_j`` is equal.
+    l(q**k (1 - q) y)``, ``q_j = c_j**alpha_j`` (read from the config's
+    tail facts): the innovation copula when d = 1, under independence, or
+    when every ``q_j`` is equal.
     """
     init, copula = config.init, config.copula
     if init.kind == "exact_marginal" and all(m.kind == "frechet" for m in config.margins):
-        q = {c**m.alpha for c, m in zip(config.c, config.margins)}
-        if len(q) == 1 or copula.kind == "independence" or copula.gamma == 1.0:
+        if len(set(config._tail.q)) == 1 or copula.kind == "independence" or copula.gamma == 1.0:
             return 0, [_frechet_scale(m.alpha, c) for c, m in zip(config.c, config.margins)]
     return (DEFAULT_BURN_IN if init.length is None else init.length), None
 
@@ -634,7 +640,8 @@ def _stationary_quantile(margin: MarginSpec, c: float, p: float) -> float:
         total, _, converged = _log_product(one, x, 0, _SERIES_TERMS, _PRODUCT_STOP)
         # a partial sum bounds log F from above, so a probe below log p
         # is decided whether or not its product converged
-        _require_converged(converged | (total < log_p))
+        if not converged.all():
+            _require_converged(converged | (total < log_p))
         return total >= log_p
 
     # nonnegative floats are ordered as their bit patterns are, and the
@@ -688,7 +695,10 @@ def stationary_joint_logcdf(config: ProcessConfig, x) -> float | np.ndarray:
 
 def _stationary_logcdf(config: ProcessConfig, x: np.ndarray) -> np.ndarray:
     total, _, converged = _log_product(config, x, 0, _SERIES_TERMS, _PRODUCT_STOP)
-    _require_converged(converged | (total == -math.inf))
+    # a row at -inf (some x_j <= 0) did not converge but is decided;
+    # when every row converged there is no such row to look for
+    if not converged.all():
+        _require_converged(converged | (total == -math.inf))
     return total
 
 

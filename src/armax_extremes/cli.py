@@ -68,7 +68,6 @@ from .extremal import (
     empirical_mv_extremal_index,
     process_mv_extremal_index,
 )
-from .margins import attraction_domain
 from .schema import (
     canonical_json,
     copula_from_dict,
@@ -393,7 +392,7 @@ def _run_estimate(config: RunConfig) -> int:
 def _run_extremal_index(config: RunConfig) -> int:
     process = config.process
     path = simulate_path(process, config.n, config.seed)
-    domains = [attraction_domain(m) for m in process.margins]
+    domains = process._tail.domains
     d = process.d
     header = (
         [f"tau_{j + 1}" for j in range(d)]

@@ -25,7 +25,7 @@ from .armax import ProcessConfig, _stationary_logcdf, stationary_marginal_quanti
 from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import NumericLimitError, UndefinedResultError
 from .errors import _check_coefficients, _check_integer, _check_open_unit, _check_top_k
-from .margins import DomainTag, attraction_domain
+from .margins import DomainTag, TailFacts
 from .ranks import _has_nan, _order_statistic, _sorted_columns, _top_rows, _window
 
 __all__ = [
@@ -55,33 +55,46 @@ class ExtremalIndexResult:
 
 def marginal_extremal_index(c: float, domain: DomainTag) -> float:
     """Extremal index of one component: ``1 - c**alpha`` in the Frechet
-    domain, one otherwise."""
+    domain, one otherwise (``1 - q``, see `DomainTag.q`)."""
     _check_open_unit(c)
-    if domain.is_frechet:
-        return 1.0 - c**domain.alpha
-    return 1.0
+    return 1.0 - domain.q(c)
 
 
-def _index_levels(domains, c, tau, batch: bool = False):
+def _tail_facts(domains, c, batch: bool = False) -> TailFacts:
+    """The `TailFacts` of user-given ``domains`` and coefficients ``c``,
+    after refusing a ``c`` not of shape ``(d,)`` (see `_index_levels`)."""
+    domains = list(domains)
+    c = np.asarray(c, dtype=float)
+    if c.shape != (len(domains),):
+        raise _shape_error(len(domains), batch)
+    # numpy scalars: numpy's array power can differ from the scalar
+    # power by an ulp
+    return TailFacts.of(domains, list(c))
+
+
+def _shape_error(d: int, batch: bool) -> ValueError:
+    grid = f" or (m, {d})" if batch else ""
+    return ValueError(f"c must have shape ({d},) and tau shape ({d},){grid}")
+
+
+def _index_levels(facts: TailFacts, tau, batch: bool = False):
     """Validated levels of ``theta(tau)``: the index set and ``[tau, num]``.
 
     Returns the Frechet-domain index set and the levels as lists of
-    floats: the pair of rows ``[tau, num]``, with
-    ``num_j = tau_j * c_j**alpha_j`` on the index set and 0 elsewhere,
-    for one ``(d,)`` direction ``tau`` or, with ``batch``, a list of
-    such pairs, one per row of an ``(m, d)`` grid.  Each direction must
-    be nonnegative with at least one positive entry (`_tau_rows`).
+    floats: the pair of rows ``[tau, num]``, with ``num_j = tau_j * q_j``
+    (``q_j = c_j**alpha_j``, read from ``facts``) on the index set and 0
+    elsewhere, for one ``(d,)`` direction ``tau`` or, with ``batch``, a
+    list of such pairs, one per row of an ``(m, d)`` grid.  Each
+    direction must be nonnegative with at least one positive entry
+    (`_tau_rows`).
     """
-    d = len(domains)
-    c = np.asarray(c, dtype=float)
+    d = len(facts.domains)
     tau = np.asarray(tau, dtype=float)
-    if c.shape != (d,) or tau.ndim not in (1, 1 + batch) or tau.shape[-1] != d:
-        grid = f" or (m, {d})" if batch else ""
-        raise ValueError(f"c must have shape ({d},) and tau shape ({d},){grid}")
+    if tau.ndim not in (1, 1 + batch) or tau.shape[-1] != d:
+        raise _shape_error(d, batch)
     rows = _tau_rows(tau)
-    index_set = tuple(j for j, dom in enumerate(domains) if dom.is_frechet)
-    # a scalar power: numpy's array power can differ from it by an ulp
-    scales = [(j, float(c[j] ** domains[j].alpha)) for j in index_set]
+    index_set = tuple(j for j, dom in enumerate(facts.domains) if dom.is_frechet)
+    scales = [(j, float(facts.q[j])) for j in index_set]
     levels = []
     for row in rows:
         num = [0.0] * d
@@ -119,12 +132,12 @@ def check_extremal_index_parameters(n: int, k: int | None, tau) -> int:
     return k
 
 
-def _index_result(theta: float, tau: list[float], index_set, domains, c) -> ExtremalIndexResult:
+def _index_result(theta: float, tau: list[float], index_set, facts: TailFacts) -> ExtremalIndexResult:
     return ExtremalIndexResult(
         theta=float(theta),
         tau=tuple(tau),
         index_set=index_set,
-        marginal_thetas=tuple(marginal_extremal_index(float(cj), dom) for cj, dom in zip(c, domains)),
+        marginal_thetas=tuple(float(s) for s in facts.s),
     )
 
 
@@ -142,15 +155,15 @@ def theoretical_mv_extremal_index(
     with at least one positive entry.  The numerator and denominator are
     formed in log space, so ratios of tiny copula values stay exact.
     """
-    domains = list(domains)
     c = np.asarray(c, dtype=float)
-    index_set, levels = _index_levels(domains, c, tau)
+    facts = _tail_facts(domains, c)
+    index_set, levels = _index_levels(facts, tau)
     _check_coefficients(c)
     theta = 1.0
     if index_set:
         log_den, log_num = copula_logcdf(copula, -np.array(levels)).tolist()
         theta = 1.0 - log_num / log_den
-    return _index_result(theta, levels[0], index_set, domains, c)
+    return _index_result(theta, levels[0], index_set, facts)
 
 
 def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult:
@@ -166,8 +179,8 @@ def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult
     ``exp(-level)`` rounds to zero, or when every denominator level
     rounds to argument one.
     """
-    domains = [attraction_domain(m) for m in config.margins]
-    index_set, levels = _index_levels(domains, config.c, tau)
+    facts = config._tail
+    index_set, levels = _index_levels(facts, tau)
     theta = 1.0
     if index_set:
         # components without a positive level sit at x_j = inf, which
@@ -178,7 +191,7 @@ def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult
         if log_den == 0.0:
             raise NumericLimitError("every denominator level rounds to argument one")
         theta = 1.0 - log_num / log_den
-    return _index_result(theta, levels[0], index_set, domains, config.c)
+    return _index_result(theta, levels[0], index_set, facts)
 
 
 def _level_point(config: ProcessConfig, j: int, level: float) -> float:
@@ -245,7 +258,7 @@ def empirical_mv_extremal_index(
     domains = list(domains)
     if len(domains) != d:
         raise ValueError("domains must match the number of columns")
-    index_set, levels = _index_levels(domains, c_est, tau, batch=True)
+    index_set, levels = _index_levels(_tail_facts(domains, c_est, batch=True), tau, batch=True)
     levels = np.array(levels).reshape(np.shape(tau)[:-1] + (2, d))
     k = check_extremal_index_parameters(n, k, tau)
 

@@ -117,6 +117,31 @@ class DomainTag:
     def is_frechet(self) -> bool:
         return self.kind == "frechet"
 
+    def q(self, c):
+        """``c**alpha`` in the Frechet domain, 0 elsewhere: for a
+        component with coefficient ``c``, the limiting chance that an
+        exceedance of a high level is followed by another, so ``1 - q``
+        is its marginal extremal index.  ``c`` may be a float or a numpy
+        scalar; the power is the scalar one of its type."""
+        return c**self.alpha if self.is_frechet else 0.0
+
+
+@dataclass(frozen=True)
+class TailFacts:
+    """Per-component tail facts of a process: each component's
+    max-domain, ``q_j`` (`DomainTag.q`) and ``s_j = 1 - q_j``, its
+    marginal extremal index."""
+
+    domains: tuple[DomainTag, ...]
+    q: tuple[float, ...]
+    s: tuple[float, ...]
+
+    @classmethod
+    def of(cls, domains, c) -> "TailFacts":
+        """The facts of components with these domains and coefficients."""
+        q = tuple(dom.q(cj) for dom, cj in zip(domains, c))
+        return cls(tuple(domains), q, tuple(1.0 - qj for qj in q))
+
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)

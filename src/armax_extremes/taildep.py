@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_T_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
+# log(1 - t) on that grid, the same for every cell
+_LOG_1MT = tuple(math.log1p(-t) for t in DEFAULT_T_GRID)
 
 # numeric tolerance band around the eta = 1/2 and eta = 1 boundaries used
 # when mapping estimates to a regime label
@@ -100,15 +102,14 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
 
     margin_jp = config.margins[jp]
     c_jp = config.c[jp]
-    domain_jp = attraction_domain(margin_jp)
-    frechet_sub = domain_jp.is_frechet and margin_jp.kind == "frechet"
+    domain_jp = config._tail.domains[jp]
+    frechet_sub = margin_jp.kind == "frechet"
 
-    log_1mt = [math.log1p(-t) for t in t_grid]
     # F(z) = 1 - t holds exactly at r = 0, where evaluating it at the
     # root-found z would only add the root finder's error; the pair
     # (X_j, X_j) is comonotone and F(z) >= 1 - t, so its copula value is
     # exactly 1 - t
-    log_fval = log_c = log_1mt
+    log_fval = log_c = _LOG_1MT
     if frechet_sub:
         log_fval = [math.log1p(-t * c_jp ** (r * margin_jp.alpha)) for t in t_grid]
     # one evaluation of the stationary law: a cross cell's pair law at
@@ -136,7 +137,7 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
             log_fval = values[-len(t_grid) :]
 
     middles, lowers, uppers, lams = [], [], [], []
-    for t, l_1mt, l_f, l_c in zip(t_grid, log_1mt, log_fval, log_c):
+    for t, l_1mt, l_f, l_c in zip(t_grid, _LOG_1MT, log_fval, log_c):
         middle = -math.expm1(l_c + l_1mt - l_f) / t
         middles.append(middle)
         lowers.append(-math.expm1(2.0 * l_1mt - l_f) / t)

@@ -947,6 +947,11 @@ def test_stationary_joint_validation():
     # the config is stationary, so the cap is a numeric limit
     with pytest.raises(NumericLimitError, match="did not converge within 10000 factors"):
         stationary_joint_cdf(d1_config(c=0.999), [1.0])
+    # a row at -inf (x_j = 0) is decided though it did not converge, and
+    # does not excuse a row beside it that cannot converge
+    assert stationary_joint_logcdf(d1_config(c=0.999), [[0.0]]).tolist() == [-math.inf]
+    with pytest.raises(NumericLimitError, match=r"^stationary product did not converge within 10000 factors$"):
+        stationary_joint_logcdf(d1_config(c=0.999), [[0.0], [1.0]])
 
 
 def test_stationary_law_refuses_nan_points():

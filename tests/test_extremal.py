@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,81 @@ def test_marginal_index_validation():
         marginal_extremal_index(0.0, FRE_DOM)
     with pytest.raises(ValueError):
         marginal_extremal_index(1.0, FRE_DOM)
+
+
+# --------------------------------------------------------- config tail facts
+
+# every margin kind, with GPD shapes above, within and below the band
+# around 0 that reads as the Gumbel domain
+TAIL_MARGINS = (
+    FRECHET1,
+    MarginSpec.frechet(2.5),
+    MarginSpec.exponential(2.0),
+    MarginSpec.uniform01(),
+    MarginSpec.gpd(0.2, 1.0),
+    MarginSpec.gpd(1e-13, 1.0),
+    MarginSpec.gpd(0.0, 2.0),
+    MarginSpec.gpd(-1e-13, 1.0),
+    MarginSpec.gpd(-0.3, 1.0),
+    MarginSpec.weibull_min(2.0),
+)
+
+
+def _tail_config(seed: int, d: int = 4) -> ProcessConfig:
+    rng = np.random.default_rng(seed)
+    margins = tuple(TAIL_MARGINS[i] for i in rng.integers(len(TAIL_MARGINS), size=d))
+    return ProcessConfig(d, tuple(rng.uniform(0.01, 0.99, d).tolist()), margins, CopulaSpec.gumbel(2.0))
+
+
+@pytest.mark.parametrize("margin", TAIL_MARGINS)
+def test_tail_facts_equal_domain_and_marginal_index_bit_for_bit(margin):
+    domain = attraction_domain(margin)
+    for c in np.random.default_rng(37).uniform(0.01, 0.99, 25).tolist():
+        facts = ProcessConfig(1, (c,), (margin,), INDEP)._tail
+        assert facts.domains == (domain,)
+        q = c**domain.alpha if domain.is_frechet else 0.0
+        assert [v.hex() for v in facts.q] == [q.hex()]
+        assert [v.hex() for v in facts.s] == [marginal_extremal_index(c, domain).hex()]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tail_facts_of_each_component_of_a_mixed_config(seed):
+    config = _tail_config(seed)
+    facts = config._tail
+    assert facts is config._tail  # built once
+    for j, (c, margin) in enumerate(zip(config.c, config.margins)):
+        domain = attraction_domain(margin)
+        assert facts.domains[j] == domain
+        assert facts.s[j].hex() == marginal_extremal_index(c, domain).hex()
+        assert facts.s[j].hex() == (1.0 - facts.q[j]).hex()
+    result = process_mv_extremal_index(config, [1.0, 0.5, 2.0, 1.0])
+    assert result.marginal_thetas == facts.s
+    assert result.index_set == tuple(j for j, dom in enumerate(facts.domains) if dom.is_frechet)
+
+
+def test_tail_facts_leave_to_dict_and_digest_as_they_were():
+    reference = _tail_config(3)
+    data, digest = reference.to_dict(), reference.digest()
+    for first in ("table", "digest"):
+        config = _tail_config(3)
+        if first == "table":
+            config._tail
+        assert config.digest() == digest
+        config._tail
+        assert config.to_dict() == data and config.digest() == digest
+        assert config == reference and hash(config) == hash(reference)
+
+
+def test_config_pickled_with_its_tail_facts_gives_the_same_theta():
+    # montecarlo with workers > 1 pickles the config into each worker
+    config = _tail_config(5)
+    tau = [1.0, 2.0, 0.5, 1.0]
+    theta = process_mv_extremal_index(config, tau).theta
+    assert "_tail" in vars(config)
+    clone = pickle.loads(pickle.dumps(config))
+    assert clone == config and clone.digest() == config.digest()
+    assert clone._tail == config._tail
+    assert process_mv_extremal_index(clone, tau).theta.hex() == theta.hex()
 
 
 # ---------------------------------------------------------- theoretical index
