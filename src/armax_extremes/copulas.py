@@ -47,9 +47,10 @@ _COPULA_KINDS = ("gumbel", "independence", "comonotone")
 # temporaries besides the path, not several path-sized arrays
 _ROW_BLOCK = 8192
 
-# corner rows per block of `derived_copula_validity`'s rectangle masses:
-# of 256 to 8192 rows, the largest block with no page faults in a d = 3
-# screen of 2048 rectangles, whatever ran before it in the process
+# rows per block of `derived_copula_validity`'s points, margin points
+# and rectangle corners: of 256 to 8192 corner rows, the largest block
+# with no page faults in a d = 3 screen of 2048 rectangles, whatever ran
+# before it in the process
 _CORNER_BLOCK = 2048
 
 
@@ -361,11 +362,12 @@ def derived_copula_validity(
     is evidence, not proof: it certifies the construction on the sampled
     grid only, and so needs at least one point and one rectangle.
 
-    The ``2**d`` corners of the rectangles are evaluated a block of
-    rectangles at a time, at most `_CORNER_BLOCK` corner rows (and at
-    least one rectangle) per block, so the temporaries are a block's,
-    not ``n_rectangles * 2**d`` rows; each rectangle's mass, and so the
-    least of them, has the bits of a whole-array evaluation.
+    The points, the margin points and the ``2**d`` corners of the
+    rectangles are evaluated a block at a time, at most `_CORNER_BLOCK`
+    rows (and at least one rectangle) per block, so the temporaries are
+    a block's, not ``n_points`` or ``n_rectangles * 2**d`` rows; maxima,
+    minima and each rectangle's mass are exact, so a report has the
+    bits of a whole-array evaluation.
     """
     _check_integer(n_points, "n_points")
     _check_integer(n_rectangles, "n_rectangles")
@@ -384,16 +386,26 @@ def derived_copula_validity(
         with np.errstate(divide="ignore"):
             return np.exp(_derived_logcdf(dc, np.log(u)))
 
-    c = cdf(pts)
-    lower = np.maximum(np.sum(pts, axis=1) - (d - 1), 0.0)
-    max_lower = float(np.max(lower - c, initial=0.0))
-    max_upper = float(np.max(c - np.min(pts, axis=1), initial=0.0))
+    # the bound and margin checks run `_CORNER_BLOCK` points at a time,
+    # each block's maximum starting from those before it
+    max_lower = max_upper = 0.0
+    for start in range(0, n_points, _CORNER_BLOCK):
+        u = pts[start : start + _CORNER_BLOCK]
+        c = cdf(u)
+        lower = np.maximum(np.sum(u, axis=1) - (d - 1), 0.0)
+        max_lower = np.max(lower - c, initial=max_lower)
+        max_upper = np.max(c - np.min(u, axis=1), initial=max_upper)
+    max_lower, max_upper = float(max_lower), float(max_upper)
 
     # row (p, j) is the point with u_j = p and every other entry one
     p = np.repeat(np.linspace(0.05, 0.95, 19), d)
     margin_pts = np.ones((p.size, d))
     margin_pts[np.arange(p.size), np.tile(np.arange(d), 19)] = p
-    max_margin = float(np.max(np.abs(cdf(margin_pts) - p), initial=0.0))
+    max_margin = 0.0
+    for start in range(0, p.size, _CORNER_BLOCK):
+        rows = slice(start, start + _CORNER_BLOCK)
+        max_margin = np.max(np.abs(cdf(margin_pts[rows]) - p[rows]), initial=max_margin)
+    max_margin = float(max_margin)
 
     # one (a, r) pair of d-vectors per rectangle, b = a + r (1 - a); the
     # corner masses are summed in `itertools.product` order, a block of

@@ -38,6 +38,8 @@ __all__ = [
     "check_extremal_index_parameters",
 ]
 
+_AT_ONE = "every denominator level rounds to argument one"
+
 
 @dataclass(frozen=True)
 class ExtremalIndexResult:
@@ -175,7 +177,9 @@ def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult
     ``exp(-tau)`` levels to points, and the truncated stationary product
     supplies the joint log CDF.  Components with ``tau_j = 0``, or with
     a level whose ``exp(-level)`` rounds to one, sit at argument one and
-    are marginalized out.  Raises `NumericLimitError` when a level's
+    are marginalized out.  When no numerator point is finite the
+    numerator's ``log F`` is 0, so ``theta = 1`` is returned without
+    evaluating the product.  Raises `NumericLimitError` when a level's
     ``exp(-level)`` rounds to zero, or when every denominator level
     rounds to argument one.
     """
@@ -186,11 +190,17 @@ def process_mv_extremal_index(config: ProcessConfig, tau) -> ExtremalIndexResult
         # components without a positive level sit at x_j = inf, which
         # marginalizes them out of the stationary law (an all-inf row
         # gives log F = 0); the points are never nan
-        x = [[_level_point(config, j, level) for j, level in enumerate(row)] for row in levels]
-        log_den, log_num = _stationary_logcdf(config, np.array(x)).tolist()
-        if log_den == 0.0:
-            raise NumericLimitError("every denominator level rounds to argument one")
-        theta = 1.0 - log_num / log_den
+        x_den, x_num = [[_level_point(config, j, level) for j, level in enumerate(row)] for row in levels]
+        if min(x_num) == math.inf:
+            # log F(x_num) = 0, so theta = 1 - 0 / log F(x_den) = 1
+            # unless the denominator is at argument one too
+            if min(x_den) == math.inf:
+                raise NumericLimitError(_AT_ONE)
+        else:
+            log_den, log_num = _stationary_logcdf(config, np.array([x_den, x_num])).tolist()
+            if log_den == 0.0:
+                raise NumericLimitError(_AT_ONE)
+            theta = 1.0 - log_num / log_den
     return _index_result(theta, levels[0], index_set, facts)
 
 

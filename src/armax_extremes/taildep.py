@@ -94,6 +94,30 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
     truncated product leaves up to about ``_PRODUCT_TOL / (1 - c)`` in
     ``log F``, and the limit expression divides it by ``t``.
     """
+    lam, lam_extrapolated, bounds, lams, middles, log_fval = _lag_tdc(config, j, jp, r)
+    grid = list(zip(DEFAULT_T_GRID, _LOG_1MT, log_fval))
+    return LagTdcDiagnostics(
+        t=DEFAULT_T_GRID,
+        middle=tuple(middles),
+        lower=tuple(-math.expm1(2.0 * l_1mt - l_f) / t for t, l_1mt, l_f in grid),
+        upper=tuple(1.0 + math.exp(l_1mt - l_f) for _, l_1mt, l_f in grid),
+        lam_grid=tuple(lams),
+        lam_extrapolated=lam_extrapolated,
+        lam=lam,
+        bounds=bounds,
+    )
+
+
+def theoretical_lag_tdc(config: ProcessConfig, j: int, jp: int, r: int) -> float:
+    """Numeric lag-r tail dependence coefficient of ``(X_j, X_j')``:
+    the ``lam`` of `lag_tdc_diagnostics`, computed without its record."""
+    return _lag_tdc(config, j, jp, r)[0]
+
+
+def _lag_tdc(config: ProcessConfig, j: int, jp: int, r: int):
+    """One cell of `lag_tdc_diagnostics`, after the grid's convergence
+    check: the clamped ``lam``, the Richardson value, the bounds, and on
+    the grid the coefficients, the middles and ``log F(z_t)``."""
     d = config.d
     _check_components(d, (j, jp))
     _check_r(r)
@@ -105,10 +129,11 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
     domain_jp = config._tail.domains[jp]
     frechet_sub = margin_jp.kind == "frechet"
 
-    # F(z) = 1 - t holds exactly at r = 0, where evaluating it at the
-    # root-found z would only add the root finder's error; the pair
-    # (X_j, X_j) is comonotone and F(z) >= 1 - t, so its copula value is
-    # exactly 1 - t
+    # F(z) = 1 - t holds exactly at r = 0, where the product at z, the
+    # least float whose F reaches 1 - t (the quantile's bit search),
+    # would only add that float's step above 1 - t; the pair (X_j, X_j)
+    # is comonotone and F(z) >= 1 - t, so its copula value is exactly
+    # 1 - t
     log_fval = log_c = _LOG_1MT
     if frechet_sub:
         log_fval = [math.log1p(-t * c_jp ** (r * margin_jp.alpha)) for t in t_grid]
@@ -119,30 +144,34 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
     if pair or product_fval:
         # where c**r underflows to 0 the level c**(-r) w_t is +inf
         c_r = c_jp**r
-        x = np.full((2, len(t_grid), d), math.inf)
-        x[:, :, jp] = [
+        z = [
             stationary_marginal_quantile(margin_jp, c_jp, 1.0 - t) / c_r if c_r else math.inf
             for t in t_grid
         ]
+        rows = []
         if pair:
-            x[0, :, j] = [
-                stationary_marginal_quantile(config.margins[j], config.c[j], 1.0 - t) for t in t_grid
-            ]
+            margin_j, c_j = config.margins[j], config.c[j]
+            for z_t, t in zip(z, t_grid):
+                row = [math.inf] * d
+                row[j], row[jp] = stationary_marginal_quantile(margin_j, c_j, 1.0 - t), z_t
+                rows.append(row)
+        if product_fval:
+            for z_t in z:
+                row = [math.inf] * d
+                row[jp] = z_t
+                rows.append(row)
         # quantiles and inf: no point is nan
-        batch = x[0 if pair else 1 : 2 if product_fval else 1].reshape(-1, d)
-        values = _stationary_logcdf(config, batch).tolist()
+        values = _stationary_logcdf(config, np.array(rows)).tolist()
         if pair:
             log_c = values[: len(t_grid)]
         if product_fval:
             log_fval = values[-len(t_grid) :]
 
-    middles, lowers, uppers, lams = [], [], [], []
-    for t, l_1mt, l_f, l_c in zip(t_grid, _LOG_1MT, log_fval, log_c):
-        middle = -math.expm1(l_c + l_1mt - l_f) / t
-        middles.append(middle)
-        lowers.append(-math.expm1(2.0 * l_1mt - l_f) / t)
-        uppers.append(1.0 + math.exp(l_1mt - l_f))
-        lams.append(2.0 - middle)
+    middles = [
+        -math.expm1(l_c + l_1mt - l_f) / t
+        for t, l_1mt, l_f, l_c in zip(t_grid, _LOG_1MT, log_fval, log_c)
+    ]
+    lams = [2.0 - middle for middle in middles]
 
     last_step, prev_step = lams[-1] - lams[-2], lams[-2] - lams[-3]
     floor = _PRODUCT_TOL / ((1.0 - max(config.c[j], c_jp)) * t_last)
@@ -158,21 +187,7 @@ def lag_tdc_diagnostics(config: ProcessConfig, j: int, jp: int, r: int) -> LagTd
     else:
         bounds = (0.0, 1.0)
     lam = min(max(lam_extrapolated, bounds[0]), bounds[1])
-    return LagTdcDiagnostics(
-        t=t_grid,
-        middle=tuple(middles),
-        lower=tuple(lowers),
-        upper=tuple(uppers),
-        lam_grid=tuple(lams),
-        lam_extrapolated=lam_extrapolated,
-        lam=lam,
-        bounds=bounds,
-    )
-
-
-def theoretical_lag_tdc(config: ProcessConfig, j: int, jp: int, r: int) -> float:
-    """Numeric lag-r tail dependence coefficient of ``(X_j, X_j')``."""
-    return lag_tdc_diagnostics(config, j, jp, r).lam
+    return lam, lam_extrapolated, bounds, lams, middles, log_fval
 
 
 def tdc_bounds(c_jp: float, alpha_jp: float, r: int) -> tuple[float, float]:

@@ -5,15 +5,21 @@
 incorrect.  These tests load the benchmark's modules by path and run
 the same checks on the tiny inputs (and the full theory sweep), so an
 output drift fails the suite too.  They only read `perfbench/`.
+
+The references' tolerance cannot see an ulp, so the theory sweep's
+outcomes are also pinned as float hex in `theory_sweep_bits.json`,
+written by `make_theory_sweep_bits.py` beside it.
 """
 
 import importlib.util
+import json
 import pathlib
 import sys
 
 import pytest
 
 from armax_extremes import cli
+from make_theory_sweep_bits import BITS, sweep_bits
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,6 +43,13 @@ def test_theory_sweep_matches_the_references(size):
     outcomes = theory.run_sweep(ops, list(range(len(ops))))
     failed, mismatched = workloads.check_theory(REFERENCES, size == "tiny", outcomes)
     assert failed == [] and mismatched == []
+
+
+@pytest.mark.parametrize("size, count", [("full", 178), ("tiny", 49)])
+def test_theory_sweep_keeps_its_bits(size, count):
+    pinned = json.loads(BITS.read_text())[size]
+    assert len(pinned) == count
+    assert sweep_bits(theory, size) == pinned
 
 
 @pytest.mark.parametrize("seed", range(5))

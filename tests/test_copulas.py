@@ -557,8 +557,9 @@ def test_validity_screen_refuses_a_non_integer_size(n_points, n_rectangles):
 
 
 def _whole_array_validity(dc, n_points, n_rectangles):
-    """`derived_copula_validity`'s four measures with every rectangle
-    corner in one array: the screen before its corners went in blocks."""
+    """`derived_copula_validity`'s four measures with every point and
+    rectangle corner in one array: the screen before they went in
+    blocks."""
     rng = np.random.default_rng(0)
     d = dc.dim
     pts = rng.random((n_points, d))
@@ -618,11 +619,35 @@ def test_validity_screen_in_blocks_equals_the_whole_array_screen(case):
     assert report.valid == (lower <= 1e-9 and upper <= 1e-9 and margin <= 1e-9 and mass >= -1e-9)
 
 
+@pytest.mark.parametrize("n_points", [1, 2047, 2048, 2049, 8192])
+@pytest.mark.parametrize(
+    "dc",
+    [
+        DerivedCopula(GUMBEL2, (0.5, 0.7, 0.9)),
+        DerivedCopula(GUMBEL2, (1.0, 0.5)),
+        DerivedCopula(COMONO, (0.3, 0.6, 0.9, 1.0)),
+    ],
+    ids=["gumbel-d3", "gumbel-d2-invalid", "comonotone-d4"],
+)
+def test_validity_points_in_blocks_equal_the_whole_array_points(dc, n_points):
+    # the points go in blocks of `_CORNER_BLOCK` rows: one block up to
+    # 2048 points, a last block of one at 2049, four at 8192
+    report = derived_copula_validity(dc, n_points, 64)
+    measures = [
+        report.max_lower_violation,
+        report.max_upper_violation,
+        report.max_margin_violation,
+        report.min_rectangle_mass,
+    ]
+    expected = _whole_array_validity(dc, n_points, 64)
+    assert [v.hex() for v in measures] == [v.hex() for v in expected]
+
+
 @pytest.mark.parametrize("size, bound_mb", [(2048, 1.0), (8192, 2.0)])
 def test_validity_screen_memory_peak_is_bounded(size, bound_mb):
-    # with every rectangle corner in one array the peaks were 2.9 and
-    # 11.4 MB; the corner blocks leave 0.6 and 1.3 MB, most of it the
-    # points at 8192
+    # with every point and rectangle corner in one array the peaks were
+    # 2.9 and 11.4 MB; blocks of points and of corners leave 0.6 and
+    # 1.0 MB, most of it the points and the rectangle draws at 8192
     dc = DerivedCopula(GUMBEL2, (0.5, 0.7, 0.9))
     derived_copula_validity(dc, size, size)
     tracemalloc.start()

@@ -11,9 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armax_extremes import armax, extremal
-from armax_extremes.armax import ProcessConfig, simulate_path
+from armax_extremes.armax import (
+    ProcessConfig,
+    simulate_path,
+    stationary_joint_logcdf,
+    stationary_marginal_quantile,
+)
 from armax_extremes.copulas import CopulaSpec, DerivedCopula
-from armax_extremes.errors import UndefinedResultError
+from armax_extremes.errors import NumericLimitError, UndefinedResultError
 from armax_extremes.extremal import (
     check_extremal_index_parameters,
     empirical_extremal_index_runs,
@@ -653,3 +658,125 @@ def test_theta_refuses_a_bad_tau_in_every_form(tau, message):
 def test_check_parameters_refuses_a_tau_neither_direction_nor_grid(tau):
     with pytest.raises(ValueError, match=r"^tau must be a \(d,\) direction or an \(m, d\) grid$"):
         check_extremal_index_parameters(100, None, tau)
+
+
+# ------------------------------------------------- theta against its formula
+
+
+def _reference_point(config, j, level):
+    if level == 0.0:
+        return math.inf
+    p = math.exp(-level)
+    if p == 0.0:
+        raise NumericLimitError(f"exp(-level) underflows to 0 at level {level:.17g}")
+    return math.inf if p == 1.0 else stationary_marginal_quantile(config.margins[j], config.c[j], p)
+
+
+def _reference_theta(config, tau):
+    """``1 - log F(x_num) / log F(x_den)`` from the public stationary
+    quantile and joint log CDF, each row evaluated on its own."""
+    if not any(t > 0.0 for t in tau):
+        raise ValueError("tau must be nonnegative with at least one positive entry")
+    domains = [attraction_domain(m) for m in config.margins]
+    if not any(dom.is_frechet for dom in domains):
+        return 1.0
+    den = [float(t) for t in tau]
+    num = [t * c**dom.alpha if dom.is_frechet else 0.0 for t, c, dom in zip(den, config.c, domains)]
+    x_den, x_num = ([_reference_point(config, j, level) for j, level in enumerate(row)] for row in (den, num))
+    log_den = stationary_joint_logcdf(config, x_den)
+    log_num = stationary_joint_logcdf(config, x_num)
+    if log_den == 0.0:
+        raise NumericLimitError("every denominator level rounds to argument one")
+    return 1.0 - log_num / log_den
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args).hex()
+    except (NumericLimitError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_theta_is_its_formula(config, tau):
+    got = _outcome(lambda: process_mv_extremal_index(config, tau).theta)
+    assert got == _outcome(lambda: _reference_theta(config, tau)), (config, tau)
+    return got
+
+
+def test_theta_on_every_sweep_row_is_its_formula():
+    outcomes = [
+        _assert_theta_is_its_formula(MIXED4, tau)
+        for tau in itertools.product((0.0, 0.5, 2.0), repeat=4)
+    ]
+    # the all-zero row is refused; the 8 rows without a Frechet-domain
+    # level (tau_0 = tau_2 = 0) are exactly 1
+    assert outcomes[0][0] == "ValueError"
+    assert outcomes.count((1.0).hex()) == 8
+
+
+@pytest.mark.parametrize(
+    "tau, outcome",
+    [
+        # exp(-level) rounds to 1 at every level: all at argument one
+        ((1e-17, 0.0, 1e-17, 0.0), ("NumericLimitError", "every denominator level rounds to argument one")),
+        # ... at the numerator's levels only: theta = 1 without the product
+        ((1e-16, 0.0, 0.0, 0.0), (1.0).hex()),
+        ((1e-17, 0.5, 0.0, 0.0), (1.0).hex()),
+        # exp(-level) underflows to 0, in the denominator and the numerator
+        ((800.0, 0.5, 0.0, 0.0), ("NumericLimitError", "exp(-level) underflows to 0 at level 800")),
+        ((0.5, 0.0, 2000.0, 0.0), ("NumericLimitError", "exp(-level) underflows to 0 at level 2000")),
+    ],
+)
+def test_theta_at_levels_that_round_to_one_or_zero_is_its_formula(tau, outcome):
+    assert _assert_theta_is_its_formula(MIXED4, tau) == outcome
+
+
+def _random_config(seed):
+    rng = np.random.default_rng(seed)
+    d = 1 + seed % 4
+    margins = tuple(TAIL_MARGINS[i] for i in rng.integers(len(TAIL_MARGINS), size=d))
+    copula = (CopulaSpec.gumbel(2.0), INDEP, CopulaSpec.comonotone())[seed % 3]
+    return ProcessConfig(d, tuple(rng.uniform(0.01, 0.99, d).tolist()), margins, copula), rng
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_theta_of_a_random_config_is_its_formula(seed):
+    config, rng = _random_config(seed)
+    levels = np.array([0.0, 0.0, 0.5, 2.0, 0.5, 2.0, 1e-17, 800.0])
+    for tau in levels[rng.integers(len(levels), size=(4, config.d))].tolist():
+        _assert_theta_is_its_formula(config, tau)
+
+
+def test_theta_is_one_where_the_denominator_product_rounds_to_zero():
+    # the one kind of input whose outcome the shortcut changes: a finite
+    # denominator point whose log F rounds to 0, beside no finite
+    # numerator point.  GPD(-2, 1) reaches G = 1 at its endpoint 0.5, to
+    # which the stationary quantile rounds at p = exp(-1e-16); the
+    # formula's 0 / 0 was refused, theta = 1 is now returned
+    config = ProcessConfig(2, (0.5, 0.3), (FRECHET1, MarginSpec.gpd(-2.0, 1.0)), CopulaSpec.gumbel(2.0))
+    for tau in [(0.0, 1e-16), (0.0, 1e-10)]:
+        assert _outcome(lambda: _reference_theta(config, tau)) == (
+            "NumericLimitError",
+            "every denominator level rounds to argument one",
+        )
+        assert process_mv_extremal_index(config, tau).theta == 1.0
+
+
+def test_theta_without_a_finite_numerator_point_skips_the_product(monkeypatch):
+    # warm rows: a row with a finite numerator point evaluates its two
+    # rows in one product call, a row without one makes none
+    rows = [tau for tau in itertools.product((0.0, 0.5, 2.0), repeat=4) if any(tau)]
+    for tau in rows:
+        process_mv_extremal_index(MIXED4, tau)  # solves and caches the quantiles
+    calls = []
+    kernel = armax._log_product
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(armax, "_log_product", counted)
+    for tau in rows:
+        calls.clear()
+        process_mv_extremal_index(MIXED4, tau)
+        assert calls == ([] if tau[0] == tau[2] == 0.0 else [(2, 4)]), tau

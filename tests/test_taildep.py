@@ -103,7 +103,7 @@ def test_tdc_diagnostics_envelope_and_clamp():
 
 
 def test_tdc_lam_grid_pinned_non_frechet_cell():
-    # an off-diagonal cell with a GPD target margin: root-found levels and
+    # an off-diagonal cell with a GPD target margin: bit-searched levels and
     # the whole grid through one joint evaluation, pinned to the values
     # of the one-point-at-a-time evaluation
     cfg = ProcessConfig(
@@ -159,7 +159,9 @@ def test_tdc_mixed_cells_pinned_bit_for_bit(cell, extrapolated, lam):
 def test_tdc_cell_runs_the_product_kernel_at_most_once(monkeypatch):
     # F(z_t) rides in the cell's one stationary-law batch, after the pair
     # law of a cross cell, so no cell evaluates the truncated product
-    # twice once its quantiles are cached
+    # twice once its quantiles are cached; a diagonal cell whose F(z_t)
+    # is exact (r = 0) or a Frechet substitution needs none.  lam alone
+    # and the record make the same calls
     calls = []
     kernel = armax._log_product
 
@@ -169,15 +171,16 @@ def test_tdc_cell_runs_the_product_kernel_at_most_once(monkeypatch):
 
     for j, jp, r in itertools.product(range(4), range(4), range(6)):
         theoretical_lag_tdc(MIXED4, j, jp, r)  # solves and caches the quantiles
-        calls.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(armax, "_log_product", counted)
-            theoretical_lag_tdc(MIXED4, j, jp, r)
-        assert len(calls) <= 1, (j, jp, r, calls)
-        # a cell with a product F(z_t) takes it as 4 rows, after the 4
-        # of a cross cell's pair law
-        if jp != 0 and r > 0:
-            assert calls == [(8 if j != jp else 4, 4)]
+        for call in (theoretical_lag_tdc, lag_tdc_diagnostics):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(armax, "_log_product", counted)
+                call(MIXED4, j, jp, r)
+            assert len(calls) == (0 if j == jp and (jp == 0 or r == 0) else 1), (call, j, jp, r, calls)
+            # a cell with a product F(z_t) takes it as 4 rows, after the 4
+            # of a cross cell's pair law
+            if jp != 0 and r > 0:
+                assert calls == [(8 if j != jp else 4, 4)]
 
 
 # a cell whose grid diverges: its last increment, -1.09e-3, is far above
@@ -190,6 +193,75 @@ DIVERGING = ProcessConfig(
 def test_tdc_grid_oscillation_raises():
     with pytest.raises(NumericLimitError, match="last increment -1.094e-03"):
         theoretical_lag_tdc(DIVERGING, 1, 0, 1)
+
+
+# every margin kind, a Frechet-domain GPD and GPD shapes near 0 included
+LAM_MARGINS = (
+    FRECHET1,
+    MarginSpec.frechet(2.5),
+    MarginSpec.exponential(2.0),
+    MarginSpec.uniform01(),
+    MarginSpec.gpd(0.2, 1.0),
+    MarginSpec.gpd(1e-13, 1.0),
+    MarginSpec.gpd(-0.3, 1.0),
+    MarginSpec.weibull_min(2.0),
+)
+
+
+def _lam_config(seed):
+    rng = np.random.default_rng(seed)
+    d = 1 + seed % 4
+    margins = tuple(LAM_MARGINS[i] for i in rng.integers(len(LAM_MARGINS), size=d))
+    copula = (CopulaSpec.gumbel(2.0), INDEP, CopulaSpec.comonotone())[seed % 3]
+    return ProcessConfig(d, tuple(rng.uniform(0.05, 0.95, d).tolist()), margins, copula)
+
+
+def _lam_outcomes(config, j, jp, r):
+    """``theoretical_lag_tdc`` and the ``lam`` of `lag_tdc_diagnostics`
+    as float hex, or the type and message of what each raised."""
+    outcomes = []
+    for call in (theoretical_lag_tdc, lambda *cell: lag_tdc_diagnostics(*cell).lam):
+        try:
+            outcomes.append(call(config, j, jp, r).hex())
+        except (NumericLimitError, ValueError) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_lam_alone_equals_the_diagnostics_lam(seed):
+    config = _lam_config(seed)
+    for j, jp, r in itertools.product(range(config.d), range(config.d), range(7)):
+        lam, diag_lam = _lam_outcomes(config, j, jp, r)
+        assert lam == diag_lam, (j, jp, r)
+
+
+# c**r underflows to 0 at c = 1e-170, r >= 2: the level z_t is inf
+TINY_C = ProcessConfig(
+    2, (0.5, 1e-170), (MarginSpec.exponential(1.0), MarginSpec.weibull_min(2.0)), CopulaSpec.gumbel(2.0)
+)
+
+
+@pytest.mark.parametrize(
+    "config, cell, outcome",
+    [
+        # truncation noise, pinned to the bits of the record's evaluation
+        (TINY_C, (0, 1, 2), "0x1.64a95555698e3p-38"),
+        (TINY_C, (1, 1, 3), "0x1.5554a471c71c7p-54"),
+        (
+            DIVERGING,
+            (1, 0, 1),
+            (
+                "NumericLimitError",
+                "lag TDC grid did not converge: last increment -1.094e-03 exceeds 10x the previous 5.199e-05",
+            ),
+        ),
+        (MIXED4, (0, 4, 1), ("ValueError", "component indices out of range")),
+        (MIXED4, (0, 1, -1), ("ValueError", "lag r must be nonnegative")),
+    ],
+)
+def test_lam_alone_equals_the_diagnostics_lam_at_the_edges(config, cell, outcome):
+    assert _lam_outcomes(config, *cell) == [outcome, outcome]
 
 
 @pytest.mark.parametrize(
