@@ -690,9 +690,10 @@ def _reference_theta(config, tau):
     return 1.0 - log_num / log_den
 
 
-def _outcome(call, *args):
+def _outcome(call):
+    """``call()`` as float hex, or the type and message it raised."""
     try:
-        return call(*args).hex()
+        return call().hex()
     except (NumericLimitError, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
