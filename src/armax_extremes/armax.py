@@ -647,9 +647,11 @@ def _stationary_quantile(margin: MarginSpec, c: float, p: float) -> float:
     # nonnegative floats are ordered as their bit patterns are, and the
     # computed log F is monotone in v, so the least float reaching p
     # does not depend on the probes; F <= G factorwise, so the
-    # innovation quantile is the lower end, and the first batch is the
-    # two ends
+    # innovation quantile is the lower end (past the float range, so is
+    # the stationary one), and the first batch is the two ends
     ends = [float(margin_quantile(margin, p)), min(right_endpoint(margin), sys.float_info.max)]
+    if not math.isfinite(ends[0]):
+        raise NumericLimitError("the stationary quantile is outside the float range")
     lo, hi = np.array(ends).view(np.int64).tolist()
     reached_lo, reached_hi = reaches([lo, hi]).tolist()
     if reached_lo:

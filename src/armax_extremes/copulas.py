@@ -43,12 +43,12 @@ __all__ = [
 _COPULA_KINDS = ("gumbel", "independence", "comonotone")
 
 # rows per block in the layers that walk a sample path (the Gumbel draw,
-# the rank windows, the path CSV writer): each holds a few blocks of
-# temporaries besides the path, not several path-sized arrays
+# the path CSV writer): each holds a few blocks of temporaries besides
+# the path, not several path-sized arrays
 _ROW_BLOCK = 8192
 
-# rows per block of `derived_copula_validity`'s points, margin points
-# and rectangle corners: of 256 to 8192 corner rows, the largest block
+# rows per block of `derived_copula_validity`'s points and rectangle
+# corners: of 256 to 8192 corner rows, the largest block
 # with no page faults in a d = 3 screen of 2048 rectangles, whatever ran
 # before it in the process
 _CORNER_BLOCK = 2048
@@ -170,29 +170,26 @@ def copula_logcdf(spec: CopulaSpec | DerivedCopula, log_u):
     ``u_j = 0``.  Working from logs keeps ratios of the form
     ``log C(u) / log C(v)`` exact for small arguments.  A ``(d,)``
     point gives a float, an ``(m, d)`` batch of points an ``(m,)``
-    array.  A `DerivedCopula` is evaluated by `derived_copula_logcdf`.
+    array; for a `DerivedCopula`, ``d`` must be its ``dim``.
     """
-    if isinstance(spec, DerivedCopula):
-        return derived_copula_logcdf(spec, log_u)
     log_u = np.asarray(log_u, dtype=float)
-    _check_log_u(log_u)
-    out = _base_logcdf(spec, np.atleast_2d(log_u))
+    derived = isinstance(spec, DerivedCopula)
+    _check_log_u(log_u, spec.dim if derived else None)
+    rows = np.atleast_2d(log_u)
+    out = _derived_logcdf(spec, rows) if derived else _base_logcdf(spec, rows)
     return float(out[0]) if log_u.ndim == 1 else out
 
 
 def copula_eval(spec: CopulaSpec | DerivedCopula, u) -> float:
-    """Copula CDF ``C(u)`` for ``u`` in ``[0, 1]**d``; a `DerivedCopula`
-    is evaluated by `derived_copula_logcdf`."""
+    """Copula CDF ``C(u)`` for ``u`` in ``[0, 1]**d``, from
+    `copula_logcdf`; ``u_j = 0`` gives ``log u_j = -inf`` and so 0."""
     u = np.asarray(u, dtype=float)
-    # checked before the u == 0 shortcut, which would return 0
     if isinstance(spec, DerivedCopula) and u.shape != (spec.dim,):
         raise ValueError(f"u must have shape ({spec.dim},)")
     if u.ndim != 1 or u.size == 0:
         raise ValueError("u must be a non-empty 1-d array")
     if np.any(u < 0) or np.any(u > 1) or np.any(np.isnan(u)):
         raise ValueError("u entries must lie in [0, 1]")
-    if np.any(u == 0):
-        return 0.0
     with np.errstate(divide="ignore"):
         return math.exp(copula_logcdf(spec, np.log(u)))
 
@@ -292,15 +289,8 @@ def _derived_logcdf(dc: DerivedCopula, log_u: np.ndarray) -> np.ndarray:
 
 
 def derived_copula_logcdf(dc: DerivedCopula, log_u):
-    """``log C*(u)`` of the ratio construction, from ``log u``.
-
-    A ``(dim,)`` point gives a float, an ``(m, dim)`` batch of points an
-    ``(m,)`` array.
-    """
-    log_u = np.asarray(log_u, dtype=float)
-    _check_log_u(log_u, dc.dim)
-    out = _derived_logcdf(dc, np.atleast_2d(log_u))
-    return float(out[0]) if log_u.ndim == 1 else out
+    """``log C*(u)`` of the ratio construction, from ``log u``: `copula_logcdf`."""
+    return copula_logcdf(dc, log_u)
 
 
 def derived_copula_eval(dc: DerivedCopula, u) -> float:
@@ -362,12 +352,13 @@ def derived_copula_validity(
     is evidence, not proof: it certifies the construction on the sampled
     grid only, and so needs at least one point and one rectangle.
 
-    The points, the margin points and the ``2**d`` corners of the
-    rectangles are evaluated a block at a time, at most `_CORNER_BLOCK`
-    rows (and at least one rectangle) per block, so the temporaries are
-    a block's, not ``n_points`` or ``n_rectangles * 2**d`` rows; maxima,
-    minima and each rectangle's mass are exact, so a report has the
-    bits of a whole-array evaluation.
+    The points and the ``2**d`` corners of the rectangles are evaluated
+    a block at a time, at most `_CORNER_BLOCK` rows (and at least one
+    rectangle) per block, so the temporaries are a block's, not
+    ``n_points`` or ``n_rectangles * 2**d`` rows; the ``19 d`` margin
+    points are evaluated whole.  Maxima, minima and each rectangle's
+    mass are exact, so a report has the bits of a whole-array
+    evaluation.
     """
     _check_integer(n_points, "n_points")
     _check_integer(n_rectangles, "n_rectangles")
@@ -386,8 +377,8 @@ def derived_copula_validity(
         with np.errstate(divide="ignore"):
             return np.exp(_derived_logcdf(dc, np.log(u)))
 
-    # the bound and margin checks run `_CORNER_BLOCK` points at a time,
-    # each block's maximum starting from those before it
+    # the bound checks run `_CORNER_BLOCK` points at a time, each
+    # block's maximum starting from those before it
     max_lower = max_upper = 0.0
     for start in range(0, n_points, _CORNER_BLOCK):
         u = pts[start : start + _CORNER_BLOCK]
@@ -401,11 +392,7 @@ def derived_copula_validity(
     p = np.repeat(np.linspace(0.05, 0.95, 19), d)
     margin_pts = np.ones((p.size, d))
     margin_pts[np.arange(p.size), np.tile(np.arange(d), 19)] = p
-    max_margin = 0.0
-    for start in range(0, p.size, _CORNER_BLOCK):
-        rows = slice(start, start + _CORNER_BLOCK)
-        max_margin = np.max(np.abs(cdf(margin_pts[rows]) - p[rows]), initial=max_margin)
-    max_margin = float(max_margin)
+    max_margin = float(np.max(np.abs(cdf(margin_pts) - p)))
 
     # one (a, r) pair of d-vectors per rectangle, b = a + r (1 - a); the
     # corner masses are summed in `itertools.product` order, a block of

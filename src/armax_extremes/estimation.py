@@ -29,7 +29,7 @@ import numpy as np
 
 from .armax import _SERIES_STOP, _SERIES_TERMS
 from .errors import UndefinedResultError, _check_integer, _check_open_unit, _check_top_k
-from .ranks import _top_order_statistics
+from .ranks import _top_k, _top_order_statistics
 
 __all__ = [
     "MomentEstimate",
@@ -478,10 +478,10 @@ def build_estimate_report(
 ) -> EstimateReport:
     """Run every estimator on one series and collect the outcomes.
 
-    ``hill_k`` defaults to ``ceil(sqrt(n))``.  Estimators whose domain
-    requirements fail (nonpositive values, out-of-range point estimate)
-    are reported as ``nan`` with a flag instead of raising, so batch
-    runs always complete.  A bad ``convention`` or ``level`` raises
+    ``hill_k`` defaults to ``min(ceil(sqrt(n)), n - 1)`` (`ranks._top_k`).
+    Estimators whose domain requirements fail (nonpositive values,
+    out-of-range point estimate) are reported as ``nan`` with a flag
+    instead of raising, so batch runs always complete.  A bad ``convention`` or ``level`` raises
     ``ValueError`` whatever the estimate.
     """
     _check_interval(convention, level)
@@ -500,11 +500,9 @@ def build_estimate_report(
         ci = (math.nan, math.nan)
         flags.append("ci_unavailable")
 
-    if hill_k is None:
-        hill_k = min(math.ceil(math.sqrt(n)), n - 1)
     alpha_hill: float | None
     try:
-        alpha_hill = hill_tail_index(x, hill_k)
+        alpha_hill = hill_tail_index(x, _top_k(n, hill_k))
     except (ValueError, UndefinedResultError):
         alpha_hill = None
         flags.append("hill_unavailable")

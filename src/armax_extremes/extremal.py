@@ -24,9 +24,9 @@ import numpy as np
 from .armax import ProcessConfig, _stationary_logcdf, stationary_marginal_quantile
 from .copulas import CopulaSpec, DerivedCopula, copula_logcdf
 from .errors import NumericLimitError, UndefinedResultError
-from .errors import _check_coefficients, _check_integer, _check_open_unit, _check_top_k
+from .errors import _check_coefficients, _check_integer, _check_open_unit
 from .margins import DomainTag, TailFacts
-from .ranks import _has_nan, _order_statistic, _sorted_columns, _top_rows, _window
+from .ranks import _has_nan, _order_statistic, _path_data, _sorted_columns, _top_k, _top_rows, _window
 
 __all__ = [
     "ExtremalIndexResult",
@@ -87,8 +87,8 @@ def _index_levels(facts: TailFacts, tau, batch: bool = False):
     (``q_j = c_j**alpha_j``, read from ``facts``) on the index set and 0
     elsewhere, for one ``(d,)`` direction ``tau`` or, with ``batch``, a
     list of such pairs, one per row of an ``(m, d)`` grid.  Each
-    direction must be nonnegative with at least one positive entry
-    (`_tau_rows`).
+    direction must be finite and nonnegative with at least one positive
+    entry (`_tau_rows`).
     """
     d = len(facts.domains)
     tau = np.asarray(tau, dtype=float)
@@ -109,7 +109,7 @@ def _index_levels(facts: TailFacts, tau, batch: bool = False):
 def _tau_rows(tau: np.ndarray) -> list[list[float]]:
     """The directions of a ``(d,)`` or ``(m, d)`` float array ``tau`` as
     lists of floats, after refusing one with a negative or nan entry or
-    without a positive one."""
+    without a positive one, and then one with an infinite entry."""
     if tau.ndim not in (1, 2):
         raise ValueError("tau must be a (d,) direction or an (m, d) grid")
     rows = tau.tolist() if tau.ndim == 2 else [tau.tolist()]
@@ -117,21 +117,20 @@ def _tau_rows(tau: np.ndarray) -> list[list[float]]:
         # `>= 0` is false for nan, so a nan entry is refused too
         if not (all(t >= 0.0 for t in row) and any(t > 0.0 for t in row)):
             raise ValueError("tau must be nonnegative with at least one positive entry")
+        if math.inf in row:
+            raise ValueError("tau entries must be finite")
     return rows
 
 
 def check_extremal_index_parameters(n: int, k: int | None, tau) -> int:
     """``k``, or its default ``min(ceil(sqrt(n)), n - 1)``, for
-    `empirical_mv_extremal_index` on an ``n``-row path, after raising the ``ValueError`` that estimator
-    raises for ``k`` or for a direction or grid ``tau`` with a negative
-    or nan entry or a row without a positive one, so a caller can refuse
-    them before drawing a path.
+    `empirical_mv_extremal_index` on an ``n``-row path, after raising the
+    ``ValueError`` that estimator raises for ``k`` or for a direction or
+    grid ``tau`` with a negative, nan or infinite entry or a row without
+    a positive one, so a caller can refuse them before drawing a path.
     """
     _tau_rows(np.asarray(tau, dtype=float))
-    if k is None:
-        k = min(math.ceil(math.sqrt(n)), n - 1)
-    _check_top_k(k, n)
-    return k
+    return _top_k(n, k)
 
 
 def _index_result(theta: float, tau: list[float], index_set, facts: TailFacts) -> ExtremalIndexResult:
@@ -153,8 +152,8 @@ def theoretical_mv_extremal_index(
 
     ``copula`` is the copula of the stationary law (a base family or a
     derived one), ``domains`` the per-component `DomainTag` sequence and
-    ``c`` the autoregression coefficients.  ``tau`` must be nonnegative
-    with at least one positive entry.  The numerator and denominator are
+    ``c`` the autoregression coefficients.  ``tau`` must be finite and
+    nonnegative with a positive entry.  The numerator and denominator are
     formed in log space, so ratios of tiny copula values stay exact.
     """
     c = np.asarray(c, dtype=float)
@@ -253,7 +252,8 @@ def empirical_mv_extremal_index(
     ``j`` exceeds its level when its rank is above ``n - k * x_j``,
     first with ``x = tau`` (denominator) and then with
     ``x_j = tau_j * c_j**alpha_j`` on the Frechet-domain components only
-    (numerator).  ``k`` defaults to ``ceil(sqrt(n))``.  The ratio is
+    (numerator).  ``k`` defaults to ``min(ceil(sqrt(n)), n - 1)``
+    (`ranks._top_k`), and a 1-d series is one column.  The ratio is
     clamped to ``[0, 1]``.  A ``(d,)`` direction ``tau`` gives a float;
     an ``(m, d)`` grid gives an ``(m,)`` array, reading every level of
     the grid off one sorted copy of each column (`ranks`), one column at
@@ -261,16 +261,14 @@ def empirical_mv_extremal_index(
     exceeds no level.  Raises `UndefinedResultError` when no observation
     exceeds the levels of some direction.
     """
-    data = np.asarray(getattr(path, "data", path), dtype=float)
-    if data.ndim != 2:
-        raise ValueError("path data must be a 2-d array")
+    data = _path_data(path)
     n, d = data.shape
     domains = list(domains)
     if len(domains) != d:
         raise ValueError("domains must match the number of columns")
     index_set, levels = _index_levels(_tail_facts(domains, c_est, batch=True), tau, batch=True)
     levels = np.array(levels).reshape(np.shape(tau)[:-1] + (2, d))
-    k = check_extremal_index_parameters(n, k, tau)
+    k = _top_k(n, k)
 
     if not index_set:
         theta = np.ones(levels.shape[:-2])

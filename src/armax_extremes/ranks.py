@@ -2,11 +2,11 @@
 
 The rank estimators (`extremal.empirical_mv_extremal_index`,
 `taildep.empirical_tdc`, `taildep.empirical_eta`, `taildep.empirical_cells`)
-and the Hill index (`estimation.hill_tail_index`) read ranks and order
-statistics here, so they share one definition of each.  A column is
-sorted once (`np.sort`, nans last) and a row's rank is its place in the
-stable order of its window: ties rank in order of position, and a
-window holding a nan ranks every row nan.
+and the Hill index (`estimation.hill_tail_index`) read their sample path,
+ranks and order statistics here, so they share one definition of each.
+A column is sorted once (`np.sort`, nans last) and a row's rank is its
+place in the stable order of its window: ties rank in order of position,
+and a window holding a nan ranks every row nan.
 """
 
 from __future__ import annotations
@@ -15,6 +15,28 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import _check_top_k
+
+
+def _path_data(path) -> np.ndarray:
+    """The ``(n, d)`` float data of a path, or of an array; a 1-d series
+    is one column."""
+    data = np.asarray(getattr(path, "data", path), dtype=float)
+    if data.ndim == 1:
+        data = data[:, None]
+    if data.ndim != 2:
+        raise ValueError("path data must be 1-d or 2-d")
+    return data
+
+
+def _top_k(n: int, k: int | None) -> int:
+    """``k``, or its default ``min(ceil(sqrt(n)), n - 1)``, as a count of
+    upper order statistics of ``n`` values, after `_check_top_k`."""
+    if k is None:
+        k = min(math.ceil(math.sqrt(n)), n - 1)
+    _check_top_k(k, n)
+    return k
 
 
 class _Window(NamedTuple):

@@ -28,7 +28,7 @@ from .armax import _PRODUCT_TOL, ProcessConfig, _stationary_logcdf, stationary_m
 from .errors import NumericLimitError, UndefinedResultError
 from .errors import _check_integer, _check_open_unit, _check_top_k
 from .margins import MarginSpec, attraction_domain, right_endpoint
-from .ranks import _has_nan, _ranks, _sorted_columns, _top, _top_order_statistics, _window, _Window
+from .ranks import _has_nan, _path_data, _ranks, _sorted_columns, _top, _top_order_statistics, _window, _Window
 
 __all__ = [
     "LagTdcDiagnostics",
@@ -311,15 +311,6 @@ def _rank_eta(head: _Window, tail: _Window, k: int | None) -> float:
     if not eta > 0.0:
         raise UndefinedResultError("degenerate structure-variable sample")
     return min(eta, 1.0)
-
-
-def _path_data(path) -> np.ndarray:
-    data = np.asarray(getattr(path, "data", path), dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
-    if data.ndim != 2:
-        raise ValueError("path data must be 1-d or 2-d")
-    return data
 
 
 def _pair_windows(path, j: int, jp: int, r: int):

@@ -1286,6 +1286,15 @@ def test_stationary_frechet_quantile_outside_the_float_range(alpha, p):
     assert stationary_marginal_quantile(MarginSpec.frechet(0.01), 0.5, 0.5) == expected
 
 
+def test_stationary_quantile_raises_where_the_innovation_quantile_overflows():
+    # F <= G, so an innovation quantile past the float range puts the
+    # stationary one there too; log F(inf) = 0 once returned inf
+    margin = MarginSpec.gpd(1.0, 1e300)
+    with pytest.raises(NumericLimitError, match="^the stationary quantile is outside the float range$"):
+        stationary_marginal_quantile(margin, 0.5, 1.0 - 1e-10)
+    assert stationary_marginal_quantile(margin, 0.5, 0.999) == 1.998651285913215e303
+
+
 def test_stationary_marginal_quantile_brackets_near_unit_c():
     # a solve at c = 0.999, where the product needs thousands of factors
     margin = MarginSpec.exponential(1.0)

@@ -111,6 +111,14 @@ def test_base_rectangle_masses_nonnegative():
 def test_zero_coordinate_gives_zero():
     assert copula_eval(GUMBEL2, [0.0, 0.7]) == 0.0
     assert copula_eval(COMONO, [0.4, 0.0]) == 0.0
+    # log 0 = -inf gives C = +0.0 in every family, one column and
+    # gamma = 1 included, and in derived copulas
+    specs = [GUMBEL2, INDEP, COMONO, CopulaSpec.gumbel(1.0), DerivedCopula(GUMBEL2, (0.5, 1.0, 0.3))]
+    for spec in specs:
+        for u in ([0.0, 0.7, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [5e-324, 0.0, 0.2]):
+            assert copula_eval(spec, u).hex() == (0.0).hex()
+        if not isinstance(spec, DerivedCopula):
+            assert copula_eval(spec, [0.0]).hex() == (0.0).hex()
 
 
 def test_logcdf_matches_eval():
@@ -132,10 +140,11 @@ def test_logcdf_batch_matches_rows():
         batch = copula_logcdf(spec, log_u)
         assert batch.shape == (50,)
         assert batch.tolist() == [copula_logcdf(spec, row) for row in log_u]
-    dc = specs[-1]
-    assert derived_copula_logcdf(dc, log_u).tolist() == [
-        derived_copula_logcdf(dc, row) for row in log_u
-    ]
+    # one checked entry: derived_copula_logcdf is copula_logcdf, and so
+    # evaluates a base copula too
+    for spec in specs:
+        assert derived_copula_logcdf(spec, log_u).tolist() == copula_logcdf(spec, log_u).tolist()
+        assert [derived_copula_logcdf(spec, row) for row in log_u] == copula_logcdf(spec, log_u).tolist()
 
 
 def test_logcdf_comonotone_is_min():
@@ -303,6 +312,9 @@ def test_sample_deterministic_for_fixed_seed():
     row = rows[1]
     assert copula_sample(GUMBEL2, 2, np.random.default_rng(5), size=10, out=row) is row
     assert np.array_equal(rows[1], a) and not rows[[0, 2]].any()
+    for out in (np.empty((10, 3)), np.empty(20), np.empty((1, 10, 2))):
+        with pytest.raises(ValueError, match=r"^out must have shape \(10, 2\)$"):
+            copula_sample(GUMBEL2, 2, np.random.default_rng(5), size=10, out=out)
 
 
 @pytest.mark.parametrize("gamma", [1.001, 1.01, 200.0, 1000.0])

@@ -412,6 +412,38 @@ def test_nan_tau_entry_is_refused():
             call()
 
 
+@pytest.mark.parametrize(
+    "tau, message",
+    [
+        ((math.inf, 1.0), r"^tau entries must be finite$"),
+        ((1.0, math.inf), r"^tau entries must be finite$"),
+        ((math.inf, 0.0), r"^tau entries must be finite$"),
+        ((math.inf, math.inf), r"^tau entries must be finite$"),
+        # the sign and nan rule is checked first
+        ((math.inf, -1.0), r"^tau must be nonnegative with at least one positive entry$"),
+        ((math.nan, math.inf), r"^tau must be nonnegative with at least one positive entry$"),
+    ],
+)
+def test_infinite_tau_entry_is_refused(tau, message):
+    # an infinite level gave nan or 1.0 (theoretical), a NumericLimitError
+    # (process) and 0.0 or 0.9885 (empirical) on this process, by position
+    cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, MarginSpec.exponential(1.0)), CopulaSpec.gumbel(2.0))
+    domains = [FRE_DOM, GUM_DOM]
+    path = simulate_path(cfg, 2_000, 1)
+    grid = [[1.0, 1.0], list(tau)]
+    calls = [
+        lambda: theoretical_mv_extremal_index(cfg.copula, domains, cfg.c, tau),
+        lambda: process_mv_extremal_index(cfg, tau),
+        lambda: empirical_mv_extremal_index(path, domains, cfg.c, None, tau),
+        lambda: empirical_mv_extremal_index(path, domains, cfg.c, None, grid),
+        lambda: check_extremal_index_parameters(2_000, None, tau),
+        lambda: check_extremal_index_parameters(2_000, None, grid),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_empirical_mv_grid_matches_rows():
     cfg = ProcessConfig(3, (0.5, 0.9, 0.3), (FRECHET1,) * 3, CopulaSpec.gumbel(2.0))
     cont = simulate_path(cfg, 3_000, 11).data
@@ -730,6 +762,16 @@ def test_theta_on_every_sweep_row_is_its_formula():
 )
 def test_theta_at_levels_that_round_to_one_or_zero_is_its_formula(tau, outcome):
     assert _assert_theta_is_its_formula(MIXED4, tau) == outcome
+
+
+def test_theta_raises_where_finite_level_points_round_log_f_to_zero():
+    # both level points are finite (exp(-level) is below one), yet the
+    # stationary log F rounds to 0.0 at the denominator's
+    config = ProcessConfig(1, (0.9,), (FRECHET1,), INDEP)
+    tau = (1e-16,)
+    assert math.isfinite(stationary_marginal_quantile(FRECHET1, 0.9, math.exp(-1e-16 * 0.9)))
+    outcome = ("NumericLimitError", "every denominator level rounds to argument one")
+    assert _assert_theta_is_its_formula(config, tau) == outcome
 
 
 def _random_config(seed):

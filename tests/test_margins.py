@@ -211,6 +211,18 @@ def test_spec_validation():
         MarginSpec.gpd(0.1, -2.0)
     with pytest.raises(ConfigurationError):
         MarginSpec.weibull_min(0.0)
+    refusals = [
+        (lambda: MarginSpec("frechet"), "margin 'frechet' requires alpha"),
+        (lambda: MarginSpec("gpd", scale=1.0), "margin 'gpd' requires shape"),
+        (lambda: MarginSpec.frechet(math.inf), "margin 'frechet': alpha must be finite"),
+        (lambda: MarginSpec.gpd(math.inf, 1.0), "margin 'gpd': shape must be finite"),
+        (lambda: MarginSpec.gpd(-math.inf, 1.0), "margin 'gpd': shape must be finite"),
+        (lambda: MarginSpec("exponential", rate=1.0, alpha=2.0), "margin 'exponential' does not take alpha"),
+        (lambda: MarginSpec("uniform01", k=1.0), "margin 'uniform01' does not take k"),
+    ]
+    for make, message in refusals:
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            make()
 
 
 def test_quantile_domain_errors():

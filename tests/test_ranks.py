@@ -4,11 +4,17 @@ window, against ``scipy.stats.rankdata``."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armax_extremes import ranks
+from armax_extremes.armax import ProcessConfig, simulate_path
+from armax_extremes.copulas import CopulaSpec
+from armax_extremes.extremal import empirical_mv_extremal_index
+from armax_extremes.margins import MarginSpec, attraction_domain
 from armax_extremes.ranks import _order_statistic, _top, _Window
+from armax_extremes.taildep import empirical_cells, empirical_eta, empirical_tdc
 
 
 def _rankdata(values):
@@ -73,3 +79,20 @@ def test_window_tops_match_rankdata_on_any_window(values, data):
             assert not _top(window, window.values.size // 2).any()
         else:
             _assert_tops_match_rankdata(window)
+
+
+def test_every_rank_estimator_reads_a_series_as_one_column():
+    # one path rule (`ranks._path_data`) for theta, lambda and eta
+    margin = MarginSpec.frechet(1.0)
+    path = simulate_path(ProcessConfig(1, (0.5,), (margin,), CopulaSpec.independence()), 2_000, 3)
+    series = path.data[:, 0]
+    calls = [
+        lambda p: empirical_tdc(p, 0, 0, 1, 0.05),
+        lambda p: empirical_eta(p, 0, 0, 1),
+        lambda p: empirical_cells(p, [(0, 0, 1), (0, 0, 2)], 0.05),
+        lambda p: empirical_mv_extremal_index(p, [attraction_domain(margin)], [0.5], None, [[1.0], [2.0]]).tolist(),
+    ]
+    for call in calls:
+        assert call(series) == call(path) == call(path.data)
+        with pytest.raises(ValueError, match=r"^path data must be 1-d or 2-d$"):
+            call(path.data[None])
