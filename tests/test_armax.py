@@ -1288,7 +1288,8 @@ def test_stationary_frechet_quantile_outside_the_float_range(alpha, p):
 
 def test_stationary_quantile_raises_where_the_innovation_quantile_overflows():
     # F <= G, so an innovation quantile past the float range puts the
-    # stationary one there too; log F(inf) = 0 once returned inf
+    # stationary one there too; a search from it would read
+    # log F(inf) = 0 >= log p and return inf
     margin = MarginSpec.gpd(1.0, 1e300)
     with pytest.raises(NumericLimitError, match="^the stationary quantile is outside the float range$"):
         stationary_marginal_quantile(margin, 0.5, 1.0 - 1e-10)

@@ -425,8 +425,9 @@ def test_nan_tau_entry_is_refused():
     ],
 )
 def test_infinite_tau_entry_is_refused(tau, message):
-    # an infinite level gave nan or 1.0 (theoretical), a NumericLimitError
-    # (process) and 0.0 or 0.9885 (empirical) on this process, by position
+    # unrefused, an infinite level reads four ways on this process: nan
+    # or 1.0 (theoretical, by position), a NumericLimitError (process)
+    # and 0.0 or 0.9885 (empirical)
     cfg = ProcessConfig(2, (0.5, 0.9), (FRECHET1, MarginSpec.exponential(1.0)), CopulaSpec.gumbel(2.0))
     domains = [FRE_DOM, GUM_DOM]
     path = simulate_path(cfg, 2_000, 1)
