@@ -254,25 +254,252 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+# The path CSV is "%.17g" text, byte for byte, written block by block.
+# A value in [1e-4, 1e17), where "%.17g" is fixed-point, is formatted
+# exactly by numpy below; every other value (zeros, negatives, nan,
+# infinities, subnormals, anything outside that range) and any value
+# whose decimal exponent stays off after one fix is formatted by
+# "%.17g" % v, as _fmt does.  A value's text sits in a cell of _CELL
+# bytes: three 8-byte words, room for the widest text
+# ("-2.2250738585072014e-308"), then its separator.  The uint64 limb
+# arithmetic combines uint64 arrays only with uint64 arrays or Python
+# ints: numpy 1.24 promotes uint64 with int64 to float64.
+_CELL = 25
+_ZEROS = 0x3030303030303030  # "0" in each byte of a word
+_EXPONENTS = range(-4, 17)  # the decimal exponents k of the kernel's range
+
+
+def _byte_mask(lo: int, hi: int, byte: int = 0xFF, words: int = 3) -> list[int]:
+    # `byte` in bytes lo..hi-1 of a text of `words` little-endian words
+    x = sum(byte << 8 * b for b in range(max(lo, 0), min(hi, 8 * words)))
+    return [(x >> 64 * i) & (2**64 - 1) for i in range(words)]
+
+
+def _word_table(masks) -> np.ndarray:
+    return np.array(list(masks), dtype=np.uint64).T.copy()
+
+
+# 5**(16 - k) in 32-bit halves, indexed by k + 4
+_POW5_HI = np.array([5 ** (16 - k) >> 32 for k in _EXPONENTS], dtype=np.uint64)
+_POW5_LO = np.array([5 ** (16 - k) & 0xFFFFFFFF for k in _EXPONENTS], dtype=np.uint64)
+# The 17 digits of N follow four "0" in the digit string S.  At exponent
+# k (index k + 4) "%.17g" writes S[4 + min(k, 0):k + 5], the dot at byte
+# k + 5, then the rest of S shifted one byte on, without trailing zeros
+# (nor the dot if no digit follows it).
+_BEFORE_DOT = _word_table(_byte_mask(0, k + 5) for k in _EXPONENTS)
+_AFTER_DOT = _word_table(_byte_mask(k + 6, 24) for k in _EXPONENTS)
+_DOT = _word_table(_byte_mask(k + 5, k + 6, ord(".")) for k in _EXPONENTS)
+# the bytes kept, 1 each, per k and index 4..20 of S's last nonzero
+# digit, indexed by 17 (k + 4) + last - 4
+_KEPT = _word_table(
+    _byte_mask(4 + min(k, 0), last + 2 if last >= k + 5 else k + 5, 1)
+    for k in _EXPONENTS
+    for last in range(4, 21)
+)
+
+
+def _limbs(m: np.ndarray, e: np.ndarray, k: np.ndarray):
+    """``m * 5**(16 - k)`` as uint64 limbs ``(hi, lo)`` and the shift
+    ``s`` with ``v * 10**(16 - k) = (hi * 2**64 + lo) / 2**s`` for
+    ``v = m * 2**(e - 61)``, ``m < 2**61`` and ``-4 <= k <= 16``."""
+    i = k + 4
+    p_hi, p_lo = _POW5_HI[i], _POW5_LO[i]
+    hi = m >> 32
+    m_lo = m & 0xFFFFFFFF
+    lo = m_lo * p_lo
+    mid = hi * p_lo
+    m_lo *= p_hi
+    mid += m_lo
+    hi *= p_hi
+    hi += mid >> 32
+    mid <<= 32
+    lo += mid
+    hi += lo < mid
+    return hi, lo, (45 + k - e).astype(np.uint64)
+
+
+def _rounded(hi: np.ndarray, lo: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``(hi * 2**64 + lo) / 2**s`` rounded half to even, for
+    ``0 < s < 64`` and a quotient below ``2**64``."""
+    # adding 2**(s-1) - 1 plus the truncated quotient's last bit rounds
+    # half to even
+    add = (lo >> s) & 1
+    add += (1 << (s - 1)) - 1
+    add += lo
+    return ((hi + (add < lo)) << (64 - s)) | (add >> s)
+
+
+def _digit_bytes(x: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each ``x < 10**8`` as bytes 0..9, most
+    significant first in a little-endian uint64; overwrites ``x``.  Two
+    halves of 4 digits, then of 2, then of 1, split in every lane at once."""
+    a = x // 10000
+    x -= a * 10000
+    x <<= 32
+    x |= a
+    q = x * 10486  # lane // 100 for lanes below 10**4
+    q >>= 20
+    q &= 0x0000007F0000007F
+    x -= q * 100
+    x <<= 16
+    x |= q
+    q = x * 103  # lane // 10 for lanes below 100
+    q >>= 10
+    q &= 0x000F000F000F000F
+    x -= q * 10
+    x <<= 8
+    x |= q
+    return x
+
+
+def _fixed_point_words(v: np.ndarray):
+    """Exact ``"%.17g"`` text of the values ``v`` (1-d float64) that lie
+    in ``[1e-4, 1e17)``: three text words and three kept-byte words per
+    value, and the mask of the values the kernel leaves to ``"%.17g" % v``.
+
+    With ``v = m * 2**(e - 61)`` from `np.frexp` and the decimal
+    exponent ``k`` guessed by ``floor(log10(v))``, the 17 significant
+    digits are ``N = v * 10**(16 - k)`` rounded half to even, exact in
+    two uint64 limbs.  The guess is right when ``10**16 <= N < 10**17``:
+    the largest float below ``10**k`` (-4 <= k <= 16), times
+    ``10**(16 - k)``, stays more than 0.8 below ``10**16``, so
+    ``N >= 10**16`` means ``v >= 10**k``.  Otherwise ``k`` moves by one
+    and ``N`` is computed again, and a value still off is left over."""
+    ok = (v >= 1e-4) & (v < 1e17)
+    w = np.where(ok, v, 1.0)  # keeps log10 and frexp off nan, 0 and negatives
+    f, e = np.frexp(w)
+    f *= 2.0**61
+    m = f.astype(np.uint64)
+    k = np.log10(w, out=w)
+    np.floor(k, out=k)
+    k = np.clip(k, -4, 16, out=k).astype(np.int64)
+    n = _rounded(*_limbs(m, e, k))
+    step = (n >= 10**17).view(np.int8) - (n < 10**16).view(np.int8)
+    fix = np.flatnonzero(step)
+    if fix.size:
+        k[fix] = np.clip(k[fix] + step[fix], -4, 16)
+        n_fix = _rounded(*_limbs(m[fix], e[fix], k[fix]))
+        n[fix] = n_fix
+        ok[fix] &= (n_fix >= 10**16) & (n_fix < 10**17)
+    high = n // 10**8
+    n -= high * 10**8
+    lead = high // 10**8
+    high -= lead * 10**8
+    high = _digit_bytes(high)
+    low = _digit_bytes(n)
+    # S index of the last nonzero digit; the float exponent of a word of
+    # digit bytes gives its highest nonzero byte, -1 for 0
+    in_low = low != 0
+    last = np.frexp(np.where(in_low, low, high).astype(np.float64))[1]
+    last -= 1
+    last >>= 3
+    last += np.where(in_low, 13, 5)
+    high |= _ZEROS
+    low |= _ZEROS
+    lead |= 0x30
+    lead <<= 32
+    lead |= 0x30303030
+    s0 = high << 40
+    s0 |= lead
+    s1 = high >> 24
+    s1 |= low << 40
+    s2 = low >> 24
+    i = k + 4
+    words = (s0, s1, s2)
+    text = []
+    for j, word in enumerate(words):
+        shifted = word << 8
+        if j:
+            shifted |= words[j - 1] >> 56
+        shifted &= _AFTER_DOT[j][i]
+        shifted |= _DOT[j][i]
+        text.append(shifted)
+    for j, word in enumerate(words):
+        word &= _BEFORE_DOT[j][i]
+        text[j] |= word
+    i *= 17
+    i += last
+    i -= 4
+    return text, [_KEPT[j][i] for j in range(3)], ~ok
+
+
+def _path_layout(n: int, d: int) -> np.dtype:
+    # a row: the row number right-aligned in whole words, a comma, and
+    # d cells of three text words and a separator
+    width = 8 * -(-len(str(max(n - 1, 0))) // 8)
+    fields = {f"t{i}": ("<u8", 8 * i) for i in range(width // 8)}
+    fields["comma"] = ("u1", width)
+    for j in range(d):
+        cell = width + 1 + _CELL * j
+        fields.update({f"x{j}w{i}": ("<u8", cell + 8 * i) for i in range(3)})
+        fields[f"x{j}sep"] = ("u1", cell + 24)
+    return np.dtype({
+        "names": list(fields),
+        "formats": [fmt for fmt, _ in fields.values()],
+        "offsets": [offset for _, offset in fields.values()],
+        "itemsize": width + 1 + _CELL * d,
+    })
+
+
+def _path_rows(chunk: np.ndarray, start: int, rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The CSV text of rows ``start, start + 1, ...`` of a path whose
+    values are ``chunk``, built in the scratch rows ``rows`` and their
+    kept-byte flags ``kept`` (`_path_layout` records)."""
+    r, d = chunk.shape
+    rows, kept = rows[:r], kept[:r]
+    width = rows.dtype.fields["comma"][1]
+    t = np.arange(start, start + r, dtype=np.uint64)
+    for i in reversed(range(width // 8)):
+        rest = t // 10**8
+        t -= rest * 10**8
+        rows[f"t{i}"] = _digit_bytes(t) | _ZEROS
+        t = rest
+    # the row numbers of one digit count run together
+    a = start
+    while a < start + r:
+        digits = len(str(a))
+        b = min(10**digits, start + r)
+        for i, mask in enumerate(_byte_mask(width - digits, width, 1, width // 8)):
+            kept[f"t{i}"][a - start : b - start] = mask
+        a = b
+    rows["comma"] = ord(",")
+    kept["comma"] = 1
+    # column by column, so that each cell field takes a contiguous run
+    v = np.ascontiguousarray(chunk.T, dtype=np.float64).reshape(-1)
+    text, text_kept, left = _fixed_point_words(v)
+    for j in range(d):
+        column = slice(j * r, (j + 1) * r)
+        for i in range(3):
+            rows[f"x{j}w{i}"] = text[i][column]
+            kept[f"x{j}w{i}"] = text_kept[i][column]
+        rows[f"x{j}sep"] = ord("\n" if j == d - 1 else ",")
+        kept[f"x{j}sep"] = 1
+    raw = rows.view(np.uint8).reshape(r, -1)
+    flags = kept.view(np.uint8).reshape(r, -1)
+    left = np.flatnonzero(left)
+    if left.size:
+        # `_fixed_point_words` is blind to these: "%.17g" % v, NUL-padded
+        texts = np.array(["%.17g" % x for x in v[left].tolist()], dtype="S24")
+        texts = texts.view(np.uint8).reshape(-1, 24)
+        col, row = np.divmod(left, r)
+        at = (width + 1 + _CELL * col)[:, None] + np.arange(24)
+        raw[row[:, None], at] = texts
+        flags[row[:, None], at] = texts != 0
+    return raw.reshape(-1)[flags.reshape(-1).view(bool)]
+
+
 def _write_path_csv(path: str, data: np.ndarray) -> None:
-    # "%.17g" renders every float (nan, inf and -0.0 included) as _fmt
-    # does; a chunk of k rows is one % of the row format repeated k times
-    # over the flat tuple (t, x1, ..., xd, t + 1, ...), filled column by
-    # column, far faster than one % per row.  A chunk of `_ROW_BLOCK`
-    # rows holds about 65 bytes per value in Python objects and text, one
-    # chunk at a time, so the writer's peak does not grow with the path
-    d = data.shape[1]
-    row = "%d" + ",%.17g" * d + "\n"
-    with open(path, "w", newline="") as f:
-        f.write(",".join(["t"] + [f"x{j + 1}" for j in range(d)]) + "\n")
-        for start in range(0, len(data), _ROW_BLOCK):
-            chunk = data[start : start + _ROW_BLOCK]
-            k = len(chunk)
-            flat = [0] * (k * (d + 1))
-            flat[:: d + 1] = range(start, start + k)
-            for j in range(d):
-                flat[j + 1 :: d + 1] = chunk[:, j].tolist()
-            f.write((row * k) % tuple(flat))
+    # One block of `_ROW_BLOCK` rows at a time, in scratch rows made once
+    # per call: arrays this size made afresh for every block are paged in
+    # anew each time, which costs more than formatting them.
+    n, d = data.shape
+    layout = _path_layout(n, d)
+    rows = np.empty(min(n, _ROW_BLOCK), layout)
+    kept = np.empty_like(rows)
+    with open(path, "wb") as f:
+        f.write((",".join(["t"] + [f"x{j + 1}" for j in range(d)]) + "\n").encode())
+        for start in range(0, n, _ROW_BLOCK):
+            f.write(_path_rows(data[start : start + _ROW_BLOCK], start, rows, kept))
 
 
 def _write_json(path: str, payload) -> None:

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -258,9 +259,29 @@ def test_path_writer_peak_does_not_grow_with_the_path(tmp_path):
     assert peaks[1] < 1.1 * peaks[0]
 
 
-# nan, infinities, signed zeros, subnormals and values near 1e+-300,
-# besides any float
+# The writer's own kernel formats [1e-4, 1e17): integers stored as
+# floats; powers of ten with their 1-ulp neighbours, where floor(log10)
+# of the one below is one too high (nextafter(1e-3, 0) is
+# 0.0009999999999999998, nextafter(1e17, 0) is 99999999999999984) and
+# 1e17 itself is left to "%.17g" % v; and ties that round half to even
+# (2**50 + 0.25 is 1125899906842624.2, 2**50 + 0.75 is 1125899906842624.8).
+_POWERS_OF_TEN = [10.0**p for p in range(-4, 18)]
+_KERNEL_EDGES = [
+    *_POWERS_OF_TEN,
+    *(math.nextafter(p, 0.0) for p in _POWERS_OF_TEN),
+    *(math.nextafter(p, math.inf) for p in _POWERS_OF_TEN),
+    2.0**50 + 0.25,
+    2.0**50 + 0.75,
+]
+_KERNEL_VALUES = st.one_of(
+    st.floats(1e-4, 1e17, exclude_max=True),
+    st.integers(0, 10**17).map(float),
+    st.sampled_from(_KERNEL_EDGES),
+)
+# besides those: nan, infinities, signed zeros, subnormals and values
+# near 1e+-300, and any float
 _PATH_VALUES = st.one_of(
+    _KERNEL_VALUES,
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-320,
                      2.2250738585072014e-308, 1.7976931348623157e308]),
@@ -289,6 +310,87 @@ def test_path_writer_matches_the_fmt_writer(tmp_path_factory, data):
         mp.setattr(cli, "_ROW_BLOCK", chunk)
         cli._write_path_csv(str(written), path)
     assert written.read_bytes() == expected.read_bytes()
+
+
+def test_fixed_point_kernel_leaves_only_values_outside_its_range():
+    # a value whose exponent guess is one off stays in the kernel after
+    # the fix; the rest of the float line goes to "%.17g" % v
+    inside = [1e-4, math.nextafter(1e-4, 1.0), math.nextafter(1e-3, 0.0), 1.0,
+              math.nextafter(1.0, 0.0), 2.0**50 + 0.25, 2.0**50 + 0.75, 1e16,
+              math.nextafter(1e17, 0.0)]
+    outside = [1e17, math.nextafter(1e-4, 0.0), 0.0, -0.0, -1.0, 5e-324, math.nan,
+               math.inf, -math.inf]
+    *_, left = cli._fixed_point_words(np.array(inside + outside))
+    assert left.tolist() == [False] * len(inside) + [True] * len(outside)
+
+
+def test_no_float_below_a_power_of_ten_rounds_up_to_it():
+    # the kernel reads 10**16 <= N as v >= 10**k: the largest float below
+    # 10**k, times 10**(16 - k), stays more than a half below 10**16
+    for k in range(-4, 17):
+        below = 10.0**k
+        while Fraction(below) >= Fraction(10) ** k:
+            below = math.nextafter(below, 0.0)
+        assert Fraction(below) * Fraction(10) ** (16 - k) < 10**16 - Fraction(4, 5)
+
+
+def test_path_writer_stays_exact_where_the_exponent_guess_is_two_off(tmp_path, monkeypatch):
+    # one fix cannot mend a guess two off; such a value goes to "%.17g" % v
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x, out=None: np.subtract(log10(x, out=out), 2.0, out=out))
+    path = np.array([[0.5, 123.25], [1e16, 3e-4], [7.0, 99999999999999984.0]])
+    *_, left = cli._fixed_point_words(path.reshape(-1))
+    assert left.any()
+    expected = tmp_path / "expected.csv"
+    cli._write_csv(str(expected), ["t", "x1", "x2"], ([i, *row] for i, row in enumerate(path)))
+    written = tmp_path / "written.csv"
+    cli._write_path_csv(str(written), path)
+    assert written.read_bytes() == expected.read_bytes()
+
+
+def test_path_writer_matches_format_on_random_bit_patterns(tmp_path):
+    # 10**5 seeded bit patterns spread over the kernel's range
+    low, high = np.array([1e-4, 1e17]).view(np.int64)
+    values = np.random.default_rng(40).integers(low, high, size=100_000).view(np.float64)
+    values = values.reshape(-1, 2)
+    written = tmp_path / "path.csv"
+    cli._write_path_csv(str(written), values)
+    lines = written.read_text().splitlines()
+    assert lines[0] == "t,x1,x2"
+    assert lines[1:] == [
+        f"{i},{format(a, '.17g')},{format(b, '.17g')}" for i, (a, b) in enumerate(values.tolist())
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("chunk", [7, 30])
+def test_path_writer_row_numbers_across_powers_of_ten(tmp_path, monkeypatch, d, chunk):
+    # 10 011 rows, not a whole number of blocks, whose row numbers grow a
+    # digit at 10, 100, 1000 and 10 000; blocks of 7 rows split rows
+    # 9990..10 010, and one block of 30 (9990..10 019) holds them all
+    monkeypatch.setattr(cli, "_ROW_BLOCK", chunk)
+    rng = np.random.default_rng(d)
+    path = rng.random((10_011, d)) * 10.0 ** rng.integers(-6, 18, size=(10_011, d))
+    expected = tmp_path / "expected.csv"
+    cli._write_csv(
+        str(expected),
+        ["t", *(f"x{j + 1}" for j in range(d))],
+        ([i, *row] for i, row in enumerate(path)),
+    )
+    written = tmp_path / "written.csv"
+    cli._write_path_csv(str(written), path)
+    assert written.read_bytes() == expected.read_bytes()
+
+
+def test_path_rows_past_one_hundred_million():
+    # a row number of nine digits takes a second word; one block that
+    # crosses 10**8 is built directly, without a path of that length
+    start = 10**8 - 5
+    values = [0.5, 2.0, 1e-5, 3.25, 7.0, 1e16, 0.125, -1.0]
+    chunk = np.array(values)[:, None]
+    rows = np.empty(len(values), cli._path_layout(start + len(values), 1))
+    text = cli._path_rows(chunk, start, rows, np.empty_like(rows)).tobytes()
+    assert text.decode() == "".join(f"{start + i},{v:.17g}\n" for i, v in enumerate(values))
 
 
 @pytest.mark.parametrize("package", ["scipy", "concurrent.futures", "_hashlib", "statistics"])
