@@ -263,7 +263,9 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 # bytes: three 8-byte words, room for the widest text
 # ("-2.2250738585072014e-308"), then its separator.  The uint64 limb
 # arithmetic combines uint64 arrays only with uint64 arrays or Python
-# ints: numpy 1.24 promotes uint64 with int64 to float64.
+# ints: numpy 1.24 promotes uint64 with int64 to float64.  The kernel
+# works in place where it can: a fresh block-sized temporary costs more
+# than the arithmetic on it.
 _CELL = 25
 _ZEROS = 0x3030303030303030  # "0" in each byte of a word
 _EXPONENTS = range(-4, 17)  # the decimal exponents k of the kernel's range

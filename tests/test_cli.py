@@ -326,7 +326,8 @@ def test_fixed_point_kernel_leaves_only_values_outside_its_range():
 
 def test_no_float_below_a_power_of_ten_rounds_up_to_it():
     # the kernel reads 10**16 <= N as v >= 10**k: the largest float below
-    # 10**k, times 10**(16 - k), stays more than a half below 10**16
+    # 10**k, times 10**(16 - k), stays more than 0.8 below 10**16, so N,
+    # rounded to an integer, stays below 10**16
     for k in range(-4, 17):
         below = 10.0**k
         while Fraction(below) >= Fraction(10) ** k:
