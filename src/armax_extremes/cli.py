@@ -259,14 +259,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 # exactly by numpy below; every other value (zeros, negatives, nan,
 # infinities, subnormals, anything outside that range) and any value
 # whose decimal exponent stays off after one fix is formatted by
-# "%.17g" % v, as _fmt does.  A value's text sits in a cell of _CELL
-# bytes: three 8-byte words, room for the widest text
-# ("-2.2250738585072014e-308"), then its separator.  The uint64 limb
-# arithmetic combines uint64 arrays only with uint64 arrays or Python
-# ints: numpy 1.24 promotes uint64 with int64 to float64.  The kernel
-# works in place where it can: a fresh block-sized temporary costs more
-# than the arithmetic on it.
-_CELL = 25
+# "%.17g" % v, as _fmt does.  A value's text sits in three 8-byte words,
+# room for the widest text ("-2.2250738585072014e-308").  No text holds
+# a NUL byte, so NUL bytes mark the padding a block drops.  The uint64
+# limb arithmetic combines uint64 arrays only with uint64 arrays or
+# Python ints: numpy 1.24 promotes uint64 with int64 to float64.  The
+# kernel works in place where it can: a fresh block-sized temporary
+# costs more than the arithmetic on it.
 _ZEROS = 0x3030303030303030  # "0" in each byte of a word
 _EXPONENTS = range(-4, 17)  # the decimal exponents k of the kernel's range
 
@@ -291,10 +290,10 @@ _POW5_LO = np.array([5 ** (16 - k) & 0xFFFFFFFF for k in _EXPONENTS], dtype=np.u
 _BEFORE_DOT = _word_table(_byte_mask(0, k + 5) for k in _EXPONENTS)
 _AFTER_DOT = _word_table(_byte_mask(k + 6, 24) for k in _EXPONENTS)
 _DOT = _word_table(_byte_mask(k + 5, k + 6, ord(".")) for k in _EXPONENTS)
-# the bytes kept, 1 each, per k and index 4..20 of S's last nonzero
-# digit, indexed by 17 (k + 4) + last - 4
+# the bytes kept per k and index 4..20 of S's last nonzero digit,
+# indexed by 17 (k + 4) + last - 4
 _KEPT = _word_table(
-    _byte_mask(4 + min(k, 0), last + 2 if last >= k + 5 else k + 5, 1)
+    _byte_mask(4 + min(k, 0), last + 2 if last >= k + 5 else k + 5)
     for k in _EXPONENTS
     for last in range(4, 21)
 )
@@ -356,8 +355,8 @@ def _digit_bytes(x: np.ndarray) -> np.ndarray:
 
 def _fixed_point_words(v: np.ndarray):
     """Exact ``"%.17g"`` text of the values ``v`` (1-d float64) that lie
-    in ``[1e-4, 1e17)``: three text words and three kept-byte words per
-    value, and the mask of the values the kernel leaves to ``"%.17g" % v``.
+    in ``[1e-4, 1e17)``, three words per value, NUL-padded, and the mask
+    of the values the kernel leaves to ``"%.17g" % v``.
 
     With ``v = m * 2**(e - 61)`` from `np.frexp` and the decimal
     exponent ``k`` guessed by ``floor(log10(v))``, the 17 significant
@@ -407,6 +406,7 @@ def _fixed_point_words(v: np.ndarray):
     s1 |= low << 40
     s2 = low >> 24
     i = k + 4
+    ends = 17 * i + last - 4  # the `_KEPT` index of each value
     words = (s0, s1, s2)
     text = []
     for j, word in enumerate(words):
@@ -419,89 +419,62 @@ def _fixed_point_words(v: np.ndarray):
     for j, word in enumerate(words):
         word &= _BEFORE_DOT[j][i]
         text[j] |= word
-    i *= 17
-    i += last
-    i -= 4
-    return text, [_KEPT[j][i] for j in range(3)], ~ok
+        text[j] &= _KEPT[j][ends]
+    return text, ~ok
 
 
-def _path_layout(n: int, d: int) -> np.dtype:
-    # a row: the row number right-aligned in whole words, a comma, and
-    # d cells of three text words and a separator
-    width = 8 * -(-len(str(max(n - 1, 0))) // 8)
-    fields = {f"t{i}": ("<u8", 8 * i) for i in range(width // 8)}
-    fields["comma"] = ("u1", width)
-    for j in range(d):
-        cell = width + 1 + _CELL * j
-        fields.update({f"x{j}w{i}": ("<u8", cell + 8 * i) for i in range(3)})
-        fields[f"x{j}sep"] = ("u1", cell + 24)
-    return np.dtype({
-        "names": list(fields),
-        "formats": [fmt for fmt, _ in fields.values()],
-        "offsets": [offset for _, offset in fields.values()],
-        "itemsize": width + 1 + _CELL * d,
-    })
-
-
-def _path_rows(chunk: np.ndarray, start: int, rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
+def _path_rows(chunk: np.ndarray, start: int, rows: np.ndarray) -> np.ndarray:
     """The CSV text of rows ``start, start + 1, ...`` of a path whose
-    values are ``chunk``, built in the scratch rows ``rows`` and their
-    kept-byte flags ``kept`` (`_path_layout` records)."""
+    values are ``chunk``, built in the uint64 scratch matrix ``rows``
+    (`_write_path_csv`)."""
     r, d = chunk.shape
-    rows, kept = rows[:r], kept[:r]
-    width = rows.dtype.fields["comma"][1]
+    rows = rows[:r]
+    width = rows.shape[1] - 1 - 4 * d
     t = np.arange(start, start + r, dtype=np.uint64)
-    for i in reversed(range(width // 8)):
+    for i in reversed(range(width)):
         rest = t // 10**8
         t -= rest * 10**8
-        rows[f"t{i}"] = _digit_bytes(t) | _ZEROS
+        rows[:, i] = _digit_bytes(t)
         t = rest
+    # a digit 0 is a NUL byte until "0" goes into the significant digits;
     # the row numbers of one digit count run together
     a = start
     while a < start + r:
         digits = len(str(a))
         b = min(10**digits, start + r)
-        for i, mask in enumerate(_byte_mask(width - digits, width, 1, width // 8)):
-            kept[f"t{i}"][a - start : b - start] = mask
+        zeros = _byte_mask(8 * width - digits, 8 * width, 0x30, width)
+        rows[a - start : b - start, :width] |= np.array(zeros, dtype=np.uint64)
         a = b
-    rows["comma"] = ord(",")
-    kept["comma"] = 1
-    # column by column, so that each cell field takes a contiguous run
-    v = np.ascontiguousarray(chunk.T, dtype=np.float64).reshape(-1)
-    text, text_kept, left = _fixed_point_words(v)
-    for j in range(d):
-        column = slice(j * r, (j + 1) * r)
-        for i in range(3):
-            rows[f"x{j}w{i}"] = text[i][column]
-            kept[f"x{j}w{i}"] = text_kept[i][column]
-        rows[f"x{j}sep"] = ord("\n" if j == d - 1 else ",")
-        kept[f"x{j}sep"] = 1
-    raw = rows.view(np.uint8).reshape(r, -1)
-    flags = kept.view(np.uint8).reshape(r, -1)
+    rows[:, width] = ord(",")
+    cells = rows[:, width + 1 :].reshape(r, d, 4)
+    v = np.ascontiguousarray(chunk, dtype=np.float64).reshape(-1)
+    text, left = _fixed_point_words(v)
+    for i in range(3):
+        cells[:, :, i] = text[i].reshape(r, d)
+    cells[:, :, 3] = ord(",")
+    cells[:, -1, 3] = ord("\n")
     left = np.flatnonzero(left)
     if left.size:
         # `_fixed_point_words` is blind to these: "%.17g" % v, NUL-padded
         texts = np.array(["%.17g" % x for x in v[left].tolist()], dtype="S24")
-        texts = texts.view(np.uint8).reshape(-1, 24)
-        col, row = np.divmod(left, r)
-        at = (width + 1 + _CELL * col)[:, None] + np.arange(24)
-        raw[row[:, None], at] = texts
-        flags[row[:, None], at] = texts != 0
-    return raw.reshape(-1)[flags.reshape(-1).view(bool)]
+        row, col = np.divmod(left, d)
+        cells.view(np.uint8)[row, col, :24] = texts.view(np.uint8).reshape(-1, 24)
+    raw = rows.view(np.uint8).reshape(-1)
+    return raw[raw != 0]
 
 
 def _write_path_csv(path: str, data: np.ndarray) -> None:
-    # One block of `_ROW_BLOCK` rows at a time, in scratch rows made once
-    # per call: arrays this size made afresh for every block are paged in
-    # anew each time, which costs more than formatting them.
+    # One block of `_ROW_BLOCK` rows at a time, in a scratch matrix made
+    # once per call (made per block, it is paged in anew each time).  A
+    # row: the row number right-aligned in whole words, a comma word, and
+    # per column three text words and a separator word.
     n, d = data.shape
-    layout = _path_layout(n, d)
-    rows = np.empty(min(n, _ROW_BLOCK), layout)
-    kept = np.empty_like(rows)
+    width = -(-len(str(max(n - 1, 0))) // 8)
+    rows = np.empty((min(n, _ROW_BLOCK), width + 1 + 4 * d), np.uint64)
     with open(path, "wb") as f:
         f.write((",".join(["t"] + [f"x{j + 1}" for j in range(d)]) + "\n").encode())
         for start in range(0, n, _ROW_BLOCK):
-            f.write(_path_rows(data[start : start + _ROW_BLOCK], start, rows, kept))
+            f.write(_path_rows(data[start : start + _ROW_BLOCK], start, rows))
 
 
 def _write_json(path: str, payload) -> None:

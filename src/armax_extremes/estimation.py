@@ -5,8 +5,8 @@ transform ``U = exp(-1/X)`` of the stationary margin is Beta-like with
 mean ``1/(2-c)``, giving the moment estimator ``c = 2 - 1/U_bar``.  Two
 alternatives are provided: the descent-frequency estimator
 ``c = 2 - 1/p_tilde`` with ``p_tilde`` the fraction of non-increasing
-steps, and the minimum consecutive ratio, which bounds ``c`` from above
-path by path because the recursion forces ``X_i >= c X_{i-1}``.
+steps, and the minimum consecutive ratio, which reads ``c`` or one ulp
+below it once an innovation loses: that row is ``X_i = fl(c X_{i-1})``.
 
 The asymptotic variance of ``sqrt(n) (U_bar - 1/(2-c))`` is expanded as
 a covariance series over lagged cross moments, once with the paper's
@@ -111,8 +111,10 @@ def estimate_c_lebedev(series) -> LebedevEstimate:
 def estimate_c_davis_resnick(series) -> float:
     """Minimum consecutive ratio ``min_i X_i / X_{i-1}``.
 
-    For a true ARMAX path this never falls below the autoregression
-    coefficient, and it decreases toward it as the series grows.
+    On a true ARMAX path ``X_i >= fl(c X_{i-1})``, with equality where
+    the innovation loses, so the estimate is ``c`` or one ulp below it
+    once such a row occurs; a short path with a small ``c`` may have
+    none and read above ``c``.
     """
     x = _series(series)[None]
     if _nonpositive(x)[0]:

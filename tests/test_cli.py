@@ -279,12 +279,14 @@ _KERNEL_VALUES = st.one_of(
     st.sampled_from(_KERNEL_EDGES),
 )
 # besides those: nan, infinities, signed zeros, subnormals and values
-# near 1e+-300, and any float
+# near 1e+-300, and any float; the last three print as 24 bytes, the
+# widest text, which fills its three words with no NUL padding
+_WIDEST = [-2.2250738585072014e-308, -1.7976931348623157e308, -5e-324]
 _PATH_VALUES = st.one_of(
     _KERNEL_VALUES,
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-320,
-                     2.2250738585072014e-308, 1.7976931348623157e308]),
+                     2.2250738585072014e-308, 1.7976931348623157e308, *_WIDEST]),
     st.floats(1e299, 1e301) | st.floats(-1e301, -1e299),
     st.floats(1e-301, 1e-299) | st.floats(-1e-299, -1e-301),
 )
@@ -310,6 +312,19 @@ def test_path_writer_matches_the_fmt_writer(tmp_path_factory, data):
         mp.setattr(cli, "_ROW_BLOCK", chunk)
         cli._write_path_csv(str(written), path)
     assert written.read_bytes() == expected.read_bytes()
+
+
+def test_path_writer_keeps_the_widest_texts_whole(tmp_path):
+    # a text of 24 bytes has no NUL to drop; every byte of it is written
+    assert [len("%.17g" % v) for v in _WIDEST] == [24, 24, 24]
+    path = np.array([_WIDEST, _WIDEST[::-1], [1.0, _WIDEST[1], 0.5]])
+    expected = tmp_path / "expected.csv"
+    cli._write_csv(str(expected), ["t", "x1", "x2", "x3"],
+                   ([i, *row] for i, row in enumerate(path)))
+    written = tmp_path / "written.csv"
+    cli._write_path_csv(str(written), path)
+    assert written.read_bytes() == expected.read_bytes()
+    assert b"\0" not in written.read_bytes()
 
 
 def test_fixed_point_kernel_leaves_only_values_outside_its_range():
@@ -389,8 +404,8 @@ def test_path_rows_past_one_hundred_million():
     start = 10**8 - 5
     values = [0.5, 2.0, 1e-5, 3.25, 7.0, 1e16, 0.125, -1.0]
     chunk = np.array(values)[:, None]
-    rows = np.empty(len(values), cli._path_layout(start + len(values), 1))
-    text = cli._path_rows(chunk, start, rows, np.empty_like(rows)).tobytes()
+    rows = np.empty((len(values), 2 + 1 + 4), np.uint64)
+    text = cli._path_rows(chunk, start, rows).tobytes()
     assert text.decode() == "".join(f"{start + i},{v:.17g}\n" for i, v in enumerate(values))
 
 

@@ -118,6 +118,20 @@ def test_davis_resnick_respects_recursion_bound():
         assert estimate_c_davis_resnick(path) >= c * (1.0 - slack)
 
 
+@pytest.mark.parametrize("margin", [MarginSpec.frechet(1.0), MarginSpec.exponential(1.0),
+                                    MarginSpec.uniform01(), MarginSpec.gpd(0.5),
+                                    MarginSpec.weibull_min(2.0)], ids=lambda m: m.kind)
+def test_davis_resnick_reads_c_to_one_ulp(margin):
+    # a row whose innovation loses is X_i = fl(c X_{i-1}), whose ratio is
+    # c or one ulp below it (at c = 0.3 and 0.9, the second in most
+    # paths); 2000 rows hold such a row at every c here
+    for c in (0.3, 0.5, 0.9):
+        cfg = ProcessConfig(1, (c,), (margin,), CopulaSpec.independence())
+        for seed in range(10):
+            path = simulate_path(cfg, 2_000, seed).data[:, 0]
+            assert abs(estimate_c_davis_resnick(path) - c) <= math.ulp(c)
+
+
 def test_moment_is_permutation_invariant_lebedev_is_not():
     base = simulate_path(FRECHET1_ARMAX, 1_000, 8).data[:, 0]
     reordered = base[::-1].copy()
